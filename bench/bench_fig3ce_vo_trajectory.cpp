@@ -18,15 +18,13 @@ int main() {
   using namespace cimnav;
   std::printf("=== Fig. 3(c-e): uncertainty-expressive VO trajectories ===\n\n");
 
-  // MC conditions stream through the frame pipeline: frame_window frames
-  // stay in flight, their MC iterations batched across frames through one
-  // macro dispatch per layer — bit-identical to the per-frame path (see
-  // VoPipeline::run_cim_mc_streamed), so the reproduced figures are
-  // unchanged by the streaming rewire.
+  // MC conditions batch every test frame's iterations into one window
+  // over the pool — bit-identical to the per-frame path (see
+  // VoPipeline::run_cim_mc), so the reproduced figures do not depend on
+  // the batching.
   core::ThreadPool pool;
   vo::VoPipelineConfig cfg;
   cfg.pool = &pool;
-  cfg.frame_window = 4;
   const vo::VoPipeline pipe(cfg);
   std::printf("trained VO regressor: train MSE %.5f, test MSE %.5f\n\n",
               pipe.train_mse(), pipe.test_mse());
@@ -44,7 +42,7 @@ int main() {
     bnn::McOptions opt;
     opt.iterations = 30;
     opt.dropout_p = cfg.dropout_p;
-    runs.push_back(pipe.run_cim_mc_streamed(mc, opt, masks));
+    runs.push_back(pipe.run_cim_mc(mc, opt, masks));
   }
 
   core::Table summary({"condition", "delta err [m]", "RMSE x [m]",
@@ -89,7 +87,7 @@ int main() {
     bnn::McOptions opt;
     opt.iterations = t;
     opt.dropout_p = cfg.dropout_p;
-    const auto r = pipe.run_cim_mc_streamed(mc, opt, masks);
+    const auto r = pipe.run_cim_mc(mc, opt, masks);
     iters.add_row({static_cast<double>(t), r.mean_delta_error, r.ate_rmse});
   }
   iters.print(std::cout);

@@ -11,7 +11,7 @@
 // Reports trajectory RMSE, final error and particle-cloud spread per
 // mode (averaged over run seeds), plus a bit-identity probe that re-runs
 // one closed-loop scenario at thread pools 1/2/8 and windows 1/4 — the
-// determinism contract the streamed loop inherits from vo::FramePipeline.
+// determinism contract of vo::run_odometry_loop.
 // Emits BENCH_closed_loop.json (summary metrics tracked by
 // scripts/bench_diff.py against bench/baselines/).
 #include <cstdio>

@@ -31,7 +31,6 @@
 #include "prob/hmg.hpp"
 #include "prob/logspace.hpp"
 #include "vision/depth.hpp"
-#include "vo/frame_pipeline.hpp"
 
 namespace {
 
@@ -749,83 +748,6 @@ int main() {
           "\nmc_predict_cim BitSlicedBackend speedup vs ReferenceBackend: "
           "%.2fx\n\n",
           ratio);
-    }
-
-    // ---- Streaming frame pipeline: cross-frame MC batching ----
-    //
-    // A window of frames flows through vo::FramePipeline (input
-    // generation one window ahead, MC iterations batched across frames
-    // through one macro dispatch per layer, consume trailing one window)
-    // versus the serial per-frame driver (make_input -> mc_predict_cim ->
-    // consume, frame at a time). Both paths compute bit-identical
-    // predictions; the ratio isolates the pipelining. One op = a full
-    // kFrames-frame scenario, so items/s is frames per second.
-    {
-      constexpr int kFrames = 8;
-      constexpr int kWindow = 4;
-      std::vector<nn::Vector> frame_inputs;
-      for (int f = 0; f < kFrames; ++f) {
-        core::Rng frng = core::Rng::stream(0xF7A3E5, static_cast<std::uint64_t>(f));
-        nn::Vector v(144);
-        for (auto& e : v) e = frng.uniform();
-        frame_inputs.push_back(std::move(v));
-      }
-      double sink = 0.0;
-      const auto make_input = [&](int f) {
-        return frame_inputs[static_cast<std::size_t>(f)];
-      };
-      const auto consume = [&](int, const bnn::McPrediction& p) {
-        sink += p.mean[0];
-      };
-
-      const auto run_serial = [&](const char* name, core::ThreadPool* pool,
-                                  int threads) {
-        bnn::SoftwareMaskSource masks(core::Rng{11});
-        core::Rng arng(13);
-        bnn::McOptions opt;
-        opt.iterations = kIters;
-        opt.dropout_p = kP;
-        opt.pool = pool;
-        return suite.run(name, threads, kFrames, "frames", [&] {
-          for (int f = 0; f < kFrames; ++f)
-            consume(f, bnn::mc_predict_cim(cim, make_input(f), opt, masks,
-                                           arng));
-        });
-      };
-      const auto run_streamed = [&](const char* name, core::ThreadPool* pool,
-                                    int threads) {
-        bnn::SoftwareMaskSource masks(core::Rng{11});
-        core::Rng arng(13);
-        vo::FramePipelineConfig pcfg;
-        pcfg.window = kWindow;
-        pcfg.pool = pool;
-        pcfg.mc.iterations = kIters;
-        pcfg.mc.dropout_p = kP;
-        vo::FramePipeline pipe(cim, pcfg);
-        return suite.run(name, threads, kFrames, "frames", [&] {
-          pipe.run(kFrames, make_input, consume, masks, arng);
-        });
-      };
-
-      core::ThreadPool pool8b(8);
-      const auto serial1 =
-          run_serial("frame_pipeline_throughput/per_frame", nullptr, 1);
-      const auto serial8 =
-          run_serial("frame_pipeline_throughput/per_frame", &pool8b, 8);
-      const auto stream1 =
-          run_streamed("frame_pipeline_throughput/streamed_w4", nullptr, 1);
-      const auto stream8 =
-          run_streamed("frame_pipeline_throughput/streamed_w4", &pool8b, 8);
-      if (sink == 42.0) std::printf("%f", sink);  // defeat DCE
-
-      const double speedup8 = serial8.ns_per_op / stream8.ns_per_op;
-      const double speedup1 = serial1.ns_per_op / stream1.ns_per_op;
-      suite.add_summary("frame_pipeline_speedup_8t", speedup8);
-      suite.add_summary("frame_pipeline_speedup_1t", speedup1);
-      std::printf(
-          "\nframe pipeline (window %d) vs serial per-frame driver: "
-          "%.2fx frames/s (8 threads), %.2fx (1 thread)\n\n",
-          kWindow, speedup8, speedup1);
     }
   }
 

@@ -1,9 +1,10 @@
 // Drone localization demo (the paper's Sec. II system) with the full
 // closed autonomy loop: an insect-scale drone flies a named scenario
-// while the streaming frame pipeline overlaps scan rendering (stage A),
-// the MC-Dropout visual-odometry pass on the simulated 8T-SRAM CIM
-// macros (stage B), and the particle-filter step (stage C) on one worker
-// pool. Two modes run over identical frames:
+// through vo::run_odometry_loop: per window of frames, scan rendering
+// (stage A), the MC-Dropout visual-odometry pass on the simulated
+// 8T-SRAM CIM macros (stage B), then the particle-filter step (stage C),
+// each stage fanned over one worker pool in turn. Two modes run over
+// identical frames:
 //
 //   open loop    ground-truth controls drive ParticleFilter::predict
 //                (the reproduction's pre-closed-loop behavior: VO
@@ -176,7 +177,7 @@ int main(int argc, char** argv) {
                 closed_run.rmse_m / base_run.rmse_m);
   }
 
-  // Determinism contract: the streamed closed-loop run must be
+  // Determinism contract: the pooled, windowed closed-loop run must be
   // bit-identical to the serial per-frame loop (policy decisions
   // included — they are pure functions of the frame-ordered signals).
   vo::ClosedLoopConfig serial_cfg = loop_cfg;
@@ -195,7 +196,7 @@ int main(int argc, char** argv) {
         closed_run.steps[i].likelihood_evals ==
             serial_run.steps[i].likelihood_evals;
   }
-  std::printf("\nstreamed closed loop bit-identical to the serial "
+  std::printf("\npooled closed loop bit-identical to the serial "
               "per-frame loop: %s\n",
               identical ? "yes" : "NO (bug!)");
   return identical ? 0 : 2;

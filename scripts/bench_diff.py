@@ -35,7 +35,6 @@ TRACKED = {
         "mc_predict_speedup_8t_vs_seed": "higher",
         "mc_predict_bitsliced_speedup_vs_reference": "higher",
         "mc_predict_macs_per_pred": "stable",
-        "frame_pipeline_speedup_8t": "higher",
         # SoA particle engine vs the seed AoS path, 100k cloud, single
         # thread (within-run ratios -> machine-portable).
         "particle_filter_100k_update_speedup_vs_aos": "higher",

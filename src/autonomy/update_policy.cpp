@@ -151,6 +151,10 @@ std::unique_ptr<UpdatePolicy> make_update_policy(std::string_view name,
   return registry().lookup(name)(config);
 }
 
+void require_update_policy(std::string_view name) {
+  registry().require(name);
+}
+
 std::vector<std::string> policy_names() { return registry().names(); }
 
 std::string policy_description(std::string_view name) {

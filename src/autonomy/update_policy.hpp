@@ -148,6 +148,11 @@ class UpdatePolicy {
 std::unique_ptr<UpdatePolicy> make_update_policy(
     std::string_view name, const PolicyConfig& config = {});
 
+/// Throws std::invalid_argument (listing the known names) unless `name`
+/// is registered; allocation-free when it is, so admission paths can
+/// validate a policy name without building an instance.
+void require_update_policy(std::string_view name);
+
 /// Registered names in registration order (built-ins first).
 std::vector<std::string> policy_names();
 

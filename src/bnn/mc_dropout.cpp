@@ -229,8 +229,9 @@ std::vector<McPrediction> mc_predict_cim_window(
     const nn::CimMlp& net, const std::vector<const nn::Vector*>& xs,
     const McOptions& options, MaskSource& masks, core::Rng& analog_rng,
     McWorkload* workload, std::size_t side_items,
-    const std::function<void(std::size_t)>& side_item,
+    const std::function<void(std::size_t)>& /*side_item*/,
     std::vector<McWorkload>* frame_workloads) {
+  CIMNAV_REQUIRE(side_items == 0, "side items are no longer supported");
   if (frame_workloads != nullptr) frame_workloads->assign(xs.size(),
                                                           McWorkload{});
   std::vector<McPrediction> preds(xs.size());
@@ -244,14 +245,12 @@ std::vector<McPrediction> mc_predict_cim_window(
   job.frame_workloads =
       frame_workloads != nullptr ? frame_workloads->data() : nullptr;
   job.workload = workload;
-  mc_predict_cim_jobs(net, &job, 1, options.pool, side_items, side_item);
+  mc_predict_cim_jobs(net, &job, 1, options.pool);
   return preds;
 }
 
-std::size_t mc_predict_cim_jobs(
-    const nn::CimMlp& net, McWindowJob* jobs, std::size_t n_jobs,
-    core::ThreadPool* pool, std::size_t side_items,
-    const std::function<void(std::size_t)>& side_item) {
+std::size_t mc_predict_cim_jobs(const nn::CimMlp& net, McWindowJob* jobs,
+                                std::size_t n_jobs, core::ThreadPool* pool) {
   // Every job batches: dense jobs share ONE forward_window (one pooled
   // macro dispatch per layer over every (job, frame, iteration) item) and
   // compute-reuse jobs share ONE forward_reuse_window (their refresh
@@ -396,28 +395,18 @@ std::size_t mc_predict_cim_jobs(
     }
   }
 
-  // Side work rides the widest dispatch: the dense window's layer-0 fan
-  // when dense frames exist, the reuse engine's first pooled phase
-  // otherwise, inline on a drain tick.
   thread_local nn::CimMlp::WindowScratch scratch_tls;
   thread_local std::vector<std::vector<nn::Vector>> outs_tls;
   thread_local std::vector<cimsram::MacroStats> frame_stats_tls;
   thread_local nn::CimMlp::ReuseScratch reuse_scratch_tls;
   std::vector<std::vector<nn::Vector>>& outs = outs_tls;
   std::vector<cimsram::MacroStats>& frame_stats = frame_stats_tls;
-  const bool side_on_dense = !dense_frames.empty();
   if (!dense_frames.empty()) {
     net.forward_window(dense_frames, pool, scratch_tls, outs,
-                       side_on_dense ? side_items : 0, side_item,
                        any_dense_tracking ? &frame_stats : nullptr);
   }
-  if (!reuse_frames.empty()) {
-    net.forward_reuse_window(reuse_frames, pool, reuse_scratch_tls,
-                             side_on_dense ? 0 : side_items, side_item);
-  }
-  if (dense_frames.empty() && reuse_frames.empty()) {
-    for (std::size_t k = 0; k < side_items; ++k) side_item(k);
-  }
+  if (!reuse_frames.empty())
+    net.forward_reuse_window(reuse_frames, pool, reuse_scratch_tls);
 
   // Welford reduction stays serial and in (job, frame, iteration) order,
   // so the final moments are bit-exact at any thread count. Macro

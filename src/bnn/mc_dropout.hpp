@@ -111,11 +111,10 @@ McPrediction mc_predict_cim(const nn::CimMlp& net, const nn::Vector& x,
 /// frame-local, but their step-k delta matvecs pool across the whole
 /// window in one sparse dispatch.
 ///
-/// `side_items`/`side_item` append side work to the window's widest macro
-/// dispatch (layer 0): side_item(k) runs once per k < side_items,
-/// concurrently with the dense window — the frame pipeline overlaps its
-/// scan-generation and filter-update stages there. Side work must not
-/// depend on this window's predictions.
+/// `side_items`/`side_item` are vestigial: side_items must be 0 (the call
+/// throws otherwise) and side_item is never invoked. The pair stays only
+/// because the closed-loop benchmark calls this signature; it goes in the
+/// next benchmark change.
 ///
 /// `frame_workloads` (optional) receives one McWorkload per frame of the
 /// window (resized to xs.size()) — the per-frame MacroStats deltas the
@@ -171,10 +170,8 @@ struct McWindowJob {
 /// Returns the number of non-empty jobs that took a batched engine path
 /// (dense window or pooled reuse) — the fleet bench's dispatch
 /// accounting: one pooled dispatch set replaced that many.
-std::size_t mc_predict_cim_jobs(
-    const nn::CimMlp& net, McWindowJob* jobs, std::size_t n_jobs,
-    core::ThreadPool* pool, std::size_t side_items = 0,
-    const std::function<void(std::size_t)>& side_item = {});
+std::size_t mc_predict_cim_jobs(const nn::CimMlp& net, McWindowJob* jobs,
+                                std::size_t n_jobs, core::ThreadPool* pool);
 
 /// Greedy nearest-neighbour tour over mask sets, keyed by the Hamming
 /// distance of the *input-site* mask (the reuse locus). Returns the

@@ -64,6 +64,13 @@ class NameRegistry {
     return e->description;
   }
 
+  /// Throws (listing every known name) unless `name` is registered;
+  /// allocation-free when it is.
+  void require(std::string_view name) const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (find_locked(name) == nullptr) throw_unknown_locked(name);
+  }
+
   /// Registered names in insertion order (stable sweep order).
   std::vector<std::string> names() const {
     std::lock_guard<std::mutex> lock(mutex_);

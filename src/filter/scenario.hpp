@@ -66,9 +66,9 @@ struct ScenarioConfig {
   core::ThreadPool* pool = nullptr;
   /// Defer depth-scan rendering: the constructor skips the eager scan
   /// pass and scans are rendered on demand by render_scan(step) with
-  /// per-step keyed rng streams — a pure function of the step index, so a
-  /// streaming pipeline's stage A can render them from any worker, one
-  /// window ahead (see vo::FramePipeline and examples/drone_localization).
+  /// per-step keyed rng streams — a pure function of the step index, so
+  /// the closed loop's stage A can render a window's scans from any
+  /// worker (see vo::OdometrySession::make_input).
   /// Deferred and eager scans draw their sensor noise differently (keyed
   /// streams vs one shared sequential stream), so runs are reproducible
   /// within a mode but not comparable across modes.
@@ -134,8 +134,8 @@ class LocalizationScenario {
   /// Renders the depth scan observed after control `step` (at pose
   /// step+1). Pure function of the step index: sensor noise comes from a
   /// stream keyed on (seed, step), so calls are thread-safe and
-  /// order-independent — the contract a streaming pipeline's stage A
-  /// needs to render scans one window ahead. Works in either mode.
+  /// order-independent — the contract the closed loop's stage A needs
+  /// to render a window's scans in parallel. Works in either mode.
   vision::DepthScan render_scan(std::size_t step) const;
 
   /// Allocation-reusing variant of render_scan: renders into `out`

@@ -121,6 +121,9 @@ SessionHandle FleetEngine::try_submit(const SessionSpec& spec) {
                  "QosSpec::target_latency_ticks must be >= 0");
   CIMNAV_REQUIRE(spec.qos.energy_budget_j >= 0.0,
                  "QosSpec::energy_budget_j must be >= 0");
+  // Reject a spec no run can execute here, before it takes a slot: past
+  // this point a bad spec would throw out of every tick() instead.
+  vo::validate(spec.loop);
   std::uint32_t idx = 0;
   if (!free_states_.try_pop(idx)) return SessionHandle{};
   SessionState& st = states_[idx];

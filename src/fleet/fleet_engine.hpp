@@ -211,7 +211,9 @@ class FleetEngine {
 
   /// Submits a session; never blocks and never allocates. Returns an
   /// invalid handle when the submission ring (or the state pool) is
-  /// full — callers retry after the scheduler has drained.
+  /// full — callers retry after the scheduler has drained. Throws
+  /// std::invalid_argument, without touching engine state, for a spec no
+  /// run can execute (vo::validate, bad QoS, unknown workload).
   SessionHandle try_submit(const SessionSpec& spec);
 
   /// One scheduler round: admit -> stage A -> stage B -> stage C ->

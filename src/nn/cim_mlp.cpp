@@ -198,8 +198,6 @@ void CimMlp::forward_batch(const Vector& x,
 void CimMlp::forward_window(const std::vector<FrameBatch>& frames,
                             core::ThreadPool* pool, WindowScratch& scratch,
                             std::vector<std::vector<Vector>>& outs,
-                            std::size_t side_items,
-                            const std::function<void(std::size_t)>& side_item,
                             std::vector<cimsram::MacroStats>* frame_stats)
     const {
   const std::size_t n_frames = frames.size();
@@ -244,10 +242,6 @@ void CimMlp::forward_window(const std::vector<FrameBatch>& frames,
       thread_local std::vector<std::uint64_t> gate;
       thread_local cimsram::EncodedInput enc_hidden;
       for (std::size_t i = begin; i < end; ++i) {
-        if (i >= n_items) {
-          side_item(i - n_items);
-          continue;
-        }
         const std::size_t f = scratch.frame_of[i];
         const std::size_t t = scratch.iter_of[i];
         // Scoped to the item body: a sharded matvec runs its shards
@@ -279,12 +273,11 @@ void CimMlp::forward_window(const std::vector<FrameBatch>& frames,
         finish_layer(z, bias, col_mask, has_hidden_mask);
       }
     };
-    const std::size_t total = n_items + (l == 0 ? side_items : 0);
-    if (total == 0) continue;
+    if (n_items == 0) continue;
     if (pool != nullptr) {
-      pool->parallel_for(total, 1, body);
+      pool->parallel_for(n_items, 1, body);
     } else {
-      body(0, total, 0);
+      body(0, n_items, 0);
     }
   }
 
@@ -447,10 +440,9 @@ Vector CimMlp::forward_with_reuse(const Vector& x,
   return a;
 }
 
-void CimMlp::forward_reuse_window(
-    const std::vector<ReuseFrame>& frames, core::ThreadPool* pool,
-    ReuseScratch& scratch, std::size_t side_items,
-    const std::function<void(std::size_t)>& side_item) const {
+void CimMlp::forward_reuse_window(const std::vector<ReuseFrame>& frames,
+                                  core::ThreadPool* pool,
+                                  ReuseScratch& scratch) const {
   const int n_layers = layer_count();
   const int expected_sites = (dropout_on_input_ ? 1 : 0) + n_layers - 1;
   const int mask_base = dropout_on_input_ ? 1 : 0;
@@ -505,10 +497,7 @@ void CimMlp::forward_reuse_window(
     tracking = tracking || fr.stats != nullptr;
   }
   const std::size_t n_chains = scratch.rngs.size();
-  if (n_chains == 0) {
-    for (std::size_t k = 0; k < side_items; ++k) side_item(k);
-    return;
-  }
+  if (n_chains == 0) return;
 
   // Grow-only per-chain arena (accumulators, row lists, delta buffers):
   // in steady state nothing below allocates.
@@ -567,16 +556,11 @@ void CimMlp::forward_reuse_window(
   //    work and the sparse delta matvecs batch shard-affinely.
   constexpr std::size_t kStepSyncMinChains = 16;
   if (n_chains < kStepSyncMinChains) {
-    const std::size_t total = n_chains + side_items;
-    dispatch(total, [&](std::size_t b, std::size_t e, int) {
+    dispatch(n_chains, [&](std::size_t b, std::size_t e, int) {
       thread_local std::vector<std::uint64_t> gate;
       thread_local cimsram::EncodedInput enc_hidden;
       thread_local Vector pre, fv;
       for (std::size_t ch = b; ch < e; ++ch) {
-        if (ch >= n_chains) {
-          side_item(ch - n_chains);
-          continue;
-        }
         const cimsram::ScopedStatsCapture capture(chain_sink(ch));
         const ReuseFrame& fr = frames[scratch.chain_frame[ch]];
         auto& added = scratch.added[ch];
@@ -663,7 +647,6 @@ void CimMlp::forward_reuse_window(
   // Step-synchronous chain advance: at position p, each barrier-separated
   // phase touches a chain's rng through at most one work item, in exactly
   // the order the serial forward_with_reuse loop consumes it.
-  bool first_dispatch = true;
   for (std::size_t p = 0; p < max_len; ++p) {
     scratch.live.clear();
     for (std::size_t ch = 0; ch < n_chains; ++ch)
@@ -676,16 +659,10 @@ void CimMlp::forward_reuse_window(
         // Chain start, hidden-site mode: every chain's dense layer-0
         // product (its noise comes from the chain's own stream), then the
         // frozen hidden values are encoded once per chain.
-        const std::size_t extra = first_dispatch ? side_items : 0;
-        first_dispatch = false;
-        dispatch(n_live + extra, [&](std::size_t b, std::size_t e, int) {
+        dispatch(n_live, [&](std::size_t b, std::size_t e, int) {
           thread_local std::vector<std::uint64_t> gate;
           thread_local Vector pre, fv;
           for (std::size_t i = b; i < e; ++i) {
-            if (i >= n_live) {
-              side_item(i - n_live);
-              continue;
-            }
             const std::size_t ch = scratch.live[i];
             const cimsram::ScopedStatsCapture capture(chain_sink(ch));
             const auto& m0 = *macros_[0];
@@ -700,15 +677,9 @@ void CimMlp::forward_reuse_window(
         });
       }
       // Dense (re)initialization of every chain's accumulator.
-      const std::size_t extra = first_dispatch ? side_items : 0;
-      first_dispatch = false;
-      dispatch(n_live + extra, [&](std::size_t b, std::size_t e, int) {
+      dispatch(n_live, [&](std::size_t b, std::size_t e, int) {
         thread_local std::vector<std::uint64_t> gate;
         for (std::size_t i = b; i < e; ++i) {
-          if (i >= n_live) {
-            side_item(i - n_live);
-            continue;
-          }
           const std::size_t ch = scratch.live[i];
           const cimsram::ScopedStatsCapture capture(chain_sink(ch));
           const Mask& m = locus_mask_at(ch, scratch.chain_begin[ch]);

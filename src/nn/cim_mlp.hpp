@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -94,12 +93,13 @@ class CimMlp {
     std::vector<cimsram::MacroStats> item_stats;
   };
 
-  /// Multi-frame batched masked forward — the cross-frame batching entry
-  /// point behind the streaming frame pipeline. All (frame, iteration)
-  /// work items advance through the network layer-synchronously: one
-  /// batched macro dispatch per layer fans every item of the in-flight
-  /// window over `pool`, and each frame's layer-0 input is quantized and
-  /// bit-plane-expanded exactly once for all of its iterations.
+  /// Multi-frame batched masked forward — the cross-frame (and, via
+  /// bnn::mc_predict_cim_jobs, cross-session) batching entry point. All
+  /// (frame, iteration) work items advance through the network
+  /// layer-synchronously: one batched macro dispatch per layer fans every
+  /// item of the window over `pool`, and each frame's layer-0 input is
+  /// quantized and bit-plane-expanded exactly once for all of its
+  /// iterations.
   ///
   /// Determinism: each item owns a persistent noise stream keyed
   /// (noise_root, iteration) that it carries across layers, so results
@@ -107,10 +107,6 @@ class CimMlp {
   /// the serial path — at any thread count and any window size.
   ///
   /// `outs[f][t]` receives frame f's iteration-t output (capacity reused).
-  /// `side_items`/`side_item` optionally append side work to the layer-0
-  /// dispatch (the widest one): side_item(k) runs once for each
-  /// k < side_items, concurrently with the macro work — the frame
-  /// pipeline overlaps its input-generation and consume stages there.
   ///
   /// When `frame_stats` is non-null, it is resized to frames.size() and
   /// entry f receives the *exact* macro accounting of frame f's items
@@ -121,8 +117,6 @@ class CimMlp {
   void forward_window(const std::vector<FrameBatch>& frames,
                       core::ThreadPool* pool, WindowScratch& scratch,
                       std::vector<std::vector<Vector>>& outs,
-                      std::size_t side_items = 0,
-                      const std::function<void(std::size_t)>& side_item = {},
                       std::vector<cimsram::MacroStats>* frame_stats =
                           nullptr) const;
 
@@ -223,14 +217,9 @@ class CimMlp {
   /// therefore draw nothing — same as the serial path), so every output
   /// is bit-identical to the serial chain loop at any pool size, window
   /// size and frame mix.
-  ///
-  /// `side_items`/`side_item` append side work to the first pooled phase
-  /// (the widest dispatch), mirroring forward_window's contract.
   void forward_reuse_window(const std::vector<ReuseFrame>& frames,
-                            core::ThreadPool* pool, ReuseScratch& scratch,
-                            std::size_t side_items = 0,
-                            const std::function<void(std::size_t)>& side_item =
-                                {}) const;
+                            core::ThreadPool* pool,
+                            ReuseScratch& scratch) const;
 
   /// Aggregate macro activity (sum over layers and shards). Callers
   /// snapshot this around a pass and price the delta through

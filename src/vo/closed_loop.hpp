@@ -2,13 +2,15 @@
 // loop): the MC-Dropout VO posterior *drives* the particle filter instead
 // of being reported next to it.
 //
-// Per frame f, streamed through vo::FramePipeline:
+// run_odometry_loop drives one vo::OdometrySession window by window; each
+// window of ClosedLoopConfig::window frames runs three stages in order:
 //
-//   stage A   render the depth scan and VO feature for frame f (pure
-//             functions of f: keyed rng streams);
-//   stage B   MC-Dropout VO on the CIM macros, iterations batched across
-//             the in-flight window;
-//   stage C   consume frame f's posterior IN FRAME ORDER, before the
+//   stage A   render the depth scan and VO feature of every frame in the
+//             window (pure functions of f: keyed rng streams), fanned
+//             over the pool;
+//   stage B   MC-Dropout VO on the CIM macros, iterations of the whole
+//             window batched through one macro dispatch per layer;
+//   stage C   consume each frame's posterior IN FRAME ORDER, before the
 //             measurement update:
 //               closed loop:  control    = posterior mean (dx,dy,dz,dyaw)
 //                             pred noise = base process noise inflated by
@@ -24,13 +26,16 @@
 //             evaluations the policy actually ran) lands in the step's
 //             energy ledger.
 //
+// The stages do not overlap. Stage C (the likelihood reads) dominates the
+// frame and parallelizes on its own: running alone, the filter update's
+// parallel_for fans across the whole pool.
+//
 // Because the posterior is consumed only in stage C (never fed back into
 // stages A/B — scans and features depend on the scripted trajectory, not
-// on the filter state), the closed-loop mode inherits the pipeline's
-// determinism contract unchanged: runs are bit-identical at any thread
-// count and any window size to the serial per-frame loop. Policies make
-// no rng draws, so the "always" policy is additionally bit-identical to
-// the pre-policy (hardcoded predict -> update) closed loop.
+// on the filter state), runs are bit-identical at any thread count and
+// any window size to the serial per-frame loop. Policies make no rng
+// draws, so the "always" policy is additionally bit-identical to the
+// pre-policy (hardcoded predict -> update) closed loop.
 #pragma once
 
 #include <cstdint>
@@ -69,13 +74,13 @@ filter::MotionNoise posterior_noise(const bnn::McPrediction& pred,
 /// Configuration of one odometry run over a LocalizationScenario.
 struct ClosedLoopConfig {
   OdometryMode mode = OdometryMode::kClosedLoop;
-  /// Stage-B frame window (>= 1; 1 degenerates to frame-at-a-time).
+  /// Frames per stage-B batch (>= 1; 1 degenerates to frame-at-a-time).
   int window = 4;
-  /// Worker pool shared by all pipeline stages and the filter update
+  /// Worker pool shared by all three stages, including the filter update
   /// (nullptr = serial; results are bit-identical either way).
   core::ThreadPool* pool = nullptr;
-  /// MC-Dropout options for the VO pass (mc.pool is ignored — the
-  /// pipeline's pool drives every stage).
+  /// MC-Dropout options for the VO pass (mc.pool is ignored — the loop's
+  /// pool drives every stage).
   bnn::McOptions mc;
   /// Closed-loop noise inflation (ignored open-loop).
   filter::NoiseInflation inflation;
@@ -164,9 +169,19 @@ struct ClosedLoopRun {
   int final_particles = 0;
 };
 
-/// Streams the scenario's whole trajectory through the three-stage
-/// pipeline and returns the per-step tracking record. `scenario` supplies
-/// scene, trajectory and scans (render_scan — any defer mode works);
+/// Rejects a config no run can execute, with the reason:
+/// window < 1, mc.iterations < 1, mc.dropout_p outside [0, 1),
+/// mc.reuse_refresh_interval < 0, or a policy name missing from the
+/// autonomy registry. Throws std::invalid_argument; allocation-free when
+/// the config is valid. run_odometry_loop and fleet::FleetEngine::
+/// try_submit both call it, so a bad spec fails at the API boundary
+/// instead of mid-flight.
+void validate(const ClosedLoopConfig& config);
+
+/// Flies the scenario's whole trajectory through the A -> B -> C loop
+/// and returns the per-step tracking record; `config` must pass
+/// validate(). `scenario` supplies scene, trajectory and scans
+/// (render_scan — any defer mode works);
 /// `vo`/`net` supply the frame features and the CIM-executed regressor;
 /// `model` is the measurement backend (typically
 /// scenario.make_cim_backend()). When the scenario asks for global init
@@ -174,7 +189,7 @@ struct ClosedLoopRun {
 /// cloud starts uniform over the scene interior instead of a tight
 /// Gaussian at the displaced start pose. Deterministic given the config
 /// seeds: bit-identical at any pool size and window (tested at pools
-/// 1/2/8, windows 1/3/16).
+/// 1/2/8, windows 1/3/16/64, dense and compute-reuse VO).
 ClosedLoopRun run_odometry_loop(const filter::LocalizationScenario& scenario,
                                 const VoPipeline& vo, const nn::CimMlp& net,
                                 const filter::MeasurementModel& model,

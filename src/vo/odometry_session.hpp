@@ -1,14 +1,14 @@
-// One closed-loop odometry run, decomposed into the three pipeline
-// stages as reusable session state — the per-drone unit the multi-tenant
-// fleet engine (src/fleet/) schedules.
+// One closed-loop odometry run, decomposed into the three loop stages as
+// reusable session state — the per-drone unit the multi-tenant fleet
+// engine (src/fleet/) schedules.
 //
-// run_odometry_loop streams one session through its own vo::FramePipeline;
-// fleet::FleetEngine instead keeps many OdometrySessions in flight and
-// batches their stage-B MC iterations through one shared macro dispatch
-// per layer (bnn::mc_predict_cim_jobs). Both drivers call exactly this
-// class, so the fleet's determinism contract reduces to: stage order per
-// session is preserved, and every rng/mask stream belongs to the session
-// that draws from it.
+// run_odometry_loop drives one session window by window (A, then B, then
+// C); fleet::FleetEngine instead keeps many OdometrySessions in flight
+// and batches their stage-B MC iterations through one shared macro
+// dispatch per layer (bnn::mc_predict_cim_jobs). Both runners call
+// exactly this class, so the fleet's determinism contract reduces to:
+// stage order per session is preserved, and every rng/mask stream
+// belongs to the session that draws from it.
 //
 //   begin()               rebind to a (scenario, vo, net, model, config)
 //                         workload; pooled buffers, the particle filter

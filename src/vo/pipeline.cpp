@@ -4,7 +4,6 @@
 
 #include "core/error.hpp"
 #include "core/stats.hpp"
-#include "vo/frame_pipeline.hpp"
 
 namespace cimnav::vo {
 namespace {
@@ -192,27 +191,29 @@ VoRun VoPipeline::run_cim_mc(const cimsram::CimMacroConfig& macro,
                              const bnn::McOptions& options,
                              bnn::MaskSource& masks,
                              bnn::McWorkload* workload_out) const {
-  std::shared_ptr<nn::CimMlp> cim = make_cim_network(macro);
-  auto analog_rng = std::make_shared<core::Rng>(config_.seed + 321);
+  const std::unique_ptr<nn::CimMlp> cim = make_cim_network(macro);
+  core::Rng analog_rng(config_.seed + 321);
   std::string label = "cim-mc-" + std::to_string(macro.weight_bits) + "b";
   if (options.compute_reuse) label += "+reuse";
   if (options.order_samples) label += "+order";
-  // The per-frame MC iterations fan out over the pipeline's pool (unless
-  // the caller already supplied one); mc_predict_cim keys noise streams on
-  // iteration indices, so pooled and serial runs are bit-identical.
+  // One window over every test frame, on the pipeline's pool unless the
+  // caller supplied one; the trajectory bookkeeping then replays the
+  // predictions, in frame order, through the same evaluate() path as
+  // every other condition.
   bnn::McOptions opt = options;
   if (opt.pool == nullptr) opt.pool = config_.pool;
-  return evaluate(
-      label,
-      [cim, opt, &masks, analog_rng, workload_out](
-          const nn::Vector& x, double* variance) {
-        bnn::McWorkload wl;
-        const auto pred = bnn::mc_predict_cim(*cim, x, opt, masks,
-                                              *analog_rng, &wl);
-        if (workload_out != nullptr) *workload_out += wl;
-        if (variance != nullptr) *variance = pred.scalar_variance();
-        return pred.mean;
-      });
+  std::vector<const nn::Vector*> xs;
+  xs.reserve(test_inputs_.size());
+  for (const nn::Vector& x : test_inputs_) xs.push_back(&x);
+  const std::vector<bnn::McPrediction> preds = bnn::mc_predict_cim_window(
+      *cim, xs, opt, masks, analog_rng, workload_out);
+  std::size_t cursor = 0;
+  return evaluate(label, [&preds, &cursor](const nn::Vector&,
+                                           double* variance) {
+    const bnn::McPrediction& p = preds[cursor++];
+    if (variance != nullptr) *variance = p.scalar_variance();
+    return p.mean;
+  });
 }
 
 nn::Vector VoPipeline::frame_feature(const core::Pose& a,
@@ -234,46 +235,6 @@ void VoPipeline::frame_feature_into(const core::Pose& a, const core::Pose& b,
   out.insert(out.end(), oa.begin(), oa.end());
   for (std::size_t i = 0; i < oa.size(); ++i)
     out.push_back(core::clamp(0.5 + kDiffGain * (ob[i] - oa[i]), 0.0, 1.0));
-}
-
-VoRun VoPipeline::run_cim_mc_streamed(const cimsram::CimMacroConfig& macro,
-                                      const bnn::McOptions& options,
-                                      bnn::MaskSource& masks,
-                                      bnn::McWorkload* workload_out) const {
-  std::shared_ptr<nn::CimMlp> cim = make_cim_network(macro);
-  core::Rng analog_rng(config_.seed + 321);
-  std::string label = "cim-mc-" + std::to_string(macro.weight_bits) + "b";
-  if (options.compute_reuse) label += "+reuse";
-  if (options.order_samples) label += "+order";
-  label += "+stream";
-
-  FramePipelineConfig pipe_cfg;
-  pipe_cfg.window = config_.frame_window;
-  pipe_cfg.pool = options.pool != nullptr ? options.pool : config_.pool;
-  pipe_cfg.mc = options;
-  FramePipeline pipe(*cim, pipe_cfg);
-
-  // Stage A serves the precomputed test features; stage C collects the
-  // predictions in frame order. The trajectory bookkeeping then replays
-  // them through the same evaluate() path as every other condition, so
-  // streamed VoRuns are field-for-field comparable (and, dense-path,
-  // bit-identical) to run_cim_mc.
-  std::vector<bnn::McPrediction> preds(test_inputs_.size());
-  pipe.run(
-      static_cast<int>(test_inputs_.size()),
-      [this](int f) { return test_inputs_[static_cast<std::size_t>(f)]; },
-      [&preds](int f, const bnn::McPrediction& p) {
-        preds[static_cast<std::size_t>(f)] = p;
-      },
-      masks, analog_rng, workload_out);
-
-  std::size_t cursor = 0;
-  return evaluate(label, [&preds, &cursor](const nn::Vector&,
-                                           double* variance) {
-    const bnn::McPrediction& p = preds[cursor++];
-    if (variance != nullptr) *variance = p.scalar_variance();
-    return p.mean;
-  });
 }
 
 }  // namespace cimnav::vo

@@ -58,18 +58,11 @@ struct VoPipelineConfig {
   nn::TrainOptions train;
   std::uint64_t seed = 7;
   /// Worker pool for the CIM MC-Dropout evaluations (nullptr = serial),
-  /// mirroring filter::ScenarioConfig::pool: each frame's T iterations run
-  /// through CimMlp::forward_batch and fan out over the pool, so VO runs
-  /// are no longer frame-serial inside. Results are bit-identical at any
-  /// thread count (noise streams are keyed on iteration indices).
+  /// mirroring filter::ScenarioConfig::pool: run_cim_mc batches every
+  /// test frame's T iterations into one window and fans them out over the
+  /// pool. Results are bit-identical at any thread count (noise streams
+  /// are keyed on frame and iteration indices).
   core::ThreadPool* pool = nullptr;
-  /// In-flight frame window for run_cim_mc_streamed (the stage-B batch of
-  /// the vo::FramePipeline): MC iterations of up to this many frames are
-  /// batched through one macro dispatch per layer while the next window's
-  /// inputs are prepared and the previous window's predictions are
-  /// consumed. 1 degenerates to frame-at-a-time. Any value yields results
-  /// bit-identical to run_cim_mc (dense path).
-  int frame_window = 4;
 
   VoPipelineConfig() {
     train.epochs = 120;
@@ -79,7 +72,7 @@ struct VoPipelineConfig {
 
 /// One evaluated inference condition.
 struct VoRun {
-  std::string label;                     ///< e.g. "cim-mc-6b+stream"
+  std::string label;                     ///< e.g. "cim-mc-6b+reuse"
   std::vector<core::Pose> estimated;     ///< integrated trajectory
   std::vector<double> frame_delta_error; ///< per-frame delta L2 error [m]
   std::vector<double> frame_variance;    ///< MC predictive variance (or 0)
@@ -123,24 +116,14 @@ class VoPipeline {
   VoRun run_cim_deterministic(const cimsram::CimMacroConfig& macro) const;
 
   /// CIM-executed MC-Dropout; `workload_out` (optional) accumulates macro
-  /// activity across the whole trajectory. Frames evaluate one at a time
-  /// (iterations fan over config().pool); see run_cim_mc_streamed for the
-  /// cross-frame streaming path.
+  /// activity across the whole trajectory. Every test frame goes through
+  /// one bnn::mc_predict_cim_window (all frames' iterations batched per
+  /// layer over options.pool, else config().pool); masks and noise roots
+  /// are drawn in frame order, so every prediction is bit-identical to a
+  /// frame-at-a-time mc_predict_cim loop at any thread count.
   VoRun run_cim_mc(const cimsram::CimMacroConfig& macro,
                    const bnn::McOptions& options, bnn::MaskSource& masks,
                    bnn::McWorkload* workload_out = nullptr) const;
-
-  /// CIM-executed MC-Dropout through the streaming vo::FramePipeline:
-  /// config().frame_window frames stay in flight, their MC iterations
-  /// batched across frames through one macro dispatch per layer.
-  /// Guarantee: with dense options (no compute_reuse/order_samples
-  /// fallback), every per-frame prediction — and hence the whole VoRun —
-  /// is bit-identical to run_cim_mc at any thread count and window size;
-  /// only the label gains a "+stream" suffix.
-  VoRun run_cim_mc_streamed(const cimsram::CimMacroConfig& macro,
-                            const bnn::McOptions& options,
-                            bnn::MaskSource& masks,
-                            bnn::McWorkload* workload_out = nullptr) const;
 
   /// Builds a CIM snapshot of the trained network (shared by benches).
   std::unique_ptr<nn::CimMlp> make_cim_network(
@@ -159,8 +142,8 @@ class VoPipeline {
   /// observation of `a` concatenated with the centered difference to the
   /// observation of `b` (the exact feature layout used in training).
   /// `rng` drives the observation noise; key it on the frame index when
-  /// generating frames from a pipeline stage (purity contract of
-  /// FramePipeline::InputFn).
+  /// generating frames from a loop stage (stage A must be a pure function
+  /// of the frame index — see OdometrySession::make_input).
   nn::Vector frame_feature(const core::Pose& a, const core::Pose& b,
                            core::Rng& rng) const;
 

@@ -1,8 +1,12 @@
-// Unit tests for MC-Dropout inference, mask sources, sample ordering and
-// workload accounting.
+// Unit tests for MC-Dropout inference, mask sources, sample ordering,
+// workload accounting, and the cross-frame window (forward_window /
+// mc_predict_cim_window) bit for bit against the per-frame path.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "bnn/mask_source.hpp"
 #include "bnn/mc_dropout.hpp"
@@ -10,6 +14,8 @@
 #include "core/rng.hpp"
 #include "core/stats.hpp"
 #include "core/thread_pool.hpp"
+#include "nn/cim_mlp.hpp"
+#include "nn/mlp.hpp"
 
 namespace cimnav::bnn {
 namespace {
@@ -333,6 +339,170 @@ TEST_F(McFixture, PeriodicRefreshBoundsReuseDrift) {
     return gap;
   };
   EXPECT_LT(mean_gap(4), mean_gap(0));
+}
+
+// ---- Cross-frame window: bit-identity against the per-frame path ----
+
+constexpr int kWindowIn = 24;
+
+std::unique_ptr<nn::Mlp> make_window_net(bool dropout_on_input) {
+  Rng rng(5);
+  nn::MlpConfig cfg;
+  cfg.layer_sizes = {kWindowIn, 16, 8, 3};
+  cfg.dropout_on_input = dropout_on_input;
+  return std::make_unique<nn::Mlp>(cfg, rng);
+}
+
+std::unique_ptr<nn::CimMlp> make_window_cim(const nn::Mlp& net) {
+  Rng rng(5);
+  std::vector<Vector> calib;
+  for (int i = 0; i < 4; ++i) {
+    Vector v(kWindowIn);
+    for (auto& e : v) e = rng.uniform();
+    calib.push_back(std::move(v));
+  }
+  cimsram::CimMacroConfig mc;
+  mc.input_bits = 4;
+  mc.weight_bits = 4;
+  Rng crng(7);
+  return std::make_unique<nn::CimMlp>(net, mc, calib, crng);
+}
+
+/// Pure function of the frame index (keyed stream).
+Vector window_input(int frame) {
+  Rng rng = Rng::stream(0xF00D, static_cast<std::uint64_t>(frame));
+  Vector x(kWindowIn);
+  for (auto& e : x) e = rng.uniform();
+  return x;
+}
+
+void expect_same_prediction(const McPrediction& a, const McPrediction& b) {
+  ASSERT_EQ(a.mean.size(), b.mean.size());
+  EXPECT_EQ(a.samples, b.samples);
+  for (std::size_t i = 0; i < a.mean.size(); ++i) {
+    EXPECT_EQ(a.mean[i], b.mean[i]);
+    EXPECT_EQ(a.variance[i], b.variance[i]);
+  }
+}
+
+TEST(ForwardWindow, BitIdenticalToPerFrameForwardBatch) {
+  for (bool on_input : {false, true}) {
+    const auto net = make_window_net(on_input);
+    const auto cim = make_window_cim(*net);
+    constexpr int kFrames = 5, kIters = 7;
+
+    // Draw per-frame mask sets once; both paths replay the same sets.
+    Rng mask_rng(21);
+    const int sites = (on_input ? 1 : 0) + cim->layer_count() - 1;
+    std::vector<std::vector<std::vector<Mask>>> sets(kFrames);
+    for (auto& frame_sets : sets) {
+      frame_sets.resize(kIters);
+      for (auto& set : frame_sets) {
+        set.resize(static_cast<std::size_t>(sites));
+        for (int s = 0; s < sites; ++s) {
+          const int width = s == 0 && on_input
+                                ? cim->macro(0).n_in()
+                                : cim->macro(s - (on_input ? 1 : 0)).n_out();
+          set[static_cast<std::size_t>(s)].resize(
+              static_cast<std::size_t>(width));
+          for (auto& bit : set[static_cast<std::size_t>(s)])
+            bit = mask_rng.bernoulli(0.5) ? 0 : 1;
+        }
+      }
+    }
+    std::vector<Vector> inputs;
+    for (int f = 0; f < kFrames; ++f) inputs.push_back(window_input(f));
+
+    std::vector<nn::CimMlp::FrameBatch> frames(kFrames);
+    for (int f = 0; f < kFrames; ++f) {
+      const auto fi = static_cast<std::size_t>(f);
+      frames[fi].x = &inputs[fi];
+      frames[fi].mask_sets = &sets[fi];
+      frames[fi].noise_root = 1000u + static_cast<std::uint64_t>(f);
+    }
+
+    core::ThreadPool p8(8);
+    nn::CimMlp::WindowScratch scratch;
+    std::vector<std::vector<Vector>> window_outs;
+    cim->forward_window(frames, &p8, scratch, window_outs);
+    // A second run through the same scratch must reuse buffers cleanly.
+    cim->forward_window(frames, &p8, scratch, window_outs);
+
+    ASSERT_EQ(window_outs.size(), static_cast<std::size_t>(kFrames));
+    for (int f = 0; f < kFrames; ++f) {
+      const auto fi = static_cast<std::size_t>(f);
+      const auto ref = cim->forward_batch(
+          inputs[fi], sets[fi], 1000u + static_cast<std::uint64_t>(f),
+          nullptr);
+      ASSERT_EQ(window_outs[fi].size(), ref.size());
+      for (std::size_t t = 0; t < ref.size(); ++t)
+        for (std::size_t j = 0; j < ref[t].size(); ++j)
+          EXPECT_EQ(window_outs[fi][t][j], ref[t][j])
+              << "on_input=" << on_input << " f=" << f << " t=" << t;
+    }
+  }
+}
+
+TEST(McPredictCimWindow, BitIdenticalToSerialPerFrameCalls) {
+  for (bool on_input : {false, true}) {
+    const auto net = make_window_net(on_input);
+    const auto cim = make_window_cim(*net);
+    constexpr int kFrames = 6;
+    std::vector<Vector> inputs;
+    std::vector<const Vector*> xs;
+    for (int f = 0; f < kFrames; ++f) inputs.push_back(window_input(f));
+    for (const auto& x : inputs) xs.push_back(&x);
+
+    McOptions opt;
+    opt.iterations = 9;
+    opt.dropout_p = 0.5;
+
+    // Serial reference: frame-at-a-time draws from the same sources.
+    std::vector<McPrediction> ref;
+    McWorkload ref_wl;
+    {
+      SoftwareMaskSource masks(Rng{11});
+      Rng arng(13);
+      for (const auto& x : inputs) {
+        McWorkload wl;
+        ref.push_back(mc_predict_cim(*cim, x, opt, masks, arng, &wl));
+        ref_wl += wl;
+      }
+    }
+
+    core::ThreadPool p1(1), p2(2), p8(8);
+    for (core::ThreadPool* pool :
+         {static_cast<core::ThreadPool*>(nullptr), &p1, &p2, &p8}) {
+      SoftwareMaskSource masks(Rng{11});
+      Rng arng(13);
+      McOptions wopt = opt;
+      wopt.pool = pool;
+      McWorkload wl;
+      const auto preds = mc_predict_cim_window(*cim, xs, wopt, masks, arng,
+                                               &wl);
+      ASSERT_EQ(preds.size(), ref.size());
+      for (std::size_t f = 0; f < ref.size(); ++f)
+        expect_same_prediction(preds[f], ref[f]);
+      EXPECT_EQ(wl.macro.wordline_pulses, ref_wl.macro.wordline_pulses);
+      EXPECT_EQ(wl.macro.adc_conversions, ref_wl.macro.adc_conversions);
+      EXPECT_EQ(wl.mask_bits_drawn, ref_wl.mask_bits_drawn);
+      EXPECT_EQ(wl.input_mask_flips, ref_wl.input_mask_flips);
+    }
+  }
+}
+
+TEST(McPredictCimWindow, RejectsSideItems) {
+  const auto net = make_window_net(false);
+  const auto cim = make_window_cim(*net);
+  const Vector x0 = window_input(0);
+  const std::vector<const Vector*> xs{&x0};
+  SoftwareMaskSource masks(Rng{11});
+  Rng arng(13);
+  McOptions opt;
+  opt.iterations = 3;
+  EXPECT_THROW(mc_predict_cim_window(*cim, xs, opt, masks, arng, nullptr, 1,
+                                     [](std::size_t) {}),
+               std::invalid_argument);
 }
 
 TEST(MaskSources, SoftwareMatchesProbability) {

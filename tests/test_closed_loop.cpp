@@ -1,16 +1,19 @@
 // Tests for the closed-loop odometry runner: the posterior -> control /
-// noise adapters, the open/closed switch, and the determinism contract
-// (pooled 1/2/8 + window-size bit-identity for a full closed-loop
-// scenario run through the streaming frame pipeline).
+// noise adapters, the open/closed switch, config validation, and the
+// determinism contract (pools 1/2/8, windows 1/3/16/64, dense and
+// compute-reuse VO — bit-identical to a serial per-frame loop written
+// here over OdometrySession).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
+#include <string>
 
 #include "core/rng.hpp"
 #include "core/thread_pool.hpp"
 #include "filter/scenario.hpp"
 #include "vo/closed_loop.hpp"
+#include "vo/odometry_session.hpp"
 #include "vo/pipeline.hpp"
 
 namespace cimnav {
@@ -123,12 +126,34 @@ class ClosedLoopTest : public ::testing::Test {
       EXPECT_EQ(a.steps[i].update_action, b.steps[i].update_action);
       EXPECT_EQ(a.steps[i].likelihood_evals, b.steps[i].likelihood_evals);
       EXPECT_EQ(a.steps[i].update_energy_j, b.steps[i].update_energy_j);
+      EXPECT_EQ(a.steps[i].vo_energy_j, b.steps[i].vo_energy_j);
       EXPECT_EQ(a.steps[i].update_beta, b.steps[i].update_beta);
     }
     EXPECT_EQ(a.rmse_m, b.rmse_m);
     EXPECT_EQ(a.mean_spread_m, b.mean_spread_m);
+    EXPECT_EQ(a.vo_energy_j, b.vo_energy_j);
     EXPECT_EQ(a.update_energy_j, b.update_energy_j);
     EXPECT_EQ(a.likelihood_evals, b.likelihood_evals);
+  }
+
+  /// The serial per-frame loop every runner must match: one frame at a
+  /// time, make_input -> mc_predict_cim -> consume, on one thread.
+  static vo::ClosedLoopRun serial_reference(const vo::ClosedLoopConfig& cfg) {
+    vo::ClosedLoopConfig serial = cfg;
+    serial.pool = nullptr;
+    vo::OdometrySession session;
+    session.begin(*scenario_, *vo_, *net_, *model_, serial);
+    nn::Vector x;
+    for (int f = 0; f < session.frame_count(); ++f) {
+      session.make_input(f, x);
+      bnn::McWorkload wl;
+      const bnn::McPrediction pred =
+          bnn::mc_predict_cim(*net_, x, serial.mc, session.mask_source(),
+                              session.analog_rng(), &wl);
+      session.consume(f, pred);
+      session.record_frame_macro(f, wl.macro);
+    }
+    return session.finish();
   }
 
   static filter::LocalizationScenario* scenario_;
@@ -143,25 +168,62 @@ vo::VoPipeline* ClosedLoopTest::vo_ = nullptr;
 nn::CimMlp* ClosedLoopTest::net_ = nullptr;
 
 TEST_F(ClosedLoopTest, BitIdenticalAcrossThreadPoolsAndWindows) {
-  // The hard guarantee: a closed-loop scenario run through the streamed
-  // pipeline is bit-identical to the serial per-frame loop at pools
-  // 1/2/8 and any window size.
-  vo::ClosedLoopConfig cfg = small_config();
-  cfg.window = 1;
-  cfg.pool = nullptr;
-  const auto ref = vo::run_odometry_loop(*scenario_, *vo_, *net_, *model_,
-                                         cfg);
-  ASSERT_EQ(ref.steps.size(), 8u);
-
+  // The hard guarantee: a closed-loop scenario run is bit-identical to
+  // the serial per-frame loop at pools 1/2/8 and any window size — 3
+  // ends mid-window over 8 frames, 64 exceeds the frame count — with
+  // dense and compute-reuse VO alike (the energy ledger included).
   ThreadPool p1(1), p2(2), p8(8);
-  for (ThreadPool* pool : {&p1, &p2, &p8}) {
-    for (int window : {1, 3, 16}) {
-      cfg.pool = pool;
-      cfg.window = window;
-      const auto run = vo::run_odometry_loop(*scenario_, *vo_, *net_,
-                                             *model_, cfg);
-      expect_same_runs(ref, run);
+  for (bool reuse : {false, true}) {
+    vo::ClosedLoopConfig cfg = small_config();
+    cfg.mc.compute_reuse = reuse;
+    cfg.mc.reuse_refresh_interval = 2;
+    const auto ref = serial_reference(cfg);
+    ASSERT_EQ(ref.steps.size(), 8u);
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &p1, &p2,
+                             &p8}) {
+      for (int window : {1, 3, 16, 64}) {
+        SCOPED_TRACE(::testing::Message() << "reuse=" << reuse << " threads="
+                                          << (pool ? pool->thread_count() : 0)
+                                          << " window=" << window);
+        cfg.pool = pool;
+        cfg.window = window;
+        expect_same_runs(ref, vo::run_odometry_loop(*scenario_, *vo_, *net_,
+                                                    *model_, cfg));
+      }
     }
+  }
+}
+
+TEST_F(ClosedLoopTest, ValidateRejectsBadConfigsWithReason) {
+  EXPECT_NO_THROW(vo::validate(small_config()));
+  struct Bad {
+    const char* reason;  ///< substring the error message must carry
+    void (*poison)(vo::ClosedLoopConfig&);
+  };
+  const Bad cases[] = {
+      {"window", [](vo::ClosedLoopConfig& c) { c.window = 0; }},
+      {"mc.iterations", [](vo::ClosedLoopConfig& c) { c.mc.iterations = 0; }},
+      {"mc.dropout_p", [](vo::ClosedLoopConfig& c) { c.mc.dropout_p = 1.0; }},
+      {"mc.dropout_p", [](vo::ClosedLoopConfig& c) { c.mc.dropout_p = -0.1; }},
+      {"mc.reuse_refresh_interval",
+       [](vo::ClosedLoopConfig& c) { c.mc.reuse_refresh_interval = -1; }},
+      // An unknown policy names the offender and lists the registry.
+      {"'no_such_policy'; registered: always",
+       [](vo::ClosedLoopConfig& c) { c.policy = "no_such_policy"; }},
+  };
+  for (const Bad& b : cases) {
+    vo::ClosedLoopConfig cfg = small_config();
+    b.poison(cfg);
+    try {
+      vo::validate(cfg);
+      ADD_FAILURE() << "validate accepted a config with bad " << b.reason;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(b.reason), std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(vo::run_odometry_loop(*scenario_, *vo_, *net_, *model_, cfg),
+                 std::invalid_argument)
+        << b.reason;
   }
 }
 
@@ -316,14 +378,6 @@ TEST_F(ClosedLoopTest, TemperingFloorHoldsEarlyStepEss) {
   bool annealed = false;
   for (const auto& s : run.steps) annealed = annealed || s.update_beta < 1.0;
   EXPECT_TRUE(annealed);
-}
-
-TEST_F(ClosedLoopTest, UnknownPolicyThrowsListingNames) {
-  vo::ClosedLoopConfig cfg = small_config();
-  cfg.policy = "no_such_policy";
-  EXPECT_THROW(
-      vo::run_odometry_loop(*scenario_, *vo_, *net_, *model_, cfg),
-      std::invalid_argument);
 }
 
 TEST_F(ClosedLoopTest, InflationGainWidensReportedSpread) {

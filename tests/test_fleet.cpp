@@ -454,6 +454,42 @@ TEST_F(FleetTest, MixedWorkloadsShareOneDispatch) {
   EXPECT_GT(st.serial_layer_dispatches, st.pooled_layer_dispatches);
 }
 
+TEST_F(FleetTest, InvalidSpecRejectedAtSubmitAndCoTenantCompletes) {
+  // A spec no run can execute (T = 0, p = 1, an unregistered policy)
+  // must be refused by try_submit with a reason, before it takes a slot:
+  // the healthy co-tenant submitted around it completes bit-identically,
+  // the engine goes idle, and its destructor drains cleanly.
+  const auto ref = vo::run_odometry_loop(*scenario_, *vo_, *net_, *model_,
+                                         small_config(110));
+  fleet::FleetConfig fcfg;
+  fcfg.window = 3;
+  fleet::FleetEngine engine(fcfg);
+  const std::size_t w = engine.add_workload(*scenario_, *vo_, *net_,
+                                            *model_);
+  fleet::SessionSpec good;
+  good.workload = w;
+  good.loop = small_config(110);
+  fleet::SessionHandle healthy = engine.try_submit(good);
+  ASSERT_TRUE(healthy.valid());
+
+  fleet::SessionSpec bad = good;
+  bad.loop.mc.iterations = 0;
+  EXPECT_THROW(engine.try_submit(bad), std::invalid_argument);
+  bad = good;
+  bad.loop.mc.dropout_p = 1.0;
+  EXPECT_THROW(engine.try_submit(bad), std::invalid_argument);
+  bad = good;
+  bad.loop.policy = "no_such_policy";
+  EXPECT_THROW(engine.try_submit(bad), std::invalid_argument);
+
+  engine.run_until_idle();
+  EXPECT_TRUE(engine.idle());
+  ASSERT_TRUE(healthy.poll());
+  expect_same_runs(ref, healthy.wait());
+  EXPECT_EQ(engine.stats().sessions_admitted, 1u);
+  EXPECT_EQ(engine.stats().sessions_completed, 1u);
+}
+
 TEST_F(FleetTest, SteadyStateAdmitRunRetireIsAllocationFree) {
   // The pooled-buffer contract: after warm-up, whole admit -> run ->
   // retire cycles perform zero heap allocations. Serial engine (the

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
+#include "bnn/mask_source.hpp"
+#include "bnn/mc_dropout.hpp"
 #include "core/rng.hpp"
 #include "core/stats.hpp"
+#include "core/thread_pool.hpp"
 #include "vo/conformal.hpp"
 #include "vo/observation.hpp"
 #include "vo/pipeline.hpp"
@@ -242,37 +246,60 @@ TEST_F(PipelineFixture, PooledMcRunBitIdenticalToSerial) {
   EXPECT_EQ(serial.ate_rmse, pooled.ate_rmse);
 }
 
-TEST_F(PipelineFixture, StreamedRunBitIdenticalToPerFrameRun) {
-  // The streaming frame pipeline (cross-frame MC batching, input
-  // prefetch, trailing consume) must reproduce the per-frame path
-  // prediction-for-prediction; only the label gains "+stream".
+TEST_F(PipelineFixture, CimMcBitIdenticalToPerFrameLoop) {
+  // run_cim_mc batches every test frame into one window; it must
+  // reproduce a frame-at-a-time mc_predict_cim loop prediction for
+  // prediction (same network snapshot, same mask and analog-noise
+  // streams), dense and compute-reuse, serial and pooled.
   cimsram::CimMacroConfig mc;
   mc.input_bits = 4;
   mc.weight_bits = 4;
-  const auto run_with = [&](bool streamed, core::ThreadPool* pool) {
-    bnn::SoftwareMaskSource masks(Rng{31});
+  const auto cim = pipeline().make_cim_network(mc);
+  core::ThreadPool pool(4);
+  for (bool reuse : {false, true}) {
     bnn::McOptions opt;
     opt.iterations = 6;
     opt.dropout_p = pipeline().config().dropout_p;
-    opt.pool = pool;
-    return streamed ? pipeline().run_cim_mc_streamed(mc, opt, masks)
-                    : pipeline().run_cim_mc(mc, opt, masks);
-  };
-  core::ThreadPool pool(4);
-  const VoRun per_frame = run_with(false, &pool);
-  const VoRun streamed = run_with(true, &pool);
-  const VoRun streamed_serial = run_with(true, nullptr);
-  EXPECT_EQ(streamed.label, per_frame.label + "+stream");
-  ASSERT_EQ(streamed.frame_delta_error.size(),
-            per_frame.frame_delta_error.size());
-  for (std::size_t i = 0; i < per_frame.frame_delta_error.size(); ++i) {
-    EXPECT_EQ(streamed.frame_delta_error[i],
-              per_frame.frame_delta_error[i]);
-    EXPECT_EQ(streamed.frame_variance[i], per_frame.frame_variance[i]);
-    EXPECT_EQ(streamed_serial.frame_delta_error[i],
-              per_frame.frame_delta_error[i]);
+    opt.compute_reuse = reuse;
+
+    // The per-frame reference: run_cim_mc's analog stream is seeded at
+    // config().seed + 321.
+    std::vector<bnn::McPrediction> ref;
+    bnn::McWorkload ref_wl;
+    {
+      bnn::SoftwareMaskSource masks(Rng{31});
+      Rng analog(pipeline().config().seed + 321);
+      for (const auto& x : pipeline().test_inputs())
+        ref.push_back(bnn::mc_predict_cim(*cim, x, opt, masks, analog,
+                                          &ref_wl));
+    }
+
+    for (core::ThreadPool* p : {static_cast<core::ThreadPool*>(nullptr),
+                                &pool}) {
+      bnn::SoftwareMaskSource masks(Rng{31});
+      bnn::McOptions popt = opt;
+      popt.pool = p;
+      bnn::McWorkload wl;
+      const VoRun run = pipeline().run_cim_mc(mc, popt, masks, &wl);
+      EXPECT_EQ(run.label, reuse ? "cim-mc-4b+reuse" : "cim-mc-4b");
+      ASSERT_EQ(run.frame_variance.size(), ref.size());
+      const auto& targets = pipeline().test_targets();
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        const nn::Vector& m = ref[i].mean;
+        const nn::Vector& t = targets[i];
+        const double de = std::sqrt((m[0] - t[0]) * (m[0] - t[0]) +
+                                    (m[1] - t[1]) * (m[1] - t[1]) +
+                                    (m[2] - t[2]) * (m[2] - t[2]));
+        EXPECT_EQ(run.frame_delta_error[i], de) << "frame " << i;
+        EXPECT_EQ(run.frame_variance[i], ref[i].scalar_variance())
+            << "frame " << i;
+      }
+      EXPECT_EQ(wl.macro.wordline_pulses, ref_wl.macro.wordline_pulses);
+      EXPECT_EQ(wl.macro.adc_conversions, ref_wl.macro.adc_conversions);
+      EXPECT_EQ(wl.mask_bits_drawn, ref_wl.mask_bits_drawn);
+      EXPECT_EQ(wl.input_mask_flips, ref_wl.input_mask_flips);
+    }
   }
-  EXPECT_EQ(streamed.ate_rmse, per_frame.ate_rmse);
 }
 
 TEST_F(PipelineFixture, WorkloadAccumulatesAcrossFrames) {

@@ -9,38 +9,6 @@
 namespace cimnav::bnn {
 namespace {
 
-/// Welford accumulator over vectors.
-class VectorStats {
- public:
-  explicit VectorStats(std::size_t dim) : mean_(dim, 0.0), m2_(dim, 0.0) {}
-
-  void add(const nn::Vector& v) {
-    ++n_;
-    for (std::size_t i = 0; i < mean_.size(); ++i) {
-      const double delta = v[i] - mean_[i];
-      mean_[i] += delta / static_cast<double>(n_);
-      m2_[i] += delta * (v[i] - mean_[i]);
-    }
-  }
-
-  McPrediction finish() const {
-    McPrediction p;
-    p.mean = mean_;
-    p.variance.assign(mean_.size(), 0.0);
-    if (n_ > 1) {
-      for (std::size_t i = 0; i < mean_.size(); ++i)
-        p.variance[i] = m2_[i] / static_cast<double>(n_ - 1);
-    }
-    p.samples = static_cast<int>(n_);
-    return p;
-  }
-
- private:
-  std::size_t n_ = 0;
-  nn::Vector mean_;
-  nn::Vector m2_;
-};
-
 /// Mask-site widths of `net`: the input site (when input-site dropout is
 /// on), then every hidden layer. Fills `widths` reusing its capacity.
 void mask_site_widths(const nn::CimMlp& net, std::vector<int>& widths) {
@@ -52,9 +20,8 @@ void mask_site_widths(const nn::CimMlp& net, std::vector<int>& widths) {
 
 /// Serial Welford reduction of one frame's iteration outputs into `pred`
 /// in place (pred.variance doubles as the M2 accumulator until the final
-/// scale). Exactly VectorStats' arithmetic in the same order, so results
-/// are bit-identical to the add/finish path — but without allocating once
-/// pred's vectors are warm.
+/// scale), in iteration order — allocation-free once pred's vectors are
+/// warm.
 void reduce_outputs(const std::vector<nn::Vector>& outs, std::size_t n_out,
                     McPrediction& pred) {
   pred.mean.assign(n_out, 0.0);
@@ -99,18 +66,51 @@ std::uint64_t draw_mask_sets(const std::vector<int>& widths, int iterations,
   return bits_drawn;
 }
 
-/// Rewrites order[begin..end) — currently the identity slice — into the
-/// greedy min-Hamming tour over those visiting positions' locus masks
-/// (mask site 0). Same algorithm and tie-breaks as
-/// greedy_min_hamming_order on the sub-range, but in place and
-/// allocation-free once `used` is warm. Chains order independently, so a
-/// position never migrates across a refresh boundary.
+}  // namespace
+
+double McPrediction::scalar_variance() const {
+  if (variance.empty()) return 0.0;
+  double s = 0.0;
+  for (double v : variance) s += v;
+  return s / static_cast<double>(variance.size());
+}
+
+double McPrediction::component_stddev(std::size_t i) const {
+  CIMNAV_REQUIRE(i < variance.size(), "component index out of range");
+  return std::sqrt(std::max(variance[i], 0.0));
+}
+
+McPrediction mc_predict_float(const nn::Mlp& net, const nn::Vector& x,
+                              int iterations, double dropout_p,
+                              MaskSource& masks) {
+  CIMNAV_REQUIRE(iterations >= 1, "need at least one iteration");
+  std::vector<nn::Vector> outs;
+  outs.reserve(static_cast<std::size_t>(iterations));
+  for (int t = 0; t < iterations; ++t) {
+    const auto mask_set =
+        net.sample_masks([&] { return masks.draw(dropout_p); });
+    outs.push_back(net.forward_masked(x, mask_set));
+  }
+  McPrediction pred;
+  reduce_outputs(outs, static_cast<std::size_t>(net.output_size()), pred);
+  return pred;
+}
+
+std::uint64_t hamming_distance(const nn::Mask& a, const nn::Mask& b) {
+  CIMNAV_REQUIRE(a.size() == b.size(), "mask size mismatch");
+  std::uint64_t d = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) d += (a[i] != b[i]) ? 1 : 0;
+  return d;
+}
+
 void greedy_order_chain(const std::vector<std::vector<nn::Mask>>& sets,
                         std::size_t begin, std::size_t end,
                         std::vector<std::size_t>& order,
                         std::vector<std::uint8_t>& used) {
+  CIMNAV_REQUIRE(begin <= end && end <= sets.size() && end <= order.size(),
+                 "tour range out of bounds");
   const std::size_t n = end - begin;
-  if (n <= 2) return;  // the greedy tour from element 0 is the identity
+  if (n == 0) return;
   used.assign(n, 0);
   std::size_t current = begin;
   used[0] = 1;
@@ -130,79 +130,6 @@ void greedy_order_chain(const std::vector<std::vector<nn::Mask>>& sets,
     used[best - begin] = 1;
     current = best;
   }
-}
-
-}  // namespace
-
-double McPrediction::scalar_variance() const {
-  if (variance.empty()) return 0.0;
-  double s = 0.0;
-  for (double v : variance) s += v;
-  return s / static_cast<double>(variance.size());
-}
-
-double McPrediction::component_stddev(std::size_t i) const {
-  CIMNAV_REQUIRE(i < variance.size(), "component index out of range");
-  return std::sqrt(std::max(variance[i], 0.0));
-}
-
-McPrediction mc_predict_float(const nn::Mlp& net, const nn::Vector& x,
-                              int iterations, double dropout_p,
-                              MaskSource& masks) {
-  CIMNAV_REQUIRE(iterations >= 1, "need at least one iteration");
-  VectorStats stats(static_cast<std::size_t>(net.output_size()));
-  for (int t = 0; t < iterations; ++t) {
-    const auto mask_set =
-        net.sample_masks([&] { return masks.draw(dropout_p); });
-    stats.add(net.forward_masked(x, mask_set));
-  }
-  return stats.finish();
-}
-
-std::uint64_t hamming_distance(const nn::Mask& a, const nn::Mask& b) {
-  CIMNAV_REQUIRE(a.size() == b.size(), "mask size mismatch");
-  std::uint64_t d = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) d += (a[i] != b[i]) ? 1 : 0;
-  return d;
-}
-
-std::vector<std::size_t> greedy_min_hamming_order(
-    const std::vector<nn::Mask>& input_masks) {
-  const std::size_t t = input_masks.size();
-  std::vector<std::size_t> order;
-  if (t == 0) return order;
-  order.reserve(t);
-  std::vector<bool> used(t, false);
-  // Start from the densest mask (cheapest first dense evaluation).
-  std::size_t current = 0;
-  order.push_back(current);
-  used[current] = true;
-  for (std::size_t step = 1; step < t; ++step) {
-    std::size_t best = t;
-    std::uint64_t best_d = std::numeric_limits<std::uint64_t>::max();
-    for (std::size_t j = 0; j < t; ++j) {
-      if (used[j]) continue;
-      const std::uint64_t d = hamming_distance(input_masks[current],
-                                               input_masks[j]);
-      if (d < best_d) {
-        best_d = d;
-        best = j;
-      }
-    }
-    order.push_back(best);
-    used[best] = true;
-    current = best;
-  }
-  return order;
-}
-
-std::uint64_t total_hamming(const std::vector<nn::Mask>& input_masks,
-                            const std::vector<std::size_t>& order) {
-  std::uint64_t total = 0;
-  for (std::size_t i = 1; i < order.size(); ++i)
-    total += hamming_distance(input_masks[order[i - 1]],
-                              input_masks[order[i]]);
-  return total;
 }
 
 McPrediction mc_predict_cim(const nn::CimMlp& net, const nn::Vector& x,

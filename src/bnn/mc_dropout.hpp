@@ -48,7 +48,10 @@ struct McOptions {
   int iterations = 30;        ///< MC forward passes per prediction (T)
   double dropout_p = 0.5;     ///< per-neuron drop probability
   bool compute_reuse = false; ///< first-layer delta accumulation (Sec. III-C)
-  bool order_samples = false; ///< greedy min-Hamming mask tour (needs reuse)
+  /// Greedy min-Hamming tour over the locus masks (greedy_order_chain):
+  /// per refresh chain with compute_reuse, over the whole window on the
+  /// dense path.
+  bool order_samples = false;
   /// With compute_reuse, re-evaluate the reuse accumulator densely every
   /// N iterations to bound analog-noise drift (0 = never refresh). The
   /// default trades ~1/8 of the reuse savings for drift-free accuracy.
@@ -173,15 +176,17 @@ struct McWindowJob {
 std::size_t mc_predict_cim_jobs(const nn::CimMlp& net, McWindowJob* jobs,
                                 std::size_t n_jobs, core::ThreadPool* pool);
 
-/// Greedy nearest-neighbour tour over mask sets, keyed by the Hamming
-/// distance of the *input-site* mask (the reuse locus). Returns the
-/// visiting order of the T mask sets.
-std::vector<std::size_t> greedy_min_hamming_order(
-    const std::vector<nn::Mask>& input_masks);
-
-/// Total consecutive Hamming distance of input masks along an order.
-std::uint64_t total_hamming(const std::vector<nn::Mask>& input_masks,
-                            const std::vector<std::size_t>& order);
+/// Greedy nearest-neighbour tour over visiting positions [begin, end) of
+/// `sets`, keyed by the Hamming distance of each set's locus mask (mask
+/// site 0). Writes order[begin..end): the tour starts at `begin` and
+/// always moves to the nearest unvisited position, the lowest index
+/// winning ties. `used` is scratch that keeps its capacity, so the MC hot
+/// path orders chains without allocating. Refresh chains order
+/// independently, so a position never migrates across a refresh boundary.
+void greedy_order_chain(const std::vector<std::vector<nn::Mask>>& sets,
+                        std::size_t begin, std::size_t end,
+                        std::vector<std::size_t>& order,
+                        std::vector<std::uint8_t>& used);
 
 /// Hamming distance between two equal-length masks.
 std::uint64_t hamming_distance(const nn::Mask& a, const nn::Mask& b);

@@ -8,6 +8,17 @@ namespace {
 
 constexpr double kScaleHeadroom = 1.05;  // 5% margin on calibrated maxima
 
+/// Runs `body` over [0, n) on `pool`, or inline when `pool` is nullptr.
+template <class Body>
+void run_items(core::ThreadPool* pool, std::size_t n, const Body& body) {
+  if (n == 0) return;
+  if (pool != nullptr) {
+    pool->parallel_for(n, 1, body);
+  } else {
+    body(0, n, 0);
+  }
+}
+
 }  // namespace
 
 CimMlp::CimMlp(const Mlp& reference,
@@ -109,90 +120,18 @@ void CimMlp::finish_layer(Vector& z, const Vector& bias,
   }
 }
 
-void CimMlp::forward_encoded(const cimsram::EncodedInput& enc0,
-                             const std::vector<Mask>& masks, core::Rng& rng,
-                             Vector& out) const {
-  const int n_layers = layer_count();
-  const int expected_sites = (dropout_on_input_ ? 1 : 0) + n_layers - 1;
-  CIMNAV_REQUIRE(masks.size() == static_cast<std::size_t>(expected_sites),
+void CimMlp::check_mask_set(const std::vector<Mask>& set) const {
+  const std::size_t base = dropout_on_input_ ? 1 : 0;
+  CIMNAV_REQUIRE(set.size() == base + macros_.size() - 1,
                  "mask count mismatch");
-
-  std::size_t site = 0;
-  const Mask empty;
-  const Mask& in0 = dropout_on_input_ ? masks[site++] : empty;
   if (dropout_on_input_)
-    CIMNAV_REQUIRE(in0.size() ==
+    CIMNAV_REQUIRE(set[0].size() ==
                        static_cast<std::size_t>(macros_.front()->n_in()),
                    "input mask size mismatch");
-
-  // All scratch is thread-local: the MC hot loop runs this body T times
-  // per prediction and must not allocate in steady state.
-  thread_local std::vector<std::uint64_t> gate;
-  thread_local cimsram::EncodedInput enc_hidden;
-  thread_local Vector a, z;
-
-  const Mask* row_mask = &in0;  // rows dropped for the current layer
-  for (int l = 0; l < n_layers; ++l) {
-    const bool has_hidden_mask = l + 1 < n_layers;
-    const Mask& col_mask = has_hidden_mask ? masks[site] : empty;
-    const auto& macro = *macros_[static_cast<std::size_t>(l)];
-    if (l == 0) {
-      cimsram::pack_row_mask(*row_mask, macro.n_in(), gate);
-      macro.matvec_encoded(enc0, gate, col_mask, rng, z);
-    } else {
-      macro.encode_input(a, enc_hidden);
-      cimsram::pack_row_mask(*row_mask, macro.n_in(), gate);
-      macro.matvec_encoded(enc_hidden, gate, col_mask, rng, z);
-    }
-    finish_layer(z, biases_[static_cast<std::size_t>(l)], col_mask,
-                 has_hidden_mask);
-    if (has_hidden_mask) {
-      row_mask = &col_mask;
-      ++site;
-    }
-    std::swap(a, z);
-  }
-  out = a;
-}
-
-Vector CimMlp::forward(const Vector& x, const std::vector<Mask>& masks,
-                       core::Rng& rng) const {
-  thread_local cimsram::EncodedInput enc0;
-  encode_layer0(x, enc0);
-  Vector out;
-  forward_encoded(enc0, masks, rng, out);
-  return out;
-}
-
-std::vector<Vector> CimMlp::forward_batch(
-    const Vector& x, const std::vector<std::vector<Mask>>& mask_sets,
-    std::uint64_t noise_root, core::ThreadPool* pool) const {
-  std::vector<Vector> outs;
-  forward_batch(x, mask_sets, noise_root, pool, outs);
-  return outs;
-}
-
-void CimMlp::forward_batch(const Vector& x,
-                           const std::vector<std::vector<Mask>>& mask_sets,
-                           std::uint64_t noise_root, core::ThreadPool* pool,
-                           std::vector<Vector>& outs) const {
-  outs.resize(mask_sets.size());
-  if (mask_sets.empty()) return;
-  // The layer-0 values are iteration-invariant (dropout only flips gates),
-  // so quantization + bit-plane expansion amortize across all iterations.
-  cimsram::EncodedInput enc0;
-  encode_layer0(x, enc0);
-  const auto body = [&](std::size_t begin, std::size_t end, int) {
-    for (std::size_t t = begin; t < end; ++t) {
-      core::Rng iter_rng = core::Rng::stream(noise_root, t);
-      forward_encoded(enc0, mask_sets[t], iter_rng, outs[t]);
-    }
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(mask_sets.size(), 1, body);
-  } else {
-    body(0, mask_sets.size(), 0);
-  }
+  for (std::size_t l = 0; l + 1 < macros_.size(); ++l)
+    CIMNAV_REQUIRE(set[base + l].size() ==
+                       static_cast<std::size_t>(macros_[l]->n_out()),
+                   "hidden mask size mismatch");
 }
 
 void CimMlp::forward_window(const std::vector<FrameBatch>& frames,
@@ -202,12 +141,10 @@ void CimMlp::forward_window(const std::vector<FrameBatch>& frames,
     const {
   const std::size_t n_frames = frames.size();
   const int n_layers = layer_count();
-  const int expected_sites = (dropout_on_input_ ? 1 : 0) + n_layers - 1;
   const int mask_base = dropout_on_input_ ? 1 : 0;
 
   // Flatten the window into (frame, iteration) work items; each item owns
-  // a persistent rng stream it carries across the per-layer dispatches,
-  // consumed in the exact order forward_encoded would consume it.
+  // a persistent rng stream it carries across the per-layer dispatches.
   outs.resize(n_frames);
   scratch.enc0.resize(n_frames);
   scratch.rngs.clear();
@@ -217,9 +154,7 @@ void CimMlp::forward_window(const std::vector<FrameBatch>& frames,
     const FrameBatch& fr = frames[f];
     CIMNAV_REQUIRE(fr.x != nullptr && fr.mask_sets != nullptr,
                    "frame batch entries must be populated");
-    for (const auto& set : *fr.mask_sets)
-      CIMNAV_REQUIRE(set.size() == static_cast<std::size_t>(expected_sites),
-                     "mask count mismatch");
+    for (const auto& set : *fr.mask_sets) check_mask_set(set);
     encode_layer0(*fr.x, scratch.enc0[f]);
     outs[f].resize(fr.mask_sets->size());
     for (std::size_t t = 0; t < fr.mask_sets->size(); ++t) {
@@ -237,8 +172,7 @@ void CimMlp::forward_window(const std::vector<FrameBatch>& frames,
     const auto& macro = *macros_[static_cast<std::size_t>(l)];
     const Vector& bias = biases_[static_cast<std::size_t>(l)];
     const bool has_hidden_mask = l + 1 < n_layers;
-    const bool is_last = l + 1 == n_layers;
-    const auto body = [&](std::size_t begin, std::size_t end, int) {
+    run_items(pool, n_items, [&](std::size_t begin, std::size_t end, int) {
       thread_local std::vector<std::uint64_t> gate;
       thread_local cimsram::EncodedInput enc_hidden;
       for (std::size_t i = begin; i < end; ++i) {
@@ -256,29 +190,17 @@ void CimMlp::forward_window(const std::vector<FrameBatch>& frames,
         const Mask& col_mask =
             has_hidden_mask ? set[static_cast<std::size_t>(mask_base + l)]
                             : empty;
-        core::Rng& rng = scratch.rngs[i];
-        Vector& z = is_last ? outs[f][t] : scratch.acts[i];
-        if (l == 0) {
-          if (dropout_on_input_)
-            CIMNAV_REQUIRE(row_mask.size() ==
-                               static_cast<std::size_t>(macro.n_in()),
-                           "input mask size mismatch");
-          cimsram::pack_row_mask(row_mask, macro.n_in(), gate);
-          macro.matvec_encoded(scratch.enc0[f], gate, col_mask, rng, z);
-        } else {
+        const cimsram::EncodedInput* enc = &scratch.enc0[f];
+        if (l > 0) {
           macro.encode_input(scratch.acts[i], enc_hidden);
-          cimsram::pack_row_mask(row_mask, macro.n_in(), gate);
-          macro.matvec_encoded(enc_hidden, gate, col_mask, rng, z);
+          enc = &enc_hidden;
         }
+        Vector& z = has_hidden_mask ? scratch.acts[i] : outs[f][t];
+        cimsram::pack_row_mask(row_mask, macro.n_in(), gate);
+        macro.matvec_encoded(*enc, gate, col_mask, scratch.rngs[i], z);
         finish_layer(z, bias, col_mask, has_hidden_mask);
       }
-    };
-    if (n_items == 0) continue;
-    if (pool != nullptr) {
-      pool->parallel_for(n_items, 1, body);
-    } else {
-      body(0, n_items, 0);
-    }
+    });
   }
 
   if (frame_stats != nullptr) {
@@ -303,158 +225,18 @@ Vector CimMlp::forward_deterministic(const Vector& x, core::Rng& rng) const {
   return a;
 }
 
-Vector CimMlp::forward_with_reuse(const Vector& x,
-                                  const std::vector<Mask>& masks,
-                                  ReuseState& state, core::Rng& rng) const {
-  const int n_layers = layer_count();
-  const int expected_sites = (dropout_on_input_ ? 1 : 0) + n_layers - 1;
-  CIMNAV_REQUIRE(masks.size() == static_cast<std::size_t>(expected_sites),
-                 "mask count mismatch");
-  const Mask no_col_gate;  // accumulators keep all columns live
-
-  // Applies the delta rule P_i = P_{i-1} + W v|_A - W v|_D at `macro`.
-  // frozen_enc holds the bit-plane encoding of the frozen values, so both
-  // the dense (re)initialization and the sparse deltas replay it against
-  // packed row gates without re-quantizing anything.
-  const auto delta_update = [&](const cimsram::MacroLike& macro,
-                                const Mask& mask) {
-    thread_local std::vector<std::uint64_t> gate;
-    thread_local std::vector<std::size_t> added, removed;
-    thread_local Vector delta;
-    if (!state.valid) {
-      cimsram::pack_row_mask(mask, macro.n_in(), gate);
-      macro.matvec_encoded(state.frozen_enc, gate, no_col_gate, rng,
-                           state.reuse_acc);
-    } else {
-      CIMNAV_REQUIRE(state.prev_mask.size() == mask.size(),
-                     "reuse state mask size mismatch");
-      added.clear();
-      removed.clear();
-      for (std::size_t i = 0; i < mask.size(); ++i) {
-        if (mask[i] && !state.prev_mask[i]) added.push_back(i);
-        if (!mask[i] && state.prev_mask[i]) removed.push_back(i);
-      }
-      // Differential delta dispatch: ONE signed macro op nets the added
-      // rows against the removed rows — only word lines holding flipped
-      // rows are driven (MacroStats prices exactly those). A sharded grid
-      // derives per-shard streams from one root draw, so this serial path
-      // and the pooled batch agree bit-for-bit at any pool size.
-      if (!added.empty() || !removed.empty()) {
-        macro.matvec_delta(state.frozen_enc, added.data(), added.size(),
-                           removed.data(), removed.size(), rng, delta);
-        for (std::size_t i = 0; i < state.reuse_acc.size(); ++i)
-          state.reuse_acc[i] += delta[i];
-      }
-    }
-    state.prev_mask = mask;
-  };
-
-  // Digital epilogue of a hidden layer: bias, ReLU, dropout gate + scale.
-  const auto finish_hidden = [&](Vector z, const Vector& bias,
-                                 const Mask& mask) {
-    for (std::size_t i = 0; i < z.size(); ++i) {
-      if (!mask.empty() && !mask[i]) {
-        z[i] = 0.0;
-        continue;
-      }
-      z[i] = std::max(0.0, z[i] + bias[i]) * keep_scale_;
-    }
-    return z;
-  };
-
-  Vector a;              // activation entering the dense tail
-  int dense_from = 0;    // first layer index the dense tail runs
-  std::size_t site = 0;  // next mask site to consume
-
-  if (dropout_on_input_) {
-    // Reuse locus: layer 0 over the input mask.
-    const Mask& in_mask = masks[site++];
-    CIMNAV_REQUIRE(in_mask.size() == x.size(), "input mask size mismatch");
-    if (!state.valid) {
-      state.frozen_values.resize(x.size());
-      for (std::size_t i = 0; i < x.size(); ++i)
-        state.frozen_values[i] = x[i] * keep_scale_;
-      macros_[0]->encode_input(state.frozen_values, state.frozen_enc);
-    }
-    delta_update(*macros_[0], in_mask);
-    state.valid = true;
-
-    a = state.reuse_acc;
-    const bool has_hidden = n_layers > 1;
-    if (has_hidden) {
-      a = finish_hidden(std::move(a), biases_[0], masks[site]);
-      ++site;
-    } else {
-      for (std::size_t i = 0; i < a.size(); ++i) a[i] += biases_[0][i];
-    }
-    dense_from = 1;
-  } else {
-    // Hidden-site dropout: layer 0 is mask-independent — compute once per
-    // frame; the reuse locus is layer 1 over the first hidden mask.
-    CIMNAV_REQUIRE(n_layers >= 2,
-                   "hidden-site reuse needs at least one hidden layer");
-    const Mask& m1 = masks[site++];
-    if (!state.valid) {
-      const Mask all_rows;
-      state.layer0_preact = macros_[0]->matvec(x, all_rows, no_col_gate, rng);
-      state.frozen_values.resize(state.layer0_preact.size());
-      for (std::size_t i = 0; i < state.layer0_preact.size(); ++i)
-        state.frozen_values[i] =
-            std::max(0.0, state.layer0_preact[i] + biases_[0][i]) *
-            keep_scale_;
-      macros_[1]->encode_input(state.frozen_values, state.frozen_enc);
-    }
-    delta_update(*macros_[1], m1);
-    state.valid = true;
-
-    a = state.reuse_acc;
-    const bool has_hidden = n_layers > 2;
-    const Mask& col_mask = has_hidden ? masks[site] : Mask{};
-    if (has_hidden) {
-      a = finish_hidden(std::move(a), biases_[1], col_mask);
-      ++site;
-    } else {
-      for (std::size_t i = 0; i < a.size(); ++i) a[i] += biases_[1][i];
-    }
-    dense_from = 2;
-  }
-
-  // Remaining layers run dense (their inputs change every iteration).
-  Mask row_mask =
-      (dense_from <= n_layers - 1 && site >= 1) ? masks[site - 1] : Mask{};
-  for (int l = dense_from; l < n_layers; ++l) {
-    const bool has_hidden_mask = l + 1 < n_layers;
-    const Mask& col_mask = has_hidden_mask ? masks[site] : Mask{};
-    Vector z = macros_[static_cast<std::size_t>(l)]->matvec(a, row_mask,
-                                                           col_mask, rng);
-    const Vector& b = biases_[static_cast<std::size_t>(l)];
-    if (has_hidden_mask) {
-      z = finish_hidden(std::move(z), b, col_mask);
-      row_mask = col_mask;
-      ++site;
-    } else {
-      for (std::size_t i = 0; i < z.size(); ++i) z[i] += b[i];
-    }
-    a = std::move(z);
-  }
-  return a;
-}
-
 void CimMlp::forward_reuse_window(const std::vector<ReuseFrame>& frames,
                                   core::ThreadPool* pool,
                                   ReuseScratch& scratch) const {
   const int n_layers = layer_count();
-  const int expected_sites = (dropout_on_input_ ? 1 : 0) + n_layers - 1;
   const int mask_base = dropout_on_input_ ? 1 : 0;
-  CIMNAV_REQUIRE(expected_sites >= 1, "compute reuse needs a mask site");
-  if (!dropout_on_input_)
-    CIMNAV_REQUIRE(n_layers >= 2,
-                   "hidden-site reuse needs at least one hidden layer");
+  CIMNAV_REQUIRE(mask_base + n_layers - 1 >= 1,
+                 "compute reuse needs a mask site");
   // Reuse locus: layer 0 over the input mask, or layer 1 over the first
   // hidden mask — in both modes the locus mask is site 0 of every set.
   const int lc = dropout_on_input_ ? 0 : 1;
   const auto& locus = *macros_[static_cast<std::size_t>(lc)];
-  const Mask no_col;  // accumulators keep all columns live
+  const Mask ungated;  // every row / column live (accumulators keep all)
 
   // Partition every frame's visiting positions into refresh chains.
   const std::size_t n_frames = frames.size();
@@ -471,16 +253,10 @@ void CimMlp::forward_reuse_window(const std::vector<ReuseFrame>& frames,
                        fr.outs != nullptr,
                    "reuse frame entries must be populated");
     const std::size_t t_total = fr.mask_sets->size();
-    for (const auto& set : *fr.mask_sets) {
-      CIMNAV_REQUIRE(set.size() == static_cast<std::size_t>(expected_sites),
-                     "mask count mismatch");
-      CIMNAV_REQUIRE(set[0].size() == static_cast<std::size_t>(locus.n_in()),
-                     "reuse locus mask size mismatch");
-    }
-    // encode_layer0 builds exactly the frozen encoding the serial path
-    // uses: the keep-scaled input with input-site dropout (shared by all
-    // of the frame's chains), the raw input otherwise (the per-chain
-    // layer-0 dense products replay it at chain start).
+    for (const auto& set : *fr.mask_sets) check_mask_set(set);
+    // The frozen layer-0 encoding: the keep-scaled input with input-site
+    // dropout (shared by all of the frame's chains), the raw input
+    // otherwise (each chain's start replays it in its dense layer-0 read).
     encode_layer0(*fr.x, scratch.enc0[f]);
     fr.outs->resize(t_total);
     const std::size_t chain_len = fr.chain_len > 0 ? fr.chain_len : t_total;
@@ -520,7 +296,6 @@ void CimMlp::forward_reuse_window(const std::vector<ReuseFrame>& frames,
   }
   scratch.live.reserve(n_chains);
   scratch.items.reserve(n_chains);
-  scratch.item_chain.reserve(n_chains);
 
   const auto chain_sink = [&](std::size_t ch) -> cimsram::MacroStats* {
     return frames[scratch.chain_frame[ch]].stats != nullptr
@@ -531,260 +306,155 @@ void CimMlp::forward_reuse_window(const std::vector<ReuseFrame>& frames,
     return dropout_on_input_ ? scratch.enc0[scratch.chain_frame[ch]]
                              : scratch.frozen_enc[ch];
   };
-  // The locus mask of chain `ch` at visiting position `k`.
-  const auto locus_mask_at = [&](std::size_t ch, std::size_t k)
-      -> const Mask& {
+  // The mask set chain `ch` visits at position `k`.
+  const auto set_at = [&](std::size_t ch, std::size_t k)
+      -> const std::vector<Mask>& {
     const ReuseFrame& fr = frames[scratch.chain_frame[ch]];
-    return (*fr.mask_sets)[fr.order != nullptr ? fr.order[k] : k][0];
+    return (*fr.mask_sets)[fr.order != nullptr ? fr.order[k] : k];
   };
-  const auto dispatch = [&](std::size_t total, const auto& body) {
-    if (total == 0) return;
-    if (pool != nullptr) {
-      pool->parallel_for(total, 1, body);
-    } else {
-      body(0, total, 0);
+  const auto flipped = [&](std::size_t ch) {
+    return !scratch.added[ch].empty() || !scratch.removed[ch].empty();
+  };
+
+  // The chain-step kernel: three phases, each consuming only its own
+  // chain's rng, in the order layer 0 -> locus -> tail.
+  //
+  // start — dense (re)initialization at the chain's first position. In
+  // hidden-site mode the chain first reads layer 0 densely on its own
+  // noise stream and encodes the frozen hidden values.
+  const auto start = [&](std::size_t ch) {
+    thread_local std::vector<std::uint64_t> gate;
+    thread_local Vector pre, fv;
+    if (!dropout_on_input_) {
+      const auto& m0 = *macros_[0];
+      cimsram::pack_row_mask(ungated, m0.n_in(), gate);
+      m0.matvec_encoded(scratch.enc0[scratch.chain_frame[ch]], gate, ungated,
+                        scratch.rngs[ch], pre);
+      fv.resize(pre.size());
+      for (std::size_t j = 0; j < pre.size(); ++j)
+        fv[j] = std::max(0.0, pre[j] + biases_[0][j]) * keep_scale_;
+      locus.encode_input(fv, scratch.frozen_enc[ch]);
+    }
+    const Mask& m = set_at(ch, scratch.chain_begin[ch])[0];
+    cimsram::pack_row_mask(m, locus.n_in(), gate);
+    locus.matvec_encoded(frozen_of(ch), gate, ungated, scratch.rngs[ch],
+                         scratch.accs[ch]);
+    scratch.prev[ch] = &m;
+  };
+  // diff — the locus rows that flipped on / off since the chain's previous
+  // position (digital, no draws). Returns whether any row flipped; a chain
+  // without flips issues no delta read and so draws nothing.
+  const auto diff = [&](std::size_t ch, std::size_t k) {
+    const Mask& cur = set_at(ch, k)[0];
+    const Mask& prv = *scratch.prev[ch];
+    auto& added = scratch.added[ch];
+    auto& removed = scratch.removed[ch];
+    added.clear();
+    removed.clear();
+    for (std::size_t r = 0; r < cur.size(); ++r) {
+      if (cur[r] && !prv[r]) added.push_back(r);
+      if (!cur[r] && prv[r]) removed.push_back(r);
+    }
+    scratch.prev[ch] = &cur;
+    return flipped(ch);
+  };
+  // finish — folds position k's delta product into the accumulator (when
+  // diff found flips), then the locus epilogue and every dense tail layer.
+  const auto finish = [&](std::size_t ch, std::size_t k) {
+    thread_local std::vector<std::uint64_t> gate;
+    thread_local cimsram::EncodedInput enc_hidden;
+    Vector& acc = scratch.accs[ch];
+    if (k != scratch.chain_begin[ch] && flipped(ch)) {
+      const Vector& d = scratch.deltas[ch];
+      for (std::size_t j = 0; j < acc.size(); ++j) acc[j] += d[j];
+    }
+    const std::vector<Mask>& set = set_at(ch, k);
+    Vector& out = (*frames[scratch.chain_frame[ch]].outs)[k];
+    const bool locus_hidden = lc + 1 < n_layers;
+    Vector& a = locus_hidden ? scratch.acts[ch] : out;
+    a = acc;
+    finish_layer(a, biases_[static_cast<std::size_t>(lc)],
+                 locus_hidden ? set[static_cast<std::size_t>(mask_base + lc)]
+                              : ungated,
+                 locus_hidden);
+    for (int l = lc + 1; l < n_layers; ++l) {
+      const bool is_last = l + 1 == n_layers;
+      const auto& macro = *macros_[static_cast<std::size_t>(l)];
+      const Mask& col_mask =
+          is_last ? ungated : set[static_cast<std::size_t>(mask_base + l)];
+      Vector& z = is_last ? out : a;
+      macro.encode_input(a, enc_hidden);
+      cimsram::pack_row_mask(set[static_cast<std::size_t>(mask_base + l - 1)],
+                             macro.n_in(), gate);
+      macro.matvec_encoded(enc_hidden, gate, col_mask, scratch.rngs[ch], z);
+      finish_layer(z, biases_[static_cast<std::size_t>(l)], col_mask,
+                   !is_last);
     }
   };
 
-  // Two dispatch strategies, bit-identical by construction (both consume
-  // each chain's stream in exactly the serial forward_with_reuse order,
-  // and chains never read each other's state):
-  //  * few chains — every chain runs its whole serial loop as one work
-  //    item; no step barriers, minimal latency (one session's frame);
-  //  * many chains (the fleet case) — chains advance step-synchronously,
-  //    so at position p ONE pooled dispatch carries every chain's step-p
-  //    work and the sparse delta matvecs batch shard-affinely.
+  // Two schedules of the same kernel, bit-identical by construction
+  // (chains never read each other's state):
+  //  * few chains (one session's frame) — each chain runs
+  //    start -> (diff -> matvec_delta -> finish)* as one work item, with
+  //    no step barriers;
+  //  * many chains (the fleet case) — chains advance step-synchronously:
+  //    position 0 is one dispatch of start + finish; every later position
+  //    is one pooled differential batch (MacroLike::matvec_delta_batch)
+  //    over the chains with flips, then one dispatch of finish.
   constexpr std::size_t kStepSyncMinChains = 16;
   if (n_chains < kStepSyncMinChains) {
-    dispatch(n_chains, [&](std::size_t b, std::size_t e, int) {
-      thread_local std::vector<std::uint64_t> gate;
-      thread_local cimsram::EncodedInput enc_hidden;
-      thread_local Vector pre, fv;
+    run_items(pool, n_chains, [&](std::size_t b, std::size_t e, int) {
       for (std::size_t ch = b; ch < e; ++ch) {
         const cimsram::ScopedStatsCapture capture(chain_sink(ch));
-        const ReuseFrame& fr = frames[scratch.chain_frame[ch]];
-        auto& added = scratch.added[ch];
-        auto& removed = scratch.removed[ch];
-        Vector& acc = scratch.accs[ch];
-        Vector& dlt = scratch.deltas[ch];
-        for (std::size_t k = scratch.chain_begin[ch];
+        start(ch);
+        finish(ch, scratch.chain_begin[ch]);
+        for (std::size_t k = scratch.chain_begin[ch] + 1;
              k < scratch.chain_end[ch]; ++k) {
-          const std::vector<Mask>& set =
-              (*fr.mask_sets)[fr.order != nullptr ? fr.order[k] : k];
-          const Mask& m = set[0];
-          if (k == scratch.chain_begin[ch]) {
-            if (!dropout_on_input_) {
-              const auto& m0 = *macros_[0];
-              cimsram::pack_row_mask(Mask{}, m0.n_in(), gate);
-              m0.matvec_encoded(scratch.enc0[scratch.chain_frame[ch]], gate,
-                                no_col, scratch.rngs[ch], pre);
-              fv.resize(pre.size());
-              for (std::size_t j = 0; j < pre.size(); ++j)
-                fv[j] = std::max(0.0, pre[j] + biases_[0][j]) * keep_scale_;
-              macros_[1]->encode_input(fv, scratch.frozen_enc[ch]);
-            }
-            cimsram::pack_row_mask(m, locus.n_in(), gate);
-            locus.matvec_encoded(frozen_of(ch), gate, no_col,
-                                 scratch.rngs[ch], acc);
-          } else {
-            const Mask& prv = *scratch.prev[ch];
-            added.clear();
-            removed.clear();
-            for (std::size_t r = 0; r < m.size(); ++r) {
-              if (m[r] && !prv[r]) added.push_back(r);
-              if (!m[r] && prv[r]) removed.push_back(r);
-            }
-            if (!added.empty() || !removed.empty()) {
-              locus.matvec_delta(frozen_of(ch), added.data(), added.size(),
-                                 removed.data(), removed.size(),
-                                 scratch.rngs[ch], dlt);
-              for (std::size_t j = 0; j < acc.size(); ++j) acc[j] += dlt[j];
-            }
-          }
-          scratch.prev[ch] = &m;
-          if (lc + 1 == n_layers) {
-            Vector& out = (*fr.outs)[k];
-            out = acc;
-            finish_layer(out, biases_[static_cast<std::size_t>(lc)], no_col,
-                         /*hidden=*/false);
-          } else {
-            Vector& a = scratch.acts[ch];
-            a = acc;
-            finish_layer(a, biases_[static_cast<std::size_t>(lc)],
-                         set[static_cast<std::size_t>(mask_base + lc)],
-                         /*hidden=*/true);
-            for (int l = lc + 1; l < n_layers; ++l) {
-              const bool is_last = l + 1 == n_layers;
-              const auto& macro = *macros_[static_cast<std::size_t>(l)];
-              const Mask& row_mask =
-                  set[static_cast<std::size_t>(mask_base + l - 1)];
-              const Mask& col_mask =
-                  is_last ? no_col
-                          : set[static_cast<std::size_t>(mask_base + l)];
-              Vector& z = is_last ? (*fr.outs)[k] : a;
-              macro.encode_input(a, enc_hidden);
-              cimsram::pack_row_mask(row_mask, macro.n_in(), gate);
-              macro.matvec_encoded(enc_hidden, gate, col_mask,
-                                   scratch.rngs[ch], z);
-              finish_layer(z, biases_[static_cast<std::size_t>(l)], col_mask,
-                           /*hidden=*/!is_last);
-            }
-          }
+          if (diff(ch, k))
+            locus.matvec_delta(frozen_of(ch), scratch.added[ch].data(),
+                               scratch.added[ch].size(),
+                               scratch.removed[ch].data(),
+                               scratch.removed[ch].size(), scratch.rngs[ch],
+                               scratch.deltas[ch]);
+          finish(ch, k);
         }
       }
     });
-    if (tracking) {
-      for (std::size_t f = 0; f < n_frames; ++f)
-        if (frames[f].stats != nullptr) *frames[f].stats = {};
-      for (std::size_t ch = 0; ch < n_chains; ++ch) {
-        cimsram::MacroStats* sink = frames[scratch.chain_frame[ch]].stats;
-        if (sink != nullptr) *sink += scratch.chain_stats[ch];
-      }
-    }
-    return;
-  }
-
-  // Step-synchronous chain advance: at position p, each barrier-separated
-  // phase touches a chain's rng through at most one work item, in exactly
-  // the order the serial forward_with_reuse loop consumes it.
-  for (std::size_t p = 0; p < max_len; ++p) {
-    scratch.live.clear();
-    for (std::size_t ch = 0; ch < n_chains; ++ch)
-      if (scratch.chain_begin[ch] + p < scratch.chain_end[ch])
-        scratch.live.push_back(static_cast<std::uint32_t>(ch));
-    const std::size_t n_live = scratch.live.size();
-
-    if (p == 0) {
-      if (!dropout_on_input_) {
-        // Chain start, hidden-site mode: every chain's dense layer-0
-        // product (its noise comes from the chain's own stream), then the
-        // frozen hidden values are encoded once per chain.
-        dispatch(n_live, [&](std::size_t b, std::size_t e, int) {
-          thread_local std::vector<std::uint64_t> gate;
-          thread_local Vector pre, fv;
-          for (std::size_t i = b; i < e; ++i) {
-            const std::size_t ch = scratch.live[i];
-            const cimsram::ScopedStatsCapture capture(chain_sink(ch));
-            const auto& m0 = *macros_[0];
-            cimsram::pack_row_mask(Mask{}, m0.n_in(), gate);
-            m0.matvec_encoded(scratch.enc0[scratch.chain_frame[ch]], gate,
-                              no_col, scratch.rngs[ch], pre);
-            fv.resize(pre.size());
-            for (std::size_t j = 0; j < pre.size(); ++j)
-              fv[j] = std::max(0.0, pre[j] + biases_[0][j]) * keep_scale_;
-            macros_[1]->encode_input(fv, scratch.frozen_enc[ch]);
-          }
-        });
-      }
-      // Dense (re)initialization of every chain's accumulator.
-      dispatch(n_live, [&](std::size_t b, std::size_t e, int) {
-        thread_local std::vector<std::uint64_t> gate;
-        for (std::size_t i = b; i < e; ++i) {
-          const std::size_t ch = scratch.live[i];
-          const cimsram::ScopedStatsCapture capture(chain_sink(ch));
-          const Mask& m = locus_mask_at(ch, scratch.chain_begin[ch]);
-          cimsram::pack_row_mask(m, locus.n_in(), gate);
-          locus.matvec_encoded(frozen_of(ch), gate, no_col, scratch.rngs[ch],
-                               scratch.accs[ch]);
-          scratch.prev[ch] = &m;
+  } else {
+    for (std::size_t p = 0; p < max_len; ++p) {
+      scratch.live.clear();
+      for (std::size_t ch = 0; ch < n_chains; ++ch)
+        if (scratch.chain_begin[ch] + p < scratch.chain_end[ch])
+          scratch.live.push_back(static_cast<std::uint32_t>(ch));
+      if (p > 0) {
+        scratch.items.clear();
+        for (const std::uint32_t ch : scratch.live) {
+          if (!diff(ch, scratch.chain_begin[ch] + p)) continue;
+          cimsram::DeltaItem it;
+          it.enc = &frozen_of(ch);
+          it.add_rows = scratch.added[ch].data();
+          it.n_add = scratch.added[ch].size();
+          it.rem_rows = scratch.removed[ch].data();
+          it.n_rem = scratch.removed[ch].size();
+          it.rng = &scratch.rngs[ch];
+          it.y = scratch.deltas[ch].data();
+          it.stats = chain_sink(ch);
+          scratch.items.push_back(it);
         }
-      });
-    } else {
-      // Digital diff against the previous visiting position (no analog
-      // work, no draws), then ONE pooled differential delta batch: each
-      // chain with any flip contributes one signed item netting its adds
-      // against its removes. Chains with no flips at all contribute no
-      // item and draw nothing — exactly the serial path's skipped call.
-      scratch.items.clear();
-      scratch.item_chain.clear();
-      for (std::size_t i = 0; i < n_live; ++i) {
-        const std::size_t ch = scratch.live[i];
-        const std::size_t k = scratch.chain_begin[ch] + p;
-        const Mask& cur = locus_mask_at(ch, k);
-        const Mask& prv = *scratch.prev[ch];
-        auto& added = scratch.added[ch];
-        auto& removed = scratch.removed[ch];
-        added.clear();
-        removed.clear();
-        for (std::size_t r = 0; r < cur.size(); ++r) {
-          if (cur[r] && !prv[r]) added.push_back(r);
-          if (!cur[r] && prv[r]) removed.push_back(r);
-        }
-        scratch.prev[ch] = &cur;
-        if (added.empty() && removed.empty()) continue;
-        cimsram::DeltaItem it;
-        it.enc = &frozen_of(ch);
-        it.add_rows = added.data();
-        it.n_add = added.size();
-        it.rem_rows = removed.data();
-        it.n_rem = removed.size();
-        it.rng = &scratch.rngs[ch];
-        it.y = scratch.deltas[ch].data();
-        it.stats = chain_sink(ch);
-        scratch.items.push_back(it);
-        scratch.item_chain.push_back(ch);
+        if (!scratch.items.empty())
+          locus.matvec_delta_batch(scratch.items.data(), scratch.items.size(),
+                                   pool);
       }
-      if (!scratch.items.empty()) {
-        locus.matvec_delta_batch(scratch.items.data(), scratch.items.size(),
-                                 pool);
-        for (std::size_t i = 0; i < scratch.item_chain.size(); ++i) {
-          const std::size_t ch = scratch.item_chain[i];
-          Vector& acc = scratch.accs[ch];
-          const Vector& d = scratch.deltas[ch];
-          for (std::size_t j = 0; j < acc.size(); ++j) acc[j] += d[j];
-        }
-      }
-    }
-
-    // Locus epilogue + dense tail. When the locus is the last layer the
-    // epilogue is pure digital work (bias only); otherwise it folds into
-    // the first tail dispatch.
-    if (lc + 1 == n_layers) {
-      for (std::size_t i = 0; i < n_live; ++i) {
-        const std::size_t ch = scratch.live[i];
-        const ReuseFrame& fr = frames[scratch.chain_frame[ch]];
-        const std::size_t k = scratch.chain_begin[ch] + p;
-        Vector& out = (*fr.outs)[k];
-        out = scratch.accs[ch];
-        finish_layer(out, biases_[static_cast<std::size_t>(lc)], no_col,
-                     /*hidden=*/false);
-      }
-    } else {
-      for (int l = lc + 1; l < n_layers; ++l) {
-        const auto& macro = *macros_[static_cast<std::size_t>(l)];
-        const Vector& bias = biases_[static_cast<std::size_t>(l)];
-        const bool is_last = l + 1 == n_layers;
-        dispatch(n_live, [&](std::size_t b, std::size_t e, int) {
-          thread_local std::vector<std::uint64_t> gate;
-          thread_local cimsram::EncodedInput enc_hidden;
-          for (std::size_t i = b; i < e; ++i) {
-            const std::size_t ch = scratch.live[i];
-            const cimsram::ScopedStatsCapture capture(chain_sink(ch));
-            const ReuseFrame& fr = frames[scratch.chain_frame[ch]];
-            const std::size_t k = scratch.chain_begin[ch] + p;
-            const std::vector<Mask>& set =
-                (*fr.mask_sets)[fr.order != nullptr ? fr.order[k] : k];
-            if (l == lc + 1) {
-              scratch.acts[ch] = scratch.accs[ch];
-              finish_layer(scratch.acts[ch],
-                           biases_[static_cast<std::size_t>(lc)],
-                           set[static_cast<std::size_t>(mask_base + lc)],
-                           /*hidden=*/true);
-            }
-            const Mask& row_mask =
-                set[static_cast<std::size_t>(mask_base + l - 1)];
-            const Mask& col_mask =
-                is_last ? no_col
-                        : set[static_cast<std::size_t>(mask_base + l)];
-            Vector& z = is_last ? (*fr.outs)[k] : scratch.acts[ch];
-            macro.encode_input(scratch.acts[ch], enc_hidden);
-            cimsram::pack_row_mask(row_mask, macro.n_in(), gate);
-            macro.matvec_encoded(enc_hidden, gate, col_mask,
-                                 scratch.rngs[ch], z);
-            finish_layer(z, bias, col_mask, /*hidden=*/!is_last);
-          }
-        });
-      }
+      run_items(pool, scratch.live.size(),
+                [&](std::size_t b, std::size_t e, int) {
+                  for (std::size_t i = b; i < e; ++i) {
+                    const std::size_t ch = scratch.live[i];
+                    const cimsram::ScopedStatsCapture capture(
+                        chain_sink(ch));
+                    if (p == 0) start(ch);
+                    finish(ch, scratch.chain_begin[ch] + p);
+                  }
+                });
     }
   }
 

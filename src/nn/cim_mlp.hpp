@@ -11,13 +11,18 @@
 // (RL AND) and the consuming layer's word lines.
 //
 // Compute reuse (paper Sec. III-C): consecutive MC-Dropout iterations
-// share the same input vector at the first layer, so
+// share the same input vector at the reuse locus, so
 // P_i = P_{i-1} + W x|_A - W x|_D, where A/D are the newly
-// activated/deactivated input neurons. forward_with_reuse maintains the
-// full-column accumulator and issues two sparse row evaluations per
-// iteration instead of one dense product. The accumulator keeps all
-// columns live so it stays valid when the *output* mask changes between
-// iterations.
+// activated/deactivated neurons. With input-site dropout the locus is
+// layer 0 over the input mask. With hidden-site dropout only (the VO
+// configuration) layer 0 is mask-independent and read densely once per
+// refresh chain, and the locus moves to layer 1 over the first hidden
+// mask: the surviving hidden neurons carry fixed values, so consecutive
+// iterations again differ only by mask flips. forward_reuse_window keeps
+// a full-column accumulator at the locus and issues one differential
+// delta read per iteration instead of one dense product; the accumulator
+// keeps all columns live so it stays valid when the *output* mask changes
+// between iterations.
 #pragma once
 
 #include <cstdint>
@@ -48,32 +53,10 @@ class CimMlp {
   /// The macro executing `layer` (monolithic or sharded; throws on range).
   const cimsram::MacroLike& macro(int layer) const;
 
-  /// Masked (MC-Dropout) forward pass through the analog macros.
-  Vector forward(const Vector& x, const std::vector<Mask>& masks,
-                 core::Rng& rng) const;
-
-  /// Batched masked forward: one shared input, one mask set per iteration.
-  /// The layer-0 input is quantized and bit-plane-expanded exactly once
-  /// (its values are iteration-invariant under dropout; only gates flip),
-  /// then iterations fan out over `pool` (nullptr = serial). Analog-noise
-  /// streams are keyed on the iteration index derived from `noise_root`,
-  /// so results are bit-identical at any thread count.
-  std::vector<Vector> forward_batch(
-      const Vector& x, const std::vector<std::vector<Mask>>& mask_sets,
-      std::uint64_t noise_root, core::ThreadPool* pool = nullptr) const;
-
-  /// Allocation-reusing variant: `outs` is resized to the iteration count
-  /// and its elements keep their capacity across calls (the MC hot loop
-  /// calls this once per prediction).
-  void forward_batch(const Vector& x,
-                     const std::vector<std::vector<Mask>>& mask_sets,
-                     std::uint64_t noise_root, core::ThreadPool* pool,
-                     std::vector<Vector>& outs) const;
-
   /// One frame of a multi-frame MC-Dropout window (forward_window): the
   /// frame's shared input, its per-iteration mask sets, and the root of
   /// its analog-noise streams (iteration t draws from
-  /// core::Rng::stream(noise_root, t), exactly like forward_batch).
+  /// core::Rng::stream(noise_root, t)).
   struct FrameBatch {
     const Vector* x = nullptr;
     const std::vector<std::vector<Mask>>* mask_sets = nullptr;
@@ -93,18 +76,22 @@ class CimMlp {
     std::vector<cimsram::MacroStats> item_stats;
   };
 
-  /// Multi-frame batched masked forward — the cross-frame (and, via
-  /// bnn::mc_predict_cim_jobs, cross-session) batching entry point. All
-  /// (frame, iteration) work items advance through the network
+  /// Multi-frame batched masked (MC-Dropout) forward — the dense engine
+  /// behind every bnn::mc_predict_cim_jobs call without compute reuse.
+  /// All (frame, iteration) work items advance through the network
   /// layer-synchronously: one batched macro dispatch per layer fans every
-  /// item of the window over `pool`, and each frame's layer-0 input is
-  /// quantized and bit-plane-expanded exactly once for all of its
-  /// iterations.
+  /// item of the window over `pool` (nullptr = serial), and each frame's
+  /// layer-0 input is quantized and bit-plane-expanded exactly once for
+  /// all of its iterations (its values are iteration-invariant under
+  /// dropout; only gates flip).
   ///
   /// Determinism: each item owns a persistent noise stream keyed
   /// (noise_root, iteration) that it carries across layers, so results
-  /// are bit-identical to per-frame forward_batch calls — and hence to
-  /// the serial path — at any thread count and any window size.
+  /// are bit-identical to a serial per-item forward at any thread count
+  /// and any window size.
+  ///
+  /// Throws std::invalid_argument unless every mask set has one mask per
+  /// dropout site, each exactly as wide as its site.
   ///
   /// `outs[f][t]` receives frame f's iteration-t output (capacity reused).
   ///
@@ -123,44 +110,11 @@ class CimMlp {
   /// Deterministic forward (no dropout, all neurons active).
   Vector forward_deterministic(const Vector& x, core::Rng& rng) const;
 
-  /// Compute-reuse state across the MC iterations of one input frame.
-  ///
-  /// With input-site dropout, the reuse locus is layer 0: the input values
-  /// are iteration-invariant and only the input mask flips, so the
-  /// accumulator tracks P_i = P_{i-1} + W x|_A - W x|_D.
-  ///
-  /// With hidden-site dropout only (the VO configuration), layer 0 is
-  /// mask-independent and computed *once* per frame, and the reuse locus
-  /// moves to layer 1: the surviving hidden neurons carry fixed values, so
-  /// consecutive iterations again differ only by mask flips — the paper's
-  /// delta rule applies exactly.
-  struct ReuseState {
-    Vector frozen_values;  ///< layer-0 input (x) or hidden values (v*s)
-    Vector layer0_preact;  ///< cached W1 x (hidden-site mode)
-    Vector reuse_acc;      ///< full-column accumulator at the reuse layer
-    Mask prev_mask;        ///< mask that produced the accumulator
-    /// Bit-plane encoding of frozen_values; delta evaluations replay it
-    /// against sparse row gates without re-quantizing.
-    cimsram::EncodedInput frozen_enc;
-    bool valid = false;
-  };
-
-  /// Masked forward reusing products between calls. The first call (state
-  /// invalid) performs dense products; subsequent calls evaluate only
-  /// changed rows at the reuse layer — one differential delta dispatch
-  /// (MacroLike::matvec_delta) per step that only drives word lines whose
-  /// mask bits flipped, netting adds against removes in a single signed
-  /// op. Reset the state when `x` changes. This is the serial reference
-  /// for forward_reuse_window below.
-  Vector forward_with_reuse(const Vector& x, const std::vector<Mask>& masks,
-                            ReuseState& state, core::Rng& rng) const;
-
   /// One frame of a chain-parallel compute-reuse window
   /// (forward_reuse_window). The frame's T mask sets are visited along
   /// `order` (nullptr = identity) and cut into refresh chains of
   /// `chain_len` visiting positions (0 = one chain); chain c's analog
-  /// noise streams from core::Rng::stream(noise_root, c), exactly like
-  /// the serial chain loop over forward_with_reuse.
+  /// noise streams from core::Rng::stream(noise_root, c).
   struct ReuseFrame {
     const Vector* x = nullptr;
     const std::vector<std::vector<Mask>>* mask_sets = nullptr;
@@ -196,27 +150,29 @@ class CimMlp {
     std::vector<Vector> deltas;               ///< per-chain delta product
     std::vector<std::vector<std::size_t>> added, removed;
     std::vector<cimsram::DeltaItem> items;    ///< delta batch build buffer
-    std::vector<std::size_t> item_chain;      ///< item -> chain
     std::vector<std::uint32_t> live;          ///< chains active this step
     std::vector<cimsram::MacroStats> chain_stats;
   };
 
   /// Chain-parallel compute reuse across a window of frames (and, via
-  /// bnn::mc_predict_cim_jobs, across sessions): every refresh chain of
-  /// every frame advances step-synchronously. At chain position k one
-  /// pooled dispatch carries every chain's step-k work — the dense
-  /// (re)initialization at k = 0, then one differential delta batch
-  /// (MacroLike::matvec_delta_batch) netting each chain's added rows
-  /// against its removed rows, then the dense tail layers — while each
-  /// chain's within-chain accumulation stays a serial index-order sum on
-  /// its own noise stream.
+  /// bnn::mc_predict_cim_jobs, across sessions). Each refresh chain runs
+  /// one chain-step kernel: a dense start (the hidden-site layer-0 read,
+  /// then the locus accumulator), then per position a digital flip diff,
+  /// one differential delta read (MacroLike::matvec_delta) netting the
+  /// added rows against the removed rows, and the locus epilogue plus the
+  /// dense tail layers. Below 16 chains each chain runs the kernel as one
+  /// work item; from 16 on chains advance step-synchronously, so at chain
+  /// position k one pooled MacroLike::matvec_delta_batch carries every
+  /// chain's step-k delta and one dispatch runs every chain's tail.
   ///
   /// Determinism: a chain's rng is touched by at most one work item per
-  /// barrier-separated phase, in exactly the order forward_with_reuse
-  /// consumes it (delta phases skip chains with no flipped rows, which
-  /// therefore draw nothing — same as the serial path), so every output
-  /// is bit-identical to the serial chain loop at any pool size, window
-  /// size and frame mix.
+  /// barrier-separated phase, always in the order layer 0 -> locus ->
+  /// tail (chains with no flipped rows issue no delta read and draw
+  /// nothing), so every output is bit-identical under both schedules at
+  /// any pool size, window size and frame mix.
+  ///
+  /// Throws std::invalid_argument on malformed mask sets, like
+  /// forward_window.
   void forward_reuse_window(const std::vector<ReuseFrame>& frames,
                             core::ThreadPool* pool,
                             ReuseScratch& scratch) const;
@@ -235,21 +191,16 @@ class CimMlp {
   bool dropout_on_input() const { return dropout_on_input_; }
 
  private:
-  /// Full masked forward on a pre-encoded layer-0 input (the engine path
-  /// behind forward and forward_batch). Writes into `out`, reusing its
-  /// capacity — the MC hot loop must not allocate in steady state.
-  void forward_encoded(const cimsram::EncodedInput& enc0,
-                       const std::vector<Mask>& masks, core::Rng& rng,
-                       Vector& out) const;
-
   /// Encodes the (dropout-scaled) layer-0 input for `x` into `enc`.
   void encode_layer0(const Vector& x, cimsram::EncodedInput& enc) const;
 
-  /// Digital epilogue of one layer, shared by forward_encoded and
-  /// forward_window: bias on live columns (masked columns forced to 0),
-  /// then ReLU + inverted-dropout scale when `hidden`. The bit-identity
-  /// contract between the per-frame and window paths rests on both
-  /// running exactly this code.
+  /// Throws unless `set` holds one mask per dropout site, each as wide
+  /// as its site (the input rows, then each hidden layer's outputs).
+  void check_mask_set(const std::vector<Mask>& set) const;
+
+  /// Digital epilogue of one layer, shared by forward_window and
+  /// forward_reuse_window: bias on live columns (masked columns forced to
+  /// 0), then ReLU + inverted-dropout scale when `hidden`.
   void finish_layer(Vector& z, const Vector& bias, const Mask& col_mask,
                     bool hidden) const;
 

@@ -39,7 +39,7 @@ struct VoPipelineConfig {
   /// Dropout sites: hidden layers only. Raw features are 0.5-centered, so
   /// zeroing them injects large off-manifold noise; hidden ReLU
   /// activations are the natural dropout locus (and the exact
-  /// compute-reuse locus — see CimMlp::forward_with_reuse).
+  /// compute-reuse locus — see CimMlp::forward_reuse_window).
   bool dropout_on_input = false;
   /// Training pairs are sampled densely over the pose-delta envelope
   /// (uniform pose, random small delta) so the regressor generalizes to

@@ -3,6 +3,7 @@
 // mc_predict_cim_window) bit for bit against the per-frame path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -31,6 +32,31 @@ TEST(Hamming, DistanceBasics) {
   EXPECT_THROW(hamming_distance({1}, {1, 0}), std::invalid_argument);
 }
 
+/// Each mask as a one-site set (the tour keys on site 0).
+std::vector<std::vector<Mask>> as_sets(const std::vector<Mask>& masks) {
+  std::vector<std::vector<Mask>> sets;
+  for (const Mask& m : masks) sets.push_back({m});
+  return sets;
+}
+
+/// The greedy tour over every position of `sets`.
+std::vector<std::size_t> greedy_tour(
+    const std::vector<std::vector<Mask>>& sets) {
+  std::vector<std::size_t> order(sets.size());
+  std::vector<std::uint8_t> used;
+  greedy_order_chain(sets, 0, sets.size(), order, used);
+  return order;
+}
+
+/// Sum of consecutive site-0 Hamming distances along `order`.
+std::uint64_t tour_length(const std::vector<std::vector<Mask>>& sets,
+                          const std::vector<std::size_t>& order) {
+  std::uint64_t total = 0;
+  for (std::size_t i = 1; i < order.size(); ++i)
+    total += hamming_distance(sets[order[i - 1]][0], sets[order[i]][0]);
+  return total;
+}
+
 TEST(Ordering, GreedyNeverWorseThanIdentity) {
   Rng rng(3);
   for (int trial = 0; trial < 20; ++trial) {
@@ -40,10 +66,11 @@ TEST(Ordering, GreedyNeverWorseThanIdentity) {
       for (auto& b : m) b = rng.bernoulli(0.5) ? 1 : 0;
       masks.push_back(std::move(m));
     }
-    std::vector<std::size_t> identity(masks.size());
+    const auto sets = as_sets(masks);
+    std::vector<std::size_t> identity(sets.size());
     for (std::size_t i = 0; i < identity.size(); ++i) identity[i] = i;
-    const auto order = greedy_min_hamming_order(masks);
-    EXPECT_LE(total_hamming(masks, order), total_hamming(masks, identity));
+    EXPECT_LE(tour_length(sets, greedy_tour(sets)),
+              tour_length(sets, identity));
   }
 }
 
@@ -55,7 +82,7 @@ TEST(Ordering, GreedyIsAPermutation) {
     for (auto& b : m) b = rng.bernoulli(0.5) ? 1 : 0;
     masks.push_back(std::move(m));
   }
-  const auto order = greedy_min_hamming_order(masks);
+  const auto order = greedy_tour(as_sets(masks));
   std::vector<bool> seen(order.size(), false);
   for (auto i : order) {
     ASSERT_LT(i, order.size());
@@ -80,7 +107,7 @@ TEST(Ordering, ClusteredMasksOrderWithinClusters) {
     m[static_cast<std::size_t>(8 + t)] = 0;
     masks.push_back(m);
   }
-  const auto order = greedy_min_hamming_order(masks);
+  const auto order = greedy_tour(as_sets(masks));
   int family_switches = 0;
   for (std::size_t i = 1; i < order.size(); ++i)
     if ((order[i] < 4) != (order[i - 1] < 4)) ++family_switches;
@@ -385,7 +412,44 @@ void expect_same_prediction(const McPrediction& a, const McPrediction& b) {
   }
 }
 
-TEST(ForwardWindow, BitIdenticalToPerFrameForwardBatch) {
+/// Serial reference for one (frame, iteration) item of forward_window:
+/// the masked forward written against the public macro surface, with the
+/// float network's biases and the CIM net's inverted-dropout scale.
+Vector serial_item_forward(const nn::Mlp& net, const nn::CimMlp& cim,
+                           const Vector& x, const std::vector<Mask>& set,
+                           Rng& rng) {
+  const double keep = cim.dropout_keep_scale();
+  const Mask none;
+  std::size_t site = 0;
+  const Mask* rows = cim.dropout_on_input() ? &set[site++] : &none;
+  Vector a = x;
+  if (cim.dropout_on_input())
+    for (double& v : a) v *= keep;
+  std::vector<std::uint64_t> gate;
+  cimsram::EncodedInput enc;
+  Vector z;
+  for (int l = 0; l < cim.layer_count(); ++l) {
+    const bool hidden = l + 1 < cim.layer_count();
+    const Mask& cols = hidden ? set[site] : none;
+    const cimsram::MacroLike& macro = cim.macro(l);
+    macro.encode_input(a, enc);
+    cimsram::pack_row_mask(*rows, macro.n_in(), gate);
+    macro.matvec_encoded(enc, gate, cols, rng, z);
+    const Vector& bias = net.biases(l);
+    for (std::size_t i = 0; i < z.size(); ++i)
+      z[i] = (!cols.empty() && !cols[i]) ? 0.0 : z[i] + bias[i];
+    if (hidden) {
+      for (std::size_t i = 0; i < z.size(); ++i)
+        z[i] = cols[i] ? std::max(0.0, z[i]) * keep : 0.0;
+      rows = &cols;
+      ++site;
+    }
+    a = z;
+  }
+  return a;
+}
+
+TEST(ForwardWindow, BitIdenticalToSerialPerItemForward) {
   for (bool on_input : {false, true}) {
     const auto net = make_window_net(on_input);
     const auto cim = make_window_cim(*net);
@@ -431,14 +495,18 @@ TEST(ForwardWindow, BitIdenticalToPerFrameForwardBatch) {
     ASSERT_EQ(window_outs.size(), static_cast<std::size_t>(kFrames));
     for (int f = 0; f < kFrames; ++f) {
       const auto fi = static_cast<std::size_t>(f);
-      const auto ref = cim->forward_batch(
-          inputs[fi], sets[fi], 1000u + static_cast<std::uint64_t>(f),
-          nullptr);
-      ASSERT_EQ(window_outs[fi].size(), ref.size());
-      for (std::size_t t = 0; t < ref.size(); ++t)
-        for (std::size_t j = 0; j < ref[t].size(); ++j)
-          EXPECT_EQ(window_outs[fi][t][j], ref[t][j])
+      ASSERT_EQ(window_outs[fi].size(), sets[fi].size());
+      for (std::size_t t = 0; t < sets[fi].size(); ++t) {
+        Rng item_rng =
+            Rng::stream(1000u + static_cast<std::uint64_t>(f), t);
+        const Vector ref =
+            serial_item_forward(*net, *cim, inputs[fi], sets[fi][t],
+                                item_rng);
+        ASSERT_EQ(window_outs[fi][t].size(), ref.size());
+        for (std::size_t j = 0; j < ref.size(); ++j)
+          EXPECT_EQ(window_outs[fi][t][j], ref[j])
               << "on_input=" << on_input << " f=" << f << " t=" << t;
+      }
     }
   }
 }

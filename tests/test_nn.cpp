@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <stdexcept>
+#include <vector>
 
 #include "core/rng.hpp"
 #include "core/stats.hpp"
@@ -223,6 +227,44 @@ TEST_F(TrainedFixture, CimIdealTracksFloat) {
   }
 }
 
+/// Dense MC engine on one frame: output t of forward_window for mask set t.
+std::vector<Vector> window_frame(const CimMlp& cim, const Vector& x,
+                                 const std::vector<std::vector<Mask>>& sets,
+                                 std::uint64_t noise_root) {
+  CimMlp::FrameBatch frame;
+  frame.x = &x;
+  frame.mask_sets = &sets;
+  frame.noise_root = noise_root;
+  CimMlp::WindowScratch scratch;
+  std::vector<std::vector<Vector>> outs;
+  cim.forward_window({frame}, nullptr, scratch, outs);
+  return outs[0];
+}
+
+/// Reuse engine on one frame, the sets visited in order as one chain
+/// (chain_len = 0: a dense start, then a delta read per set).
+std::vector<Vector> reuse_frame(const CimMlp& cim, const Vector& x,
+                                const std::vector<std::vector<Mask>>& sets,
+                                std::uint64_t noise_root) {
+  std::vector<Vector> outs;
+  CimMlp::ReuseFrame frame;
+  frame.x = &x;
+  frame.mask_sets = &sets;
+  frame.noise_root = noise_root;
+  frame.outs = &outs;
+  CimMlp::ReuseScratch scratch;
+  cim.forward_reuse_window({frame}, nullptr, scratch);
+  return outs;
+}
+
+std::vector<std::vector<Mask>> draw_sets(const Mlp& net, int count, double p,
+                                         Rng& rng) {
+  std::vector<std::vector<Mask>> sets;
+  for (int t = 0; t < count; ++t)
+    sets.push_back(net.sample_masks([&] { return rng.bernoulli(p); }));
+  return sets;
+}
+
 TEST_F(TrainedFixture, CimMaskedMatchesReferenceMasked) {
   cimsram::CimMacroConfig mc;
   mc.input_bits = 8;
@@ -231,18 +273,21 @@ TEST_F(TrainedFixture, CimMaskedMatchesReferenceMasked) {
   mc.analog_noise = false;
   Rng crng(37);
   const CimMlp cim(net_, mc, inputs_, crng);
-  Rng mrng(41), arng(43);
-  const auto masks = net_.sample_masks([&] { return mrng.bernoulli(0.2); });
-  const Vector ref = net_.forward_masked(inputs_[0], masks);
-  const Vector y = cim.forward(inputs_[0], masks, arng);
-  for (std::size_t k = 0; k < y.size(); ++k)
-    EXPECT_NEAR(y[k], ref[k], 0.12);
+  Rng mrng(41);
+  const auto sets = draw_sets(net_, 1, 0.2, mrng);
+  const Vector ref = net_.forward_masked(inputs_[0], sets[0]);
+  for (const Vector& y : {window_frame(cim, inputs_[0], sets, 43)[0],
+                          reuse_frame(cim, inputs_[0], sets, 43)[0]}) {
+    ASSERT_EQ(y.size(), ref.size());
+    for (std::size_t k = 0; k < y.size(); ++k)
+      EXPECT_NEAR(y[k], ref[k], 0.12);
+  }
 }
 
 TEST_F(TrainedFixture, ReuseEquivalentToDenseForwardNoiseFree) {
   // The core compute-reuse correctness property: with analog noise off
   // and a lossless ADC, the delta path must reproduce the dense masked
-  // forward bit-for-bit across a sequence of masks.
+  // forward across a sequence of masks.
   cimsram::CimMacroConfig mc;
   mc.input_bits = 8;
   mc.weight_bits = 8;
@@ -250,16 +295,15 @@ TEST_F(TrainedFixture, ReuseEquivalentToDenseForwardNoiseFree) {
   mc.analog_noise = false;
   Rng crng(47);
   const CimMlp cim(net_, mc, inputs_, crng);
-  Rng mrng(53), arng(59);
-  CimMlp::ReuseState state;
-  for (int t = 0; t < 12; ++t) {
-    const auto masks =
-        net_.sample_masks([&] { return mrng.bernoulli(0.3); });
-    const Vector dense = cim.forward(inputs_[0], masks, arng);
-    const Vector reused = cim.forward_with_reuse(inputs_[0], masks, state, arng);
-    ASSERT_EQ(dense.size(), reused.size());
-    for (std::size_t k = 0; k < dense.size(); ++k)
-      EXPECT_NEAR(reused[k], dense[k], 1e-6) << "iteration " << t;
+  Rng mrng(53);
+  const auto sets = draw_sets(net_, 12, 0.3, mrng);
+  const auto dense = window_frame(cim, inputs_[0], sets, 59);
+  const auto reused = reuse_frame(cim, inputs_[0], sets, 59);
+  ASSERT_EQ(dense.size(), reused.size());
+  for (std::size_t t = 0; t < dense.size(); ++t) {
+    ASSERT_EQ(dense[t].size(), reused[t].size());
+    for (std::size_t k = 0; k < dense[t].size(); ++k)
+      EXPECT_NEAR(reused[t][k], dense[t][k], 1e-6) << "iteration " << t;
   }
 }
 
@@ -269,20 +313,13 @@ TEST_F(TrainedFixture, ReuseSavesWordlinePulses) {
   mc.weight_bits = 6;
   Rng crng(61);
   const CimMlp cim(net_, mc, inputs_, crng);
-  Rng mrng(67), arng(71);
-  // Dense baseline.
+  Rng mrng(67);
+  const auto sets = draw_sets(net_, 20, 0.5, mrng);
   cim.reset_stats();
-  std::vector<std::vector<Mask>> mask_sets;
-  for (int t = 0; t < 20; ++t)
-    mask_sets.push_back(
-        net_.sample_masks([&] { return mrng.bernoulli(0.5); }));
-  for (const auto& m : mask_sets) cim.forward(inputs_[0], m, arng);
+  window_frame(cim, inputs_[0], sets, 71);
   const auto dense_pulses = cim.total_stats().wordline_pulses;
-  // Reuse path on the same masks.
   cim.reset_stats();
-  CimMlp::ReuseState state;
-  for (const auto& m : mask_sets)
-    cim.forward_with_reuse(inputs_[0], m, state, arng);
+  reuse_frame(cim, inputs_[0], sets, 71);
   const auto reuse_pulses = cim.total_stats().wordline_pulses;
   EXPECT_LT(reuse_pulses, dense_pulses);
 }
@@ -306,15 +343,13 @@ TEST(CimMlpInputDropout, ReuseEquivalenceWithInputSite) {
   mc.analog_noise = false;
   Rng crng(79);
   const CimMlp cim(net, mc, calib, crng);
-  Rng mrng(83), arng(89);
-  CimMlp::ReuseState state;
-  for (int t = 0; t < 10; ++t) {
-    const auto masks = net.sample_masks([&] { return mrng.bernoulli(0.4); });
-    const Vector dense = cim.forward(calib[0], masks, arng);
-    const Vector reused = cim.forward_with_reuse(calib[0], masks, state, arng);
-    for (std::size_t k = 0; k < dense.size(); ++k)
-      EXPECT_NEAR(reused[k], dense[k], 1e-6);
-  }
+  Rng mrng(83);
+  const auto sets = draw_sets(net, 10, 0.4, mrng);
+  const auto dense = window_frame(cim, calib[0], sets, 89);
+  const auto reused = reuse_frame(cim, calib[0], sets, 89);
+  for (std::size_t t = 0; t < dense.size(); ++t)
+    for (std::size_t k = 0; k < dense[t].size(); ++k)
+      EXPECT_NEAR(reused[t][k], dense[t][k], 1e-6);
 }
 
 TEST(CimMlpSharded, ShardedLayersMatchMonolithicNoiseFree) {
@@ -351,18 +386,18 @@ TEST(CimMlpSharded, ShardedLayersMatchMonolithicNoiseFree) {
   EXPECT_NE(dynamic_cast<const cimsram::CimMacro*>(&cim_mono.macro(0)),
             nullptr);
 
-  Rng mrng(131), a1(137), a2(137);
-  CimMlp::ReuseState reuse;
-  for (int t = 0; t < 6; ++t) {
-    const auto masks = net.sample_masks([&] { return mrng.bernoulli(0.4); });
-    const Vector ym = cim_mono.forward(calib[0], masks, a1);
-    const Vector ys = cim_shard.forward(calib[0], masks, a2);
-    ASSERT_EQ(ym.size(), ys.size());
-    for (std::size_t k = 0; k < ym.size(); ++k)
-      EXPECT_NEAR(ys[k], ym[k], 2e-2) << "iteration " << t;
-    const Vector yr = cim_shard.forward_with_reuse(calib[0], masks, reuse, a2);
-    for (std::size_t k = 0; k < ys.size(); ++k)
-      EXPECT_NEAR(yr[k], ys[k], 2e-2);
+  Rng mrng(131);
+  const auto sets = draw_sets(net, 6, 0.4, mrng);
+  const auto ym = window_frame(cim_mono, calib[0], sets, 137);
+  const auto ys = window_frame(cim_shard, calib[0], sets, 137);
+  const auto yr = reuse_frame(cim_shard, calib[0], sets, 137);
+  ASSERT_EQ(ym.size(), ys.size());
+  for (std::size_t t = 0; t < ym.size(); ++t) {
+    ASSERT_EQ(ym[t].size(), ys[t].size());
+    for (std::size_t k = 0; k < ym[t].size(); ++k) {
+      EXPECT_NEAR(ys[t][k], ym[t][k], 2e-2) << "iteration " << t;
+      EXPECT_NEAR(yr[t][k], ys[t][k], 2e-2) << "iteration " << t;
+    }
   }
 }
 
@@ -385,17 +420,43 @@ TEST(CimMlpNoise, AnalogNoiseAccumulatesAcrossReuse) {
   mc.noise_coeff = 0.2;
   Rng crng(101);
   const CimMlp cim(net, mc, calib, crng);
-  Rng mrng(103), arng(107), arng2(107);
-  CimMlp::ReuseState state;
+  Rng mrng(103);
+  const auto sets = draw_sets(net, 30, 0.5, mrng);
+  const auto reused = reuse_frame(cim, calib[0], sets, 107);
+  const auto dense = window_frame(cim, calib[0], sets, 107);
   double drift = 0.0;
-  for (int t = 0; t < 30; ++t) {
-    const auto masks = net.sample_masks([&] { return mrng.bernoulli(0.5); });
-    const Vector reused = cim.forward_with_reuse(calib[0], masks, state, arng);
-    const Vector dense = cim.forward(calib[0], masks, arng2);
-    for (std::size_t k = 0; k < dense.size(); ++k)
-      drift += std::abs(reused[k] - dense[k]);
-  }
+  for (std::size_t t = 0; t < dense.size(); ++t)
+    for (std::size_t k = 0; k < dense[t].size(); ++k)
+      drift += std::abs(reused[t][k] - dense[t][k]);
   EXPECT_GT(drift, 0.0);
+}
+
+TEST(CimMlpMasks, RejectsMaskNarrowerThanItsSite) {
+  // Both MC engines validate every mask's width up front: a hidden mask
+  // one neuron short, or empty, must throw before any layer reads past
+  // its end.
+  Rng rng(139);
+  for (const bool on_input : {false, true}) {
+    const Mlp net(small_config(0.5, on_input), rng);
+    std::vector<Vector> calib{{0.1, 0.2, 0.3, 0.4}, {0.4, 0.3, 0.2, 0.1}};
+    const CimMlp cim(net, cimsram::CimMacroConfig{}, calib, rng);
+    const auto sets = draw_sets(net, 3, 0.5, rng);
+    // Site 1 is the column mask the reuse locus epilogue reads in both
+    // dropout modes (layer 0's outputs with input-site dropout, layer 1's
+    // with hidden-site dropout).
+    const Mask& site = sets[1][1];
+    for (const std::size_t width : {site.size() - 1, std::size_t{0}}) {
+      auto bad = sets;
+      // A fresh exact-size buffer, so a read past its end leaves the heap
+      // allocation (and AddressSanitizer reports it).
+      bad[1][1] = Mask(site.begin(),
+                       site.begin() + static_cast<std::ptrdiff_t>(width));
+      EXPECT_THROW(window_frame(cim, calib[0], bad, 1), std::invalid_argument)
+          << "on_input=" << on_input << " width=" << width;
+      EXPECT_THROW(reuse_frame(cim, calib[0], bad, 1), std::invalid_argument)
+          << "on_input=" << on_input << " width=" << width;
+    }
+  }
 }
 
 }  // namespace

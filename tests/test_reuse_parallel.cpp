@@ -4,13 +4,18 @@
 // pool sizes {1, 2, 8} x window sizes {1, 3, 16} x session counts
 // {1, 4, 8} — spanning both dispatch modes of the chain engine
 // (per-chain work items below the step-sync threshold, step-synchronous
-// pooled phases above it) — and the warmed pooled reuse path must run
-// without touching the heap (operator-new spy in this TU).
+// pooled phases above it) — over three net shapes that reach every
+// branch of the chain-step kernel: hidden-site {4,16,8,2} (locus layer 1,
+// one tail layer), input-site {4,16,8,2} (locus layer 0, two tail
+// layers) and hidden-site {4,16,2} (the locus is the output layer). The
+// warmed pooled reuse path must run without touching the heap
+// (operator-new spy in this TU).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "bnn/mask_source.hpp"
@@ -49,9 +54,15 @@ using core::Rng;
 using core::ThreadPool;
 using nn::Vector;
 
-class ReuseParallelFixture : public ::testing::Test {
+/// A network shape under test: layer widths and the dropout site.
+struct NetShape {
+  std::vector<int> layer_sizes;
+  bool dropout_on_input = false;
+};
+
+class ReuseParallelFixture : public ::testing::TestWithParam<NetShape> {
  protected:
-  ReuseParallelFixture() : rng_(7), net_(make_config(), rng_) {
+  ReuseParallelFixture() : rng_(7), net_(make_config(GetParam()), rng_) {
     std::vector<Vector> X, Y;
     for (int i = 0; i < 300; ++i) {
       Vector x{rng_.uniform(), rng_.uniform(), rng_.uniform(),
@@ -73,11 +84,11 @@ class ReuseParallelFixture : public ::testing::Test {
     cim_ = std::make_unique<nn::CimMlp>(net_, mc, calib, nrng);
   }
 
-  static nn::MlpConfig make_config() {
+  static nn::MlpConfig make_config(const NetShape& shape) {
     nn::MlpConfig cfg;
-    cfg.layer_sizes = {4, 16, 8, 2};
+    cfg.layer_sizes = shape.layer_sizes;
     cfg.dropout_p = 0.4;
-    cfg.dropout_on_input = false;  // hidden reuse locus (gates layer 1)
+    cfg.dropout_on_input = shape.dropout_on_input;
     return cfg;
   }
 
@@ -125,7 +136,7 @@ class ReuseParallelFixture : public ::testing::Test {
   std::unique_ptr<nn::CimMlp> cim_;
 };
 
-TEST_F(ReuseParallelFixture, WindowBitIdenticalAcrossPoolsAndWindows) {
+TEST_P(ReuseParallelFixture, WindowBitIdenticalAcrossPoolsAndWindows) {
   for (const int threads : {1, 2, 8}) {
     ThreadPool pool(threads);
     for (const std::size_t window : {std::size_t{1}, std::size_t{3},
@@ -149,7 +160,7 @@ TEST_F(ReuseParallelFixture, WindowBitIdenticalAcrossPoolsAndWindows) {
   }
 }
 
-TEST_F(ReuseParallelFixture, JobsBitIdenticalAcrossSessionCounts) {
+TEST_P(ReuseParallelFixture, JobsBitIdenticalAcrossSessionCounts) {
   for (const int threads : {1, 2, 8}) {
     ThreadPool pool(threads);
     for (const std::size_t window : {std::size_t{1}, std::size_t{3},
@@ -198,7 +209,7 @@ TEST_F(ReuseParallelFixture, JobsBitIdenticalAcrossSessionCounts) {
   }
 }
 
-TEST_F(ReuseParallelFixture, WorkloadAccountingMatchesSerialExactly) {
+TEST_P(ReuseParallelFixture, WorkloadAccountingMatchesSerialExactly) {
   // Per-frame MacroStats attribution on the pooled reuse path must sum
   // to the same counters as the serial loop — exact, not amortized.
   ThreadPool pool(4);
@@ -232,7 +243,7 @@ TEST_F(ReuseParallelFixture, WorkloadAccountingMatchesSerialExactly) {
   EXPECT_EQ(summed, pooled_wl.macro.wordline_pulses);
 }
 
-TEST_F(ReuseParallelFixture, PooledReusePathIsAllocationFreeOnceWarm) {
+TEST_P(ReuseParallelFixture, PooledReusePathIsAllocationFreeOnceWarm) {
   ThreadPool pool(4);
   constexpr std::size_t kSessions = 4;
   constexpr std::size_t kWindow = 3;
@@ -280,6 +291,18 @@ TEST_F(ReuseParallelFixture, PooledReusePathIsAllocationFreeOnceWarm) {
   }
   EXPECT_EQ(allocs, 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ReuseParallelFixture,
+    ::testing::Values(NetShape{{4, 16, 8, 2}, false},
+                      NetShape{{4, 16, 8, 2}, true},
+                      NetShape{{4, 16, 2}, false}),
+    [](const ::testing::TestParamInfo<NetShape>& info) {
+      std::string name = info.param.dropout_on_input ? "input" : "hidden";
+      for (const int width : info.param.layer_sizes)
+        name += "_" + std::to_string(width);
+      return name;
+    });
 
 }  // namespace
 }  // namespace cimnav::bnn

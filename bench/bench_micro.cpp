@@ -370,6 +370,28 @@ int main() {
                 });
       if (sink == 42.0) std::printf("%f", sink);  // defeat DCE
     }
+    // One scan's worth of reads per call through the batched kernel, as
+    // the particle filter issues them; reported per read to sit next to
+    // the single-point rows.
+    constexpr std::size_t kScanPoints = 80;
+    const circuit::CimLikelihoodArray arr(cfg, bench_components(40), rng);
+    std::vector<core::Vec3> scan(kScanPoints);
+    std::vector<double> readings(kScanPoints);
+    double v = 0.25;
+    double sink = 0.0;
+    const bench::Result r = suite.run(
+        "cim_array_readout_scan/cols=" + std::to_string(cfg.total_columns), 1,
+        static_cast<double>(kScanPoints), "reads", [&] {
+          for (auto& p : scan) {
+            v = v < 0.75 ? v + 0.001 : 0.25;
+            p = {v, 0.5, 0.5};
+          }
+          arr.read_log_likelihoods(scan, nrng, readings);
+          sink += readings.front();
+        });
+    std::printf("%-44s %12.1f ns/read\n", "  (per read)",
+                r.ns_per_op / static_cast<double>(kScanPoints));
+    if (sink == 42.0) std::printf("%f", sink);
   }
 
   {  // GMM log-pdf.

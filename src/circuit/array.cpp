@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "core/error.hpp"
@@ -95,8 +96,10 @@ CimLikelihoodArray::CimLikelihoodArray(
 
   const SupplyParams supply{config.vdd_v};
   const InverterProgrammer programmer(config.nmos, config.pmos, supply);
-  columns_.reserve(static_cast<std::size_t>(config.total_columns));
+  const std::size_t cols = static_cast<std::size_t>(config.total_columns);
+  for (auto& table : inv_) table.resize(dac_.levels() * cols);
 
+  std::size_t col = 0;
   for (std::size_t k = 0; k < components.size(); ++k) {
     const auto& comp = components[k];
     // Solve programming once per component on ideal devices...
@@ -108,7 +111,7 @@ CimLikelihoodArray::CimLikelihoodArray(
       prog[static_cast<std::size_t>(axis)] = programmer.solve(mu, sg);
     }
     // ...then instantiate each replicated column with its own mismatch.
-    for (int rep = 0; rep < columns_per_component_[k]; ++rep) {
+    for (int rep = 0; rep < columns_per_component_[k]; ++rep, ++col) {
       SixTransistorInverter inv(config.nmos, config.pmos, supply);
       for (int axis = 0; axis < 3; ++axis) {
         auto& branch = inv.branch(axis);
@@ -126,48 +129,85 @@ CimLikelihoodArray::CimLikelihoodArray(
           branch.set_size_factor(config.peak_current_a * 3.0 / peak);
         // (factor 3: three series branches harmonically combine to ~1/3.)
       }
-      // Tabulate the column response over all DAC codes.
-      Column col;
+      // Tabulate the column's reciprocal branch currents over all DAC
+      // codes. A non-conducting branch (current 0) is +inf: it makes the
+      // column's harmonic sum +inf and its current 1/inf = +0.
       for (int axis = 0; axis < 3; ++axis) {
-        auto& lut = col.lut[static_cast<std::size_t>(axis)];
-        lut.resize(dac_.levels());
-        for (std::uint32_t code = 0; code < dac_.levels(); ++code)
-          lut[code] = inv.branch(axis).current(dac_.decode(code));
+        auto& table = inv_[static_cast<std::size_t>(axis)];
+        for (std::uint32_t code = 0; code < dac_.levels(); ++code) {
+          const double i = inv.branch(axis).current(dac_.decode(code));
+          table[code * cols + col] =
+              i <= 0.0 ? std::numeric_limits<double>::infinity() : 1.0 / i;
+        }
       }
-      columns_.push_back(std::move(col));
     }
   }
 }
 
-double CimLikelihoodArray::column_current(
-    const Column& c, const std::array<std::uint32_t, 3>& codes) const {
-  double inv_sum = 0.0;
-  for (int axis = 0; axis < 3; ++axis) {
-    const double i = c.lut[static_cast<std::size_t>(axis)][codes[static_cast<std::size_t>(axis)]];
-    if (i <= 0.0) return 0.0;
-    inv_sum += 1.0 / i;
+namespace {
+
+// Reads evaluated together by the batched kernel. Each read keeps its own
+// serial column-order sum; interleaving them only overlaps independent
+// divide/add chains, so the count changes speed, never results.
+constexpr std::size_t kInterleavedReads = 8;
+
+// Ideal currents of L reads over reciprocal tables of `cols` columns. Per
+// column, (1/Ix + 1/Iy) + 1/Iz is the harmonic sum in the axis order of
+// the per-column formula, and the column terms are summed in column order:
+// bit-identical to summing each column's 1 / (1/Ix + 1/Iy + 1/Iz).
+template <std::size_t L>
+void read_interleaved(const std::array<std::vector<double>, 3>& inv,
+                      const Dac& dac, std::size_t cols,
+                      const core::Vec3* points_v, double* out) {
+  std::array<const double*, L> ix{}, iy{}, iz{};
+  for (std::size_t k = 0; k < L; ++k) {
+    ix[k] = inv[0].data() + dac.encode(points_v[k].x) * cols;
+    iy[k] = inv[1].data() + dac.encode(points_v[k].y) * cols;
+    iz[k] = inv[2].data() + dac.encode(points_v[k].z) * cols;
   }
-  return 1.0 / inv_sum;
+  std::array<double, L> total{};
+  for (std::size_t c = 0; c < cols; ++c)
+    for (std::size_t k = 0; k < L; ++k)
+      total[k] += 1.0 / (ix[k][c] + iy[k][c] + iz[k][c]);
+  for (std::size_t k = 0; k < L; ++k) out[k] = total[k];
+}
+
+}  // namespace
+
+void CimLikelihoodArray::ideal_currents(std::span<const core::Vec3> points_v,
+                                        std::span<double> out) const {
+  CIMNAV_REQUIRE(out.size() == points_v.size(),
+                 "ideal_currents: output size must match the point count");
+  const std::size_t n = points_v.size();
+  const std::size_t cols = static_cast<std::size_t>(config_.total_columns);
+  std::size_t i = 0;
+  for (; i + kInterleavedReads <= n; i += kInterleavedReads)
+    read_interleaved<kInterleavedReads>(inv_, dac_, cols, &points_v[i],
+                                        &out[i]);
+  for (; i < n; ++i)
+    read_interleaved<1>(inv_, dac_, cols, &points_v[i], &out[i]);
+  evaluations_.fetch_add(n, std::memory_order_relaxed);
+}
+
+void CimLikelihoodArray::read_log_likelihoods(
+    std::span<const core::Vec3> points_v, core::Rng& rng,
+    std::span<double> out) const {
+  ideal_currents(points_v, out);
+  for (double& reading : out)
+    reading = adc_.read_log(noisy_current(reading, config_.noise, rng));
 }
 
 double CimLikelihoodArray::ideal_current(const core::Vec3& point_v) const {
-  evaluations_.fetch_add(1, std::memory_order_relaxed);
-  const std::array<std::uint32_t, 3> codes{dac_.encode(point_v.x),
-                                           dac_.encode(point_v.y),
-                                           dac_.encode(point_v.z)};
-  double total = 0.0;
-  for (const auto& col : columns_) total += column_current(col, codes);
-  return total;
-}
-
-double CimLikelihoodArray::read_current(const core::Vec3& point_v,
-                                        core::Rng& rng) const {
-  return noisy_current(ideal_current(point_v), config_.noise, rng);
+  double out = 0.0;
+  ideal_currents({&point_v, 1}, {&out, 1});
+  return out;
 }
 
 double CimLikelihoodArray::read_log_likelihood(const core::Vec3& point_v,
                                                core::Rng& rng) const {
-  return adc_.read_log(read_current(point_v, rng));
+  double out = 0.0;
+  read_log_likelihoods({&point_v, 1}, rng, {&out, 1});
+  return out;
 }
 
 }  // namespace cimnav::circuit

@@ -14,15 +14,21 @@
 // program-and-verify), shot/thermal read noise, and log-ADC quantization.
 //
 // Performance note: because inputs pass through a DAC, each branch sees at
-// most 2^dac_bits distinct voltages, so per-column responses are
-// precomputed into lookup tables at programming time. The LUT is built from
-// the *mismatched* devices, i.e. it is a faithful tabulation of the analog
-// behavior, not an idealization.
+// most 2^dac_bits distinct voltages, so branch responses are tabulated at
+// programming time from the *mismatched* devices (a faithful tabulation of
+// the analog behavior, not an idealization). The tables hold reciprocals in
+// structure-of-arrays form, inv[axis][code * columns + col] = 1 / I_branch,
+// with +inf for a non-conducting branch, so one read walks three contiguous
+// rows and does one divide per column. The batched kernel interleaves a
+// fixed group of independent reads, each still summed serially in column
+// order, which keeps every reading bit-identical to the per-column formula
+// (see docs/architecture.md, "The likelihood read").
 #pragma once
 
 #include <atomic>
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "circuit/converters.hpp"
@@ -74,19 +80,29 @@ class CimLikelihoodArray {
                      const std::vector<VoltageComponent>& components,
                      core::Rng& rng);
 
-  /// Ideal (noise-free) summed current for an input point [A]. Inputs are
-  /// DAC-quantized exactly as the hardware would.
+  /// Ideal (noise-free) summed currents for a batch of input points [A]:
+  /// out[i] for points_v[i]. Inputs are DAC-quantized exactly as the
+  /// hardware would. Advances evaluation_count() by points_v.size().
+  /// Thread-safe: concurrent batches may read one array.
+  void ideal_currents(std::span<const core::Vec3> points_v,
+                      std::span<double> out) const;
+
+  /// Full pipeline for a batch: DAC -> array -> noise -> log ADC. out[i]
+  /// is the digital log-current reading (natural log of amps) for
+  /// points_v[i], a pose-independent affine transform of the mixture
+  /// log-likelihood. Read noise is drawn from `rng` in index order, so a
+  /// batch consumes the stream exactly as one read_log_likelihood call
+  /// per point would.
+  void read_log_likelihoods(std::span<const core::Vec3> points_v,
+                            core::Rng& rng, std::span<double> out) const;
+
+  /// One-point ideal_currents.
   double ideal_current(const core::Vec3& point_v) const;
 
-  /// One noisy analog read of the summed current [A].
-  double read_current(const core::Vec3& point_v, core::Rng& rng) const;
-
-  /// Full pipeline: DAC -> array -> noise -> log ADC. Returns the digital
-  /// log-current reading (natural log of amps), a pose-independent affine
-  /// transform of the mixture log-likelihood.
+  /// One-point read_log_likelihoods.
   double read_log_likelihood(const core::Vec3& point_v, core::Rng& rng) const;
 
-  int column_count() const { return static_cast<int>(columns_.size()); }
+  int column_count() const { return config_.total_columns; }
   const std::vector<int>& columns_per_component() const {
     return columns_per_component_;
   }
@@ -100,21 +116,16 @@ class CimLikelihoodArray {
   }
 
  private:
-  struct Column {
-    // Per-axis current LUT indexed by DAC code; tabulated from the
-    // mismatched, program-verified devices.
-    std::array<std::vector<double>, 3> lut;
-  };
-
-  double column_current(const Column& c,
-                        const std::array<std::uint32_t, 3>& codes) const;
-
   LikelihoodArrayConfig config_;
   Dac dac_;
   LogAdc adc_;
-  std::vector<Column> columns_;
+  // Reciprocal branch currents per axis,
+  // inv_[axis][code * column_count() + col]; +inf where the branch does not
+  // conduct.
+  std::array<std::vector<double>, 3> inv_;
   std::vector<int> columns_per_component_;
-  // Atomic: likelihood reads run concurrently from particle-block workers.
+  // Atomic: particle-block workers read one array concurrently. Advanced
+  // once per batch, by the batch size.
   mutable std::atomic<std::uint64_t> evaluations_{0};
 };
 

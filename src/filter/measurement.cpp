@@ -1,5 +1,8 @@
 #include "filter/measurement.hpp"
 
+#include <algorithm>
+#include <array>
+
 #include "core/error.hpp"
 #include "core/stats.hpp"
 #include "energy/likelihood_energy.hpp"
@@ -91,12 +94,23 @@ CimHmgmLikelihood::CimHmgmLikelihood(
 double CimHmgmLikelihood::log_likelihood(const core::Pose& pose,
                                          const vision::DepthScan& scan,
                                          core::Rng& rng) const {
+  // The scan goes to the array in fixed stack chunks, so the batched read
+  // interleaves several pixels without touching the heap. Readings are
+  // summed in pixel order, as one read per pixel would.
+  constexpr std::size_t kChunk = 16;
+  std::array<core::Vec3, kChunk> volts;
+  std::array<double, kChunk> readings{};
   double ll = 0.0;
   const core::Mat3 rot = core::Mat3::rotation_z(pose.yaw);
-  for (const auto& px : scan.pixels) {
-    const core::Vec3 p =
-        vision::pixel_to_world(scan, rot, pose.position, px);
-    ll += array_->read_log_likelihood(mapping_.point_to_voltage(p), rng);
+  const std::size_t n = scan.pixels.size();
+  for (std::size_t base = 0; base < n; base += kChunk) {
+    const std::size_t m = std::min(kChunk, n - base);
+    for (std::size_t j = 0; j < m; ++j)
+      volts[j] = mapping_.point_to_voltage(vision::pixel_to_world(
+          scan, rot, pose.position, scan.pixels[base + j]));
+    array_->read_log_likelihoods({volts.data(), m}, rng,
+                                 {readings.data(), m});
+    for (std::size_t j = 0; j < m; ++j) ll += readings[j];
   }
   return beta_ * gain_ * ll;
 }

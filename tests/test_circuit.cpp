@@ -2,7 +2,10 @@
 // programming, converters, noise, Gaussian fitting, likelihood array.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <vector>
 
 #include "circuit/array.hpp"
 #include "circuit/converters.hpp"
@@ -13,6 +16,7 @@
 #include "circuit/temperature.hpp"
 #include "core/rng.hpp"
 #include "core/stats.hpp"
+#include "core/thread_pool.hpp"
 
 namespace cimnav::circuit {
 namespace {
@@ -519,6 +523,192 @@ TEST_F(LikelihoodArrayTest, EvaluationCounterAdvances) {
   arr.ideal_current({0.5, 0.5, 0.5});
   arr.ideal_current({0.4, 0.5, 0.5});
   EXPECT_EQ(arr.evaluation_count(), before + 2);
+  // A batch of n counts n reads, whatever its interleave tail.
+  for (std::size_t n : {0u, 1u, 8u, 13u}) {
+    const std::vector<core::Vec3> pts(n, core::Vec3{0.5, 0.4, 0.6});
+    std::vector<double> out(n);
+    const auto at = arr.evaluation_count();
+    arr.ideal_currents(pts, out);
+    EXPECT_EQ(arr.evaluation_count(), at + n);
+  }
+  std::vector<double> wrong(2);
+  const std::vector<core::Vec3> three(3);
+  EXPECT_THROW(arr.ideal_currents(three, wrong), std::invalid_argument);
+}
+
+// Serial reference for the array's read: per-column, per-axis current LUTs
+// built from the public device models in the constructor's rng order, and
+// the harmonic composition 1 / (1/Ix + 1/Iy + 1/Iz) summed column by
+// column. Supports program_verify = false only (the trim is private).
+class ReferenceArray {
+ public:
+  ReferenceArray(const LikelihoodArrayConfig& cfg,
+                 const std::vector<VoltageComponent>& comps, core::Rng& rng)
+      : dac_(cfg.dac_bits, cfg.v_margin_v, cfg.vdd_v - cfg.v_margin_v) {
+    const SupplyParams supply{cfg.vdd_v};
+    const InverterProgrammer programmer(cfg.nmos, cfg.pmos, supply);
+    std::vector<double> weights;
+    for (const auto& c : comps) weights.push_back(c.weight);
+    const auto alloc = allocate_columns(weights, cfg.total_columns);
+    for (std::size_t k = 0; k < comps.size(); ++k) {
+      std::array<InverterProgrammer::Programming, 3> prog;
+      for (int axis = 0; axis < 3; ++axis)
+        prog[static_cast<std::size_t>(axis)] = programmer.solve(
+            core::clamp(comps[k].center_v[axis], cfg.v_margin_v,
+                        cfg.vdd_v - cfg.v_margin_v),
+            std::max(comps[k].sigma_v[axis], 1e-3));
+      for (int rep = 0; rep < alloc[k]; ++rep) {
+        SixTransistorInverter inv(cfg.nmos, cfg.pmos, supply);
+        std::array<std::vector<double>, 3> lut;
+        for (int axis = 0; axis < 3; ++axis) {
+          auto& branch = inv.branch(axis);
+          const auto& p = prog[static_cast<std::size_t>(axis)];
+          branch.apply_mismatch(cfg.mismatch_sigma_vt_v, rng);
+          branch.program(p.delta_vt_n_v, p.delta_vt_p_v);
+          const double peak = branch.peak_current();
+          if (peak > 0.0)
+            branch.set_size_factor(cfg.peak_current_a * 3.0 / peak);
+          for (std::uint32_t code = 0; code < dac_.levels(); ++code)
+            lut[static_cast<std::size_t>(axis)].push_back(
+                branch.current(dac_.decode(code)));
+        }
+        columns_.push_back(std::move(lut));
+      }
+    }
+  }
+
+  double ideal_current(const core::Vec3& p) const {
+    const std::array<std::uint32_t, 3> codes{dac_.encode(p.x),
+                                             dac_.encode(p.y),
+                                             dac_.encode(p.z)};
+    double total = 0.0;
+    for (const auto& col : columns_) total += column_current(col, codes);
+    return total;
+  }
+
+  /// Column reads that met a non-conducting branch so far.
+  int off_branch_hits() const { return off_hits_; }
+
+ private:
+  double column_current(const std::array<std::vector<double>, 3>& col,
+                        const std::array<std::uint32_t, 3>& codes) const {
+    double inv_sum = 0.0;
+    for (std::size_t axis = 0; axis < 3; ++axis) {
+      const double i = col[axis][codes[axis]];
+      if (i <= 0.0) {
+        ++off_hits_;
+        return 0.0;
+      }
+      inv_sum += 1.0 / i;
+    }
+    return 1.0 / inv_sum;
+  }
+
+  Dac dac_;
+  std::vector<std::array<std::vector<double>, 3>> columns_;
+  mutable int off_hits_ = 0;
+};
+
+TEST_F(LikelihoodArrayTest, BatchedReadMatchesSerialReferenceBitForBit) {
+  // Narrow bumps at the rails, on nA-scale columns, shut their branches
+  // off at the far codes (below the branch's conduction floor), so the
+  // all-minimum / all-maximum points read non-conducting entries.
+  const std::vector<VoltageComponent> comps{
+      {{0.95, 0.95, 0.95}, {0.03, 0.03, 0.03}, 0.4},
+      {{0.05, 0.05, 0.05}, {0.03, 0.03, 0.03}, 0.3},
+      {{0.5, 0.7, 0.4}, {0.05, 0.08, 0.06}, 0.3}};
+  int off_hits = 0;
+  for (int dac_bits : {4, 6, 8}) {
+    for (int cols : {1, 60, 500}) {
+      LikelihoodArrayConfig cfg;
+      cfg.dac_bits = dac_bits;
+      cfg.total_columns = cols;
+      cfg.program_verify = false;
+      cfg.peak_current_a = 1.0e-9;
+      const std::vector<VoltageComponent> used(
+          comps.begin(),
+          comps.begin() + std::min<std::ptrdiff_t>(cols, 3));
+      core::Rng rng_a(41), rng_b(41);
+      const CimLikelihoodArray arr(cfg, used, rng_a);
+      const ReferenceArray ref(cfg, used, rng_b);
+      core::Rng prng(43);
+      for (std::size_t n : {1u, 7u, 8u, 9u, 80u}) {
+        std::vector<core::Vec3> pts(n);
+        for (auto& p : pts)
+          p = {prng.uniform(0.0, 1.0), prng.uniform(0.0, 1.0),
+               prng.uniform(0.0, 1.0)};
+        pts.front() = {0.0, 0.0, 0.0};             // all-minimum codes
+        if (n > 1) pts.back() = {1.0, 1.0, 1.0};   // all-maximum codes
+        std::vector<double> out(n);
+        arr.ideal_currents(pts, out);
+        for (std::size_t i = 0; i < n; ++i)
+          EXPECT_EQ(out[i], ref.ideal_current(pts[i]))
+              << "dac_bits=" << dac_bits << " cols=" << cols << " n=" << n
+              << " i=" << i;
+      }
+      off_hits += ref.off_branch_hits();
+    }
+  }
+  ASSERT_GT(off_hits, 0) << "no non-conducting branch was read";
+}
+
+TEST_F(LikelihoodArrayTest, BatchedLogReadsMatchPointReadsAndRngStream) {
+  LikelihoodArrayConfig cfg;
+  cfg.total_columns = 60;
+  core::Rng rng(47);
+  const CimLikelihoodArray arr(cfg, three_components(), rng);
+  core::Rng prng(53);
+  std::vector<core::Vec3> pts(19);
+  for (auto& p : pts)
+    p = {prng.uniform(0.1, 0.9), prng.uniform(0.1, 0.9),
+         prng.uniform(0.1, 0.9)};
+  core::Rng batch_rng(59), point_rng(59);
+  std::vector<double> batch(pts.size());
+  arr.read_log_likelihoods(pts, batch_rng, batch);
+  for (std::size_t i = 0; i < pts.size(); ++i)
+    EXPECT_EQ(batch[i], arr.read_log_likelihood(pts[i], point_rng)) << i;
+  // Same stream position, including Box-Muller's cached spare.
+  for (int k = 0; k < 3; ++k) {
+    EXPECT_EQ(batch_rng.normal(), point_rng.normal());
+    EXPECT_EQ(batch_rng(), point_rng());
+  }
+}
+
+TEST_F(LikelihoodArrayTest, ConcurrentBatchedReadsMatchSerialPass) {
+  LikelihoodArrayConfig cfg;
+  cfg.total_columns = 60;
+  core::Rng rng(61);
+  const CimLikelihoodArray arr(cfg, three_components(), rng);
+  constexpr std::size_t kScans = 24;
+  std::vector<std::vector<core::Vec3>> scans(kScans);
+  core::Rng prng(67);
+  std::size_t total_points = 0;
+  for (std::size_t s = 0; s < kScans; ++s) {
+    scans[s].resize(5 + (7 * s) % 41);
+    for (auto& p : scans[s])
+      p = {prng.uniform(0.1, 0.9), prng.uniform(0.1, 0.9),
+           prng.uniform(0.1, 0.9)};
+    total_points += scans[s].size();
+  }
+  const auto read_scan = [&](std::size_t s, std::vector<double>& out) {
+    core::Rng scan_rng = core::Rng::stream(71, s);
+    out.resize(scans[s].size());
+    arr.read_log_likelihoods(scans[s], scan_rng, out);
+  };
+  std::vector<std::vector<double>> serial(kScans);
+  for (std::size_t s = 0; s < kScans; ++s) read_scan(s, serial[s]);
+
+  for (int threads : {2, 8}) {
+    core::ThreadPool pool(threads);
+    std::vector<std::vector<double>> parallel(kScans);
+    const auto before = arr.evaluation_count();
+    pool.parallel_for(kScans, 1, [&](std::size_t b, std::size_t e, int) {
+      for (std::size_t s = b; s < e; ++s) read_scan(s, parallel[s]);
+    });
+    EXPECT_EQ(arr.evaluation_count(), before + total_points);
+    for (std::size_t s = 0; s < kScans; ++s)
+      EXPECT_EQ(parallel[s], serial[s]) << "threads=" << threads << " s=" << s;
+  }
 }
 
 TEST_F(LikelihoodArrayTest, RejectsBadConfig) {

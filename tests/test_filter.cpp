@@ -239,6 +239,29 @@ TEST_F(ScenarioTest, CimBackendTracksTruth) {
   EXPECT_LT(run.final_error_m, 0.8);
 }
 
+TEST_F(ScenarioTest, CimLikelihoodCountsOneReadPerPixel) {
+  // Scans go to the array in fixed chunks; 19 pixels leave a tail both in
+  // the chunking and in the kernel's interleaved groups.
+  const LocalizationScenario sc(small_config());
+  const auto cim = sc.make_cim_backend();
+  const auto& base = sc.scans()[2];
+  ASSERT_FALSE(base.pixels.empty());
+  Rng rng(30);
+  const Pose pose = sc.trajectory().poses[3];
+  for (std::size_t n : {0u, 19u, 80u}) {
+    vision::DepthScan scan = base;
+    scan.pixels.clear();
+    for (std::size_t i = 0; i < n; ++i)
+      scan.pixels.push_back(base.pixels[i % base.pixels.size()]);
+    const auto before = cim->evaluation_count();
+    const double ll = cim->log_likelihood(pose, scan, rng);
+    EXPECT_EQ(cim->evaluation_count(), before + n) << n;
+    if (n == 0) {
+      EXPECT_EQ(ll, 0.0);
+    }
+  }
+}
+
 TEST_F(ScenarioTest, CimGainCalibrationRecoversScale) {
   const LocalizationScenario sc(small_config());
   circuit::LikelihoodArrayConfig acfg;

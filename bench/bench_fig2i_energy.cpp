@@ -97,8 +97,8 @@ int main() {
     for (std::size_t i = 0; i < out_mask.size(); i += 4) out_mask[i] = 0;
     core::Rng arng(43);
     for (int k = 0; k < 100; ++k) {
-      mono->matvec(x, in_mask, out_mask, arng);
-      grid->matvec(x, in_mask, out_mask, arng);
+      cimsram::matvec(*mono, x, in_mask, out_mask, &arng);
+      cimsram::matvec(*grid, x, in_mask, out_mask, &arng);
     }
     core::Table measured({"layout", "wordline pulses", "wl col-drives",
                           "adc conversions", "energy [nJ]"});

@@ -21,7 +21,7 @@
 #include "circuit/array.hpp"
 #include "cimsram/backend.hpp"
 #include "cimsram/cim_macro.hpp"
-#include "cimsram/conformance.hpp"
+#include "conformance/conformance.hpp"
 #include "cimsram/sharded_macro.hpp"
 #include "core/thread_pool.hpp"
 #include "filter/particle_filter.hpp"
@@ -420,7 +420,8 @@ int main() {
     if (sink == 42.0) std::printf("%f", sink);
   }
 
-  {  // CIM macro matvec: single call and batch-of-30, per backend.
+  {  // CIM macro matvec: one dense read per backend, plus the sharded
+     // delta fan-out's bit-identity gate.
     for (int n : {64, 128}) {
       core::Rng rng(11);
       std::vector<double> w(static_cast<std::size_t>(n) *
@@ -430,17 +431,13 @@ int main() {
       for (auto& v : x) v = rng.uniform();
       core::Rng arng(13);
       const double macs = static_cast<double>(n) * n;
-      const std::vector<std::vector<double>> xs(30, x);
       for (const std::string& be : cimsram::backend_names()) {
         cimsram::CimMacroConfig cfg;
         cfg.backend = be;
         const cimsram::CimMacro macro(w, n, n, cfg, 1.0 / 63.0);
         suite.run("cim_macro_matvec/n=" + std::to_string(n) + "/" + be, 1,
-                  macs, "macs", [&] { macro.matvec(x, {}, {}, arng); });
-        suite.run("cim_macro_matvec_batch30/n=" + std::to_string(n) + "/" +
-                      be,
-                  1, 30.0 * macs, "macs",
-                  [&] { macro.matvec_batch(xs, {}, {}, arng); });
+                  macs, "macs",
+                  [&] { cimsram::matvec(macro, x, {}, {}, &arng); });
       }
       if (n == 128) {
         // Same layer split across 64x64 physical arrays (2x2 shard grid)
@@ -450,34 +447,8 @@ int main() {
         cfg.max_cols = 64;
         const auto sharded =
             cimsram::make_macro(w, n, n, cfg, 1.0 / 63.0);
-        const auto sharded1 =
-            suite.run("cim_macro_matvec_batch30/n=128/sharded64x64", 1,
-                      30.0 * macs, "macs",
-                      [&] { sharded->matvec_batch(xs, {}, {}, arng); });
-        // The shard-affine pooled dispatch (one chunk = one shard's
-        // sample run, so a worker streams every sample through one
-        // weight slice before touching the next shard). The serial
-        // 2x2-shard penalty left over is per-shard ADC epilogue work
-        // pinned by bit-identity, so the *tracked* metric is the
-        // portable one: the affine schedule must stay invisible to
-        // results (noise streams keyed on the original sample-major
-        // item index). The within-run speedup is informational — CI
-        // hosts may have a single core.
         core::ThreadPool shard_pool(8);
-        const auto sharded8 =
-            suite.run("cim_macro_matvec_batch30/n=128/sharded64x64", 8,
-                      30.0 * macs, "macs", [&] {
-                        sharded->matvec_batch(xs, {}, {}, arng, &shard_pool);
-                      });
-        suite.add_summary("sharded_batch_speedup_8t",
-                          sharded1.ns_per_op / sharded8.ns_per_op);
-        core::Rng id_serial(99), id_pooled(99);
-        const auto ys_serial = sharded->matvec_batch(xs, {}, {}, id_serial);
-        const auto ys_pooled =
-            sharded->matvec_batch(xs, {}, {}, id_pooled, &shard_pool);
-        suite.add_summary("sharded_batch_affinity_bit_identity",
-                          ys_serial == ys_pooled ? 1.0 : 0.0);
-        // The shard-affine delta fan-out must be equally invisible:
+        // The shard-affine delta fan-out must stay invisible to results:
         // pooled DeltaItem dispatch keys each item's per-shard noise
         // streams off the item's own rng root in item order, so any
         // worker partitioning is bit-identical to the serial item loop.
@@ -798,7 +769,8 @@ int main() {
         suite.run(std::string("conformance_case/") +
                       conf::to_string(family) + "/" + be,
                   1, static_cast<double>(spec.geom.n_in) * spec.geom.n_out,
-                  "macs", [&] { macro->matvec_ideal(x, im, om); });
+                  "macs",
+                  [&] { cimsram::matvec(*macro, x, im, om, nullptr); });
       }
       for (const auto& c : conf::cases_for(be, conf::Tier::kQuick)) {
         ++total;

@@ -45,11 +45,9 @@ TRACKED = {
         # on the filter's arena/pool counters). Exact-match gated.
         "particle_filter_100k_speedup_criterion_met": "stable",
         "particle_filter_100k_zero_alloc_cycle": "stable",
-        # Shard-affine pooled dispatch must keep producing the same bits
-        # as the serial sample-major schedule (rng keys preserved).
-        "sharded_batch_affinity_bit_identity": "stable",
-        # Same invisibility gate for the pooled DeltaItem fan-out
-        # (compute-reuse dispatch shape) on the sharded grid.
+        # The shard-affine pooled DeltaItem fan-out (compute-reuse
+        # dispatch shape) must keep producing the serial item loop's bits
+        # on the sharded grid.
         "sharded_delta_affinity_bit_identity": "stable",
         # Conformance sweep embedded in bench_micro (quick tier): every
         # case must pass, and dropping a registered backend from the

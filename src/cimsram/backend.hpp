@@ -4,10 +4,11 @@
 // array: given the gated input bit planes of one call, it produces the
 // analog partial sums of a column range, applies the ADC model and the
 // shift-add reduction, and writes scaled outputs. Everything *around* the
-// kernel — quantization, bit-plane encoding, row gating, batching, stats —
-// is backend-independent and lives in CimMacro; the backend seam is exactly
-// the (plane & gate & weight-plane) coincidence evaluation the ROADMAP's
-// future SIMD/CUDA engines slot into.
+// kernel — quantization, bit-plane encoding, row gating, delta-item
+// dispatch, stats — is backend-independent and lives in CimMacro; reading
+// many samples is the caller's loop over CimMacro's single-read
+// primitives. The backend seam is exactly the (plane & gate &
+// weight-plane) coincidence evaluation future SIMD/CUDA engines slot into.
 //
 // Two backends ship in-tree:
 //

@@ -9,11 +9,6 @@
 namespace cimnav::cimsram {
 namespace {
 
-// Column-block granularity of the batched fan-out. Small enough to spread
-// a single wide layer over the pool, big enough that a block amortizes its
-// derived noise stream.
-constexpr int kColumnBlock = 32;
-
 MacroWorkspace& tls_workspace() {
   thread_local MacroWorkspace ws;
   return ws;
@@ -77,14 +72,28 @@ void pack_row_mask(const std::vector<std::uint8_t>& mask, int n_rows,
   }
 }
 
-void pack_rows(const std::vector<std::size_t>& rows, int n_rows,
-               std::vector<std::uint64_t>& gate) {
-  const std::size_t words = static_cast<std::size_t>((n_rows + 63) / 64);
-  gate.assign(words, 0);
-  for (std::size_t i : rows) {
-    CIMNAV_REQUIRE(i < static_cast<std::size_t>(n_rows), "row out of range");
-    gate[i / 64] |= (std::uint64_t{1} << (i % 64));
-  }
+std::vector<double> matvec(const MacroLike& macro,
+                           const std::vector<double>& x,
+                           const std::vector<std::uint8_t>& in_mask,
+                           const std::vector<std::uint8_t>& out_mask,
+                           core::Rng* rng) {
+  thread_local EncodedInput enc;
+  thread_local std::vector<std::uint64_t> gate;
+  macro.encode_input(x, enc);
+  pack_row_mask(in_mask, macro.n_in(), gate);
+  std::vector<double> y;
+  macro.matvec_encoded(enc, gate, out_mask, rng, y);
+  return y;
+}
+
+void validate_macro_config(const CimMacroConfig& config, double input_scale) {
+  CIMNAV_REQUIRE(config.input_bits >= 1 && config.input_bits <= 12,
+                 "input bits must be in [1, 12]");
+  CIMNAV_REQUIRE(config.weight_bits >= 2 && config.weight_bits <= 12,
+                 "weight bits must be in [2, 12]");
+  CIMNAV_REQUIRE(config.adc_bits >= 1 && config.adc_bits <= 16,
+                 "adc bits must be in [1, 16]");
+  CIMNAV_REQUIRE(input_scale > 0.0, "input scale must be positive");
 }
 
 CimMacro::CimMacro(const std::vector<double>& weights, int n_out, int n_in,
@@ -97,13 +106,7 @@ CimMacro::CimMacro(const std::vector<double>& weights, int n_out, int n_in,
   CIMNAV_REQUIRE(weights.size() == static_cast<std::size_t>(n_in) *
                                        static_cast<std::size_t>(n_out),
                  "weight size mismatch");
-  CIMNAV_REQUIRE(config.input_bits >= 1 && config.input_bits <= 12,
-                 "input bits must be in [1, 12]");
-  CIMNAV_REQUIRE(config.weight_bits >= 2 && config.weight_bits <= 12,
-                 "weight bits must be in [2, 12]");
-  CIMNAV_REQUIRE(config.adc_bits >= 1 && config.adc_bits <= 16,
-                 "adc bits must be in [1, 16]");
-  CIMNAV_REQUIRE(input_scale > 0.0, "input scale must be positive");
+  validate_macro_config(config, input_scale);
   CIMNAV_REQUIRE(weight_scale_override >= 0.0,
                  "weight scale override must be non-negative");
 
@@ -221,12 +224,6 @@ void encode_input_planes(const std::vector<double>& x, int n_in,
   }
 }
 
-std::uint32_t CimMacro::quantize_input(double x) const {
-  const int max_code = (1 << config_.input_bits) - 1;
-  const auto code = static_cast<int>(x * inv_input_scale_ + 0.5);
-  return static_cast<std::uint32_t>(std::clamp(code, 0, max_code));
-}
-
 void CimMacro::encode_input(const std::vector<double>& x,
                             EncodedInput& enc) const {
   encode_input_planes(x, n_in_, config_.input_bits, inv_input_scale_, enc);
@@ -312,8 +309,8 @@ MacroView CimMacro::view(bool unit_scale) const {
 
 void CimMacro::run_view(const std::uint64_t* planes, std::size_t plane_stride,
                         const std::uint64_t* row_gate,
-                        const std::uint8_t* out_mask, bool ideal,
-                        bool unit_scale, core::Rng* rng, MacroWorkspace& ws,
+                        const std::uint8_t* out_mask, bool unit_scale,
+                        core::Rng* rng, MacroWorkspace& ws,
                         double* y) const {
   const std::size_t words = static_cast<std::size_t>(words_);
   ws.gated.resize(static_cast<std::size_t>(config_.input_bits) * words);
@@ -329,7 +326,7 @@ void CimMacro::run_view(const std::uint64_t* planes, std::size_t plane_stride,
     active_rows += static_cast<std::uint64_t>(std::popcount(row_gate[w]));
 
   backend_->run_columns(view(unit_scale), ws.gated.data(), active_rows,
-                        out_mask, 0, n_out_, ideal, rng, y);
+                        out_mask, 0, n_out_, rng == nullptr, rng, y);
   account(1, active_rows, count_active_cols(out_mask));
 }
 
@@ -338,9 +335,9 @@ void CimMacro::run_view_delta(const std::uint64_t* planes,
                               const std::uint64_t* gate_add,
                               const std::uint64_t* gate_rem,
                               const std::int32_t* word_list, int n_words,
-                              const std::uint8_t* out_mask, bool ideal,
-                              bool unit_scale, core::Rng* rng,
-                              MacroWorkspace& ws, double* y) const {
+                              const std::uint8_t* out_mask, bool unit_scale,
+                              core::Rng* rng, MacroWorkspace& ws,
+                              double* y) const {
   const std::size_t words = static_cast<std::size_t>(words_);
   const std::size_t gated_size =
       static_cast<std::size_t>(config_.input_bits) * words;
@@ -377,15 +374,12 @@ void CimMacro::run_view_delta(const std::uint64_t* planes,
   }
   backend_->run_columns_delta(view(unit_scale), gated_add_ptr, gated_rem_ptr,
                               word_list, n_words, active_rows, out_mask, 0,
-                              n_out_, ideal, rng, y);
+                              n_out_, rng == nullptr, rng, y);
   account(1, active_rows, count_active_cols(out_mask));
 }
 
-void CimMacro::run_delta(const EncodedInput& enc, const std::size_t* add_rows,
-                         std::size_t n_add, const std::size_t* rem_rows,
-                         std::size_t n_rem, core::Rng& rng,
-                         MacroWorkspace& ws, double* y) const {
-  CIMNAV_REQUIRE(enc.planes.size() ==
+void CimMacro::run_delta(const DeltaItem& item, MacroWorkspace& ws) const {
+  CIMNAV_REQUIRE(item.enc->planes.size() ==
                      static_cast<std::size_t>(config_.input_bits) *
                          static_cast<std::size_t>(words_),
                  "encoded input shape mismatch");
@@ -399,8 +393,8 @@ void CimMacro::run_delta(const EncodedInput& enc, const std::size_t* add_rows,
       gate[i / 64] |= (std::uint64_t{1} << (i % 64));
     }
   };
-  pack(ws.gate, add_rows, n_add);
-  pack(ws.gate_rem, rem_rows, n_rem);
+  pack(ws.gate, item.add_rows, item.n_add);
+  pack(ws.gate_rem, item.rem_rows, item.n_rem);
   // Union touched-word list from the packed gates: always sorted and
   // unique, no ordering requirement on the row lists. words_ is tiny
   // (ceil(n_in / 64)).
@@ -408,21 +402,11 @@ void CimMacro::run_delta(const EncodedInput& enc, const std::size_t* add_rows,
   for (std::size_t w = 0; w < words; ++w)
     if ((ws.gate[w] | ws.gate_rem[w]) != 0)
       ws.word_list.push_back(static_cast<std::int32_t>(w));
-  run_view_delta(enc.planes.data(), words,
-                 n_add > 0 ? ws.gate.data() : nullptr,
-                 n_rem > 0 ? ws.gate_rem.data() : nullptr,
+  run_view_delta(item.enc->planes.data(), words,
+                 item.n_add > 0 ? ws.gate.data() : nullptr,
+                 item.n_rem > 0 ? ws.gate_rem.data() : nullptr,
                  ws.word_list.data(), static_cast<int>(ws.word_list.size()),
-                 nullptr, /*ideal=*/false, /*unit_scale=*/false, &rng, ws,
-                 y);
-}
-
-void CimMacro::matvec_delta(const EncodedInput& enc,
-                            const std::size_t* add_rows, std::size_t n_add,
-                            const std::size_t* rem_rows, std::size_t n_rem,
-                            core::Rng& rng, std::vector<double>& y) const {
-  y.resize(static_cast<std::size_t>(n_out_));
-  run_delta(enc, add_rows, n_add, rem_rows, n_rem, rng, tls_workspace(),
-            y.data());
+                 nullptr, /*unit_scale=*/false, item.rng, ws, item.y);
 }
 
 void CimMacro::matvec_delta_batch(const DeltaItem* items, std::size_t n_items,
@@ -430,10 +414,8 @@ void CimMacro::matvec_delta_batch(const DeltaItem* items, std::size_t n_items,
   const auto run_items = [&](std::size_t begin, std::size_t end, int) {
     MacroWorkspace& ws = tls_workspace();
     for (std::size_t k = begin; k < end; ++k) {
-      const DeltaItem& it = items[k];
-      ScopedStatsCapture capture(it.stats);
-      run_delta(*it.enc, it.add_rows, it.n_add, it.rem_rows, it.n_rem,
-                *it.rng, ws, it.y);
+      ScopedStatsCapture capture(items[k].stats);
+      run_delta(items[k], ws);
     }
   };
   if (pool != nullptr && n_items > 1) {
@@ -443,11 +425,10 @@ void CimMacro::matvec_delta_batch(const DeltaItem* items, std::size_t n_items,
   }
 }
 
-void CimMacro::run_gated(const EncodedInput& enc,
-                         const std::vector<std::uint64_t>& row_gate,
-                         const std::vector<std::uint8_t>& out_mask,
-                         bool ideal, core::Rng* rng, MacroWorkspace& ws,
-                         std::vector<double>& y) const {
+void CimMacro::matvec_encoded(const EncodedInput& enc,
+                              const std::vector<std::uint64_t>& row_gate,
+                              const std::vector<std::uint8_t>& out_mask,
+                              core::Rng* rng, std::vector<double>& y) const {
   CIMNAV_REQUIRE(row_gate.size() == static_cast<std::size_t>(words_),
                  "row gate word count mismatch");
   CIMNAV_REQUIRE(enc.planes.size() ==
@@ -460,165 +441,7 @@ void CimMacro::run_gated(const EncodedInput& enc,
   y.resize(static_cast<std::size_t>(n_out_));
   run_view(enc.planes.data(), static_cast<std::size_t>(words_),
            row_gate.data(), out_mask.empty() ? nullptr : out_mask.data(),
-           ideal, /*unit_scale=*/false, rng, ws, y.data());
-}
-
-void CimMacro::matvec_encoded(const EncodedInput& enc,
-                              const std::vector<std::uint64_t>& row_gate,
-                              const std::vector<std::uint8_t>& out_mask,
-                              core::Rng& rng, MacroWorkspace& ws,
-                              std::vector<double>& y) const {
-  run_gated(enc, row_gate, out_mask, /*ideal=*/false, &rng, ws, y);
-}
-
-void CimMacro::matvec_encoded(const EncodedInput& enc,
-                              const std::vector<std::uint64_t>& row_gate,
-                              const std::vector<std::uint8_t>& out_mask,
-                              core::Rng& rng, std::vector<double>& y) const {
-  run_gated(enc, row_gate, out_mask, /*ideal=*/false, &rng, tls_workspace(),
-            y);
-}
-
-std::vector<double> CimMacro::matvec_gated(
-    const std::vector<double>& x, const std::vector<std::uint64_t>& row_gate,
-    const std::vector<std::uint8_t>& out_mask, core::Rng& rng) const {
-  MacroWorkspace& ws = tls_workspace();
-  encode_input(x, ws.enc);
-  std::vector<double> y;
-  run_gated(ws.enc, row_gate, out_mask, /*ideal=*/false, &rng, ws, y);
-  return y;
-}
-
-std::vector<double> CimMacro::matvec(const std::vector<double>& x,
-                                     const std::vector<std::uint8_t>& in_mask,
-                                     const std::vector<std::uint8_t>& out_mask,
-                                     core::Rng& rng) const {
-  CIMNAV_REQUIRE(in_mask.empty() ||
-                     in_mask.size() == static_cast<std::size_t>(n_in_),
-                 "input mask size mismatch");
-  MacroWorkspace& ws = tls_workspace();
-  encode_input(x, ws.enc);
-  pack_row_mask(in_mask, n_in_, ws.gate);
-  std::vector<double> y;
-  run_gated(ws.enc, ws.gate, out_mask, /*ideal=*/false, &rng, ws, y);
-  return y;
-}
-
-std::vector<double> CimMacro::matvec_rows(
-    const std::vector<double>& x, const std::vector<std::size_t>& rows,
-    const std::vector<std::uint8_t>& out_mask, core::Rng& rng) const {
-  MacroWorkspace& ws = tls_workspace();
-  encode_input(x, ws.enc);
-  pack_rows(rows, n_in_, ws.gate);
-  std::vector<double> y;
-  run_gated(ws.enc, ws.gate, out_mask, /*ideal=*/false, &rng, ws, y);
-  return y;
-}
-
-std::vector<double> CimMacro::matvec_ideal(
-    const std::vector<double>& x, const std::vector<std::uint8_t>& in_mask,
-    const std::vector<std::uint8_t>& out_mask) const {
-  CIMNAV_REQUIRE(in_mask.empty() ||
-                     in_mask.size() == static_cast<std::size_t>(n_in_),
-                 "input mask size mismatch");
-  MacroWorkspace& ws = tls_workspace();
-  encode_input(x, ws.enc);
-  pack_row_mask(in_mask, n_in_, ws.gate);
-  std::vector<double> y;
-  run_gated(ws.enc, ws.gate, out_mask, /*ideal=*/true, nullptr, ws, y);
-  return y;
-}
-
-std::vector<std::vector<double>> CimMacro::run_batch(
-    const std::vector<std::vector<double>>& xs,
-    const std::vector<std::uint8_t>& in_mask,
-    const std::vector<std::uint8_t>& out_mask, bool ideal,
-    std::uint64_t noise_root, core::ThreadPool* pool) const {
-  CIMNAV_REQUIRE(in_mask.empty() ||
-                     in_mask.size() == static_cast<std::size_t>(n_in_),
-                 "input mask size mismatch");
-  CIMNAV_REQUIRE(out_mask.empty() ||
-                     out_mask.size() == static_cast<std::size_t>(n_out_),
-                 "output mask size mismatch");
-  std::vector<std::vector<double>> ys(xs.size());
-  if (xs.empty()) return ys;
-  const std::uint8_t* mask_ptr = out_mask.empty() ? nullptr : out_mask.data();
-
-  const std::size_t words = static_cast<std::size_t>(words_);
-  const std::size_t plane_words =
-      static_cast<std::size_t>(config_.input_bits) * words;
-  std::vector<std::uint64_t> gate;
-  pack_row_mask(in_mask, n_in_, gate);
-  std::uint64_t active_rows = 0;
-  for (std::uint64_t g : gate) active_rows += std::popcount(g);
-
-  // Phase 1: quantize + bit-plane-expand + gate every input exactly once.
-  std::vector<std::uint64_t> gated_all(xs.size() * plane_words);
-  const auto encode_range = [&](std::size_t begin, std::size_t end, int) {
-    MacroWorkspace& ws = tls_workspace();
-    for (std::size_t s = begin; s < end; ++s) {
-      encode_input(xs[s], ws.enc);
-      std::uint64_t* dst = gated_all.data() + s * plane_words;
-      for (int b = 0; b < config_.input_bits; ++b) {
-        const std::uint64_t* src =
-            ws.enc.planes.data() + static_cast<std::size_t>(b) * words;
-        std::uint64_t* dst_b = dst + static_cast<std::size_t>(b) * words;
-        for (std::size_t w = 0; w < words; ++w) dst_b[w] = src[w] & gate[w];
-      }
-    }
-  };
-  for (auto& y : ys) y.resize(static_cast<std::size_t>(n_out_));
-
-  // Phase 2: fan (sample x column block) items over the pool. Noise
-  // streams are keyed on the item index, so any partitioning onto workers
-  // yields identical results at any thread count.
-  const MacroView v = view(/*unit_scale=*/false);
-  const std::size_t n_blocks =
-      (static_cast<std::size_t>(n_out_) + kColumnBlock - 1) / kColumnBlock;
-  const auto run_items = [&](std::size_t begin, std::size_t end, int) {
-    for (std::size_t item = begin; item < end; ++item) {
-      const std::size_t s = item / n_blocks;
-      const std::size_t blk = item % n_blocks;
-      const int col_begin = static_cast<int>(blk) * kColumnBlock;
-      const int col_end = std::min(col_begin + kColumnBlock, n_out_);
-      if (ideal) {
-        backend_->run_columns(v, gated_all.data() + s * plane_words,
-                              active_rows, mask_ptr, col_begin, col_end,
-                              /*ideal=*/true, nullptr, ys[s].data());
-      } else {
-        core::Rng item_rng = core::Rng::stream(noise_root, item);
-        backend_->run_columns(v, gated_all.data() + s * plane_words,
-                              active_rows, mask_ptr, col_begin, col_end,
-                              /*ideal=*/false, &item_rng, ys[s].data());
-      }
-    }
-  };
-
-  if (pool != nullptr) {
-    pool->parallel_for(xs.size(), 1, encode_range);
-    pool->parallel_for(xs.size() * n_blocks, 1, run_items);
-  } else {
-    encode_range(0, xs.size(), 0);
-    run_items(0, xs.size() * n_blocks, 0);
-  }
-  account(xs.size(), active_rows, count_active_cols(mask_ptr));
-  return ys;
-}
-
-std::vector<std::vector<double>> CimMacro::matvec_batch(
-    const std::vector<std::vector<double>>& xs,
-    const std::vector<std::uint8_t>& in_mask,
-    const std::vector<std::uint8_t>& out_mask, core::Rng& rng,
-    core::ThreadPool* pool) const {
-  return run_batch(xs, in_mask, out_mask, /*ideal=*/false, rng(), pool);
-}
-
-std::vector<std::vector<double>> CimMacro::matvec_ideal_batch(
-    const std::vector<std::vector<double>>& xs,
-    const std::vector<std::uint8_t>& in_mask,
-    const std::vector<std::uint8_t>& out_mask,
-    core::ThreadPool* pool) const {
-  return run_batch(xs, in_mask, out_mask, /*ideal=*/true, 0, pool);
+           /*unit_scale=*/false, rng, tls_workspace(), y.data());
 }
 
 }  // namespace cimnav::cimsram

@@ -16,26 +16,35 @@
 //
 // Execution architecture (this header):
 //
-//   MacroLike                 the consumer surface. CimMlp, the MC-Dropout
-//     ^        ^              engine, the VO pipeline and the energy model
-//     |        |              talk to a *layer* through it, so a layer is
-//  CimMacro  ShardedMacro     a monolithic array or a shard grid
-//     |       (grid of        transparently (see sharded_macro.hpp and the
-//     v        CimMacros)     make_macro factory there).
-//  ComputeBackend             the column kernel (backend.hpp): encode and
-//                             gating are backend-independent; backends
-//                             ("reference", "bitsliced", registry-
-//                             extensible) evaluate the gated coincidence
-//                             counts, noise and ADC for a column range.
+//   MacroLike                 the consumer surface: encode_input,
+//     ^        ^              matvec_encoded (dense read) and
+//     |        |              matvec_delta_batch (delta read). CimMlp, the
+//  CimMacro  ShardedMacro     MC-Dropout engine, the VO pipeline and the
+//     |       (grid of        energy model talk to a *layer* through it, so
+//     v        CimMacros)     a layer is a monolithic array or a shard grid
+//  ComputeBackend             transparently (see sharded_macro.hpp and the
+//                             make_macro factory there). The column kernel
+//                             (backend.hpp): encode and gating are
+//                             backend-independent; backends ("reference",
+//                             "bitsliced", registry-extensible) evaluate
+//                             the gated coincidence counts, noise and ADC
+//                             for a column range.
 //
-// The hot path is allocation-free: an input is quantized and
-// bit-plane-expanded once into an EncodedInput; row gates are packed
-// 64-bit words; all scratch lives in a per-thread MacroWorkspace. Batched
-// entry points fan (samples x column blocks) over a core::ThreadPool with
-// noise streams keyed on work-item indices, so results are bit-identical
-// at any thread count. Activity counters are atomic, may be updated from
-// concurrent workers, and aggregate across composite macros via the
-// MacroStats operators.
+// Both reads are physical macro operations. encode_input quantizes and
+// bit-plane-expands an input once into an EncodedInput that any number of
+// row gates can replay; matvec_encoded gates it and reads every column
+// (a null rng selects the ideal, noise-free read); matvec_delta_batch
+// runs differential reads for compute reuse, fanned over a
+// core::ThreadPool with one noise stream per item, so results are
+// bit-identical at any thread count. The free matvec() helper composes
+// encode + dense read for one-shot callers. Reading many samples is the
+// caller's loop over concurrent matvec_encoded calls (CimMlp's window
+// engines, the conformance harness).
+//
+// The hot path is allocation-free: row gates are packed 64-bit words and
+// all scratch lives in a per-thread MacroWorkspace. Activity counters are
+// atomic, may be updated from concurrent workers, and aggregate across
+// composite macros via the MacroStats operators.
 #pragma once
 
 #include <atomic>
@@ -140,8 +149,7 @@ struct EncodedInput {
 /// Per-thread scratch buffers for the zero-allocation execution path. All
 /// vectors grow to the largest macro they have served and then stay put.
 struct MacroWorkspace {
-  EncodedInput enc;                   ///< scratch encoding (wrapper APIs)
-  std::vector<std::uint64_t> gate;    ///< packed row gate (add side)
+  std::vector<std::uint64_t> gate;    ///< packed add-side gate (delta)
   std::vector<std::uint64_t> gate_rem;  ///< packed remove-side gate (delta)
   std::vector<std::uint64_t> gated;   ///< planes & gate, input_bits x words
   std::vector<std::uint64_t> gated_rem;  ///< planes & remove gate (delta)
@@ -152,11 +160,6 @@ struct MacroWorkspace {
 /// Bits at and above n_rows are left clear.
 void pack_row_mask(const std::vector<std::uint8_t>& mask, int n_rows,
                    std::vector<std::uint64_t>& gate);
-
-/// Packs an explicit row-index list into word-line gate words. Indices
-/// must lie in [0, n_rows); duplicates are idempotent.
-void pack_rows(const std::vector<std::size_t>& rows, int n_rows,
-               std::vector<std::uint64_t>& gate);
 
 /// Shared encoder behind every MacroLike: quantizes `x` onto the unsigned
 /// grid q = clamp(round(x * inv_input_scale), 0, 2^input_bits - 1) and
@@ -187,9 +190,11 @@ struct MacroGeometry {
 /// signed partial sum W x|A - W x|D to `y` (n_out values) in ONE macro
 /// operation. Analog noise comes from `*rng`. When `stats` is non-null
 /// the item's exact accounting is mirrored there (ScopedStatsCapture
-/// semantics) so callers can attribute energy per-chain / per-frame.
-/// Items of one batch must carry distinct `rng` objects — they may run on
-/// different workers concurrently. At least one list must be non-empty.
+/// semantics) so callers can attribute energy per-chain / per-frame; a
+/// null `stats` suspends any capture enclosing the batch call for the
+/// item's read. Items of one batch must carry distinct `rng` objects —
+/// they may run on different workers concurrently. At least one list must
+/// be non-empty.
 struct DeltaItem {
   const EncodedInput* enc = nullptr;
   const std::size_t* add_rows = nullptr;
@@ -205,7 +210,9 @@ struct DeltaItem {
 /// the monolithic CimMacro and by ShardedMacro (a grid of CimMacros);
 /// everything downstream of the macro — CimMlp, bnn::mc_predict_cim,
 /// vo::VoPipeline, energy accounting, the benches — programs against this,
-/// so physical array bounds are an execution detail.
+/// so physical array bounds are an execution detail. The compute surface
+/// is the macro's two physical reads: the gated dense read of one encoded
+/// input and the differential delta read of compute reuse.
 class MacroLike {
  public:
   virtual ~MacroLike() = default;
@@ -224,77 +231,34 @@ class MacroLike {
   virtual void encode_input(const std::vector<double>& x,
                             EncodedInput& enc) const = 0;
 
-  /// Low-level gated product on a pre-packed row gate (gate_words() words;
-  /// bits past n_in must be clear). This is the engine primitive every
-  /// other entry point reduces to. `y` is resized to n_out.
+  /// Gated dense read on a pre-packed row gate (gate_words() words; bits
+  /// past n_in must be clear) and an optional 0/1 output mask (empty = all
+  /// columns). `rng` drives the analog disturbance; nullptr selects the
+  /// ideal read — the same quantization grids with no noise, no ADC and
+  /// an exact accumulator. `y` is resized to n_out. Safe to call
+  /// concurrently on one macro (scratch is per thread).
   virtual void matvec_encoded(const EncodedInput& enc,
                               const std::vector<std::uint64_t>& row_gate,
                               const std::vector<std::uint8_t>& out_mask,
-                              core::Rng& rng,
+                              core::Rng* rng,
                               std::vector<double>& y) const = 0;
 
-  /// Full matrix-vector product through the analog array. Masks are
-  /// optional (empty = all active); values are 0/1 per neuron.
-  virtual std::vector<double> matvec(const std::vector<double>& x,
-                                     const std::vector<std::uint8_t>& in_mask,
-                                     const std::vector<std::uint8_t>& out_mask,
-                                     core::Rng& rng) const = 0;
-
-  /// Partial product over a subset of input rows (delta evaluation for
-  /// compute reuse): only `rows` word lines fire.
-  virtual std::vector<double> matvec_rows(
-      const std::vector<double>& x, const std::vector<std::size_t>& rows,
-      const std::vector<std::uint8_t>& out_mask, core::Rng& rng) const = 0;
-
-  /// Differential delta product on a pre-built encoding (ONE macro op per
-  /// delta step): drives only the word lines whose mask bit flipped —
-  /// `add_rows` positively, `rem_rows` on the complementary bit-lines —
-  /// and converts the net count with a single signed ADC conversion per
-  /// cycle (codes in [-levels, +levels]), writing W x|A - W x|D to `y`
-  /// (resized to n_out, a no-op once warm). The backend's sparse kernel
-  /// scans only the touched packed words, so the cost tracks the flips,
-  /// not the layer width; MacroStats prices exactly the |A| + |D| driven
-  /// lines and ONE conversion set (half the two-op formulation).
-  /// Allocation-free in steady state. At least one list must be
-  /// non-empty; `rng` advances once per physical op like any other read.
-  virtual void matvec_delta(const EncodedInput& enc,
-                            const std::size_t* add_rows, std::size_t n_add,
-                            const std::size_t* rem_rows, std::size_t n_rem,
-                            core::Rng& rng,
-                            std::vector<double>& y) const = 0;
-
-  /// Pooled delta dispatch: fans `n_items` DeltaItem evaluations over
-  /// `pool` (nullptr = serial, same results). Each item runs under its own
-  /// rng and optional stats capture; since every item carries its own
-  /// noise stream, any partitioning onto workers is bit-identical to the
-  /// serial item loop. Composite macros fan shard-major so one worker
-  /// touches one shard's weight planes per dispatch.
+  /// Differential delta reads (ONE macro op per DeltaItem): each item
+  /// drives only the word lines whose mask bit flipped — `add_rows`
+  /// positively, `rem_rows` on the complementary bit-lines — and converts
+  /// the net count with a single signed ADC conversion per cycle (codes
+  /// in [-levels, +levels]), writing W x|A - W x|D to the item's `y`. The
+  /// backend's sparse kernel scans only the touched packed words, so the
+  /// cost tracks the flips, not the layer width; MacroStats prices
+  /// exactly the |A| + |D| driven lines and ONE conversion set. Items fan
+  /// over `pool` (nullptr = serial, same results): every item carries its
+  /// own noise stream, so any partitioning onto workers is bit-identical
+  /// to the serial item loop. A one-item
+  /// call is the serial delta read. Composite macros fan shard-major so
+  /// one worker touches one shard's weight planes per dispatch.
+  /// Allocation-free in steady state.
   virtual void matvec_delta_batch(const DeltaItem* items, std::size_t n_items,
                                   core::ThreadPool* pool = nullptr) const = 0;
-
-  /// Ideal (float64) product for reference/testing; applies the same
-  /// quantization grids but no analog noise and an exact accumulator.
-  virtual std::vector<double> matvec_ideal(
-      const std::vector<double>& x, const std::vector<std::uint8_t>& in_mask,
-      const std::vector<std::uint8_t>& out_mask) const = 0;
-
-  /// Batched noisy product: every input is encoded once, then work items
-  /// fan out over `pool` (nullptr = serial). Noise streams are keyed on
-  /// work-item indices derived from one draw of `rng`, so results are
-  /// bit-identical at any thread count, including against the serial path.
-  virtual std::vector<std::vector<double>> matvec_batch(
-      const std::vector<std::vector<double>>& xs,
-      const std::vector<std::uint8_t>& in_mask,
-      const std::vector<std::uint8_t>& out_mask, core::Rng& rng,
-      core::ThreadPool* pool = nullptr) const = 0;
-
-  /// Batched ideal product (no noise, exact accumulator); same fan-out and
-  /// the same results as per-sample matvec_ideal calls.
-  virtual std::vector<std::vector<double>> matvec_ideal_batch(
-      const std::vector<std::vector<double>>& xs,
-      const std::vector<std::uint8_t>& in_mask,
-      const std::vector<std::uint8_t>& out_mask,
-      core::ThreadPool* pool = nullptr) const = 0;
 
   /// Snapshot of the cumulative activity counters (thread-safe). Composite
   /// macros return the aggregate over their shards.
@@ -302,6 +266,20 @@ class MacroLike {
   /// Clears the activity counters (stats are mutable bookkeeping).
   virtual void reset_stats() const = 0;
 };
+
+/// Dense convenience read over the MacroLike primitives: encodes `x`,
+/// packs `in_mask` (0/1 per row, empty = all active) and runs
+/// matvec_encoded with `out_mask` and `rng` (nullptr = ideal read).
+std::vector<double> matvec(const MacroLike& macro,
+                           const std::vector<double>& x,
+                           const std::vector<std::uint8_t>& in_mask,
+                           const std::vector<std::uint8_t>& out_mask,
+                           core::Rng* rng);
+
+/// Rejects a configuration no macro can realize (bit widths outside the
+/// modeled ranges, a non-positive input scale). Every macro constructor
+/// calls it before deriving anything from the widths.
+void validate_macro_config(const CimMacroConfig& config, double input_scale);
 
 /// A programmed monolithic CIM macro holding one layer's weight matrix.
 class CimMacro final : public MacroLike {
@@ -334,66 +312,16 @@ class CimMacro final : public MacroLike {
     return {n_in_, n_out_, words_, planes_, 1, 1};
   }
 
-  std::vector<double> matvec(const std::vector<double>& x,
-                             const std::vector<std::uint8_t>& in_mask,
-                             const std::vector<std::uint8_t>& out_mask,
-                             core::Rng& rng) const override;
-
-  std::vector<double> matvec_rows(const std::vector<double>& x,
-                                  const std::vector<std::size_t>& rows,
-                                  const std::vector<std::uint8_t>& out_mask,
-                                  core::Rng& rng) const override;
-
-  void matvec_delta(const EncodedInput& enc, const std::size_t* add_rows,
-                    std::size_t n_add, const std::size_t* rem_rows,
-                    std::size_t n_rem, core::Rng& rng,
-                    std::vector<double>& y) const override;
-
-  void matvec_delta_batch(const DeltaItem* items, std::size_t n_items,
-                          core::ThreadPool* pool = nullptr) const override;
-
-  std::vector<double> matvec_ideal(const std::vector<double>& x,
-                                   const std::vector<std::uint8_t>& in_mask,
-                                   const std::vector<std::uint8_t>& out_mask)
-      const override;
-
   void encode_input(const std::vector<double>& x,
                     EncodedInput& enc) const override;
 
-  /// Gated product on an explicit workspace (zero-allocation hot loops).
   void matvec_encoded(const EncodedInput& enc,
                       const std::vector<std::uint64_t>& row_gate,
                       const std::vector<std::uint8_t>& out_mask,
-                      core::Rng& rng, MacroWorkspace& ws,
-                      std::vector<double>& y) const;
+                      core::Rng* rng, std::vector<double>& y) const override;
 
-  /// Same, on the thread-local workspace.
-  void matvec_encoded(const EncodedInput& enc,
-                      const std::vector<std::uint64_t>& row_gate,
-                      const std::vector<std::uint8_t>& out_mask,
-                      core::Rng& rng, std::vector<double>& y) const override;
-
-  /// Convenience gated product that quantizes `x` on the fly (thread-local
-  /// workspace). Validates the packed gate width.
-  std::vector<double> matvec_gated(const std::vector<double>& x,
-                                   const std::vector<std::uint64_t>& row_gate,
-                                   const std::vector<std::uint8_t>& out_mask,
-                                   core::Rng& rng) const;
-
-  std::vector<std::vector<double>> matvec_batch(
-      const std::vector<std::vector<double>>& xs,
-      const std::vector<std::uint8_t>& in_mask,
-      const std::vector<std::uint8_t>& out_mask, core::Rng& rng,
-      core::ThreadPool* pool = nullptr) const override;
-
-  std::vector<std::vector<double>> matvec_ideal_batch(
-      const std::vector<std::vector<double>>& xs,
-      const std::vector<std::uint8_t>& in_mask,
-      const std::vector<std::uint8_t>& out_mask,
-      core::ThreadPool* pool = nullptr) const override;
-
-  /// Quantized integer input code for an activation (test access).
-  std::uint32_t quantize_input(double x) const;
+  void matvec_delta_batch(const DeltaItem* items, std::size_t n_items,
+                          core::ThreadPool* pool = nullptr) const override;
 
   MacroStats stats() const override;
   void reset_stats() const override;
@@ -405,12 +333,13 @@ class CimMacro final : public MacroLike {
   /// n_in clear); `out_mask` (nullable) covers this macro's n_out columns.
   /// With `unit_scale`, the output keeps the shared quantization grid
   /// (weight_scale and input_scale are applied by the caller after the
-  /// shard reduction, so row-shard partial sums add exactly). Writes n_out
-  /// values to `y` and accounts stats.
+  /// shard reduction, so row-shard partial sums add exactly). A null
+  /// `rng` selects the ideal read. Writes n_out values to `y` and
+  /// accounts stats.
   void run_view(const std::uint64_t* planes, std::size_t plane_stride,
                 const std::uint64_t* row_gate, const std::uint8_t* out_mask,
-                bool ideal, bool unit_scale, core::Rng* rng,
-                MacroWorkspace& ws, double* y) const;
+                bool unit_scale, core::Rng* rng, MacroWorkspace& ws,
+                double* y) const;
 
   /// Differential twin of run_view for delta dispatch: one signed macro
   /// op netting `gate_add` against `gate_rem` (either nullable — a shard
@@ -425,34 +354,15 @@ class CimMacro final : public MacroLike {
                       const std::uint64_t* gate_add,
                       const std::uint64_t* gate_rem,
                       const std::int32_t* word_list, int n_words,
-                      const std::uint8_t* out_mask, bool ideal,
-                      bool unit_scale, core::Rng* rng, MacroWorkspace& ws,
-                      double* y) const;
+                      const std::uint8_t* out_mask, bool unit_scale,
+                      core::Rng* rng, MacroWorkspace& ws, double* y) const;
 
  private:
-  /// Differential engine behind matvec_delta / matvec_delta_batch: packs
-  /// both flip lists into zeroed gates, lists the touched words, runs the
-  /// backend's delta kernel once, and accounts one op with
-  /// active_rows = n_add + n_rem (all columns converted once).
-  void run_delta(const EncodedInput& enc, const std::size_t* add_rows,
-                 std::size_t n_add, const std::size_t* rem_rows,
-                 std::size_t n_rem, core::Rng& rng, MacroWorkspace& ws,
-                 double* y) const;
-
-  /// Engine entry shared by the single-call wrappers: gate the encoding,
-  /// run all columns through the backend, account stats.
-  void run_gated(const EncodedInput& enc,
-                 const std::vector<std::uint64_t>& row_gate,
-                 const std::vector<std::uint8_t>& out_mask, bool ideal,
-                 core::Rng* rng, MacroWorkspace& ws,
-                 std::vector<double>& y) const;
-
-  /// Shared implementation of the batched entry points.
-  std::vector<std::vector<double>> run_batch(
-      const std::vector<std::vector<double>>& xs,
-      const std::vector<std::uint8_t>& in_mask,
-      const std::vector<std::uint8_t>& out_mask, bool ideal,
-      std::uint64_t noise_root, core::ThreadPool* pool) const;
+  /// Differential engine behind matvec_delta_batch: packs both flip lists
+  /// into zeroed gates, lists the touched words, runs the backend's delta
+  /// kernel once, and accounts one op with active_rows = n_add + n_rem
+  /// (all columns converted once).
+  void run_delta(const DeltaItem& item, MacroWorkspace& ws) const;
 
   MacroView view(bool unit_scale) const;
 

@@ -30,8 +30,11 @@ std::vector<int> split_offsets(int total, int bound) {
 ShardedMacro::ShardedMacro(const std::vector<double>& weights, int n_out,
                            int n_in, const CimMacroConfig& config,
                            double input_scale)
-    : config_(config), n_in_(n_in), n_out_(n_out), input_scale_(input_scale),
-      inv_input_scale_(1.0 / input_scale) {
+    : config_(config), n_in_(n_in), n_out_(n_out), input_scale_(input_scale) {
+  // Validated before anything below divides by the scale or shifts by
+  // weight_bits.
+  validate_macro_config(config, input_scale);
+  inv_input_scale_ = 1.0 / input_scale;
   CIMNAV_REQUIRE(n_in > 0 && n_out > 0, "matrix dims must be positive");
   CIMNAV_REQUIRE(weights.size() == static_cast<std::size_t>(n_in) *
                                        static_cast<std::size_t>(n_out),
@@ -87,11 +90,11 @@ void ShardedMacro::encode_input(const std::vector<double>& x,
   encode_input_planes(x, n_in_, config_.input_bits, inv_input_scale_, enc);
 }
 
-void ShardedMacro::run_all(const EncodedInput& enc,
-                           const std::vector<std::uint64_t>& row_gate,
-                           const std::vector<std::uint8_t>& out_mask,
-                           bool ideal, core::Rng* rng,
-                           std::vector<double>& y) const {
+void ShardedMacro::matvec_encoded(const EncodedInput& enc,
+                                  const std::vector<std::uint64_t>& row_gate,
+                                  const std::vector<std::uint8_t>& out_mask,
+                                  core::Rng* rng,
+                                  std::vector<double>& y) const {
   CIMNAV_REQUIRE(row_gate.size() == static_cast<std::size_t>(words_),
                  "row gate word count mismatch");
   CIMNAV_REQUIRE(enc.planes.size() ==
@@ -117,8 +120,8 @@ void ShardedMacro::run_all(const EncodedInput& enc,
       partial.resize(static_cast<std::size_t>(s.n_out()));
       s.run_view(enc.planes.data() + word_off, stride,
                  row_gate.data() + word_off,
-                 mask == nullptr ? nullptr : mask + c0, ideal,
-                 /*unit_scale=*/true, rng, ws, partial.data());
+                 mask == nullptr ? nullptr : mask + c0, /*unit_scale=*/true,
+                 rng, ws, partial.data());
       for (int j = 0; j < s.n_out(); ++j)
         acc[static_cast<std::size_t>(c0 + j)] += partial[static_cast<std::size_t>(j)];
     }
@@ -133,107 +136,6 @@ void ShardedMacro::run_all(const EncodedInput& enc,
     y[static_cast<std::size_t>(j)] =
         acc[static_cast<std::size_t>(j)] * weight_scale_ * input_scale_;
   }
-}
-
-void ShardedMacro::matvec_encoded(const EncodedInput& enc,
-                                  const std::vector<std::uint64_t>& row_gate,
-                                  const std::vector<std::uint8_t>& out_mask,
-                                  core::Rng& rng,
-                                  std::vector<double>& y) const {
-  run_all(enc, row_gate, out_mask, /*ideal=*/false, &rng, y);
-}
-
-std::vector<double> ShardedMacro::matvec(
-    const std::vector<double>& x, const std::vector<std::uint8_t>& in_mask,
-    const std::vector<std::uint8_t>& out_mask, core::Rng& rng) const {
-  CIMNAV_REQUIRE(in_mask.empty() ||
-                     in_mask.size() == static_cast<std::size_t>(n_in_),
-                 "input mask size mismatch");
-  MacroWorkspace& ws = tls_workspace();
-  encode_input(x, ws.enc);
-  pack_row_mask(in_mask, n_in_, ws.gate);
-  std::vector<double> y;
-  run_all(ws.enc, ws.gate, out_mask, /*ideal=*/false, &rng, y);
-  return y;
-}
-
-std::vector<double> ShardedMacro::matvec_rows(
-    const std::vector<double>& x, const std::vector<std::size_t>& rows,
-    const std::vector<std::uint8_t>& out_mask, core::Rng& rng) const {
-  MacroWorkspace& ws = tls_workspace();
-  encode_input(x, ws.enc);
-  pack_rows(rows, n_in_, ws.gate);
-  std::vector<double> y;
-  run_all(ws.enc, ws.gate, out_mask, /*ideal=*/false, &rng, y);
-  return y;
-}
-
-void ShardedMacro::matvec_delta(const EncodedInput& enc,
-                                const std::size_t* add_rows,
-                                std::size_t n_add,
-                                const std::size_t* rem_rows,
-                                std::size_t n_rem, core::Rng& rng,
-                                std::vector<double>& y) const {
-  CIMNAV_REQUIRE(enc.planes.size() ==
-                     static_cast<std::size_t>(config_.input_bits) *
-                         static_cast<std::size_t>(words_),
-                 "encoded input shape mismatch");
-  MacroWorkspace& ws = tls_workspace();
-  const std::size_t words = static_cast<std::size_t>(words_);
-  const auto pack = [&](std::vector<std::uint64_t>& gate,
-                        const std::size_t* rows, std::size_t n) {
-    gate.assign(words, 0);
-    for (std::size_t k = 0; k < n; ++k) {
-      const std::size_t i = rows[k];
-      CIMNAV_REQUIRE(i < static_cast<std::size_t>(n_in_), "row out of range");
-      gate[i / 64] |= (std::uint64_t{1} << (i % 64));
-    }
-  };
-  pack(ws.gate, add_rows, n_add);
-  pack(ws.gate_rem, rem_rows, n_rem);
-  const std::uint64_t root = rng();
-
-  const std::size_t rr = static_cast<std::size_t>(grid_rows());
-  const std::size_t cc = static_cast<std::size_t>(grid_cols());
-  thread_local std::vector<double> acc, partial;
-  acc.assign(static_cast<std::size_t>(n_out_), 0.0);
-  for (std::size_t r = 0; r < rr; ++r) {
-    const std::size_t word_off = static_cast<std::size_t>(row_off_[r] / 64);
-    const int shard_words = shards_[r * cc].gate_words();
-    // Shard-local union touched-word list (indices relative to the slice).
-    ws.word_list.clear();
-    std::uint64_t add_any = 0, rem_any = 0;
-    for (int w = 0; w < shard_words; ++w) {
-      const std::size_t gw = word_off + static_cast<std::size_t>(w);
-      add_any |= ws.gate[gw];
-      rem_any |= ws.gate_rem[gw];
-      if ((ws.gate[gw] | ws.gate_rem[gw]) != 0) ws.word_list.push_back(w);
-    }
-    // No changed row lands in this row shard: no word line fires, so the
-    // shard is never activated (its partial is exactly zero).
-    if (ws.word_list.empty()) continue;
-    for (std::size_t c = 0; c < cc; ++c) {
-      const std::size_t shard_idx = r * cc + c;
-      const CimMacro& s = shards_[shard_idx];
-      core::Rng shard_rng = core::Rng::stream(root, shard_idx);
-      partial.resize(static_cast<std::size_t>(s.n_out()));
-      s.run_view_delta(enc.planes.data() + word_off, words,
-                       add_any != 0 ? ws.gate.data() + word_off : nullptr,
-                       rem_any != 0 ? ws.gate_rem.data() + word_off : nullptr,
-                       ws.word_list.data(),
-                       static_cast<int>(ws.word_list.size()), nullptr,
-                       /*ideal=*/false, /*unit_scale=*/true, &shard_rng, ws,
-                       partial.data());
-      const int c0 = col_off_[c];
-      for (int j = 0; j < s.n_out(); ++j)
-        acc[static_cast<std::size_t>(c0 + j)] +=
-            partial[static_cast<std::size_t>(j)];
-    }
-  }
-  y.resize(static_cast<std::size_t>(n_out_));
-  for (int j = 0; j < n_out_; ++j)
-    y[static_cast<std::size_t>(j)] =
-        acc[static_cast<std::size_t>(j)] * weight_scale_ * input_scale_;
 }
 
 void ShardedMacro::matvec_delta_batch(const DeltaItem* items,
@@ -293,7 +195,7 @@ void ShardedMacro::matvec_delta_batch(const DeltaItem* items,
   // Shard-major fan (shard-affine): one chunk = one shard streamed across
   // items, so a worker stays on one shard's weight planes per dispatch.
   // Noise is keyed on (item root, shard index), so any partitioning —
-  // including the serial matvec_delta loop — produces identical bits.
+  // including a serial loop of one-item calls — produces identical bits.
   const auto run_items = [&, ga_base, gr_base, roots_base, partials_base,
                           stats_base](std::size_t begin, std::size_t end,
                                       int) {
@@ -325,7 +227,7 @@ void ShardedMacro::matvec_delta_batch(const DeltaItem* items,
                        add_any != 0 ? ga : nullptr,
                        rem_any != 0 ? gr : nullptr, ws.word_list.data(),
                        static_cast<int>(ws.word_list.size()), nullptr,
-                       /*ideal=*/false, /*unit_scale=*/true, &shard_rng, ws,
+                       /*unit_scale=*/true, &shard_rng, ws,
                        partials_base + (k * rr + r) * out_stride +
                            static_cast<std::size_t>(col_off_[c]));
     }
@@ -365,156 +267,6 @@ void ShardedMacro::matvec_delta_batch(const DeltaItem* items,
     run_items(0, n_items * n_shards, 0);
     reduce_range(0, n_items, 0);
   }
-}
-
-std::vector<double> ShardedMacro::matvec_ideal(
-    const std::vector<double>& x, const std::vector<std::uint8_t>& in_mask,
-    const std::vector<std::uint8_t>& out_mask) const {
-  CIMNAV_REQUIRE(in_mask.empty() ||
-                     in_mask.size() == static_cast<std::size_t>(n_in_),
-                 "input mask size mismatch");
-  MacroWorkspace& ws = tls_workspace();
-  encode_input(x, ws.enc);
-  pack_row_mask(in_mask, n_in_, ws.gate);
-  std::vector<double> y;
-  run_all(ws.enc, ws.gate, out_mask, /*ideal=*/true, nullptr, y);
-  return y;
-}
-
-std::vector<std::vector<double>> ShardedMacro::run_batch(
-    const std::vector<std::vector<double>>& xs,
-    const std::vector<std::uint8_t>& in_mask,
-    const std::vector<std::uint8_t>& out_mask, bool ideal,
-    std::uint64_t noise_root, core::ThreadPool* pool) const {
-  CIMNAV_REQUIRE(in_mask.empty() ||
-                     in_mask.size() == static_cast<std::size_t>(n_in_),
-                 "input mask size mismatch");
-  CIMNAV_REQUIRE(out_mask.empty() ||
-                     out_mask.size() == static_cast<std::size_t>(n_out_),
-                 "output mask size mismatch");
-  std::vector<std::vector<double>> ys(xs.size());
-  if (xs.empty()) return ys;
-  const std::uint8_t* mask = out_mask.empty() ? nullptr : out_mask.data();
-
-  const std::size_t stride = static_cast<std::size_t>(words_);
-  const std::size_t plane_words =
-      static_cast<std::size_t>(config_.input_bits) * stride;
-  std::vector<std::uint64_t> gate;
-  pack_row_mask(in_mask, n_in_, gate);
-
-  // Phase 1: encode every sample ONCE into the shared logical layout; all
-  // shards slice the same planes.
-  std::vector<std::uint64_t> enc_all(xs.size() * plane_words);
-  const auto encode_range = [&](std::size_t begin, std::size_t end, int) {
-    MacroWorkspace& ws = tls_workspace();
-    for (std::size_t s = begin; s < end; ++s) {
-      encode_input(xs[s], ws.enc);
-      std::copy(ws.enc.planes.begin(), ws.enc.planes.end(),
-                enc_all.begin() + static_cast<std::ptrdiff_t>(s * plane_words));
-    }
-  };
-
-  // Phase 2: fan (sample x shard) items over the pool into per-(sample,
-  // row-shard) partial buffers. Column shards of one row shard write
-  // disjoint ranges, so items never race.
-  //
-  // Shard-affine schedule: the index space is *shard-major* and the
-  // chunk grain is the sample count, so one chunk = one shard across
-  // every sample — a worker streams all samples through one weight
-  // slice before moving on, instead of re-touching a different shard's
-  // conductance array (and evicting the last one) on every item. The
-  // per-item noise stream stays keyed on the ORIGINAL sample-major item
-  // index, so the schedule change is invisible to results: bit-identical
-  // at any pool size, including the old ordering.
-  const std::size_t rr = static_cast<std::size_t>(grid_rows());
-  const std::size_t cc = static_cast<std::size_t>(grid_cols());
-  const std::size_t n_shards = rr * cc;
-  const std::size_t n_samples = xs.size();
-  const std::size_t out_stride = static_cast<std::size_t>(n_out_);
-  std::vector<double> partials(xs.size() * rr * out_stride);
-  const auto run_items = [&](std::size_t begin, std::size_t end, int) {
-    MacroWorkspace& ws = tls_workspace();
-    for (std::size_t k = begin; k < end; ++k) {
-      const std::size_t shard_idx = k / n_samples;
-      const std::size_t s = k % n_samples;
-      const std::size_t r = shard_idx / cc;
-      const std::size_t c = shard_idx % cc;
-      const std::size_t word_off = static_cast<std::size_t>(row_off_[r] / 64);
-      const int c0 = col_off_[c];
-      const CimMacro& sh = shards_[shard_idx];
-      double* dst = partials.data() + (s * rr + r) * out_stride +
-                    static_cast<std::size_t>(c0);
-      if (ideal) {
-        sh.run_view(enc_all.data() + s * plane_words + word_off, stride,
-                    gate.data() + word_off,
-                    mask == nullptr ? nullptr : mask + c0, /*ideal=*/true,
-                    /*unit_scale=*/true, nullptr, ws, dst);
-      } else {
-        core::Rng item_rng =
-            core::Rng::stream(noise_root, s * n_shards + shard_idx);
-        sh.run_view(enc_all.data() + s * plane_words + word_off, stride,
-                    gate.data() + word_off,
-                    mask == nullptr ? nullptr : mask + c0, /*ideal=*/false,
-                    /*unit_scale=*/true, &item_rng, ws, dst);
-      }
-    }
-  };
-
-  // Phase 3: reduce row shards in fixed order and apply the logical
-  // scales — deterministic for any partitioning of phases 1/2.
-  const auto reduce_range = [&](std::size_t begin, std::size_t end, int) {
-    for (std::size_t s = begin; s < end; ++s) {
-      auto& y = ys[s];
-      y.resize(out_stride);
-      for (int j = 0; j < n_out_; ++j) {
-        if (mask != nullptr && !mask[j]) {
-          y[static_cast<std::size_t>(j)] = 0.0;
-          continue;
-        }
-        double acc = 0.0;
-        for (std::size_t r = 0; r < rr; ++r)
-          acc += partials[(s * rr + r) * out_stride +
-                          static_cast<std::size_t>(j)];
-        y[static_cast<std::size_t>(j)] = acc * weight_scale_ * input_scale_;
-      }
-    }
-  };
-
-  if (pool != nullptr) {
-    // Keep chunks shard-affine (grain divides the per-shard sample run,
-    // so no chunk straddles a shard boundary) while exposing at least
-    // ~4 chunks per worker when the grid is small.
-    std::size_t grain = n_samples;
-    const std::size_t target_chunks =
-        static_cast<std::size_t>(pool->thread_count()) * 4;
-    while (grain > 1 && grain % 2 == 0 &&
-           (xs.size() * n_shards) / grain < target_chunks)
-      grain /= 2;
-    pool->parallel_for(xs.size(), 1, encode_range);
-    pool->parallel_for(xs.size() * n_shards, grain, run_items);
-    pool->parallel_for(xs.size(), 1, reduce_range);
-  } else {
-    encode_range(0, xs.size(), 0);
-    run_items(0, xs.size() * n_shards, 0);
-    reduce_range(0, xs.size(), 0);
-  }
-  return ys;
-}
-
-std::vector<std::vector<double>> ShardedMacro::matvec_batch(
-    const std::vector<std::vector<double>>& xs,
-    const std::vector<std::uint8_t>& in_mask,
-    const std::vector<std::uint8_t>& out_mask, core::Rng& rng,
-    core::ThreadPool* pool) const {
-  return run_batch(xs, in_mask, out_mask, /*ideal=*/false, rng(), pool);
-}
-
-std::vector<std::vector<double>> ShardedMacro::matvec_ideal_batch(
-    const std::vector<std::vector<double>>& xs,
-    const std::vector<std::uint8_t>& in_mask,
-    const std::vector<std::uint8_t>& out_mask,
-    core::ThreadPool* pool) const {
-  return run_batch(xs, in_mask, out_mask, /*ideal=*/true, 0, pool);
 }
 
 MacroStats ShardedMacro::stats() const {

@@ -23,9 +23,10 @@
 //    disturbance, so a column crossing R row shards pays R conversions —
 //    visible in the aggregated MacroStats and the energy model.
 //
-// matvec_batch fans (sample x shard) work items over the ThreadPool with
-// noise streams keyed on the item index; the per-sample reduction runs in
-// fixed shard order, keeping results bit-identical at any thread count.
+// matvec_delta_batch fans (shard x item) work over the ThreadPool with
+// noise streams keyed on (item root, shard index); the per-item reduction
+// runs in fixed shard order, keeping results bit-identical at any thread
+// count.
 #pragma once
 
 #include <memory>
@@ -63,81 +64,36 @@ class ShardedMacro final : public MacroLike {
   void encode_input(const std::vector<double>& x,
                     EncodedInput& enc) const override;
 
+  /// Dense read over the grid: every shard reads its slice of the
+  /// encoding and gate, row shards reduce in fixed order, and the logical
+  /// scales apply last. With analog noise every shard draws from `rng` in
+  /// (r, c) order; the ideal read (null `rng`) is bit-identical to the
+  /// monolithic macro.
   void matvec_encoded(const EncodedInput& enc,
                       const std::vector<std::uint64_t>& row_gate,
                       const std::vector<std::uint8_t>& out_mask,
-                      core::Rng& rng, std::vector<double>& y) const override;
+                      core::Rng* rng, std::vector<double>& y) const override;
 
-  std::vector<double> matvec(const std::vector<double>& x,
-                             const std::vector<std::uint8_t>& in_mask,
-                             const std::vector<std::uint8_t>& out_mask,
-                             core::Rng& rng) const override;
-
-  std::vector<double> matvec_rows(const std::vector<double>& x,
-                                  const std::vector<std::size_t>& rows,
-                                  const std::vector<std::uint8_t>& out_mask,
-                                  core::Rng& rng) const override;
-
-  /// Differential delta product over the shard grid. One root is drawn
-  /// from `rng`; each shard's disturbance comes from Rng::stream(root,
-  /// shard_index), so the pooled batch below reproduces this serial path
-  /// bit-for-bit on ANY backend (the monolithic macro instead passes the
-  /// caller's stream straight through). Each row shard runs ONE signed op
+  /// Shard-affine delta dispatch. One root is drawn from each item's rng,
+  /// in item order; the item's read on shard s draws from
+  /// Rng::stream(root, s). (shard x item) work then fans shard-major over
+  /// the pool, so one worker streams every item through one shard's
+  /// weight planes — bit-identical to a serial loop of one-item calls at
+  /// any pool size, on any backend. Each row shard runs ONE signed op
   /// netting its slice of the add gate against its slice of the remove
-  /// gate; row shards where neither gate slice holds a changed row are
-  /// skipped entirely — no word line fires there, no ADC converts, no
-  /// stats accrue — which is the physical point of delta dispatch.
-  void matvec_delta(const EncodedInput& enc, const std::size_t* add_rows,
-                    std::size_t n_add, const std::size_t* rem_rows,
-                    std::size_t n_rem, core::Rng& rng,
-                    std::vector<double>& y) const override;
-
-  /// Shard-affine pooled delta dispatch: item roots are drawn serially in
-  /// item order, then (shard x item) work fans shard-major over the pool
-  /// (one worker streams every item through one shard's weight planes),
-  /// with per-(item, shard) noise streams as above — bit-identical to the
-  /// serial item loop at any pool size. Per-item stats sinks are reduced
-  /// after the barrier, so concurrent shards of one item never race.
+  /// gate; row shards where neither slice holds a changed row are skipped
+  /// entirely — no word line fires there, no ADC converts, no stats
+  /// accrue — which is the physical point of delta dispatch. Per-item
+  /// stats sinks are reduced after the barrier, so concurrent shards of
+  /// one item never race.
   void matvec_delta_batch(const DeltaItem* items, std::size_t n_items,
                           core::ThreadPool* pool = nullptr) const override;
-
-  std::vector<double> matvec_ideal(const std::vector<double>& x,
-                                   const std::vector<std::uint8_t>& in_mask,
-                                   const std::vector<std::uint8_t>& out_mask)
-      const override;
-
-  std::vector<std::vector<double>> matvec_batch(
-      const std::vector<std::vector<double>>& xs,
-      const std::vector<std::uint8_t>& in_mask,
-      const std::vector<std::uint8_t>& out_mask, core::Rng& rng,
-      core::ThreadPool* pool = nullptr) const override;
-
-  std::vector<std::vector<double>> matvec_ideal_batch(
-      const std::vector<std::vector<double>>& xs,
-      const std::vector<std::uint8_t>& in_mask,
-      const std::vector<std::uint8_t>& out_mask,
-      core::ThreadPool* pool = nullptr) const override;
 
   /// Aggregate over every shard (physical operation counts).
   MacroStats stats() const override;
   void reset_stats() const override;
 
  private:
-  /// Serial gated product shared by the single-call wrappers: runs every
-  /// shard against its slice of the (already encoded) planes and gate,
-  /// reduces row shards in fixed order, applies the logical scales.
-  void run_all(const EncodedInput& enc,
-               const std::vector<std::uint64_t>& row_gate,
-               const std::vector<std::uint8_t>& out_mask, bool ideal,
-               core::Rng* rng, std::vector<double>& y) const;
-
-  /// Shared implementation of the batched entry points.
-  std::vector<std::vector<double>> run_batch(
-      const std::vector<std::vector<double>>& xs,
-      const std::vector<std::uint8_t>& in_mask,
-      const std::vector<std::uint8_t>& out_mask, bool ideal,
-      std::uint64_t noise_root, core::ThreadPool* pool) const;
-
   CimMacroConfig config_;
   int n_in_ = 0;
   int n_out_ = 0;

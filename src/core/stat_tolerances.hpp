@@ -2,9 +2,9 @@
 //
 // One place for every bound the repo uses to decide "these two random
 // processes implement the same distribution": the backend conformance
-// harness (cimsram/conformance.hpp), the cimsram unit tests and the RNG
-// quality bench all read these constants, so a tolerance change is a
-// single-line diff reviewed once instead of three drifting literals.
+// harness (tests/conformance/conformance.hpp), the cimsram unit tests and
+// the RNG quality bench all read these constants, so a tolerance change
+// is a single-line diff reviewed once instead of three drifting literals.
 //
 // The moment bounds are expressed in standard errors, so they scale with
 // the rep count a caller chooses; the factors are sized for sweeps that

@@ -197,7 +197,7 @@ void CimMlp::forward_window(const std::vector<FrameBatch>& frames,
         }
         Vector& z = has_hidden_mask ? scratch.acts[i] : outs[f][t];
         cimsram::pack_row_mask(row_mask, macro.n_in(), gate);
-        macro.matvec_encoded(*enc, gate, col_mask, scratch.rngs[i], z);
+        macro.matvec_encoded(*enc, gate, col_mask, &scratch.rngs[i], z);
         finish_layer(z, bias, col_mask, has_hidden_mask);
       }
     });
@@ -214,8 +214,8 @@ Vector CimMlp::forward_deterministic(const Vector& x, core::Rng& rng) const {
   const Mask empty;
   Vector a = x;
   for (int l = 0; l < layer_count(); ++l) {
-    Vector z = macros_[static_cast<std::size_t>(l)]->matvec(a, empty, empty,
-                                                           rng);
+    Vector z = cimsram::matvec(*macros_[static_cast<std::size_t>(l)], a, empty,
+                               empty, &rng);
     const Vector& b = biases_[static_cast<std::size_t>(l)];
     for (std::size_t i = 0; i < z.size(); ++i) z[i] += b[i];
     if (l + 1 < layer_count())
@@ -329,7 +329,7 @@ void CimMlp::forward_reuse_window(const std::vector<ReuseFrame>& frames,
       const auto& m0 = *macros_[0];
       cimsram::pack_row_mask(ungated, m0.n_in(), gate);
       m0.matvec_encoded(scratch.enc0[scratch.chain_frame[ch]], gate, ungated,
-                        scratch.rngs[ch], pre);
+                        &scratch.rngs[ch], pre);
       fv.resize(pre.size());
       for (std::size_t j = 0; j < pre.size(); ++j)
         fv[j] = std::max(0.0, pre[j] + biases_[0][j]) * keep_scale_;
@@ -337,7 +337,7 @@ void CimMlp::forward_reuse_window(const std::vector<ReuseFrame>& frames,
     }
     const Mask& m = set_at(ch, scratch.chain_begin[ch])[0];
     cimsram::pack_row_mask(m, locus.n_in(), gate);
-    locus.matvec_encoded(frozen_of(ch), gate, ungated, scratch.rngs[ch],
+    locus.matvec_encoded(frozen_of(ch), gate, ungated, &scratch.rngs[ch],
                          scratch.accs[ch]);
     scratch.prev[ch] = &m;
   };
@@ -357,6 +357,21 @@ void CimMlp::forward_reuse_window(const std::vector<ReuseFrame>& frames,
     }
     scratch.prev[ch] = &cur;
     return flipped(ch);
+  };
+  // delta — the differential read of the flips diff found, into the
+  // chain's delta buffer, on the chain's own stream and stats sink (a
+  // null item sink would suspend the chain's capture scope).
+  const auto delta = [&](std::size_t ch) {
+    cimsram::DeltaItem it;
+    it.enc = &frozen_of(ch);
+    it.add_rows = scratch.added[ch].data();
+    it.n_add = scratch.added[ch].size();
+    it.rem_rows = scratch.removed[ch].data();
+    it.n_rem = scratch.removed[ch].size();
+    it.rng = &scratch.rngs[ch];
+    it.y = scratch.deltas[ch].data();
+    it.stats = chain_sink(ch);
+    return it;
   };
   // finish — folds position k's delta product into the accumulator (when
   // diff found flips), then the locus epilogue and every dense tail layer.
@@ -386,7 +401,7 @@ void CimMlp::forward_reuse_window(const std::vector<ReuseFrame>& frames,
       macro.encode_input(a, enc_hidden);
       cimsram::pack_row_mask(set[static_cast<std::size_t>(mask_base + l - 1)],
                              macro.n_in(), gate);
-      macro.matvec_encoded(enc_hidden, gate, col_mask, scratch.rngs[ch], z);
+      macro.matvec_encoded(enc_hidden, gate, col_mask, &scratch.rngs[ch], z);
       finish_layer(z, biases_[static_cast<std::size_t>(l)], col_mask,
                    !is_last);
     }
@@ -395,8 +410,8 @@ void CimMlp::forward_reuse_window(const std::vector<ReuseFrame>& frames,
   // Two schedules of the same kernel, bit-identical by construction
   // (chains never read each other's state):
   //  * few chains (one session's frame) — each chain runs
-  //    start -> (diff -> matvec_delta -> finish)* as one work item, with
-  //    no step barriers;
+  //    start -> (diff -> delta -> finish)* as one work item, with no step
+  //    barriers, each delta a one-item MacroLike::matvec_delta_batch;
   //  * many chains (the fleet case) — chains advance step-synchronously:
   //    position 0 is one dispatch of start + finish; every later position
   //    is one pooled differential batch (MacroLike::matvec_delta_batch)
@@ -410,12 +425,10 @@ void CimMlp::forward_reuse_window(const std::vector<ReuseFrame>& frames,
         finish(ch, scratch.chain_begin[ch]);
         for (std::size_t k = scratch.chain_begin[ch] + 1;
              k < scratch.chain_end[ch]; ++k) {
-          if (diff(ch, k))
-            locus.matvec_delta(frozen_of(ch), scratch.added[ch].data(),
-                               scratch.added[ch].size(),
-                               scratch.removed[ch].data(),
-                               scratch.removed[ch].size(), scratch.rngs[ch],
-                               scratch.deltas[ch]);
+          if (diff(ch, k)) {
+            const cimsram::DeltaItem it = delta(ch);
+            locus.matvec_delta_batch(&it, 1, nullptr);
+          }
           finish(ch, k);
         }
       }
@@ -429,17 +442,8 @@ void CimMlp::forward_reuse_window(const std::vector<ReuseFrame>& frames,
       if (p > 0) {
         scratch.items.clear();
         for (const std::uint32_t ch : scratch.live) {
-          if (!diff(ch, scratch.chain_begin[ch] + p)) continue;
-          cimsram::DeltaItem it;
-          it.enc = &frozen_of(ch);
-          it.add_rows = scratch.added[ch].data();
-          it.n_add = scratch.added[ch].size();
-          it.rem_rows = scratch.removed[ch].data();
-          it.n_rem = scratch.removed[ch].size();
-          it.rng = &scratch.rngs[ch];
-          it.y = scratch.deltas[ch].data();
-          it.stats = chain_sink(ch);
-          scratch.items.push_back(it);
+          if (diff(ch, scratch.chain_begin[ch] + p))
+            scratch.items.push_back(delta(ch));
         }
         if (!scratch.items.empty())
           locus.matvec_delta_batch(scratch.items.data(), scratch.items.size(),

@@ -158,12 +158,13 @@ class CimMlp {
   /// bnn::mc_predict_cim_jobs, across sessions). Each refresh chain runs
   /// one chain-step kernel: a dense start (the hidden-site layer-0 read,
   /// then the locus accumulator), then per position a digital flip diff,
-  /// one differential delta read (MacroLike::matvec_delta) netting the
-  /// added rows against the removed rows, and the locus epilogue plus the
-  /// dense tail layers. Below 16 chains each chain runs the kernel as one
-  /// work item; from 16 on chains advance step-synchronously, so at chain
-  /// position k one pooled MacroLike::matvec_delta_batch carries every
-  /// chain's step-k delta and one dispatch runs every chain's tail.
+  /// one differential delta read (a MacroLike::matvec_delta_batch item)
+  /// netting the added rows against the removed rows, and the locus
+  /// epilogue plus the dense tail layers. Below 16 chains each chain runs
+  /// the kernel as one work item, issuing one-item delta batches; from 16
+  /// on chains advance step-synchronously, so at chain position k one
+  /// pooled matvec_delta_batch carries every chain's step-k delta and one
+  /// dispatch runs every chain's tail.
   ///
   /// Determinism: a chain's rng is touched by at most one work item per
   /// barrier-separated phase, always in the order layer 0 -> locus ->

@@ -1,4 +1,4 @@
-#include "cimsram/conformance.hpp"
+#include "conformance/conformance.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -51,7 +51,7 @@ CimMacroConfig case_config(const CaseSpec& c, std::string_view backend_name) {
   cfg.max_cols = c.geom.max_cols;
   switch (c.mode) {
     case NoiseMode::kIdeal:
-      break;  // defaults; matvec_ideal* ignores the noise model anyway
+      break;  // defaults; the ideal read ignores the noise model anyway
     case NoiseMode::kAdcOnly:
       cfg.analog_noise = false;
       cfg.adc_bits = 4;  // coarse: quantization is the whole point
@@ -113,6 +113,50 @@ struct Checker {
   }
 };
 
+// The harness's batch dispatch over the single-read primitive: one root
+// is drawn from `rng`, then sample s is encoded and read once, a noisy
+// read drawing from Rng::stream(root, s) (null `rng` = the ideal read).
+// With a pool the samples run as concurrent reads of one shared macro —
+// the shape CimMlp::forward_window uses in production — and the
+// per-sample streams make any partitioning bit-identical to the serial
+// loop.
+std::vector<std::vector<double>> read_batch(
+    const MacroLike& m, const std::vector<std::vector<double>>& xs,
+    const std::vector<std::uint8_t>& im, const std::vector<std::uint8_t>& om,
+    Rng* rng, core::ThreadPool* pool = nullptr) {
+  const std::uint64_t root = rng != nullptr ? (*rng)() : 0;
+  std::vector<std::vector<double>> ys(xs.size());
+  const auto body = [&](std::size_t begin, std::size_t end, int) {
+    for (std::size_t s = begin; s < end; ++s) {
+      Rng sample_rng = Rng::stream(root, s);
+      ys[s] = matvec(m, xs[s], im, om,
+                     rng != nullptr ? &sample_rng : nullptr);
+    }
+  };
+  if (pool != nullptr)
+    pool->parallel_for(xs.size(), 1, body);
+  else
+    body(0, xs.size(), 0);
+  return ys;
+}
+
+// One differential read: a one-item matvec_delta_batch.
+void delta_read(const MacroLike& m, const EncodedInput& enc,
+                const std::vector<std::size_t>& add,
+                const std::vector<std::size_t>& rem, Rng& rng,
+                std::vector<double>& y) {
+  y.assign(static_cast<std::size_t>(m.n_out()), 0.0);
+  DeltaItem it;
+  it.enc = &enc;
+  it.add_rows = add.data();
+  it.n_add = add.size();
+  it.rem_rows = rem.data();
+  it.n_rem = rem.size();
+  it.rng = &rng;
+  it.y = y.data();
+  m.matvec_delta_batch(&it, 1);
+}
+
 std::vector<std::vector<double>> case_batch_inputs(
     const CaseSpec& c, std::uint64_t first_sample, int count,
     std::vector<std::uint8_t>& in_mask, std::vector<std::uint8_t>& out_mask) {
@@ -135,8 +179,8 @@ CaseResult check_ideal(const CaseSpec& c) {
     case Dispatch::kSingle: {
       std::vector<double> x;
       make_case_input(c, 0, x, im, om);
-      ck.expect_bitwise(test->matvec_ideal(x, im, om),
-                        ref->matvec_ideal(x, im, om), "ideal/single");
+      const auto yt = matvec(*test, x, im, om, nullptr);
+      ck.expect_bitwise(yt, matvec(*ref, x, im, om, nullptr), "ideal/single");
       if (c.geom.sharded()) {
         // Shard-reduction identity: the grid must produce the monolithic
         // macro's exact bits (scale-last integer reduction).
@@ -144,26 +188,27 @@ CaseResult check_ideal(const CaseSpec& c) {
         mono.geom.max_rows = 0;
         mono.geom.max_cols = 0;
         const auto mono_ref = make_case_macro(mono, "reference");
-        ck.expect_bitwise(test->matvec_ideal(x, im, om),
-                          mono_ref->matvec_ideal(x, im, om),
+        ck.expect_bitwise(yt, matvec(*mono_ref, x, im, om, nullptr),
                           "ideal/shard-vs-monolithic");
       }
       break;
     }
     case Dispatch::kBatch: {
       const auto xs = case_batch_inputs(c, 0, 5, im, om);
-      ck.expect_bitwise_batch(test->matvec_ideal_batch(xs, im, om),
-                              ref->matvec_ideal_batch(xs, im, om),
+      ck.expect_bitwise_batch(read_batch(*test, xs, im, om, nullptr),
+                              read_batch(*ref, xs, im, om, nullptr),
                               "ideal/batch");
       break;
     }
     case Dispatch::kPooled: {
       const auto xs = case_batch_inputs(c, 0, 6, im, om);
       const auto pooled =
-          test->matvec_ideal_batch(xs, im, om, &case_pool());
-      ck.expect_bitwise_batch(pooled, test->matvec_ideal_batch(xs, im, om),
+          read_batch(*test, xs, im, om, nullptr, &case_pool());
+      ck.expect_bitwise_batch(pooled,
+                              read_batch(*test, xs, im, om, nullptr),
                               "ideal/pooled-vs-serial");
-      ck.expect_bitwise_batch(pooled, ref->matvec_ideal_batch(xs, im, om),
+      ck.expect_bitwise_batch(pooled,
+                              read_batch(*ref, xs, im, om, nullptr),
                               "ideal/pooled-vs-reference");
       break;
     }
@@ -172,8 +217,8 @@ CaseResult check_ideal(const CaseSpec& c) {
         const auto xs = case_batch_inputs(c, job * 8, 3, im, om);
         std::ostringstream os;
         os << "ideal/multijob " << job;
-        ck.expect_bitwise_batch(test->matvec_ideal_batch(xs, im, om),
-                                ref->matvec_ideal_batch(xs, im, om),
+        ck.expect_bitwise_batch(read_batch(*test, xs, im, om, nullptr),
+                                read_batch(*ref, xs, im, om, nullptr),
                                 os.str().c_str());
         if (!ck.result.pass) break;
       }
@@ -195,20 +240,20 @@ CaseResult check_adc(const CaseSpec& c) {
     for (std::uint64_t s = 0; s < 3; ++s) {
       std::vector<double> x;
       make_case_input(c, s, x, im, om);
-      // Noise is off, so the noisy entry points are deterministic: the
-      // rngs differ per macro and must not matter.
+      // Noise is off, so the noisy read is deterministic: the rngs
+      // differ per macro and must not matter.
       Rng rt(c.seed ^ 0x17), rr(c.seed ^ 0x23), rt2(c.seed ^ 0x31);
-      const auto yt = test->matvec(x, im, om, rt);
-      ck.expect_bitwise(yt, ref->matvec(x, im, om, rr), "adc/single");
-      ck.expect_bitwise(yt, test->matvec(x, im, om, rt2),
+      const auto yt = matvec(*test, x, im, om, &rt);
+      ck.expect_bitwise(yt, matvec(*ref, x, im, om, &rr), "adc/single");
+      ck.expect_bitwise(yt, matvec(*test, x, im, om, &rt2),
                         "adc/determinism");
       if (!ck.result.pass) break;
     }
   } else {  // kBatch
     const auto xs = case_batch_inputs(c, 0, 5, im, om);
     Rng rt(c.seed ^ 0x41), rr(c.seed ^ 0x43);
-    ck.expect_bitwise_batch(test->matvec_batch(xs, im, om, rt),
-                            ref->matvec_batch(xs, im, om, rr), "adc/batch");
+    ck.expect_bitwise_batch(read_batch(*test, xs, im, om, &rt),
+                            read_batch(*ref, xs, im, om, &rr), "adc/batch");
   }
   return ck.result;
 }
@@ -232,8 +277,8 @@ CaseResult check_statistical(const CaseSpec& c) {
     const auto xs =
         std::vector<std::vector<double>>(8, x);
     Rng rt(c.seed ^ 0x55), rr(c.seed ^ 0x55);
-    ck.expect_bitwise_batch(test->matvec_batch(xs, im, om, rt),
-                            ref->matvec_batch(xs, im, om, rr),
+    ck.expect_bitwise_batch(read_batch(*test, xs, im, om, &rt),
+                            read_batch(*ref, xs, im, om, &rr),
                             "analog/draw-compatible");
     return ck.result;
   }
@@ -242,8 +287,8 @@ CaseResult check_statistical(const CaseSpec& c) {
   const auto xs = std::vector<std::vector<double>>(
       static_cast<std::size_t>(reps), x);
   Rng rt(c.seed ^ 0x61), rr(c.seed ^ 0x67);
-  const auto yt = test->matvec_batch(xs, im, om, rt);
-  const auto yr = ref->matvec_batch(xs, im, om, rr);
+  const auto yt = read_batch(*test, xs, im, om, &rt);
+  const auto yr = read_batch(*ref, xs, im, om, &rr);
 
   const int n_out = c.geom.n_out;
   const double ratio_tol =
@@ -339,17 +384,17 @@ CaseResult check_statistical(const CaseSpec& c) {
 }
 
 CaseResult check_pooled_identity(const CaseSpec& c) {
-  // The batched-dispatch determinism contract, per backend and geometry:
-  // noise streams are keyed on work-item indices, so the pooled fan-out
-  // (including ShardedMacro's shard-affine chunk order, PR 7) must
-  // produce the serial schedule's exact bits.
+  // The concurrent-read determinism contract, per backend and geometry:
+  // noise streams are keyed on sample indices and every scratch buffer is
+  // per thread, so concurrent noisy reads of one shared macro must
+  // produce the serial loop's exact bits.
   Checker ck{c, {}};
   const auto test = make_case_macro(c, c.backend);
   std::vector<std::uint8_t> im, om;
   const auto xs = case_batch_inputs(c, 0, 6, im, om);
   Rng ra(c.seed ^ 0x71), rb(c.seed ^ 0x71);
-  ck.expect_bitwise_batch(test->matvec_batch(xs, im, om, rb, &case_pool()),
-                          test->matvec_batch(xs, im, om, ra),
+  ck.expect_bitwise_batch(read_batch(*test, xs, im, om, &rb, &case_pool()),
+                          read_batch(*test, xs, im, om, &ra),
                           "analog/pooled-vs-serial");
   return ck.result;
 }
@@ -366,7 +411,7 @@ CaseResult check_multijob(const CaseSpec& c) {
     for (std::uint64_t job = 0; job < 3; ++job) {
       const auto xs = case_batch_inputs(c, job * 8, 3, im, om);
       Rng jr = Rng::stream(c.seed, job);
-      jobs.push_back(test->matvec_batch(xs, im, om, jr));
+      jobs.push_back(read_batch(*test, xs, im, om, &jr));
     }
     return jobs;
   };
@@ -381,8 +426,8 @@ CaseResult check_multijob(const CaseSpec& c) {
   // Same inputs, different job keys -> different noise somewhere.
   const auto xs = case_batch_inputs(c, 0, 3, im, om);
   Rng j0 = Rng::stream(c.seed, 101), j1 = Rng::stream(c.seed, 202);
-  const auto y0 = test->matvec_batch(xs, im, om, j0);
-  const auto y1 = test->matvec_batch(xs, im, om, j1);
+  const auto y0 = read_batch(*test, xs, im, om, &j0);
+  const auto y1 = read_batch(*test, xs, im, om, &j1);
   ++ck.result.checks;
   if (y0 == y1)
     ck.fail("analog/multijob-distinct: different job keys produced "
@@ -396,7 +441,7 @@ bool mono_odd_rows(const CaseGeometry& g);
 
 // Deterministic disjoint flip lists for a delta case: ~20% of rows flip
 // on, ~20% flip off, and rows 0 / n_in-1 anchor each side so neither
-// list is ever empty (the matvec_delta contract).
+// list is ever empty (the delta-read contract).
 void case_delta_rows(const CaseSpec& c, std::uint64_t salt,
                      std::vector<std::size_t>& add,
                      std::vector<std::size_t>& rem) {
@@ -435,38 +480,33 @@ CaseResult check_delta(const CaseSpec& c) {
     // the same counts).
     std::vector<double> ya, yb;
     Rng r1(c.seed ^ 0x91), r2(c.seed ^ 0x93);
-    test->matvec_delta(enc_t, add.data(), add.size(), rem.data(),
-                       rem.size(), r1, ya);
-    test->matvec_delta(enc_t, add.data(), add.size(), rem.data(),
-                       rem.size(), r2, yb);
+    delta_read(*test, enc_t, add, rem, r1, ya);
+    delta_read(*test, enc_t, add, rem, r2, yb);
     ck.expect_bitwise(yb, ya, "delta/determinism");
 
     // Swapping the rails must negate the op exactly: the correlated
     // double sample converts each rail independently.
     Rng r3(c.seed ^ 0x95);
-    test->matvec_delta(enc_t, rem.data(), rem.size(), add.data(),
-                       add.size(), r3, yb);
+    delta_read(*test, enc_t, rem, add, r3, yb);
     for (auto& v : yb) v = -v;
     ck.expect_bitwise(yb, ya, "delta/antisymmetry");
 
     // A one-sided op (no removed rows) degenerates to the dense gated
     // read over the flipped rows — same counts, same code lattice.
     Rng r4(c.seed ^ 0x97), r5(c.seed ^ 0x99);
-    test->matvec_delta(enc_t, add.data(), add.size(), nullptr, 0, r4, ya);
+    delta_read(*test, enc_t, add, {}, r4, ya);
     std::vector<std::uint64_t> gate(
         static_cast<std::size_t>(test->gate_words()), 0);
     for (std::size_t r : add) gate[r >> 6] |= 1ull << (r & 63u);
-    test->matvec_encoded(enc_t, gate, no_mask, r5, yb);
+    test->matvec_encoded(enc_t, gate, no_mask, &r5, yb);
     ck.expect_bitwise(ya, yb, "delta/one-sided-vs-dense");
 
     if (mono_odd_rows(c.geom)) {
       // Tie-free geometry: the deterministic delta read is bitwise
       // cross-backend, like the dense ADC-only tier.
       Rng r6(c.seed ^ 0x9b), r7(c.seed ^ 0x9d);
-      test->matvec_delta(enc_t, add.data(), add.size(), rem.data(),
-                         rem.size(), r6, ya);
-      ref->matvec_delta(enc_r, add.data(), add.size(), rem.data(),
-                        rem.size(), r7, yb);
+      delta_read(*test, enc_t, add, rem, r6, ya);
+      delta_read(*ref, enc_r, add, rem, r7, yb);
       ck.expect_bitwise(ya, yb, "delta/cross-backend");
     }
     return ck.result;
@@ -479,7 +519,7 @@ CaseResult check_delta(const CaseSpec& c) {
   std::vector<std::vector<std::size_t>> adds(kItems), rems(kItems);
   for (int k = 0; k < kItems; ++k)
     case_delta_rows(c, static_cast<std::uint64_t>(k), adds[k], rems[k]);
-  auto run_batch = [&](core::ThreadPool* pool) {
+  auto run_items = [&](core::ThreadPool* pool) {
     std::vector<Rng> rngs;
     rngs.reserve(kItems);
     for (int k = 0; k < kItems; ++k)
@@ -501,17 +541,15 @@ CaseResult check_delta(const CaseSpec& c) {
     test->matvec_delta_batch(items.data(), items.size(), pool);
     return ys;
   };
-  ck.expect_bitwise_batch(run_batch(&case_pool()), run_batch(nullptr),
+  ck.expect_bitwise_batch(run_items(&case_pool()), run_items(nullptr),
                           "delta/pooled-vs-serial");
   if (!ck.result.pass) return ck.result;
 
   if (backend(c.backend).caps().draw_compatible_noise) {
     std::vector<double> ya, yb;
     Rng rt(c.seed ^ 0xA5), rr(c.seed ^ 0xA5);
-    test->matvec_delta(enc_t, add.data(), add.size(), rem.data(),
-                       rem.size(), rt, ya);
-    ref->matvec_delta(enc_r, add.data(), add.size(), rem.data(),
-                      rem.size(), rr, yb);
+    delta_read(*test, enc_t, add, rem, rt, ya);
+    delta_read(*ref, enc_r, add, rem, rr, yb);
     ck.expect_bitwise(ya, yb, "delta/draw-compatible");
     return ck.result;
   }
@@ -525,10 +563,8 @@ CaseResult check_delta(const CaseSpec& c) {
   for (int k = 0; k < reps; ++k) {
     Rng rt = Rng::stream(c.seed ^ 0x61, static_cast<std::uint64_t>(k));
     Rng rr = Rng::stream(c.seed ^ 0x67, static_cast<std::uint64_t>(k));
-    test->matvec_delta(enc_t, add.data(), add.size(), rem.data(),
-                       rem.size(), rt, yt[static_cast<std::size_t>(k)]);
-    ref->matvec_delta(enc_r, add.data(), add.size(), rem.data(),
-                      rem.size(), rr, yr[static_cast<std::size_t>(k)]);
+    delta_read(*test, enc_t, add, rem, rt, yt[static_cast<std::size_t>(k)]);
+    delta_read(*ref, enc_r, add, rem, rr, yr[static_cast<std::size_t>(k)]);
   }
   const double ratio_tol =
       std::max(core::tol::kStddevRatioTol,

@@ -4,8 +4,14 @@
 // the "reference" kernel. Registering a new backend (AVX-512 VPOPCNTDQ,
 // CUDA, ...) is a pure register_backend call: the case table is built
 // from backend_names() at runtime, so the new kernel inherits the whole
-// suite (tests/conformance/) and the bench_micro timing sweep rows with
-// zero test code written.
+// suite (test_backend_conformance.cpp next to this file) and the
+// bench_micro timing sweep rows with zero test code written. Built as the
+// cimnav_conformance library, which needs no GTest.
+//
+// The harness drives only the MacroLike primitives: a batch is its own
+// loop over matvec_encoded (sample s noisy reads draw from
+// Rng::stream(root, s)), run serially or as concurrent reads of one
+// shared macro over a ThreadPool; a delta read is a matvec_delta_batch.
 //
 // Case axes (the cross product is pruned per noise mode, see the table
 // builder in conformance.cpp):
@@ -16,21 +22,22 @@
 //              paths) / bit-plane edge codes with column masks;
 //   noise mode ideal / ADC-only (analog_noise off, coarse ADC) /
 //              analog (noise-dominated);
-//   dispatch   single call / batch / pooled batch / multi-job keyed
-//              streams / differential delta reads (compute reuse).
+//   dispatch   single read / harness batch loop / the same loop pooled /
+//              multi-job keyed streams / differential delta reads
+//              (compute reuse).
 //
 // Check tiers:
 //
 //   bitwise      the ideal path must be bit-identical across backends
 //                (exact integer reduction), sharded grids bit-identical
-//                to the monolithic macro, pooled dispatch bit-identical
-//                to serial (this is where the shard-affine reorder of
-//                the batched dispatch is gated), and the deterministic
-//                ADC-only path bit-identical cross-backend on tie-free
-//                geometries (odd physical row counts — even row counts
-//                can land counts exactly on an ADC half-code boundary,
-//                where FMA contraction differences make floor(x + 0.5)
-//                legitimately host-dependent);
+//                to the monolithic macro, concurrent pooled reads and the
+//                pooled delta fan-out bit-identical to serial (the delta
+//                axis gates ShardedMacro's shard-affine reorder), and the
+//                deterministic ADC-only path bit-identical cross-backend
+//                on tie-free geometries (odd physical row counts — even
+//                row counts can land counts exactly on an ADC half-code
+//                boundary, where FMA contraction differences make
+//                floor(x + 0.5) legitimately host-dependent);
 //   statistical  the analog path must be distribution-matched against
 //                reference: per-column Welford moment bounds plus
 //                KS-style quantile checks over keyed rng streams, with
@@ -66,18 +73,18 @@ enum class InputFamily {
 /// kAdcOnly for their deterministic tier (noise off, coarse ADC) and
 /// kAnalog for the noisy tier.
 enum class NoiseMode {
-  kIdeal,    ///< matvec_ideal* (exact reduction) -> bitwise tier
+  kIdeal,    ///< null-rng ideal read (exact reduction) -> bitwise tier
   kAdcOnly,  ///< analog_noise off, coarse ADC     -> bitwise tier
   kAnalog,   ///< noise-dominated                  -> statistical tier
 };
 
 /// How the case dispatches work.
 enum class Dispatch {
-  kSingle,    ///< one matvec per sample
-  kBatch,     ///< matvec_batch, serial
-  kPooled,    ///< matvec_batch over a ThreadPool vs serial (bit-identity)
+  kSingle,    ///< one dense read per sample
+  kBatch,     ///< harness loop of reads, one keyed stream per sample
+  kPooled,    ///< the same loop over a ThreadPool vs serial (bit-identity)
   kMultiJob,  ///< several jobs with rng streams keyed off one root
-  kDelta,     ///< matvec_delta / matvec_delta_batch (differential read)
+  kDelta,     ///< matvec_delta_batch (differential read), 1 and n items
 };
 
 /// Sweep depth: kQuick is the CI tier, kFull the nightly tier (more

@@ -1,4 +1,4 @@
-// Backend conformance sweep (see src/cimsram/conformance.hpp and
+// Backend conformance sweep (see conformance.hpp next to this file and
 // docs/conformance.md). One gtest parameter per (backend x input family):
 // the parameter list is built from cimsram::backend_names() at static
 // init, so registering a new backend makes it inherit every family shard
@@ -21,7 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "cimsram/backend.hpp"
-#include "cimsram/conformance.hpp"
+#include "conformance/conformance.hpp"
 
 namespace conf = cimnav::cimsram::conformance;
 using cimnav::cimsram::BackendCaps;

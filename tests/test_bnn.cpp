@@ -434,7 +434,7 @@ Vector serial_item_forward(const nn::Mlp& net, const nn::CimMlp& cim,
     const cimsram::MacroLike& macro = cim.macro(l);
     macro.encode_input(a, enc);
     cimsram::pack_row_mask(*rows, macro.n_in(), gate);
-    macro.matvec_encoded(enc, gate, cols, rng, z);
+    macro.matvec_encoded(enc, gate, cols, &rng, z);
     const Vector& bias = net.biases(l);
     for (std::size_t i = 0; i < z.size(); ++i)
       z[i] = (!cols.empty() && !cols[i]) ? 0.0 : z[i] + bias[i];

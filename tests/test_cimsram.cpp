@@ -194,7 +194,7 @@ TEST_P(CimMacroTest, IdealMatchesFloatWithinQuantError) {
   cfg.input_bits = 8;
   cfg.weight_bits = 8;
   const CimMacro macro(w, n_out, n_in, cfg, 1.0 / 255.0);
-  const auto y = macro.matvec_ideal(x, {}, {});
+  const auto y = matvec(macro, x, {}, {}, nullptr);
   const auto ref = reference_matvec(w, n_out, n_in, x);
   for (int o = 0; o < n_out; ++o) {
     EXPECT_NEAR(y[static_cast<std::size_t>(o)], ref[static_cast<std::size_t>(o)],
@@ -223,7 +223,7 @@ TEST_P(MacroPrecisionTest, ErrorShrinksWithPrecision) {
   cfg.adc_bits = 10;  // isolate input/weight quantization
   const CimMacro macro(w, n_out, n_in, cfg,
                        1.0 / ((1 << GetParam().bits) - 1));
-  const auto y = macro.matvec_ideal(x, {}, {});
+  const auto y = matvec(macro, x, {}, {}, nullptr);
   double err = 0.0, mag = 0.0;
   for (int o = 0; o < n_out; ++o) {
     double ref = 0.0;
@@ -249,7 +249,7 @@ TEST_P(CimMacroTest, InputMaskZerosContribution) {
   CimMacroConfig cfg = base_config();
   const CimMacro macro(w, n_out, n_in, cfg, 1.0 / 63.0);
   std::vector<std::uint8_t> none(static_cast<std::size_t>(n_in), 0);
-  const auto y = macro.matvec_ideal(x, none, {});
+  const auto y = matvec(macro, x, none, {}, nullptr);
   for (double v : y) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
@@ -261,9 +261,9 @@ TEST_P(CimMacroTest, OutputMaskSkipsColumns) {
   const CimMacro macro(w, n_out, n_in, cfg, 1.0 / 63.0);
   std::vector<std::uint8_t> mask(static_cast<std::size_t>(n_out), 1);
   mask[3] = 0;
-  const auto y = macro.matvec_ideal(x, {}, mask);
+  const auto y = matvec(macro, x, {}, mask, nullptr);
   EXPECT_DOUBLE_EQ(y[3], 0.0);
-  const auto full = macro.matvec_ideal(x, {}, {});
+  const auto full = matvec(macro, x, {}, {}, nullptr);
   for (int o = 0; o < n_out; ++o) {
     if (o == 3) continue;
     EXPECT_DOUBLE_EQ(y[static_cast<std::size_t>(o)],
@@ -282,13 +282,14 @@ TEST_P(CimMacroTest, RowSubsetsAddUpExactlyInIdealMode) {
   cfg.adc_bits = 12;  // effectively lossless column readout
   const CimMacro macro(w, n_out, n_in, cfg, 1.0 / 63.0);
 
-  std::vector<std::size_t> rows_a, rows_b;
+  std::vector<std::uint8_t> rows_a(static_cast<std::size_t>(n_in), 0);
+  std::vector<std::uint8_t> rows_b(static_cast<std::size_t>(n_in), 0);
   for (int i = 0; i < n_in; ++i)
-    (i % 2 == 0 ? rows_a : rows_b).push_back(static_cast<std::size_t>(i));
+    (i % 2 == 0 ? rows_a : rows_b)[static_cast<std::size_t>(i)] = 1;
   Rng rng(29);
-  const auto ya = macro.matvec_rows(x, rows_a, {}, rng);
-  const auto yb = macro.matvec_rows(x, rows_b, {}, rng);
-  const auto yfull = macro.matvec(x, {}, {}, rng);
+  const auto ya = matvec(macro, x, rows_a, {}, &rng);
+  const auto yb = matvec(macro, x, rows_b, {}, &rng);
+  const auto yfull = matvec(macro, x, {}, {}, &rng);
   for (int o = 0; o < n_out; ++o) {
     EXPECT_NEAR(ya[static_cast<std::size_t>(o)] + yb[static_cast<std::size_t>(o)],
                 yfull[static_cast<std::size_t>(o)], 1e-9);
@@ -305,10 +306,11 @@ TEST_P(CimMacroTest, AnalogNoiseScalesWithActiveRows) {
   const CimMacro macro(w, n_out, n_in, cfg, 1.0 / 63.0);
   Rng rng(31);
   core::RunningStats few, many;
-  std::vector<std::size_t> rows_few{0, 1, 2, 3};
+  std::vector<std::uint8_t> rows_few(static_cast<std::size_t>(n_in), 0);
+  rows_few[0] = rows_few[1] = rows_few[2] = rows_few[3] = 1;
   for (int k = 0; k < 400; ++k) {
-    many.add(macro.matvec(x, {}, {}, rng)[0]);
-    few.add(macro.matvec_rows(x, rows_few, {}, rng)[0]);
+    many.add(matvec(macro, x, {}, {}, &rng)[0]);
+    few.add(matvec(macro, x, rows_few, {}, &rng)[0]);
   }
   EXPECT_GT(many.stddev(), few.stddev());
 }
@@ -323,8 +325,8 @@ TEST_P(CimMacroTest, CoarseAdcAddsError) {
     cfg.adc_bits = adc_bits;
     const CimMacro macro(w, n_out, n_in, cfg, 1.0 / 63.0);
     Rng rng(43);
-    const auto y = macro.matvec(x, {}, {}, rng);
-    const auto ref = macro.matvec_ideal(x, {}, {});
+    const auto y = matvec(macro, x, {}, {}, &rng);
+    const auto ref = matvec(macro, x, {}, {}, nullptr);
     double e = 0.0, m = 0.0;
     for (int o = 0; o < n_out; ++o) {
       e += std::abs(y[static_cast<std::size_t>(o)] -
@@ -346,7 +348,7 @@ TEST_P(CimMacroTest, StatsTrackActivity) {
   cfg.weight_bits = 4;
   const CimMacro macro(w, n_out, n_in, cfg, 1.0 / 15.0);
   Rng rng(59);
-  macro.matvec(x, {}, {}, rng);
+  matvec(macro, x, {}, {}, &rng);
   const auto& s = macro.stats();
   EXPECT_EQ(s.matvec_calls, 1u);
   // cycles = 2 signs * 3 planes * 4 input bits = 24
@@ -361,7 +363,7 @@ TEST_P(CimMacroTest, StatsTrackActivity) {
   std::vector<std::uint8_t> out_mask(static_cast<std::size_t>(n_out), 1);
   out_mask[7] = 0;
   macro.reset_stats();
-  macro.matvec(x, in_mask, out_mask, rng);
+  matvec(macro, x, in_mask, out_mask, &rng);
   EXPECT_EQ(macro.stats().wordline_pulses, 24u * 14u);
   EXPECT_EQ(macro.stats().adc_conversions, 24u * 7u);
 }
@@ -371,8 +373,10 @@ TEST_P(CimMacroTest, RejectsBadArguments) {
   EXPECT_THROW(CimMacro({1.0}, 1, 2, cfg, 1.0), std::invalid_argument);
   const CimMacro macro({0.5, -0.5}, 1, 2, cfg, 1.0);
   Rng rng(61);
-  EXPECT_THROW(macro.matvec({1.0}, {}, {}, rng), std::invalid_argument);
-  EXPECT_THROW(macro.matvec_rows({1.0, 1.0}, {5}, {}, rng),
+  EXPECT_THROW(matvec(macro, {1.0}, {}, {}, &rng), std::invalid_argument);
+  EXPECT_THROW(matvec(macro, {1.0, 1.0}, {1, 1, 1}, {}, &rng),
+               std::invalid_argument);
+  EXPECT_THROW(matvec(macro, {1.0, 1.0}, {}, {1, 1}, &rng),
                std::invalid_argument);
 }
 
@@ -388,12 +392,15 @@ TEST_P(CimMacroTest, GatedMatvecValidatesRowGateWidth) {
   const CimMacro macro(w, n_out, n_in, cfg, 1.0 / 15.0);
   ASSERT_EQ(macro.gate_words(), 2);
   Rng rng(79);
+  EncodedInput enc;
+  macro.encode_input(x, enc);
+  std::vector<double> y;
 
   std::vector<std::uint64_t> short_gate(1, ~std::uint64_t{0});
-  EXPECT_THROW(macro.matvec_gated(x, short_gate, {}, rng),
+  EXPECT_THROW(macro.matvec_encoded(enc, short_gate, {}, &rng, y),
                std::invalid_argument);
   std::vector<std::uint64_t> long_gate(3, ~std::uint64_t{0});
-  EXPECT_THROW(macro.matvec_gated(x, long_gate, {}, rng),
+  EXPECT_THROW(macro.matvec_encoded(enc, long_gate, {}, &rng, y),
                std::invalid_argument);
 
   // A correctly-sized all-ones gate matches the unmasked product exactly
@@ -401,7 +408,7 @@ TEST_P(CimMacroTest, GatedMatvecValidatesRowGateWidth) {
   std::vector<std::uint64_t> gate;
   pack_row_mask({}, n_in, gate);
   macro.reset_stats();
-  const auto y = macro.matvec_gated(x, gate, {}, rng);
+  macro.matvec_encoded(enc, gate, {}, &rng, y);
   EXPECT_EQ(y.size(), static_cast<std::size_t>(n_out));
   EXPECT_EQ(macro.stats().wordline_pulses,
             macro.stats().analog_cycles * static_cast<std::uint64_t>(n_in));
@@ -437,22 +444,6 @@ TEST(PackRowMask, WrongSizeThrows) {
   std::vector<std::uint64_t> gate;
   std::vector<std::uint8_t> mask(8, 1);
   EXPECT_THROW(pack_row_mask(mask, 9, gate), std::invalid_argument);
-}
-
-TEST(PackRows, EmptyListYieldsAllZeroGate) {
-  std::vector<std::uint64_t> gate;
-  pack_rows({}, 130, gate);
-  ASSERT_EQ(gate.size(), 3u);
-  for (std::uint64_t g : gate) EXPECT_EQ(g, 0u);
-}
-
-TEST(PackRows, DuplicatesAreIdempotentAndBoundsChecked) {
-  std::vector<std::uint64_t> gate;
-  pack_rows({3, 3, 65, 99}, 100, gate);
-  ASSERT_EQ(gate.size(), 2u);
-  EXPECT_EQ(std::popcount(gate[0]) + std::popcount(gate[1]), 3);
-  EXPECT_THROW(pack_rows({100}, 100, gate), std::invalid_argument);
-  EXPECT_THROW(pack_rows({0, 7, 1000}, 100, gate), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -494,8 +485,8 @@ TEST(ShardedMacro, StatsCountPerShardPhysicalOps) {
   const ShardedMacro grid(w, n, n, shard_cfg, 1.0 / 15.0);
   const auto x = random_input(n, 233);
   Rng r1(7), r2(7);
-  mono.matvec(x, {}, {}, r1);
-  grid.matvec(x, {}, {}, r2);
+  matvec(mono, x, {}, {}, &r1);
+  matvec(grid, x, {}, {}, &r2);
   const auto ms = mono.stats();
   const auto gs = grid.stats();
   EXPECT_EQ(gs.adc_conversions, 2u * ms.adc_conversions);
@@ -529,6 +520,31 @@ TEST(ShardedMacro, FactoryAndValidation) {
   unaligned.max_cols = 64;
   EXPECT_THROW(ShardedMacro(w, 70, 128, unaligned, 1.0 / 63.0),
                std::invalid_argument);
+}
+
+TEST(ShardedMacro, RejectsBadBitWidthsBeforeBuildingTheGrid) {
+  // Regression: the grid constructor derived the weight grid from
+  // 1 << (weight_bits - 1) before any shard validated the width, so
+  // weight_bits = 0 shifted by a negative exponent (UB).
+  const auto w = random_weights(16, 16, 251);
+  for (const int bits : {0, 13}) {
+    CimMacroConfig cfg;
+    cfg.weight_bits = bits;
+    cfg.max_cols = 8;
+    EXPECT_THROW(make_macro(w, 16, 16, cfg, 1.0), std::invalid_argument)
+        << "weight_bits=" << bits;
+  }
+  CimMacroConfig bad_input;
+  bad_input.input_bits = 0;
+  bad_input.max_cols = 8;
+  EXPECT_THROW(make_macro(w, 16, 16, bad_input, 1.0), std::invalid_argument);
+  CimMacroConfig bad_adc;
+  bad_adc.adc_bits = 17;
+  bad_adc.max_cols = 8;
+  EXPECT_THROW(make_macro(w, 16, 16, bad_adc, 1.0), std::invalid_argument);
+  CimMacroConfig ok;
+  ok.max_cols = 8;
+  EXPECT_THROW(make_macro(w, 16, 16, ok, 0.0), std::invalid_argument);
 }
 
 }  // namespace

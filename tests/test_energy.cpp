@@ -195,8 +195,8 @@ TEST(MacroEnergy, ShardedGridMeasuresCheaperWordlinesThanFlatPricing) {
   std::vector<double> x(static_cast<std::size_t>(n));
   for (auto& v : x) v = rng.uniform();
   core::Rng arng(78);
-  mono->matvec(x, {}, {}, arng);
-  grid->matvec(x, {}, {}, arng);
+  cimsram::matvec(*mono, x, {}, {}, &arng);
+  cimsram::matvec(*grid, x, {}, {}, &arng);
   const auto ms = mono->stats();
   const auto gs = grid->stats();
   EXPECT_EQ(gs.wordline_pulses, 2u * ms.wordline_pulses);

@@ -4,12 +4,14 @@
 // pool sizes {1, 2, 8} x window sizes {1, 3, 16} x session counts
 // {1, 4, 8} — spanning both dispatch modes of the chain engine
 // (per-chain work items below the step-sync threshold, step-synchronous
-// pooled phases above it) — over three net shapes that reach every
-// branch of the chain-step kernel: hidden-site {4,16,8,2} (locus layer 1,
-// one tail layer), input-site {4,16,8,2} (locus layer 0, two tail
-// layers) and hidden-site {4,16,2} (the locus is the output layer). The
-// warmed pooled reuse path must run without touching the heap
-// (operator-new spy in this TU).
+// pooled phases above it) — over net shapes that reach every branch of
+// the chain-step kernel: hidden-site {4,16,8,2} (locus layer 1, one tail
+// layer), input-site {4,16,8,2} (locus layer 0, two tail layers),
+// hidden-site {4,16,2} (the locus is the output layer) and hidden-site
+// {80,72,3} on 64x64 physical arrays (a 2x2 shard grid under layer 0 and
+// a row-sharded locus, so delta reads run on a ShardedMacro with analog
+// noise on). The warmed pooled reuse path must run without touching the
+// heap (operator-new spy in this TU).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -54,20 +56,27 @@ using core::Rng;
 using core::ThreadPool;
 using nn::Vector;
 
-/// A network shape under test: layer widths and the dropout site.
+/// A network shape under test: layer widths (>= 4 inputs, >= 2 outputs),
+/// the dropout site and the physical array bounds of every layer.
 struct NetShape {
   std::vector<int> layer_sizes;
   bool dropout_on_input = false;
+  int max_rows = 0;  ///< make_macro shard bounds (0 = unbounded)
+  int max_cols = 0;
 };
 
 class ReuseParallelFixture : public ::testing::TestWithParam<NetShape> {
  protected:
   ReuseParallelFixture() : rng_(7), net_(make_config(GetParam()), rng_) {
+    const int n_out = GetParam().layer_sizes.back();
     std::vector<Vector> X, Y;
     for (int i = 0; i < 300; ++i) {
-      Vector x{rng_.uniform(), rng_.uniform(), rng_.uniform(),
-               rng_.uniform()};
-      Y.push_back({x[0] + x[1] - x[2], x[3] - x[0]});
+      Vector x = random_input(rng_);
+      Vector y{x[0] + x[1] - x[2], x[3] - x[0]};
+      for (int k = 2; k < n_out; ++k)
+        y.push_back(x[static_cast<std::size_t>(k) % x.size()] -
+                    x[static_cast<std::size_t>(k + 1) % x.size()]);
+      Y.push_back(std::move(y));
       X.push_back(std::move(x));
     }
     nn::TrainOptions opt;
@@ -75,11 +84,11 @@ class ReuseParallelFixture : public ::testing::TestWithParam<NetShape> {
 
     std::vector<Vector> calib;
     Rng crng(13);
-    for (int i = 0; i < 20; ++i)
-      calib.push_back(
-          {crng.uniform(), crng.uniform(), crng.uniform(), crng.uniform()});
+    for (int i = 0; i < 20; ++i) calib.push_back(random_input(crng));
     cimsram::CimMacroConfig mc;  // analog noise ON: bit-identity is the
                                  // strong claim on the noisy path
+    mc.max_rows = GetParam().max_rows;
+    mc.max_cols = GetParam().max_cols;
     Rng nrng(17);
     cim_ = std::make_unique<nn::CimMlp>(net_, mc, calib, nrng);
   }
@@ -102,12 +111,17 @@ class ReuseParallelFixture : public ::testing::TestWithParam<NetShape> {
     return opt;
   }
 
+  /// One uniform input vector of the network's input width.
+  static Vector random_input(Rng& rng) {
+    Vector x(static_cast<std::size_t>(GetParam().layer_sizes.front()));
+    for (double& v : x) v = rng.uniform();
+    return x;
+  }
+
   static std::vector<Vector> make_frames(std::size_t n) {
     std::vector<Vector> frames;
     Rng frng(23);
-    for (std::size_t f = 0; f < n; ++f)
-      frames.push_back(
-          {frng.uniform(), frng.uniform(), frng.uniform(), frng.uniform()});
+    for (std::size_t f = 0; f < n; ++f) frames.push_back(random_input(frng));
     return frames;
   }
 
@@ -211,36 +225,51 @@ TEST_P(ReuseParallelFixture, JobsBitIdenticalAcrossSessionCounts) {
 
 TEST_P(ReuseParallelFixture, WorkloadAccountingMatchesSerialExactly) {
   // Per-frame MacroStats attribution on the pooled reuse path must sum
-  // to the same counters as the serial loop — exact, not amortized.
+  // to the same counters as the serial loop and to the macros' own
+  // lifetime-counter delta — exact, not amortized — under both chain
+  // schedules (5 frames = 15 chains run per chain, 8 frames = 24 chains
+  // run step-synchronously).
   ThreadPool pool(4);
-  const std::vector<Vector> frames = make_frames(5);
-  McOptions opt = reuse_options(nullptr);
+  for (const std::size_t window : {std::size_t{5}, std::size_t{8}}) {
+    const std::vector<Vector> frames = make_frames(window);
+    McOptions opt = reuse_options(nullptr);
 
-  McWorkload serial_wl;
-  {
+    McWorkload serial_wl;
+    {
+      SoftwareMaskSource masks(Rng{1000});
+      Rng arng(2000);
+      for (const Vector& x : frames)
+        mc_predict_cim(*cim_, x, opt, masks, arng, &serial_wl);
+    }
+
+    opt.pool = &pool;
     SoftwareMaskSource masks(Rng{1000});
     Rng arng(2000);
-    for (const Vector& x : frames)
-      mc_predict_cim(*cim_, x, opt, masks, arng, &serial_wl);
+    std::vector<const Vector*> xs;
+    for (const Vector& x : frames) xs.push_back(&x);
+    McWorkload pooled_wl;
+    std::vector<McWorkload> per_frame;
+    const cimsram::MacroStats before = cim_->total_stats();
+    mc_predict_cim_window(*cim_, xs, opt, masks, arng, &pooled_wl, 0, {},
+                          &per_frame);
+    const cimsram::MacroStats counted = cim_->total_stats() - before;
+
+    EXPECT_EQ(pooled_wl.macro.wordline_pulses,
+              serial_wl.macro.wordline_pulses)
+        << "window=" << window;
+    EXPECT_EQ(pooled_wl.input_mask_flips, serial_wl.input_mask_flips);
+    EXPECT_EQ(pooled_wl.mask_bits_drawn, serial_wl.mask_bits_drawn);
+    EXPECT_EQ(pooled_wl.macro.matvec_calls, counted.matvec_calls)
+        << "window=" << window;
+    EXPECT_EQ(pooled_wl.macro.wordline_pulses, counted.wordline_pulses)
+        << "window=" << window;
+    EXPECT_EQ(pooled_wl.macro.adc_conversions, counted.adc_conversions)
+        << "window=" << window;
+    ASSERT_EQ(per_frame.size(), frames.size());
+    std::uint64_t summed = 0;
+    for (const McWorkload& wl : per_frame) summed += wl.macro.wordline_pulses;
+    EXPECT_EQ(summed, pooled_wl.macro.wordline_pulses);
   }
-
-  opt.pool = &pool;
-  SoftwareMaskSource masks(Rng{1000});
-  Rng arng(2000);
-  std::vector<const Vector*> xs;
-  for (const Vector& x : frames) xs.push_back(&x);
-  McWorkload pooled_wl;
-  std::vector<McWorkload> per_frame;
-  mc_predict_cim_window(*cim_, xs, opt, masks, arng, &pooled_wl, 0, {},
-                        &per_frame);
-
-  EXPECT_EQ(pooled_wl.macro.wordline_pulses, serial_wl.macro.wordline_pulses);
-  EXPECT_EQ(pooled_wl.input_mask_flips, serial_wl.input_mask_flips);
-  EXPECT_EQ(pooled_wl.mask_bits_drawn, serial_wl.mask_bits_drawn);
-  ASSERT_EQ(per_frame.size(), frames.size());
-  std::uint64_t summed = 0;
-  for (const McWorkload& wl : per_frame) summed += wl.macro.wordline_pulses;
-  EXPECT_EQ(summed, pooled_wl.macro.wordline_pulses);
 }
 
 TEST_P(ReuseParallelFixture, PooledReusePathIsAllocationFreeOnceWarm) {
@@ -296,11 +325,15 @@ INSTANTIATE_TEST_SUITE_P(
     Shapes, ReuseParallelFixture,
     ::testing::Values(NetShape{{4, 16, 8, 2}, false},
                       NetShape{{4, 16, 8, 2}, true},
-                      NetShape{{4, 16, 2}, false}),
+                      NetShape{{4, 16, 2}, false},
+                      NetShape{{80, 72, 3}, false, 64, 64}),
     [](const ::testing::TestParamInfo<NetShape>& info) {
       std::string name = info.param.dropout_on_input ? "input" : "hidden";
       for (const int width : info.param.layer_sizes)
         name += "_" + std::to_string(width);
+      if (info.param.max_rows > 0 || info.param.max_cols > 0)
+        name += "_shard" + std::to_string(info.param.max_rows) + "x" +
+                std::to_string(info.param.max_cols);
       return name;
     });
 

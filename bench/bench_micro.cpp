@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_json.hpp"
@@ -24,7 +25,9 @@
 #include "conformance/conformance.hpp"
 #include "cimsram/sharded_macro.hpp"
 #include "core/thread_pool.hpp"
+#include "filter/measurement.hpp"
 #include "filter/particle_filter.hpp"
+#include "filter/scenario.hpp"
 #include "nn/cim_mlp.hpp"
 #include "nn/mlp.hpp"
 #include "prob/gmm.hpp"
@@ -334,6 +337,23 @@ class QuadraticModel final : public filter::MeasurementModel {
   const char* name() const override { return "bench-quadratic"; }
 };
 
+// Forwards log_likelihood only, so a whole update through it takes the
+// default per-pose MeasurementModel::log_likelihoods body: the baseline of
+// the shared-current update row.
+class PerPoseModel final : public filter::MeasurementModel {
+ public:
+  explicit PerPoseModel(const filter::MeasurementModel& inner)
+      : inner_(inner) {}
+  double log_likelihood(const core::Pose& pose, const vision::DepthScan& scan,
+                        core::Rng& rng) const override {
+    return inner_.log_likelihood(pose, scan, rng);
+  }
+  const char* name() const override { return inner_.name(); }
+
+ private:
+  const filter::MeasurementModel& inner_;
+};
+
 // ---------------------------------------------------------------------------
 
 std::vector<circuit::VoltageComponent> bench_components(int k) {
@@ -391,6 +411,75 @@ int main() {
         });
     std::printf("%-44s %12.1f ns/read\n", "  (per read)",
                 r.ns_per_op / static_cast<double>(kScanPoints));
+    if (sink == 42.0) std::printf("%f", sink);
+  }
+
+  // One particle-filter update of CIM likelihood reads, shaped like the
+  // closed loop's solo corridor flight: 500 poses x one 80-pixel
+  // corridor_dropout scan on its 500-column array, single-threaded. The
+  // shared path (CimHmgmLikelihood::log_likelihoods) computes one ideal
+  // current per distinct DAC code triple of the update; the per-pose path
+  // is the default body through a log_likelihood-only decorator. Both give
+  // the same bits, so the ratio is a within-run speedup.
+  {
+    filter::ScenarioConfig sc_cfg =
+        filter::make_scenario_config("corridor_dropout");
+    sc_cfg.trajectory_steps = 2;
+    const filter::LocalizationScenario sc(sc_cfg);
+    const auto model = sc.make_cim_backend();
+    const auto& cim = dynamic_cast<const filter::CimHmgmLikelihood&>(*model);
+    const PerPoseModel per_pose(cim);
+    const vision::DepthScan scan = sc.render_scan(1);
+    // A tracking cloud around the true pose.
+    constexpr std::size_t kPoses = 500;
+    const core::Pose truth = sc.trajectory().poses[1];
+    core::Rng crng(31);
+    std::vector<double> x(kPoses), y(kPoses), z(kPoses), yaw(kPoses);
+    for (std::size_t i = 0; i < kPoses; ++i) {
+      const core::Pose p{truth.position + core::Vec3{crng.normal(0.0, 0.15),
+                                                     crng.normal(0.0, 0.15),
+                                                     crng.normal(0.0, 0.08)},
+                         truth.yaw + crng.normal(0.0, 0.1)};
+      x[i] = p.position.x;
+      y[i] = p.position.y;
+      z[i] = p.position.z;
+      yaw[i] = p.yaw;
+    }
+    const filter::PoseView poses{x.data(), y.data(), z.data(), yaw.data(),
+                                 kPoses, 1};
+    const double reads =
+        static_cast<double>(kPoses * scan.pixels.size());
+    std::vector<double> out(kPoses);
+    const auto ideal0 = cim.array().ideal_current_count();
+    cim.log_likelihoods(poses, scan, 1, nullptr, out);
+    const double distinct_fraction =
+        static_cast<double>(cim.array().ideal_current_count() - ideal0) /
+        reads;
+    const std::string tag =
+        "/p=" + std::to_string(kPoses) +
+        ",px=" + std::to_string(scan.pixels.size()) +
+        ",cols=" + std::to_string(cim.array().column_count());
+    std::uint64_t root = 1;
+    double sink = 0.0;
+    const bench::Result shared =
+        suite.run("likelihood_update_shared" + tag, 1, reads, "reads", [&] {
+          cim.log_likelihoods(poses, scan, ++root, nullptr, out);
+          sink += out.front();
+        });
+    const bench::Result per =
+        suite.run("likelihood_update_per_pose" + tag, 1, reads, "reads", [&] {
+          per_pose.log_likelihoods(poses, scan, ++root, nullptr, out);
+          sink += out.front();
+        });
+    const double speedup = per.ns_per_op / shared.ns_per_op;
+    std::printf("  (per logical read) shared %.1f ns, per-pose %.1f ns; "
+                "distinct fraction %.3f; speedup %.2fx\n",
+                shared.ns_per_op / reads, per.ns_per_op / reads,
+                distinct_fraction, speedup);
+    suite.add_summary("likelihood_update_shared_speedup_vs_per_pose",
+                      speedup);
+    suite.add_summary("likelihood_update_shared_distinct_fraction",
+                      distinct_fraction);
     if (sink == 42.0) std::printf("%f", sink);
   }
 

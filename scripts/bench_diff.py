@@ -49,6 +49,10 @@ TRACKED = {
         # dispatch shape) must keep producing the serial item loop's bits
         # on the sharded grid.
         "sharded_delta_affinity_bit_identity": "stable",
+        # One filter update of CIM likelihood reads (500 poses x 80 px x
+        # 500 columns, single thread): shared ideal currents per distinct
+        # DAC code triple vs the default per-pose path (within-run ratio).
+        "likelihood_update_shared_speedup_vs_per_pose": "higher",
         # Conformance sweep embedded in bench_micro (quick tier): every
         # case must pass, and dropping a registered backend from the
         # sweep is a regression.

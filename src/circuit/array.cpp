@@ -71,12 +71,23 @@ void trim_branch(InverterBranch& branch, double base_dn, double base_dp,
   }
 }
 
+// Rejects a DAC too wide for the code cube before any member sizes a
+// table from it: 2^(3 * dac_bits) keys, and 3 * 2^dac_bits * columns
+// table entries.
+const LikelihoodArrayConfig& checked(const LikelihoodArrayConfig& config) {
+  CIMNAV_REQUIRE(config.dac_bits >= 1 &&
+                     config.dac_bits <= CimLikelihoodArray::kMaxDacBits,
+                 "dac_bits must lie in [1, 8]: a read's code triple keys a "
+                 "2^(3 * dac_bits)-bit code-cube bitmap");
+  return config;
+}
+
 }  // namespace
 
 CimLikelihoodArray::CimLikelihoodArray(
     const LikelihoodArrayConfig& config,
     const std::vector<VoltageComponent>& components, core::Rng& rng)
-    : config_(config),
+    : config_(checked(config)),
       dac_(config.dac_bits, config.v_margin_v, config.vdd_v - config.v_margin_v),
       adc_(config.adc_bits,
            config.peak_current_a * static_cast<double>(config.total_columns) *
@@ -151,25 +162,41 @@ namespace {
 // divide/add chains, so the count changes speed, never results.
 constexpr std::size_t kInterleavedReads = 8;
 
-// Ideal currents of L reads over reciprocal tables of `cols` columns. Per
-// column, (1/Ix + 1/Iy) + 1/Iz is the harmonic sum in the axis order of
-// the per-column formula, and the column terms are summed in column order:
+using Codes = std::array<std::uint32_t, 3>;
+
+// Ideal currents of L reads over reciprocal tables of `cols` columns;
+// codes_of(k) gives read k's DAC code triple. Per column,
+// (1/Ix + 1/Iy) + 1/Iz is the harmonic sum in the axis order of the
+// per-column formula, and the column terms are summed in column order:
 // bit-identical to summing each column's 1 / (1/Ix + 1/Iy + 1/Iz).
-template <std::size_t L>
+template <std::size_t L, typename CodesOf>
 void read_interleaved(const std::array<std::vector<double>, 3>& inv,
-                      const Dac& dac, std::size_t cols,
-                      const core::Vec3* points_v, double* out) {
+                      std::size_t cols, CodesOf codes_of, double* out) {
   std::array<const double*, L> ix{}, iy{}, iz{};
   for (std::size_t k = 0; k < L; ++k) {
-    ix[k] = inv[0].data() + dac.encode(points_v[k].x) * cols;
-    iy[k] = inv[1].data() + dac.encode(points_v[k].y) * cols;
-    iz[k] = inv[2].data() + dac.encode(points_v[k].z) * cols;
+    const Codes c = codes_of(k);
+    ix[k] = inv[0].data() + c[0] * cols;
+    iy[k] = inv[1].data() + c[1] * cols;
+    iz[k] = inv[2].data() + c[2] * cols;
   }
   std::array<double, L> total{};
   for (std::size_t c = 0; c < cols; ++c)
     for (std::size_t k = 0; k < L; ++k)
       total[k] += 1.0 / (ix[k][c] + iy[k][c] + iz[k][c]);
   for (std::size_t k = 0; k < L; ++k) out[k] = total[k];
+}
+
+// Runs the kernel over n reads in interleaved groups plus a one-read tail.
+template <typename CodesAt>
+void read_all(const std::array<std::vector<double>, 3>& inv, std::size_t cols,
+              std::size_t n, CodesAt codes_at, double* out) {
+  std::size_t i = 0;
+  for (; i + kInterleavedReads <= n; i += kInterleavedReads)
+    read_interleaved<kInterleavedReads>(
+        inv, cols, [&](std::size_t k) { return codes_at(i + k); }, out + i);
+  for (; i < n; ++i)
+    read_interleaved<1>(
+        inv, cols, [&](std::size_t) { return codes_at(i); }, out + i);
 }
 
 }  // namespace
@@ -179,22 +206,44 @@ void CimLikelihoodArray::ideal_currents(std::span<const core::Vec3> points_v,
   CIMNAV_REQUIRE(out.size() == points_v.size(),
                  "ideal_currents: output size must match the point count");
   const std::size_t n = points_v.size();
-  const std::size_t cols = static_cast<std::size_t>(config_.total_columns);
-  std::size_t i = 0;
-  for (; i + kInterleavedReads <= n; i += kInterleavedReads)
-    read_interleaved<kInterleavedReads>(inv_, dac_, cols, &points_v[i],
-                                        &out[i]);
-  for (; i < n; ++i)
-    read_interleaved<1>(inv_, dac_, cols, &points_v[i], &out[i]);
+  read_all(inv_, static_cast<std::size_t>(config_.total_columns), n,
+           [&](std::size_t i) {
+             const core::Vec3& p = points_v[i];
+             return Codes{dac_.encode(p.x), dac_.encode(p.y),
+                          dac_.encode(p.z)};
+           },
+           out.data());
   evaluations_.fetch_add(n, std::memory_order_relaxed);
+  ideal_currents_.fetch_add(n, std::memory_order_relaxed);
+}
+
+std::uint32_t CimLikelihoodArray::code_key(const core::Vec3& point_v) const {
+  const int b = dac_.bits();
+  return (dac_.encode(point_v.x) << (2 * b)) | (dac_.encode(point_v.y) << b) |
+         dac_.encode(point_v.z);
+}
+
+void CimLikelihoodArray::ideal_currents_by_key(
+    std::span<const std::uint32_t> keys, std::span<double> out) const {
+  CIMNAV_REQUIRE(out.size() == keys.size(),
+                 "ideal_currents_by_key: output size must match the key count");
+  const int b = dac_.bits();
+  const std::uint32_t mask = dac_.levels() - 1;
+  read_all(inv_, static_cast<std::size_t>(config_.total_columns), keys.size(),
+           [&](std::size_t i) {
+             const std::uint32_t key = keys[i];
+             return Codes{(key >> (2 * b)) & mask, (key >> b) & mask,
+                          key & mask};
+           },
+           out.data());
+  ideal_currents_.fetch_add(keys.size(), std::memory_order_relaxed);
 }
 
 void CimLikelihoodArray::read_log_likelihoods(
     std::span<const core::Vec3> points_v, core::Rng& rng,
     std::span<double> out) const {
   ideal_currents(points_v, out);
-  for (double& reading : out)
-    reading = adc_.read_log(noisy_current(reading, config_.noise, rng));
+  for (double& reading : out) reading = read_log(reading, rng);
 }
 
 double CimLikelihoodArray::ideal_current(const core::Vec3& point_v) const {

@@ -21,8 +21,16 @@
 // with +inf for a non-conducting branch, so one read walks three contiguous
 // rows and does one divide per column. The batched kernel interleaves a
 // fixed group of independent reads, each still summed serially in column
-// order, which keeps every reading bit-identical to the per-column formula
-// (see docs/architecture.md, "The likelihood read").
+// order, which keeps every reading bit-identical to the per-column formula.
+//
+// An ideal current depends only on the read's DAC code triple, packed into
+// a code-cube key (code_key). A caller scoring many reads at once — the
+// particle filter's whole update, filter::CimHmgmLikelihood::log_likelihoods
+// — computes one ideal current per distinct key (ideal_currents_by_key),
+// then applies noise and the log-ADC per logical read (read_log) and books
+// those reads (record_reads). evaluation_count() counts logical reads for
+// the energy ledger; ideal_current_count() counts the column sums actually
+// computed (see docs/architecture.md, "The likelihood read").
 #pragma once
 
 #include <atomic>
@@ -75,17 +83,52 @@ class CimLikelihoodArray {
   /// Programs the array for the given components. Columns are allocated to
   /// components proportionally to weight (largest-remainder rounding, at
   /// least one column per component). Throws if there are more components
-  /// than columns.
+  /// than columns or dac_bits lies outside [1, kMaxDacBits].
   CimLikelihoodArray(const LikelihoodArrayConfig& config,
                      const std::vector<VoltageComponent>& components,
                      core::Rng& rng);
 
+  /// Widest accepted DAC: a read's code triple packs into a
+  /// 3 * dac_bits-bit key, and shared updates keep an occupancy bitmap of
+  /// 2^(3 * dac_bits) bits over that code cube.
+  static constexpr int kMaxDacBits = 8;
+
   /// Ideal (noise-free) summed currents for a batch of input points [A]:
   /// out[i] for points_v[i]. Inputs are DAC-quantized exactly as the
-  /// hardware would. Advances evaluation_count() by points_v.size().
-  /// Thread-safe: concurrent batches may read one array.
+  /// hardware would. Advances evaluation_count() and ideal_current_count()
+  /// by points_v.size(). Thread-safe: concurrent batches may read one
+  /// array.
   void ideal_currents(std::span<const core::Vec3> points_v,
                       std::span<double> out) const;
+
+  /// Code-cube key of a point: its three DAC codes packed x-major,
+  /// (cx << 2b) | (cy << b) | cz for b = dac_bits, in [0, key_count()).
+  std::uint32_t code_key(const core::Vec3& point_v) const;
+
+  /// Number of code-cube keys, 2^(3 * dac_bits).
+  std::uint32_t key_count() const {
+    return std::uint32_t{1} << (3 * dac_.bits());
+  }
+
+  /// Ideal currents by code-cube key: out[i] is bit-identical to
+  /// ideal_currents of any point whose code_key is keys[i]. Advances
+  /// ideal_current_count() by keys.size() but not evaluation_count(): the
+  /// caller books the logical reads sharing these currents with
+  /// record_reads. Thread-safe like ideal_currents.
+  void ideal_currents_by_key(std::span<const std::uint32_t> keys,
+                             std::span<double> out) const;
+
+  /// Noise + log-ADC of one read whose ideal current is `ideal_a` [A]: the
+  /// per-point step of read_log_likelihoods, one draw from `rng`.
+  double read_log(double ideal_a, core::Rng& rng) const {
+    return adc_.read_log(noisy_current(ideal_a, config_.noise, rng));
+  }
+
+  /// Books `n` logical reads on evaluation_count() whose ideal currents
+  /// came from ideal_currents_by_key.
+  void record_reads(std::uint64_t n) const {
+    evaluations_.fetch_add(n, std::memory_order_relaxed);
+  }
 
   /// Full pipeline for a batch: DAC -> array -> noise -> log ADC. out[i]
   /// is the digital log-current reading (natural log of amps) for
@@ -110,9 +153,16 @@ class CimLikelihoodArray {
   const LogAdc& adc() const { return adc_; }
   const LikelihoodArrayConfig& config() const { return config_; }
 
-  /// Total evaluations since construction (for energy accounting).
+  /// Logical reads since construction (for energy accounting).
   std::uint64_t evaluation_count() const {
     return evaluations_.load(std::memory_order_relaxed);
+  }
+
+  /// Ideal currents actually computed (one column sum each) since
+  /// construction. Equal to evaluation_count() on the per-point path;
+  /// below it once reads share currents through ideal_currents_by_key.
+  std::uint64_t ideal_current_count() const {
+    return ideal_currents_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -127,6 +177,7 @@ class CimLikelihoodArray {
   // Atomic: particle-block workers read one array concurrently. Advanced
   // once per batch, by the batch size.
   mutable std::atomic<std::uint64_t> evaluations_{0};
+  mutable std::atomic<std::uint64_t> ideal_currents_{0};
 };
 
 /// Allocates `total` columns across components proportionally to weights

@@ -13,8 +13,10 @@ std::uint32_t levels_for_bits(int bits) {
   return (std::uint32_t{1} << bits);
 }
 
+// NaN maps to code 0 explicitly (lround(NaN) is unspecified): codes index
+// tables and the likelihood array's code-cube bitmap.
 std::uint32_t clamp_code(double idx, std::uint32_t levels) {
-  if (idx <= 0.0) return 0;
+  if (std::isnan(idx) || idx <= 0.0) return 0;
   if (idx >= static_cast<double>(levels - 1)) return levels - 1;
   return static_cast<std::uint32_t>(std::lround(idx));
 }

@@ -20,7 +20,8 @@ class Dac {
   int bits() const { return bits_; }
   std::uint32_t levels() const { return levels_; }
 
-  /// Nearest-code quantization of an analog target [V] (clamps to range).
+  /// Nearest-code quantization of an analog target [V] (clamps to range;
+  /// NaN maps to code 0).
   std::uint32_t encode(double v) const;
 
   /// Output voltage for a code.

@@ -2,12 +2,59 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <vector>
 
 #include "core/error.hpp"
 #include "core/stats.hpp"
 #include "energy/likelihood_energy.hpp"
+#include "vision/camera.hpp"
 
 namespace cimnav::filter {
+
+namespace {
+
+// Runs body over [0, n) in chunks of `grain` on `pool`, or serially
+// without one.
+template <typename Body>
+void fan(core::ThreadPool* pool, std::size_t n, std::size_t grain,
+         const Body& body) {
+  if (pool != nullptr) {
+    pool->parallel_for(n, grain, body);
+  } else {
+    body(std::size_t{0}, n, 0);
+  }
+}
+
+// Fans the kParticleBlock-pose blocks of `count` poses over `pool`:
+// body(b, i_begin, i_end) for block b holding poses [i_begin, i_end).
+template <typename Body>
+void for_each_block(core::ThreadPool* pool, std::size_t count,
+                    const Body& body) {
+  fan(pool, (count + kParticleBlock - 1) / kParticleBlock, 1,
+      [&](std::size_t begin, std::size_t end, int) {
+        for (std::size_t b = begin; b < end; ++b)
+          body(b, b * kParticleBlock,
+               std::min((b + 1) * kParticleBlock, count));
+      });
+}
+
+}  // namespace
+
+void MeasurementModel::log_likelihoods(const PoseView& poses,
+                                       const vision::DepthScan& scan,
+                                       std::uint64_t noise_root,
+                                       core::ThreadPool* pool,
+                                       std::span<double> out) const {
+  CIMNAV_REQUIRE(out.size() == poses.count,
+                 "log_likelihoods: output size must match the pose count");
+  for_each_block(pool, poses.count,
+                 [&](std::size_t b, std::size_t i_begin, std::size_t i_end) {
+                   core::Rng block_rng = core::Rng::stream(noise_root, b);
+                   for (std::size_t i = i_begin; i < i_end; ++i)
+                     out[i] = log_likelihood(poses[i], scan, block_rng);
+                 });
+}
 
 GmmLikelihood::GmmLikelihood(prob::Gmm gmm, double beta)
     : gmm_(std::move(gmm)), beta_(beta) {
@@ -113,6 +160,138 @@ double CimHmgmLikelihood::log_likelihood(const core::Pose& pose,
     for (std::size_t j = 0; j < m; ++j) ll += readings[j];
   }
   return beta_ * gain_ * ll;
+}
+
+namespace {
+
+// Scratch of one shared update. Grow-only and thread_local on the
+// dispatching thread (the sharded_macro / mc_dropout idiom): every filter
+// that thread updates reuses it, so a fleet holds one set per dispatching
+// thread instead of one per filter, and steady-state updates never touch
+// the heap.
+struct SharedReadScratch {
+  std::vector<core::Vec3> body;         ///< per pixel: body-frame point
+  std::vector<std::uint32_t> keys;      ///< per read: code-cube key
+  std::vector<std::uint64_t> occupied;  ///< code-cube occupancy bitmap
+  std::vector<std::uint32_t> rank;      ///< set bits before each word
+  std::vector<std::uint32_t> distinct;  ///< occupied keys, ascending
+  std::vector<double> current;          ///< ideal current per distinct key
+};
+
+SharedReadScratch& tls_shared_read_scratch() {
+  thread_local SharedReadScratch scratch;
+  return scratch;
+}
+
+// Distinct keys per phase-2 work item. Each current is computed on its
+// own, so the chunking is a throughput knob only.
+constexpr std::size_t kKeyChunk = 64;
+
+}  // namespace
+
+void CimHmgmLikelihood::log_likelihoods(const PoseView& poses,
+                                        const vision::DepthScan& scan,
+                                        std::uint64_t noise_root,
+                                        core::ThreadPool* pool,
+                                        std::span<double> out) const {
+  CIMNAV_REQUIRE(out.size() == poses.count,
+                 "log_likelihoods: output size must match the pose count");
+  const std::size_t n_px = scan.pixels.size();
+  SharedReadScratch& s = tls_shared_read_scratch();
+
+  // Phase 0, once per scan: the pose-independent half of
+  // vision::pixel_to_world, through the same functions, so each read's
+  // rot * body + position is the same expression on the same bits.
+  s.body.resize(n_px);
+  for (std::size_t j = 0; j < n_px; ++j)
+    s.body[j] = vision::apply_mount_pitch(
+        vision::camera_to_body(
+            vision::back_project(scan.intrinsics, scan.pixels[j])),
+        scan.mount_pitch_rad);
+
+  // The lambdas capture plain pointers into this thread's scratch: a pool
+  // worker naming the thread_local would reach its own, empty instance.
+  s.keys.resize(poses.count * n_px);
+  const core::Vec3* const body = s.body.data();
+  std::uint32_t* const keys = s.keys.data();
+
+  // Phase 1: every read's code-cube key, in parallel over blocks.
+  for_each_block(pool, poses.count,
+                 [&](std::size_t, std::size_t i_begin, std::size_t i_end) {
+                   for (std::size_t i = i_begin; i < i_end; ++i) {
+                     const core::Pose p = poses[i];
+                     const core::Mat3 rot = core::Mat3::rotation_z(p.yaw);
+                     std::uint32_t* const row = keys + i * n_px;
+                     for (std::size_t j = 0; j < n_px; ++j)
+                       row[j] = array_->code_key(mapping_.point_to_voltage(
+                           rot * body[j] + p.position));
+                   }
+                 });
+  // Occupancy over the code cube: one bit per key, set serially (one OR
+  // per read, no shared-word atomics between workers).
+  const std::size_t words = (array_->key_count() + 63) / 64;
+  s.occupied.assign(words, 0);
+  std::uint64_t* const occupied = s.occupied.data();
+  for (const std::uint32_t key : s.keys)
+    occupied[key >> 6] |= std::uint64_t{1} << (key & 63);
+
+  // Phase 2: rank the bitmap, then one ideal current per distinct key in
+  // ascending key order, in parallel chunks.
+  s.rank.resize(words);
+  std::uint32_t distinct = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    s.rank[w] = distinct;
+    distinct += static_cast<std::uint32_t>(std::popcount(occupied[w]));
+  }
+  // Reserved at the bound min(reads, code cube), so a later update with
+  // more distinct keys than the last never reallocates; the untouched
+  // tail of the reservation stays out of the resident set.
+  const std::size_t bound =
+      std::min<std::size_t>(s.keys.size(), array_->key_count());
+  s.distinct.reserve(bound);
+  s.current.reserve(bound);
+  s.distinct.resize(distinct);
+  s.current.resize(distinct);
+  for (std::size_t w = 0, d = 0; w < words; ++w)
+    for (std::uint64_t bits = occupied[w]; bits != 0; bits &= bits - 1)
+      s.distinct[d++] = static_cast<std::uint32_t>(
+          w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+  const std::uint32_t* const distinct_keys = s.distinct.data();
+  double* const current = s.current.data();
+  fan(pool, (distinct + kKeyChunk - 1) / kKeyChunk, 1,
+      [&](std::size_t begin, std::size_t end, int) {
+        const std::size_t k0 = begin * kKeyChunk;
+        const std::size_t k1 = std::min<std::size_t>(end * kKeyChunk,
+                                                     distinct);
+        array_->ideal_currents_by_key({distinct_keys + k0, k1 - k0},
+                                      {current + k0, k1 - k0});
+      });
+
+  // Phase 3: per block, with the block's stream, noise + log-ADC per read
+  // in pose then pixel order, summed in pixel order — the draws and sums
+  // of one log_likelihood call per pose.
+  const std::uint32_t* const rank = s.rank.data();
+  const double scale = beta_ * gain_;
+  for_each_block(
+      pool, poses.count,
+      [&](std::size_t b, std::size_t i_begin, std::size_t i_end) {
+        core::Rng rng = core::Rng::stream(noise_root, b);
+        for (std::size_t i = i_begin; i < i_end; ++i) {
+          const std::uint32_t* const row = keys + i * n_px;
+          double ll = 0.0;
+          for (std::size_t j = 0; j < n_px; ++j) {
+            const std::uint32_t key = row[j];
+            const std::uint64_t below =
+                occupied[key >> 6] & ((std::uint64_t{1} << (key & 63)) - 1);
+            ll += array_->read_log(
+                current[rank[key >> 6] +
+                        static_cast<std::uint32_t>(std::popcount(below))],
+                rng);
+          }
+          out[i] = scale * ll;
+        }
+      });
+  array_->record_reads(poses.count * n_px);
 }
 
 }  // namespace cimnav::filter

@@ -19,11 +19,14 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 
 #include "circuit/array.hpp"
 #include "core/rng.hpp"
+#include "core/thread_pool.hpp"
 #include "core/vec.hpp"
 #include "map/map_model.hpp"
 #include "prob/gmm.hpp"
@@ -31,6 +34,35 @@
 #include "vision/depth.hpp"
 
 namespace cimnav::filter {
+
+/// Poses per block of the batched likelihood contract
+/// (MeasurementModel::log_likelihoods): block b of kParticleBlock
+/// consecutive poses draws its read noise from
+/// core::Rng::stream(noise_root, b). The block size, not the thread count,
+/// keys the streams, so weights are reproducible however the blocks land
+/// on workers.
+inline constexpr std::size_t kParticleBlock = 32;
+
+/// Read-only, strided structure-of-arrays view of pose hypotheses: pose i
+/// sits at index i * stride of the x/y/z/yaw arrays, for i < count. Yaw
+/// values are already wrapped to (-pi, pi].
+struct PoseView {
+  const double* x = nullptr;
+  const double* y = nullptr;
+  const double* z = nullptr;
+  const double* yaw = nullptr;
+  std::size_t count = 0;
+  std::size_t stride = 1;
+
+  /// Pose i (no re-wrap: Pose's converting constructor must not run).
+  core::Pose operator[](std::size_t i) const {
+    const std::size_t k = i * stride;
+    core::Pose p;
+    p.position = {x[k], y[k], z[k]};
+    p.yaw = yaw[k];
+    return p;
+  }
+};
 
 /// Interface implemented by every likelihood backend.
 ///
@@ -50,6 +82,22 @@ class MeasurementModel {
   virtual double log_likelihood(const core::Pose& pose,
                                 const vision::DepthScan& scan,
                                 core::Rng& rng) const = 0;
+
+  /// Scores one whole filter update: out[i] is the log-likelihood of
+  /// `scan` from poses[i], for i < poses.count (out.size() must equal it).
+  /// Poses go in blocks of kParticleBlock; block b reads from
+  /// core::Rng::stream(noise_root, b), drawing in pose then pixel order,
+  /// and blocks fan over `pool` (nullptr = serial), so `out` is
+  /// bit-identical at any thread count. The default body calls
+  /// log_likelihood per pose in exactly that order, so a decorator that
+  /// overrides only log_likelihood keeps working unchanged. An override
+  /// must produce the same bits and the same evaluation_count() delta as
+  /// the default body.
+  virtual void log_likelihoods(const PoseView& poses,
+                               const vision::DepthScan& scan,
+                               std::uint64_t noise_root,
+                               core::ThreadPool* pool,
+                               std::span<double> out) const;
 
   /// Human-readable backend name for reports.
   virtual const char* name() const = 0;
@@ -107,6 +155,16 @@ class HmgmLikelihood final : public MeasurementModel {
 
 /// Full analog CIM scoring through the programmed inverter array.
 ///
+/// A whole update (log_likelihoods) shares ideal currents across reads: an
+/// ideal current depends only on the read's DAC code triple, and read
+/// noise is applied after it. The override back-projects the scan once
+/// into the body frame, encodes every read to a code-cube key, computes
+/// one ideal current per distinct key, then applies noise and the log-ADC
+/// per read in the default body's rng order — bit-identical to scoring
+/// each pose with log_likelihood. Its scratch is one grow-only
+/// thread_local set on the dispatching thread, shared by every model that
+/// thread scores, so the filters of a fleet do not each hold one.
+///
 /// After programming, the backend runs a one-time *gain calibration*: the
 /// physical kernel's tails (sech-like, set by subthreshold conduction)
 /// decay slower than the ideal Gaussian, and the log-ADC clamps deep
@@ -124,9 +182,14 @@ class CimHmgmLikelihood final : public MeasurementModel {
 
   double log_likelihood(const core::Pose& pose, const vision::DepthScan& scan,
                         core::Rng& rng) const override;
+  void log_likelihoods(const PoseView& poses, const vision::DepthScan& scan,
+                       std::uint64_t noise_root, core::ThreadPool* pool,
+                       std::span<double> out) const override;
   const char* name() const override { return "hmgm-cim"; }
   /// The array's own hardware counter: one count per log-ADC read,
-  /// including the construction-time calibration probes.
+  /// including the construction-time calibration probes. Shared updates
+  /// count logical reads too; array().ideal_current_count() counts the
+  /// ideal currents they actually computed.
   std::uint64_t evaluation_count() const override {
     return array_->evaluation_count();
   }

@@ -9,9 +9,6 @@
 namespace cimnav::filter {
 
 namespace {
-// Fixed block size (not thread count!) keys the per-block noise streams,
-// so weights are reproducible however the blocks land on workers.
-constexpr std::size_t kParticleBlock = 32;
 // Fan granularity of pure element-wise passes (exp normalization, the
 // resample gather). Partitioning cannot change element-wise results, so
 // this is a throughput knob only, not a determinism one.
@@ -141,39 +138,8 @@ void ParticleFilter::update(const vision::DepthScan& scan,
                             core::ThreadPool* pool) {
   CIMNAV_REQUIRE(count_ > 0, "filter not initialized");
   const std::uint64_t noise_root = rng();
-  const std::size_t n_blocks =
-      (count_ + kParticleBlock - 1) / kParticleBlock;
-  // One-pointer capture keeps the parallel_for functor inside
-  // std::function's small-buffer storage — no per-update allocation.
-  struct Ctx {
-    const double* x;
-    const double* y;
-    const double* z;
-    const double* yaw;
-    double* deltas;
-    const vision::DepthScan* scan;
-    const MeasurementModel* model;
-    std::uint64_t noise_root;
-    std::size_t count;
-  } ctx{x_, y_, z_, yaw_, deltas_, &scan, &model, noise_root, count_};
-  const auto weigh_blocks = [&ctx](std::size_t begin, std::size_t end, int) {
-    for (std::size_t b = begin; b < end; ++b) {
-      core::Rng block_rng = core::Rng::stream(ctx.noise_root, b);
-      const std::size_t i_end =
-          std::min((b + 1) * kParticleBlock, ctx.count);
-      for (std::size_t i = b * kParticleBlock; i < i_end; ++i) {
-        core::Pose p;
-        p.position = {ctx.x[i], ctx.y[i], ctx.z[i]};
-        p.yaw = ctx.yaw[i];
-        ctx.deltas[i] = ctx.model->log_likelihood(p, *ctx.scan, block_rng);
-      }
-    }
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(n_blocks, 1, weigh_blocks);
-  } else {
-    weigh_blocks(0, n_blocks, 0);
-  }
+  model.log_likelihoods({x_, y_, z_, yaw_, count_, 1}, scan, noise_root, pool,
+                        {deltas_, count_});
   apply_log_likelihoods(deltas_, rng, pool);
 }
 
@@ -196,46 +162,14 @@ void ParticleFilter::update_decimated(const vision::DepthScan& scan,
     update(scan, model, rng, pool);
     return;
   }
-  // Representatives: particle 0 of every stride block. They are weighed
-  // with the same block-keyed streams as the full update (blocks of
-  // kParticleBlock *representatives*), so the result is bit-identical at
-  // any thread count.
+  // Representatives: particle 0 of every stride block, scored as one
+  // batch of n_reps poses under the same block-keyed streams as the full
+  // update (blocks of kParticleBlock *representatives*), so the result is
+  // bit-identical at any thread count.
   const std::size_t n_reps = (count_ + stride - 1) / stride;
   const std::uint64_t noise_root = rng();
-  const std::size_t n_blocks =
-      (n_reps + kParticleBlock - 1) / kParticleBlock;
-  struct Ctx {
-    const double* x;
-    const double* y;
-    const double* z;
-    const double* yaw;
-    double* rep_ll;
-    const vision::DepthScan* scan;
-    const MeasurementModel* model;
-    std::uint64_t noise_root;
-    std::size_t n_reps;
-    std::size_t stride;
-  } ctx{x_,     y_,         z_,   yaw_,  deltas_,
-        &scan,  &model,     noise_root,  n_reps, stride};
-  const auto weigh_blocks = [&ctx](std::size_t begin, std::size_t end, int) {
-    for (std::size_t b = begin; b < end; ++b) {
-      core::Rng block_rng = core::Rng::stream(ctx.noise_root, b);
-      const std::size_t r_end =
-          std::min((b + 1) * kParticleBlock, ctx.n_reps);
-      for (std::size_t r = b * kParticleBlock; r < r_end; ++r) {
-        const std::size_t i = r * ctx.stride;
-        core::Pose p;
-        p.position = {ctx.x[i], ctx.y[i], ctx.z[i]};
-        p.yaw = ctx.yaw[i];
-        ctx.rep_ll[r] = ctx.model->log_likelihood(p, *ctx.scan, block_rng);
-      }
-    }
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(n_blocks, 1, weigh_blocks);
-  } else {
-    weigh_blocks(0, n_blocks, 0);
-  }
+  model.log_likelihoods({x_, y_, z_, yaw_, n_reps, stride}, scan, noise_root,
+                        pool, {deltas_, n_reps});
   // Every particle of a stride block shares its representative's
   // log-likelihood — a coarse likelihood field that is spatially
   // coherent after systematic resampling (contiguous indices are

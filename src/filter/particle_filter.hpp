@@ -130,9 +130,11 @@ class ParticleFilter {
 
   /// Correction step: re-weights particles by measurement likelihood
   /// (Eq. 1b), then resamples if the ESS fraction falls below threshold.
-  /// Likelihoods are evaluated in fixed-size particle blocks fanned over
-  /// `pool` (nullptr = serial) with noise streams keyed on block indices,
-  /// so the result is bit-identical at any thread count.
+  /// The whole cloud is scored by one MeasurementModel::log_likelihoods
+  /// call (stride 1): kParticleBlock-pose blocks fanned over `pool`
+  /// (nullptr = serial) with noise streams keyed on block indices, so the
+  /// result is bit-identical at any thread count. The CIM backend shares
+  /// ideal currents across the whole update inside that call.
   void update(const vision::DepthScan& scan, const MeasurementModel& model,
               core::Rng& rng, core::ThreadPool* pool = nullptr);
 
@@ -146,8 +148,10 @@ class ParticleFilter {
   /// worst right after init, which is why the built-in policies warm up
   /// with full updates. Likelihood evaluations drop by ~1/stride — the
   /// measured energy saving. particle_fraction must lie in (0, 1];
-  /// fraction 1 is exactly update(). Deterministic at any thread count
-  /// (same block-keyed noise streams as update).
+  /// fraction 1 is exactly update(). The representatives are scored by
+  /// one log_likelihoods call over the cloud with stride `stride`, under
+  /// the same block-keyed noise streams as update, so the result is
+  /// deterministic at any thread count.
   void update_decimated(const vision::DepthScan& scan,
                         const MeasurementModel& model,
                         double particle_fraction, core::Rng& rng,

@@ -5,6 +5,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "circuit/array.hpp"
@@ -288,6 +291,14 @@ TEST(LogAdc, FloorsNonPositiveCurrent) {
   const LogAdc adc(4, 1e-9, 1e-3);
   EXPECT_EQ(adc.encode(0.0), 0u);
   EXPECT_EQ(adc.encode(-1.0), 0u);
+}
+
+TEST(Converters, NanMapsToCodeZero) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(Dac(4, 0.1, 0.9).encode(nan), 0u);
+  EXPECT_EQ(Dac(8, 0.1, 0.9).encode(nan), 0u);
+  EXPECT_EQ(LinearAdc(5, 0.0, 100.0).encode(nan), 0u);
+  EXPECT_EQ(LogAdc(4, 1e-9, 1e-3).encode(nan), 0u);
 }
 
 class ConverterBitsTest : public ::testing::TestWithParam<int> {};
@@ -709,6 +720,69 @@ TEST_F(LikelihoodArrayTest, ConcurrentBatchedReadsMatchSerialPass) {
     for (std::size_t s = 0; s < kScans; ++s)
       EXPECT_EQ(parallel[s], serial[s]) << "threads=" << threads << " s=" << s;
   }
+}
+
+TEST_F(LikelihoodArrayTest, KeyedIdealCurrentsMatchPointReads) {
+  for (int dac_bits : {1, 4, 6, 8}) {
+    LikelihoodArrayConfig cfg;
+    cfg.dac_bits = dac_bits;
+    cfg.total_columns = 60;
+    core::Rng rng(73);
+    const CimLikelihoodArray arr(cfg, three_components(), rng);
+    EXPECT_EQ(arr.key_count(), std::uint32_t{1} << (3 * dac_bits));
+    core::Rng prng(79);
+    std::vector<core::Vec3> pts(21);
+    for (auto& p : pts)
+      p = {prng.uniform(0.0, 1.0), prng.uniform(0.0, 1.0),
+           prng.uniform(0.0, 1.0)};
+    pts[0] = {0.0, 0.0, 0.0};
+    pts[1] = {1.0, 1.0, 1.0};
+    pts[2] = {0.0, 1.0, 0.5};
+    std::vector<std::uint32_t> keys;
+    for (const auto& p : pts) {
+      keys.push_back(arr.code_key(p));
+      EXPECT_LT(keys.back(), arr.key_count());
+    }
+    EXPECT_EQ(keys[0], 0u);
+    EXPECT_EQ(keys[1], arr.key_count() - 1);
+    std::vector<double> by_point(pts.size()), by_key(pts.size());
+    arr.ideal_currents(pts, by_point);
+    const auto reads = arr.evaluation_count();
+    const auto ideal = arr.ideal_current_count();
+    arr.ideal_currents_by_key(keys, by_key);
+    EXPECT_EQ(by_key, by_point) << "dac_bits=" << dac_bits;
+    // Keyed currents are computed, not read: the caller books reads.
+    EXPECT_EQ(arr.evaluation_count(), reads);
+    EXPECT_EQ(arr.ideal_current_count(), ideal + keys.size());
+    arr.record_reads(5);
+    EXPECT_EQ(arr.evaluation_count(), reads + 5);
+    // read_log is the noise + log-ADC step of read_log_likelihood.
+    core::Rng a(83), b(83);
+    for (std::size_t i = 0; i < pts.size(); ++i)
+      EXPECT_EQ(arr.read_log(by_key[i], a), arr.read_log_likelihood(pts[i], b));
+    EXPECT_EQ(a(), b());
+  }
+}
+
+TEST_F(LikelihoodArrayTest, RejectsDacWiderThanTheCodeCube) {
+  core::Rng rng(89);
+  for (int dac_bits : {0, 9, 12}) {
+    LikelihoodArrayConfig cfg;
+    cfg.dac_bits = dac_bits;
+    cfg.total_columns = 3;
+    try {
+      const CimLikelihoodArray arr(cfg, three_components(), rng);
+      ADD_FAILURE() << "dac_bits=" << dac_bits << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("dac_bits must lie in [1, 8]"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  LikelihoodArrayConfig widest;
+  widest.dac_bits = CimLikelihoodArray::kMaxDacBits;
+  widest.total_columns = 3;
+  EXPECT_NO_THROW(CimLikelihoodArray(widest, three_components(), rng));
 }
 
 TEST_F(LikelihoodArrayTest, RejectsBadConfig) {

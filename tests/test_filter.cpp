@@ -6,6 +6,7 @@
 
 #include "core/rng.hpp"
 #include "core/stats.hpp"
+#include "core/thread_pool.hpp"
 #include "filter/measurement.hpp"
 #include "filter/motion.hpp"
 #include "filter/particle_filter.hpp"
@@ -258,6 +259,104 @@ TEST_F(ScenarioTest, CimLikelihoodCountsOneReadPerPixel) {
     EXPECT_EQ(cim->evaluation_count(), before + n) << n;
     if (n == 0) {
       EXPECT_EQ(ll, 0.0);
+    }
+  }
+}
+
+// Forwards log_likelihood only, so updates through it take the default
+// per-pose log_likelihoods body: the reference for the CIM backend's
+// shared-current override.
+class PerPoseForward final : public MeasurementModel {
+ public:
+  explicit PerPoseForward(const MeasurementModel& inner) : inner_(inner) {}
+  double log_likelihood(const Pose& pose, const vision::DepthScan& scan,
+                        Rng& rng) const override {
+    return inner_.log_likelihood(pose, scan, rng);
+  }
+  const char* name() const override { return inner_.name(); }
+  std::uint64_t evaluation_count() const override {
+    return inner_.evaluation_count();
+  }
+
+ private:
+  const MeasurementModel& inner_;
+};
+
+TEST_F(ScenarioTest, CimSharedUpdateBitIdenticalToPerPosePath) {
+  ScenarioConfig cfg = small_config();
+  cfg.filter.particle_count = 300;
+  cfg.filter.resample_threshold = 0.0;  // keep the log-weights observable
+  const LocalizationScenario sc(cfg);
+  const vision::DepthScan empty_scan;
+  core::ThreadPool p1(1), p2(2), p8(8);
+  core::ThreadPool* const pools[] = {nullptr, &p1, &p2, &p8};
+  for (int dac_bits : {4, 6, 8}) {
+    const auto model = sc.make_cim_backend(dac_bits, 4);
+    const auto& cim = dynamic_cast<const CimHmgmLikelihood&>(*model);
+    const PerPoseForward per_pose(cim);
+    for (core::ThreadPool* pool : pools) {
+      SCOPED_TRACE(::testing::Message()
+                   << "dac_bits=" << dac_bits << " threads="
+                   << (pool != nullptr ? pool->thread_count() : 0));
+      ParticleFilter shared(cfg.filter), reference(cfg.filter);
+      Rng rng_s(41), rng_r(41);
+      // Wide cloud: poses scatter over many code triples.
+      const Pose start = sc.trajectory().poses.front();
+      shared.init_gaussian(start, {0.3, 0.3, 0.15}, 0.3, rng_s);
+      reference.init_gaussian(start, {0.3, 0.3, 0.15}, 0.3, rng_r);
+      const auto weights_match = [&](const char* step) {
+        const SoaView a = shared.soa(), b = reference.soa();
+        ASSERT_EQ(a.count, b.count) << step;
+        for (std::size_t i = 0; i < a.count; ++i) {
+          ASSERT_EQ(a.log_weight[i], b.log_weight[i]) << step << " i=" << i;
+          ASSERT_EQ(a.x[i], b.x[i]) << step << " i=" << i;
+        }
+        EXPECT_EQ(rng_s(), rng_r()) << step;
+      };
+      // Runs one update (full at fraction 1, decimated below) on each
+      // filter and checks the weights, the logical-read deltas, and that
+      // the shared path computed at most one ideal current per read (a
+      // small decimated batch on the 2^24-key cube of 8-bit DACs may not
+      // repeat a triple).
+      const auto update = [&](ParticleFilter& pf, const MeasurementModel& m,
+                              Rng& rng, const vision::DepthScan& scan,
+                              double fraction) {
+        if (fraction == 1.0) {
+          pf.update(scan, m, rng, pool);
+        } else {
+          pf.update_decimated(scan, m, fraction, rng, pool);
+        }
+      };
+      std::uint64_t total_reads = 0, total_ideal = 0;
+      const auto step = [&](const char* name, const vision::DepthScan& scan,
+                            double fraction) {
+        const auto reads0 = cim.evaluation_count();
+        const auto ideal0 = cim.array().ideal_current_count();
+        update(shared, cim, rng_s, scan, fraction);
+        const auto reads_shared = cim.evaluation_count() - reads0;
+        const auto ideal_shared = cim.array().ideal_current_count() - ideal0;
+        const auto reads1 = cim.evaluation_count();
+        update(reference, per_pose, rng_r, scan, fraction);
+        EXPECT_EQ(cim.evaluation_count() - reads1, reads_shared) << name;
+        EXPECT_EQ(reads_shared == 0, scan.pixels.empty()) << name;
+        EXPECT_LE(ideal_shared, reads_shared) << name;
+        total_reads += reads_shared;
+        total_ideal += ideal_shared;
+        weights_match(name);
+      };
+      for (std::size_t f = 0; f < 3; ++f) {
+        ASSERT_FALSE(sc.scans()[f].pixels.empty());
+        shared.predict(sc.trajectory().controls[f], rng_s);
+        reference.predict(sc.trajectory().controls[f], rng_r);
+        step("full", sc.scans()[f], 1.0);
+        step("decimated", sc.scans()[f], 0.25);
+      }
+      // KLD-style shrink: the shared scratch serves a smaller cloud.
+      shared.resample_to(77, rng_s, pool);
+      reference.resample_to(77, rng_r, pool);
+      step("after shrink", sc.scans()[3], 1.0);
+      step("empty scan", empty_scan, 1.0);
+      EXPECT_LT(total_ideal, total_reads);
     }
   }
 }

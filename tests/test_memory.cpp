@@ -20,6 +20,7 @@
 #include "filter/measurement.hpp"
 #include "filter/motion.hpp"
 #include "filter/particle_filter.hpp"
+#include "filter/scenario.hpp"
 #include "prob/logspace.hpp"
 #include "vision/depth.hpp"
 
@@ -39,10 +40,26 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
+// The nothrow variants must be replaced too: libstdc++'s temporary
+// buffers (std::stable_sort, e.g. in the likelihood array's column
+// allocation) allocate through them, and a mix of default nothrow-new
+// with this TU's free()-based delete is an ASan alloc-dealloc mismatch.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  if (g_count_heap.load(std::memory_order_relaxed))
+    g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size ? size : 1);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& t) noexcept {
+  return ::operator new(size, t);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace cimnav {
 namespace {
@@ -463,6 +480,76 @@ TEST(ZeroAllocation, SteadyStateFilterCyclesNeverTouchTheHeap) {
   // Every frame resampled (threshold 1.0): one pool block cycle each.
   EXPECT_EQ(after.pool_acquires, warm.pool_acquires + 8);
   EXPECT_EQ(after.pool_releases, warm.pool_releases + 8);
+}
+
+TEST(ZeroAllocation, SharedCimUpdatesNeverTouchTheHeap) {
+  // The CIM backend's shared update keeps its keys, code-cube bitmap,
+  // rank and distinct currents in one grow-only thread_local scratch on
+  // the dispatching thread; once warm, updates must not allocate.
+  filter::ScenarioConfig sc_cfg;
+  sc_cfg.scene.room_size = {2.6, 2.2, 1.8};
+  sc_cfg.scene.furniture_count = 4;
+  sc_cfg.scene.clutter_count = 6;
+  sc_cfg.map_cloud_points = 1500;
+  sc_cfg.mixture_components = 25;
+  sc_cfg.trajectory_steps = 3;
+  sc_cfg.scan_pixels = 80;
+  sc_cfg.cim_columns = 120;
+  const filter::LocalizationScenario sc(sc_cfg);
+  const auto model = sc.make_cim_backend();
+  const auto* cim =
+      dynamic_cast<const filter::CimHmgmLikelihood*>(model.get());
+  ASSERT_NE(cim, nullptr);
+  const vision::DepthScan& scan = sc.scans()[0];
+  ASSERT_EQ(scan.pixels.size(), 80u);
+  const filter::Control ctl{{0.02, 0.0, 0.0}, 0.01};
+
+  for (int threads : {1, 4}) {
+    ThreadPool pool(threads);
+    filter::ParticleFilterConfig cfg;
+    cfg.particle_count = 200;
+    cfg.resample_threshold = 1.0;  // resample every frame: worst case
+    filter::ParticleFilter pf(cfg);
+    Rng rng(11);
+    // Warm-up on a tight cloud (few distinct code triples): one full and
+    // one decimated update grow the scratch. The steady state then scores
+    // a wide cloud with more distinct triples than the warm-up saw.
+    const core::Pose start = sc.trajectory().poses.front();
+    pf.init_gaussian(start, {0.01, 0.01, 0.01}, 0.01, rng);
+    pf.predict(ctl, rng);
+    const auto ideal0 = cim->array().ideal_current_count();
+    pf.update(scan, *model, rng, &pool);
+    const auto warm_distinct = cim->array().ideal_current_count() - ideal0;
+    pf.update_decimated(scan, *model, 0.5, rng, &pool);
+    pf.init_gaussian(start, {0.3, 0.3, 0.15}, 0.3, rng);
+
+    const auto reads = model->evaluation_count();
+    g_heap_allocs.store(0);
+    g_count_heap.store(true);
+    std::uint64_t first_distinct = 0;
+    for (int frame = 0; frame < 6; ++frame) {
+      pf.predict(ctl, rng);
+      if (frame == 0) {
+        const auto before = cim->array().ideal_current_count();
+        pf.update(scan, *model, rng, &pool);
+        first_distinct = cim->array().ideal_current_count() - before;
+      } else if (frame % 3 == 2) {
+        pf.update_decimated(scan, *model, 0.5, rng, &pool);
+      } else {
+        pf.update(scan, *model, rng, &pool);
+      }
+    }
+    g_count_heap.store(false);
+
+    EXPECT_EQ(g_heap_allocs.load(), 0u)
+        << "threads=" << threads << ": a warm shared CIM update touched "
+        << "the heap";
+    // 4 full updates of 200 poses and 2 decimated ones of 100, 80 reads
+    // per pose.
+    EXPECT_EQ(model->evaluation_count() - reads, (4 * 200 + 2 * 100) * 80u);
+    EXPECT_GT(first_distinct, warm_distinct)
+        << "the steady state must outgrow the warm-up's distinct set";
+  }
 }
 
 }  // namespace

@@ -243,15 +243,20 @@ struct SeedMlp {
 
 // ---------------------------------------------------------------------------
 // Faithful port of the seed (pre-SoA) particle-filter hot path: AoS
-// vector<Particle> storage, per-call weight vectors, a vector-building
+// vector<SeedParticle> storage, per-call weight vectors, a vector-building
 // systematic resample. Baseline for the SoA engine's speedup, compiled
 // with identical flags. Bit-identity of the SoA engine against this
 // algorithm is pinned separately in tests/test_memory.cpp; here it is
 // only timed.
 // ---------------------------------------------------------------------------
 
+struct SeedParticle {
+  core::Pose pose;
+  double log_weight = 0.0;
+};
+
 struct SeedAosFilter {
-  std::vector<filter::Particle> ps;
+  std::vector<SeedParticle> ps;
   std::vector<double> delta_scratch;  // the seed's member scratch
   double last_ess = 0.0;
 
@@ -306,7 +311,7 @@ struct SeedAosFilter {
   void resample(core::Rng& rng) {
     const auto w = normalized_weights();
     const std::size_t n = ps.size();
-    std::vector<filter::Particle> next;
+    std::vector<SeedParticle> next;
     next.reserve(n);
     const double step = 1.0 / static_cast<double>(n);
     double u = rng.uniform() * step;
@@ -391,22 +396,26 @@ int main() {
       if (sink == 42.0) std::printf("%f", sink);  // defeat DCE
     }
     // One scan's worth of reads per call through the batched kernel, as
-    // the particle filter issues them; reported per read to sit next to
+    // the per-pose likelihood path issues them (keys, one ideal-current
+    // batch, noise + log-ADC per read); reported per read to sit next to
     // the single-point rows.
     constexpr std::size_t kScanPoints = 80;
     const circuit::CimLikelihoodArray arr(cfg, bench_components(40), rng);
-    std::vector<core::Vec3> scan(kScanPoints);
+    std::vector<std::uint32_t> keys(kScanPoints);
     std::vector<double> readings(kScanPoints);
     double v = 0.25;
     double sink = 0.0;
     const bench::Result r = suite.run(
         "cim_array_readout_scan/cols=" + std::to_string(cfg.total_columns), 1,
         static_cast<double>(kScanPoints), "reads", [&] {
-          for (auto& p : scan) {
+          for (auto& key : keys) {
             v = v < 0.75 ? v + 0.001 : 0.25;
-            p = {v, 0.5, 0.5};
+            key = arr.code_key({v, 0.5, 0.5});
           }
-          arr.read_log_likelihoods(scan, nrng, readings);
+          arr.ideal_currents_by_key(keys, readings);
+          for (double& reading : readings)
+            reading = arr.read_log(reading, nrng);
+          arr.record_reads(kScanPoints);
           sink += readings.front();
         });
     std::printf("%-44s %12.1f ns/read\n", "  (per read)",
@@ -604,12 +613,12 @@ int main() {
   //
   // A 100k-particle cloud through one measurement update and one
   // systematic resample, single-threaded, SoA engine vs the literal seed
-  // algorithm it replaced (AoS vector<Particle>, per-call weight vectors,
-  // vector-building resample). The synthetic quadratic likelihood keeps
-  // the measurement backend out of the timing, so the ratios isolate the
-  // storage layout and the allocation behavior. The steady-state cycle
-  // must also be heap-silent — asserted on the filter's own arena/pool
-  // counters at bench scale.
+  // algorithm it replaced (AoS vector<SeedParticle>, per-call weight
+  // vectors, vector-building resample). The synthetic quadratic
+  // likelihood keeps the measurement backend out of the timing, so the
+  // ratios isolate the storage layout and the allocation behavior. The
+  // steady-state cycle must also be heap-silent — asserted on the
+  // filter's own arena/pool counters at bench scale.
   {
     constexpr int kCloud = 100000;
     const QuadraticModel model;

@@ -1,8 +1,7 @@
 // Uncertainty-expressive visual odometry demo (the paper's Sec. III
 // system): a dropout MLP regresses pose deltas; MC-Dropout on the
 // simulated SRAM CIM macro yields both the trajectory and per-frame
-// confidence, with a split-conformal wrapper (the paper's suggested
-// future work) providing distribution-free error bounds.
+// confidence.
 //
 //   $ ./uncertainty_vo
 #include <cstdio>
@@ -12,7 +11,6 @@
 #include "core/stats.hpp"
 #include "core/table.hpp"
 #include "core/thread_pool.hpp"
-#include "vo/conformal.hpp"
 #include "vo/pipeline.hpp"
 
 int main() {
@@ -63,29 +61,12 @@ int main() {
   std::printf("  dropout bits drawn        : %llu\n",
               static_cast<unsigned long long>(workload.mask_bits_drawn));
 
-  // Conformal wrapper: calibrate on the first half of the run, bound the
-  // second half.
   const auto& err = mc_run.frame_delta_error;
-  const std::size_t half = err.size() / 2;
-  const vo::SplitConformal conformal(
-      std::vector<double>(err.begin(),
-                          err.begin() + static_cast<std::ptrdiff_t>(half)),
-      0.1);
-  const double coverage = vo::SplitConformal::empirical_coverage(
-      std::vector<double>(err.begin() + static_cast<std::ptrdiff_t>(half),
-                          err.end()),
-      conformal.radius());
-  std::printf("\nconformal extension (alpha = 0.1): radius %.4f m, "
-              "empirical coverage %.2f\n",
-              conformal.radius(), coverage);
-
   std::printf("\nper-frame sample (every 10th):\n");
-  core::Table table({"frame", "delta err [m]", "MC variance",
-                     "inside conformal bound"});
+  core::Table table({"frame", "delta err [m]", "MC variance"});
   table.set_precision(5);
   for (std::size_t i = 0; i < err.size(); i += 10) {
-    table.add_row({static_cast<double>(i), err[i], mc_run.frame_variance[i],
-                   std::string(err[i] <= conformal.radius() ? "yes" : "NO")});
+    table.add_row({static_cast<double>(i), err[i], mc_run.frame_variance[i]});
   }
   table.print(std::cout);
   return 0;

@@ -141,11 +141,15 @@ const char* update_action_label(UpdateAction action) {
   return "?";
 }
 
-std::unique_ptr<UpdatePolicy> make_update_policy(std::string_view name,
-                                                 const PolicyConfig& config) {
+void validate(const PolicyConfig& config) {
   CIMNAV_REQUIRE(config.decimated_fraction > 0.0 &&
                      config.decimated_fraction <= 1.0,
-                 "decimated_fraction must lie in (0, 1]");
+                 "policy_cfg.decimated_fraction must lie in (0, 1]");
+}
+
+std::unique_ptr<UpdatePolicy> make_update_policy(std::string_view name,
+                                                 const PolicyConfig& config) {
+  validate(config);
   // NameRegistry::lookup copies the factory out of the critical section
   // (a registered factory may call back into the registry).
   return registry().lookup(name)(config);

@@ -136,8 +136,13 @@ class UpdatePolicy {
   }
 };
 
+/// Throws std::invalid_argument with the reason unless decimated_fraction
+/// lies in (0, 1].
+void validate(const PolicyConfig& config);
+
 /// Creates a fresh per-run policy instance by registry name; throws
-/// std::invalid_argument for unknown names, listing the known ones.
+/// std::invalid_argument for unknown names, listing the known ones, and
+/// for a config validate() rejects.
 /// Built-ins:
 ///   "always"      full update every frame (the pre-policy behavior;
 ///                 bit-identical to PR 4's closed loop)

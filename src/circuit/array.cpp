@@ -162,22 +162,21 @@ namespace {
 // divide/add chains, so the count changes speed, never results.
 constexpr std::size_t kInterleavedReads = 8;
 
-using Codes = std::array<std::uint32_t, 3>;
-
-// Ideal currents of L reads over reciprocal tables of `cols` columns;
-// codes_of(k) gives read k's DAC code triple. Per column,
-// (1/Ix + 1/Iy) + 1/Iz is the harmonic sum in the axis order of the
-// per-column formula, and the column terms are summed in column order:
-// bit-identical to summing each column's 1 / (1/Ix + 1/Iy + 1/Iz).
-template <std::size_t L, typename CodesOf>
+// Ideal currents of the L reads keyed keys[0..L) over reciprocal tables
+// of `cols` columns and b-bit codes. Per column, (1/Ix + 1/Iy) + 1/Iz is
+// the harmonic sum in the axis order of the per-column formula, and the
+// column terms are summed in column order: bit-identical to summing each
+// column's 1 / (1/Ix + 1/Iy + 1/Iz).
+template <std::size_t L>
 void read_interleaved(const std::array<std::vector<double>, 3>& inv,
-                      std::size_t cols, CodesOf codes_of, double* out) {
+                      std::size_t cols, int b, const std::uint32_t* keys,
+                      double* out) {
+  const std::uint32_t mask = (std::uint32_t{1} << b) - 1;
   std::array<const double*, L> ix{}, iy{}, iz{};
   for (std::size_t k = 0; k < L; ++k) {
-    const Codes c = codes_of(k);
-    ix[k] = inv[0].data() + c[0] * cols;
-    iy[k] = inv[1].data() + c[1] * cols;
-    iz[k] = inv[2].data() + c[2] * cols;
+    ix[k] = inv[0].data() + ((keys[k] >> (2 * b)) & mask) * cols;
+    iy[k] = inv[1].data() + ((keys[k] >> b) & mask) * cols;
+    iz[k] = inv[2].data() + (keys[k] & mask) * cols;
   }
   std::array<double, L> total{};
   for (std::size_t c = 0; c < cols; ++c)
@@ -186,36 +185,7 @@ void read_interleaved(const std::array<std::vector<double>, 3>& inv,
   for (std::size_t k = 0; k < L; ++k) out[k] = total[k];
 }
 
-// Runs the kernel over n reads in interleaved groups plus a one-read tail.
-template <typename CodesAt>
-void read_all(const std::array<std::vector<double>, 3>& inv, std::size_t cols,
-              std::size_t n, CodesAt codes_at, double* out) {
-  std::size_t i = 0;
-  for (; i + kInterleavedReads <= n; i += kInterleavedReads)
-    read_interleaved<kInterleavedReads>(
-        inv, cols, [&](std::size_t k) { return codes_at(i + k); }, out + i);
-  for (; i < n; ++i)
-    read_interleaved<1>(
-        inv, cols, [&](std::size_t) { return codes_at(i); }, out + i);
-}
-
 }  // namespace
-
-void CimLikelihoodArray::ideal_currents(std::span<const core::Vec3> points_v,
-                                        std::span<double> out) const {
-  CIMNAV_REQUIRE(out.size() == points_v.size(),
-                 "ideal_currents: output size must match the point count");
-  const std::size_t n = points_v.size();
-  read_all(inv_, static_cast<std::size_t>(config_.total_columns), n,
-           [&](std::size_t i) {
-             const core::Vec3& p = points_v[i];
-             return Codes{dac_.encode(p.x), dac_.encode(p.y),
-                          dac_.encode(p.z)};
-           },
-           out.data());
-  evaluations_.fetch_add(n, std::memory_order_relaxed);
-  ideal_currents_.fetch_add(n, std::memory_order_relaxed);
-}
 
 std::uint32_t CimLikelihoodArray::code_key(const core::Vec3& point_v) const {
   const int b = dac_.bits();
@@ -227,36 +197,25 @@ void CimLikelihoodArray::ideal_currents_by_key(
     std::span<const std::uint32_t> keys, std::span<double> out) const {
   CIMNAV_REQUIRE(out.size() == keys.size(),
                  "ideal_currents_by_key: output size must match the key count");
+  const auto cols = static_cast<std::size_t>(config_.total_columns);
   const int b = dac_.bits();
-  const std::uint32_t mask = dac_.levels() - 1;
-  read_all(inv_, static_cast<std::size_t>(config_.total_columns), keys.size(),
-           [&](std::size_t i) {
-             const std::uint32_t key = keys[i];
-             return Codes{(key >> (2 * b)) & mask, (key >> b) & mask,
-                          key & mask};
-           },
-           out.data());
-  ideal_currents_.fetch_add(keys.size(), std::memory_order_relaxed);
-}
-
-void CimLikelihoodArray::read_log_likelihoods(
-    std::span<const core::Vec3> points_v, core::Rng& rng,
-    std::span<double> out) const {
-  ideal_currents(points_v, out);
-  for (double& reading : out) reading = read_log(reading, rng);
-}
-
-double CimLikelihoodArray::ideal_current(const core::Vec3& point_v) const {
-  double out = 0.0;
-  ideal_currents({&point_v, 1}, {&out, 1});
-  return out;
+  const std::size_t n = keys.size();
+  std::size_t i = 0;
+  for (; i + kInterleavedReads <= n; i += kInterleavedReads)
+    read_interleaved<kInterleavedReads>(inv_, cols, b, keys.data() + i,
+                                        out.data() + i);
+  for (; i < n; ++i)
+    read_interleaved<1>(inv_, cols, b, keys.data() + i, out.data() + i);
+  ideal_currents_.fetch_add(n, std::memory_order_relaxed);
 }
 
 double CimLikelihoodArray::read_log_likelihood(const core::Vec3& point_v,
                                                core::Rng& rng) const {
-  double out = 0.0;
-  read_log_likelihoods({&point_v, 1}, rng, {&out, 1});
-  return out;
+  const std::uint32_t key = code_key(point_v);
+  double ideal = 0.0;
+  ideal_currents_by_key({&key, 1}, {&ideal, 1});
+  record_reads(1);
+  return read_log(ideal, rng);
 }
 
 }  // namespace cimnav::circuit

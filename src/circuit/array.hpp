@@ -24,13 +24,15 @@
 // order, which keeps every reading bit-identical to the per-column formula.
 //
 // An ideal current depends only on the read's DAC code triple, packed into
-// a code-cube key (code_key). A caller scoring many reads at once — the
-// particle filter's whole update, filter::CimHmgmLikelihood::log_likelihoods
-// — computes one ideal current per distinct key (ideal_currents_by_key),
-// then applies noise and the log-ADC per logical read (read_log) and books
-// those reads (record_reads). evaluation_count() counts logical reads for
-// the energy ledger; ideal_current_count() counts the column sums actually
-// computed (see docs/architecture.md, "The likelihood read").
+// a code-cube key (code_key), and every read goes through that key:
+// ideal_currents_by_key computes the column sums of a batch of keys,
+// read_log applies noise and the log-ADC per logical read, and
+// record_reads books those reads. The particle filter's whole update
+// (filter::CimHmgmLikelihood::log_likelihoods) computes one ideal current
+// per distinct key; the per-pose path and read_log_likelihood key every
+// read. evaluation_count() counts logical reads for the energy ledger;
+// ideal_current_count() counts the column sums actually computed (see
+// docs/architecture.md, "The likelihood read").
 #pragma once
 
 #include <atomic>
@@ -93,16 +95,9 @@ class CimLikelihoodArray {
   /// 2^(3 * dac_bits) bits over that code cube.
   static constexpr int kMaxDacBits = 8;
 
-  /// Ideal (noise-free) summed currents for a batch of input points [A]:
-  /// out[i] for points_v[i]. Inputs are DAC-quantized exactly as the
-  /// hardware would. Advances evaluation_count() and ideal_current_count()
-  /// by points_v.size(). Thread-safe: concurrent batches may read one
-  /// array.
-  void ideal_currents(std::span<const core::Vec3> points_v,
-                      std::span<double> out) const;
-
   /// Code-cube key of a point: its three DAC codes packed x-major,
   /// (cx << 2b) | (cy << b) | cz for b = dac_bits, in [0, key_count()).
+  /// Inputs are DAC-quantized exactly as the hardware would.
   std::uint32_t code_key(const core::Vec3& point_v) const;
 
   /// Number of code-cube keys, 2^(3 * dac_bits).
@@ -110,16 +105,18 @@ class CimLikelihoodArray {
     return std::uint32_t{1} << (3 * dac_.bits());
   }
 
-  /// Ideal currents by code-cube key: out[i] is bit-identical to
-  /// ideal_currents of any point whose code_key is keys[i]. Advances
+  /// Ideal (noise-free) summed currents by code-cube key [A]: out[i] for
+  /// keys[i], each summed serially in column order. Advances
   /// ideal_current_count() by keys.size() but not evaluation_count(): the
   /// caller books the logical reads sharing these currents with
-  /// record_reads. Thread-safe like ideal_currents.
+  /// record_reads. Thread-safe: concurrent batches may read one array.
   void ideal_currents_by_key(std::span<const std::uint32_t> keys,
                              std::span<double> out) const;
 
-  /// Noise + log-ADC of one read whose ideal current is `ideal_a` [A]: the
-  /// per-point step of read_log_likelihoods, one draw from `rng`.
+  /// Noise + log-ADC of one read whose ideal current is `ideal_a` [A],
+  /// one draw from `rng`: the digital log-current reading (natural log
+  /// of amps), a pose-independent affine transform of the mixture
+  /// log-likelihood.
   double read_log(double ideal_a, core::Rng& rng) const {
     return adc_.read_log(noisy_current(ideal_a, config_.noise, rng));
   }
@@ -130,19 +127,8 @@ class CimLikelihoodArray {
     evaluations_.fetch_add(n, std::memory_order_relaxed);
   }
 
-  /// Full pipeline for a batch: DAC -> array -> noise -> log ADC. out[i]
-  /// is the digital log-current reading (natural log of amps) for
-  /// points_v[i], a pose-independent affine transform of the mixture
-  /// log-likelihood. Read noise is drawn from `rng` in index order, so a
-  /// batch consumes the stream exactly as one read_log_likelihood call
-  /// per point would.
-  void read_log_likelihoods(std::span<const core::Vec3> points_v,
-                            core::Rng& rng, std::span<double> out) const;
-
-  /// One-point ideal_currents.
-  double ideal_current(const core::Vec3& point_v) const;
-
-  /// One-point read_log_likelihoods.
+  /// One read through the whole pipeline, DAC -> array -> noise -> log
+  /// ADC: code_key, ideal_currents_by_key, read_log, record_reads.
   double read_log_likelihood(const core::Vec3& point_v, core::Rng& rng) const;
 
   int column_count() const { return config_.total_columns; }
@@ -159,8 +145,8 @@ class CimLikelihoodArray {
   }
 
   /// Ideal currents actually computed (one column sum each) since
-  /// construction. Equal to evaluation_count() on the per-point path;
-  /// below it once reads share currents through ideal_currents_by_key.
+  /// construction. Equal to evaluation_count() when every read computes
+  /// its own; below it once reads share currents.
   std::uint64_t ideal_current_count() const {
     return ideal_currents_.load(std::memory_order_relaxed);
   }

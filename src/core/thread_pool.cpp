@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "core/error.hpp"
-
 namespace cimnav::core {
 namespace {
 
@@ -14,7 +12,7 @@ thread_local bool tls_in_parallel_region = false;
 
 // Worker id of the pool thread currently executing chunks; nested/serial
 // parallel_for fallbacks report it to their bodies so per-worker state
-// (worker_rng) stays distinct even through inline execution.
+// stays distinct even through inline execution.
 thread_local int tls_worker_index = 0;
 
 // Exception-safe scope for the flags above.
@@ -34,15 +32,12 @@ struct ParallelRegionGuard {
 
 }  // namespace
 
-ThreadPool::ThreadPool(int threads, std::uint64_t root_seed) {
+ThreadPool::ThreadPool(int threads) {
   if (threads <= 0) {
     const unsigned hw = std::thread::hardware_concurrency();
     threads = hw > 0 ? static_cast<int>(hw) : 1;
   }
   thread_count_ = threads;
-  worker_rngs_.reserve(static_cast<std::size_t>(threads));
-  for (int w = 0; w < threads; ++w)
-    worker_rngs_.push_back(Rng::stream(root_seed, static_cast<std::uint64_t>(w)));
   workers_.reserve(static_cast<std::size_t>(threads - 1));
   for (int w = 1; w < threads; ++w)
     workers_.emplace_back([this, w] { worker_loop(w); });
@@ -55,12 +50,6 @@ ThreadPool::~ThreadPool() {
   }
   wake_.notify_all();
   for (auto& t : workers_) t.join();
-}
-
-Rng& ThreadPool::worker_rng(int worker) {
-  CIMNAV_REQUIRE(worker >= 0 && worker < thread_count_,
-                 "worker index out of range");
-  return worker_rngs_[static_cast<std::size_t>(worker)];
 }
 
 void ThreadPool::drain(Job& job, int worker_index) {

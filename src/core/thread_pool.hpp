@@ -3,11 +3,10 @@
 //
 // Design goals, in order:
 //
-//  1. Reproducibility. Every worker owns a core::Rng stream derived
-//     deterministically from one root seed. Code that must be bit-exact at
-//     *any* thread count should instead key its streams on the work-item
-//     index via core::Rng::stream(root, index) — the partitioning of items
-//     onto workers then no longer affects results.
+//  1. Reproducibility. The pool owns no randomness: code that must be
+//     bit-exact at any thread count keys its streams on the work-item
+//     index via core::Rng::stream(root, index), so the partitioning of
+//     items onto workers never affects results.
 //  2. Safety under nesting. parallel_for called from inside a worker (for
 //     example a batched layer inside a parallelized MC iteration) degrades
 //     to an inline serial loop instead of deadlocking the pool.
@@ -19,13 +18,12 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
 #include <type_traits>
 #include <vector>
-
-#include "core/rng.hpp"
 
 namespace cimnav::core {
 
@@ -65,8 +63,7 @@ class ThreadPool {
   /// `threads` <= 0 selects std::thread::hardware_concurrency(). The pool
   /// spawns threads-1 workers; the caller of parallel_for participates as
   /// worker 0.
-  explicit ThreadPool(int threads = 0,
-                      std::uint64_t root_seed = 0xC1A0900DD5EEDull);
+  explicit ThreadPool(int threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -81,12 +78,6 @@ class ThreadPool {
   /// chunk body throws, remaining chunks still run, and the first
   /// exception is rethrown on the calling thread after the job completes.
   void parallel_for(std::size_t n, std::size_t grain, ForBodyRef body);
-
-  /// The worker-local stream (worker 0 = the caller). Streams are seeded
-  /// deterministically from the root seed per *worker*, so results are
-  /// reproducible for a fixed thread count; use Rng::stream per item for
-  /// thread-count-independent reproducibility.
-  Rng& worker_rng(int worker);
 
  private:
   struct Job {
@@ -110,7 +101,6 @@ class ThreadPool {
 
   int thread_count_ = 1;
   std::vector<std::thread> workers_;
-  std::vector<Rng> worker_rngs_;
 
   std::mutex mutex_;                  // guards job_ / generation_ / stop_
   std::condition_variable wake_;      // workers wait for a new generation

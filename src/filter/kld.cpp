@@ -1,17 +1,26 @@
 #include "filter/kld.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <unordered_set>
+#include <cstdint>
+#include <vector>
 
 #include "core/error.hpp"
 
 namespace cimnav::filter {
 
-int kld_required_particles(int occupied_bins, const KldConfig& config) {
-  CIMNAV_REQUIRE(config.epsilon > 0.0, "epsilon must be positive");
+void validate(const KldConfig& config) {
+  CIMNAV_REQUIRE(config.epsilon > 0.0, "kld.epsilon must be positive");
   CIMNAV_REQUIRE(config.min_particles >= 1 &&
                      config.max_particles >= config.min_particles,
-                 "particle bounds must be ordered");
+                 "kld particle bounds must satisfy 1 <= min <= max");
+  CIMNAV_REQUIRE(config.bin_size.x > 0 && config.bin_size.y > 0 &&
+                     config.bin_size.z > 0 && config.yaw_bin_rad > 0,
+                 "kld bin sizes must be positive");
+}
+
+int kld_required_particles(int occupied_bins, const KldConfig& config) {
+  validate(config);
   if (occupied_bins <= 1) return config.min_particles;
   // Wilson-Hilferty approximation of the chi-square quantile
   // (Fox 2001, Eq. 13): n = (k-1)/(2 eps) * [1 - 2/(9(k-1)) +
@@ -41,39 +50,20 @@ std::uint64_t bin_key(double x, double y, double z, double yaw,
   return pack(qx) | (pack(qy) << 16) | (pack(qz) << 32) | (pack(qw) << 48);
 }
 
-void require_bins(const KldConfig& config) {
-  CIMNAV_REQUIRE(config.bin_size.x > 0 && config.bin_size.y > 0 &&
-                     config.bin_size.z > 0 && config.yaw_bin_rad > 0,
-                 "bin sizes must be positive");
-}
-
 }  // namespace
 
-int count_occupied_bins(const std::vector<Particle>& particles,
-                        const KldConfig& config) {
-  require_bins(config);
-  std::unordered_set<std::uint64_t> bins;
-  for (const auto& p : particles)
-    bins.insert(bin_key(p.pose.position.x, p.pose.position.y,
-                        p.pose.position.z, p.pose.yaw, config));
-  return static_cast<int>(bins.size());
-}
-
 int count_occupied_bins(const SoaView& cloud, const KldConfig& config) {
-  require_bins(config);
-  std::unordered_set<std::uint64_t> bins;
+  validate(config);
+  // Grow-only per-thread key buffer: sort + unique counts the distinct
+  // bins without a hash set's per-node allocations.
+  thread_local std::vector<std::uint64_t> keys;
+  keys.resize(cloud.count);
   for (std::size_t i = 0; i < cloud.count; ++i)
-    bins.insert(
-        bin_key(cloud.x[i], cloud.y[i], cloud.z[i], cloud.yaw[i], config));
-  return static_cast<int>(bins.size());
-}
-
-int kld_resample(ParticleFilter& pf, const KldConfig& config,
-                 core::Rng& rng) {
-  const int bins = count_occupied_bins(pf.soa(), config);
-  const int target = kld_required_particles(bins, config);
-  pf.resample_to(static_cast<std::size_t>(target), rng);
-  return target;
+    keys[i] =
+        bin_key(cloud.x[i], cloud.y[i], cloud.z[i], cloud.yaw[i], config);
+  std::sort(keys.begin(), keys.end());
+  return static_cast<int>(std::unique(keys.begin(), keys.end()) -
+                          keys.begin());
 }
 
 }  // namespace cimnav::filter

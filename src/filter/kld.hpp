@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "core/vec.hpp"
 #include "filter/particle_filter.hpp"
@@ -26,24 +25,19 @@ struct KldConfig {
   int max_particles = 5000;
 };
 
+/// Throws std::invalid_argument with the reason unless epsilon > 0,
+/// 1 <= min_particles <= max_particles and every bin size is positive.
+void validate(const KldConfig& config);
+
 /// Number of particles required so that the KL divergence between the
 /// sampled and true distributions stays below epsilon with the configured
 /// confidence, given `occupied_bins` support bins (Fox's chi-square
 /// Wilson-Hilferty approximation). Returns min_particles for k <= 1.
 int kld_required_particles(int occupied_bins, const KldConfig& config);
 
-/// Counts the occupied (x, y, z, yaw) histogram bins of a particle set.
-int count_occupied_bins(const std::vector<Particle>& particles,
-                        const KldConfig& config);
-
-/// Zero-copy variant over the filter's SoA view (same bins, no AoS
-/// materialization) — what kld_resample uses.
+/// Counts the occupied (x, y, z, yaw) histogram bins of the cloud. The
+/// bin keys are sorted and deduplicated in a grow-only thread_local
+/// buffer, so steady-state calls do not touch the heap.
 int count_occupied_bins(const SoaView& cloud, const KldConfig& config);
-
-/// Systematic resampling to an adaptively-chosen particle count: resamples
-/// `pf`'s cloud to kld_required_particles(bins of the current cloud).
-/// Returns the new particle count.
-int kld_resample(ParticleFilter& pf, const KldConfig& config,
-                 core::Rng& rng);
 
 }  // namespace cimnav::filter

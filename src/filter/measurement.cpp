@@ -141,24 +141,27 @@ CimHmgmLikelihood::CimHmgmLikelihood(
 double CimHmgmLikelihood::log_likelihood(const core::Pose& pose,
                                          const vision::DepthScan& scan,
                                          core::Rng& rng) const {
-  // The scan goes to the array in fixed stack chunks, so the batched read
-  // interleaves several pixels without touching the heap. Readings are
-  // summed in pixel order, as one read per pixel would.
+  // The scan goes to the array in fixed stack chunks of code-cube keys, so
+  // the batched read interleaves several pixels without touching the
+  // heap. Noise is drawn and readings are summed in pixel order, as one
+  // read per pixel would.
   constexpr std::size_t kChunk = 16;
-  std::array<core::Vec3, kChunk> volts;
-  std::array<double, kChunk> readings{};
+  std::array<std::uint32_t, kChunk> keys{};
+  std::array<double, kChunk> currents{};
   double ll = 0.0;
   const core::Mat3 rot = core::Mat3::rotation_z(pose.yaw);
   const std::size_t n = scan.pixels.size();
   for (std::size_t base = 0; base < n; base += kChunk) {
     const std::size_t m = std::min(kChunk, n - base);
     for (std::size_t j = 0; j < m; ++j)
-      volts[j] = mapping_.point_to_voltage(vision::pixel_to_world(
-          scan, rot, pose.position, scan.pixels[base + j]));
-    array_->read_log_likelihoods({volts.data(), m}, rng,
-                                 {readings.data(), m});
-    for (std::size_t j = 0; j < m; ++j) ll += readings[j];
+      keys[j] = array_->code_key(mapping_.point_to_voltage(
+          vision::pixel_to_world(scan, rot, pose.position,
+                                 scan.pixels[base + j])));
+    array_->ideal_currents_by_key({keys.data(), m}, {currents.data(), m});
+    for (std::size_t j = 0; j < m; ++j)
+      ll += array_->read_log(currents[j], rng);
   }
+  array_->record_reads(n);
   return beta_ * gain_ * ll;
 }
 

@@ -74,7 +74,6 @@ void ParticleFilter::ensure_capacity(std::size_t cap) {
   idx_ = idx;
   capacity_ = target;
   padded_ = padded;
-  compat_dirty_ = true;
 }
 
 void ParticleFilter::init_uniform(const core::Vec3& lo, const core::Vec3& hi,
@@ -93,7 +92,6 @@ void ParticleFilter::init_uniform(const core::Vec3& lo, const core::Vec3& hi,
     yaw_[i] = p.yaw;
     logw_[i] = 0.0;
   }
-  compat_dirty_ = true;
   weights_valid_ = false;
 }
 
@@ -112,7 +110,6 @@ void ParticleFilter::init_gaussian(const core::Pose& center,
     yaw_[i] = p.yaw;
     logw_[i] = 0.0;
   }
-  compat_dirty_ = true;
   weights_valid_ = false;
 }
 
@@ -130,7 +127,6 @@ void ParticleFilter::predict(const Control& control, const MotionNoise& noise,
     z_[i] = moved.position.z;
     yaw_[i] = moved.yaw;
   }
-  compat_dirty_ = true;
 }
 
 void ParticleFilter::update(const vision::DepthScan& scan,
@@ -222,7 +218,6 @@ void ParticleFilter::apply_log_likelihoods(const double* deltas,
   }
   last_update_beta_ = beta;
   for (std::size_t i = 0; i < count_; ++i) logw_[i] += beta * deltas[i];
-  compat_dirty_ = true;
   weights_valid_ = false;
   last_update_ess_ = effective_sample_size();
   if (last_update_ess_ < config_.resample_threshold * n) {
@@ -240,7 +235,6 @@ void ParticleFilter::apply_log_likelihoods(const double* deltas,
         yaw_[i] = core::wrap_angle(
             yaw_[i] + rng.normal(0.0, config_.roughening_sigma_yaw));
       }
-      compat_dirty_ = true;
     }
   }
 }
@@ -393,7 +387,6 @@ void ParticleFilter::resample_to(std::size_t n, core::Rng& rng,
   yaw_ = ctx.dyaw;
   count_ = n;
   for (std::size_t i = 0; i < n; ++i) logw_[i] = 0.0;
-  compat_dirty_ = true;
   weights_valid_ = false;
 }
 
@@ -430,21 +423,8 @@ SoaView ParticleFilter::soa() const {
 }
 
 MutableSoaView ParticleFilter::mutable_soa() {
-  compat_dirty_ = true;
   weights_valid_ = false;
   return {x_, y_, z_, yaw_, logw_, count_};
-}
-
-const std::vector<Particle>& ParticleFilter::particles() const {
-  if (compat_dirty_) {
-    compat_.resize(count_);
-    for (std::size_t i = 0; i < count_; ++i) {
-      compat_[i].pose = pose_at(i);
-      compat_[i].log_weight = logw_[i];
-    }
-    compat_dirty_ = false;
-  }
-  return compat_;
 }
 
 FilterMemoryStats ParticleFilter::memory_stats() const {

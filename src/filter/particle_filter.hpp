@@ -11,8 +11,8 @@
 // resampling — runs as fused passes over these arrays, and the whole
 // predict -> update -> resample cycle performs zero heap allocations
 // after construction (asserted by the arena counters in
-// memory_stats()). `particles()` remains as a compatibility view that
-// materializes an AoS copy on demand; hot paths use soa().
+// memory_stats()). soa() and mutable_soa() are the only views of the
+// cloud.
 //
 // Determinism contract: results are bit-identical to the historical AoS
 // implementation at any thread count. Element-wise passes (likelihood
@@ -25,7 +25,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "core/arena.hpp"
 #include "core/rng.hpp"
@@ -36,12 +35,6 @@
 #include "vision/depth.hpp"
 
 namespace cimnav::filter {
-
-/// One pose hypothesis with a log-domain importance weight.
-struct Particle {
-  core::Pose pose;
-  double log_weight = 0.0;
-};
 
 /// Filter configuration.
 struct ParticleFilterConfig {
@@ -82,8 +75,7 @@ struct SoaView {
   std::size_t count = 0;
 };
 
-/// Mutable view for tests and in-place editors; invalidates the
-/// compatibility view returned by particles().
+/// Mutable view for tests and in-place editors.
 struct MutableSoaView {
   double* x = nullptr;
   double* y = nullptr;
@@ -178,8 +170,7 @@ class ParticleFilter {
   /// Weighted-mean pose (circular mean for yaw) and spread.
   PoseEstimate estimate() const;
 
-  /// Current particle count (allocation-free; prefer over
-  /// particles().size() on hot paths).
+  /// Current particle count.
   std::size_t size() const { return count_; }
 
   /// Zero-copy read view of the SoA cloud.
@@ -188,12 +179,6 @@ class ParticleFilter {
   /// Mutable SoA view (tests / in-place editors). Yaw values written
   /// through the view must already be wrapped to (-pi, pi].
   MutableSoaView mutable_soa();
-
-  /// Compatibility view: materializes an AoS copy of the cloud on first
-  /// use after a mutation (the copy itself may allocate — hot paths use
-  /// soa()/size() instead). Mutating the returned vector does NOT write
-  /// back to the filter; use mutable_soa() for that.
-  const std::vector<Particle>& particles() const;
 
   const ParticleFilterConfig& config() const { return config_; }
 
@@ -265,8 +250,6 @@ class ParticleFilter {
   std::uint64_t retired_heap_allocations_ = 0;  ///< from replaced slabs
   double last_update_ess_ = 0.0;
   double last_update_beta_ = 1.0;
-  mutable std::vector<Particle> compat_;  ///< particles() materialization
-  mutable bool compat_dirty_ = true;
   mutable bool weights_valid_ = false;  ///< weights_ matches current logw_
 };
 

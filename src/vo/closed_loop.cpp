@@ -35,6 +35,14 @@ void validate(const ClosedLoopConfig& config) {
   CIMNAV_REQUIRE(config.mc.reuse_refresh_interval >= 0,
                  "mc.reuse_refresh_interval must be >= 0 (0 = never refresh)");
   autonomy::require_update_policy(config.policy);
+  autonomy::validate(config.policy_cfg);
+  // Negative is the "keep the scenario's floor" sentinel; NaN fails both.
+  CIMNAV_REQUIRE(config.tempering_ess_floor < 1.0,
+                 "tempering_ess_floor must be < 0 (keep the scenario's) or "
+                 "lie in [0, 1)");
+  CIMNAV_REQUIRE(config.init_sigma_m >= 0.0 && config.init_sigma_yaw >= 0.0,
+                 "init_sigma_m and init_sigma_yaw must be >= 0");
+  if (config.kld_adapt) filter::validate(config.kld);
 }
 
 ClosedLoopRun run_odometry_loop(const filter::LocalizationScenario& scenario,

@@ -171,9 +171,12 @@ struct ClosedLoopRun {
 
 /// Rejects a config no run can execute, with the reason:
 /// window < 1, mc.iterations < 1, mc.dropout_p outside [0, 1),
-/// mc.reuse_refresh_interval < 0, or a policy name missing from the
-/// autonomy registry. Throws std::invalid_argument; allocation-free when
-/// the config is valid. run_odometry_loop and fleet::FleetEngine::
+/// mc.reuse_refresh_interval < 0, a policy name missing from the
+/// autonomy registry, a policy_cfg autonomy::validate rejects, a
+/// tempering_ess_floor that is neither negative nor in [0, 1) (NaN
+/// included), a negative init sigma, or — with kld_adapt — a kld config
+/// filter::validate rejects. Throws std::invalid_argument;
+/// allocation-free when the config is valid. run_odometry_loop and fleet::FleetEngine::
 /// try_submit both call it, so a bad spec fails at the API boundary
 /// instead of mid-flight.
 void validate(const ClosedLoopConfig& config);

@@ -422,6 +422,29 @@ class LikelihoodArrayTest : public ::testing::Test {
             {{0.6, 0.4, 0.5}, {0.08, 0.06, 0.08}, 0.3},
             {{0.5, 0.7, 0.4}, {0.05, 0.08, 0.06}, 0.2}};
   }
+
+  /// Ideal current of one point, through its code-cube key.
+  static double ideal_current(const CimLikelihoodArray& arr,
+                              const core::Vec3& p) {
+    const std::uint32_t key = arr.code_key(p);
+    double out = 0.0;
+    arr.ideal_currents_by_key({&key, 1}, {&out, 1});
+    return out;
+  }
+
+  /// A batch of reads as the per-pose likelihood path issues them: keys,
+  /// one batched ideal-current call, then noise + log-ADC per read in
+  /// index order, booked as reads.
+  static void read_batch(const CimLikelihoodArray& arr,
+                         const std::vector<core::Vec3>& pts, core::Rng& rng,
+                         std::vector<double>& out) {
+    std::vector<std::uint32_t> keys;
+    for (const auto& p : pts) keys.push_back(arr.code_key(p));
+    out.resize(pts.size());
+    arr.ideal_currents_by_key(keys, out);
+    for (double& reading : out) reading = arr.read_log(reading, rng);
+    arr.record_reads(pts.size());
+  }
 };
 
 TEST_F(LikelihoodArrayTest, CurrentPeaksAtComponentCenters) {
@@ -431,8 +454,8 @@ TEST_F(LikelihoodArrayTest, CurrentPeaksAtComponentCenters) {
   cfg.noise.enabled = false;
   core::Rng rng(11);
   const CimLikelihoodArray arr(cfg, three_components(), rng);
-  const double at_center = arr.ideal_current({0.3, 0.5, 0.5});
-  const double off_center = arr.ideal_current({0.45, 0.6, 0.6});
+  const double at_center = ideal_current(arr, {0.3, 0.5, 0.5});
+  const double off_center = ideal_current(arr, {0.45, 0.6, 0.6});
   EXPECT_GT(at_center, off_center);
 }
 
@@ -466,7 +489,7 @@ TEST_F(LikelihoodArrayTest, TracksDigitalMixtureShape) {
   for (int k = 0; k < 300; ++k) {
     const core::Vec3 p{prng.uniform(0.15, 0.85), prng.uniform(0.15, 0.85),
                        prng.uniform(0.15, 0.85)};
-    hw.push_back(arr.ideal_current(p));
+    hw.push_back(ideal_current(arr, p));
     double m = 0.0;
     for (const auto& c : comps) {
       double inv_sum = 0.0;
@@ -503,7 +526,7 @@ TEST_F(LikelihoodArrayTest, MismatchDegradesAndVerifyRestores) {
     for (int k = 0; k < 150; ++k) {
       const core::Vec3 p{prng.uniform(0.2, 0.8), prng.uniform(0.2, 0.8),
                          prng.uniform(0.2, 0.8)};
-      const double a = arr.ideal_current(p), b = ref.ideal_current(p);
+      const double a = ideal_current(arr, p), b = ideal_current(ref, p);
       err += std::abs(a - b) / (std::abs(b) + 1e-12);
     }
     return err / 150.0;
@@ -531,20 +554,26 @@ TEST_F(LikelihoodArrayTest, EvaluationCounterAdvances) {
   core::Rng rng(37);
   const CimLikelihoodArray arr(cfg, three_components(), rng);
   const auto before = arr.evaluation_count();
-  arr.ideal_current({0.5, 0.5, 0.5});
-  arr.ideal_current({0.4, 0.5, 0.5});
+  const auto computed = arr.ideal_current_count();
+  core::Rng nrng(38);
+  arr.read_log_likelihood({0.5, 0.5, 0.5}, nrng);
+  arr.read_log_likelihood({0.4, 0.5, 0.5}, nrng);
   EXPECT_EQ(arr.evaluation_count(), before + 2);
+  EXPECT_EQ(arr.ideal_current_count(), computed + 2);
   // A batch of n counts n reads, whatever its interleave tail.
   for (std::size_t n : {0u, 1u, 8u, 13u}) {
     const std::vector<core::Vec3> pts(n, core::Vec3{0.5, 0.4, 0.6});
-    std::vector<double> out(n);
+    std::vector<double> out;
     const auto at = arr.evaluation_count();
-    arr.ideal_currents(pts, out);
+    const auto computed_at = arr.ideal_current_count();
+    read_batch(arr, pts, nrng, out);
     EXPECT_EQ(arr.evaluation_count(), at + n);
+    EXPECT_EQ(arr.ideal_current_count(), computed_at + n);
   }
   std::vector<double> wrong(2);
-  const std::vector<core::Vec3> three(3);
-  EXPECT_THROW(arr.ideal_currents(three, wrong), std::invalid_argument);
+  const std::vector<std::uint32_t> three(3);
+  EXPECT_THROW(arr.ideal_currents_by_key(three, wrong),
+               std::invalid_argument);
 }
 
 // Serial reference for the array's read: per-column, per-axis current LUTs
@@ -629,7 +658,7 @@ TEST_F(LikelihoodArrayTest, BatchedReadMatchesSerialReferenceBitForBit) {
       {{0.05, 0.05, 0.05}, {0.03, 0.03, 0.03}, 0.3},
       {{0.5, 0.7, 0.4}, {0.05, 0.08, 0.06}, 0.3}};
   int off_hits = 0;
-  for (int dac_bits : {4, 6, 8}) {
+  for (int dac_bits : {1, 4, 6, 8}) {
     for (int cols : {1, 60, 500}) {
       LikelihoodArrayConfig cfg;
       cfg.dac_bits = dac_bits;
@@ -650,8 +679,10 @@ TEST_F(LikelihoodArrayTest, BatchedReadMatchesSerialReferenceBitForBit) {
                prng.uniform(0.0, 1.0)};
         pts.front() = {0.0, 0.0, 0.0};             // all-minimum codes
         if (n > 1) pts.back() = {1.0, 1.0, 1.0};   // all-maximum codes
+        std::vector<std::uint32_t> keys;
+        for (const auto& p : pts) keys.push_back(arr.code_key(p));
         std::vector<double> out(n);
-        arr.ideal_currents(pts, out);
+        arr.ideal_currents_by_key(keys, out);
         for (std::size_t i = 0; i < n; ++i)
           EXPECT_EQ(out[i], ref.ideal_current(pts[i]))
               << "dac_bits=" << dac_bits << " cols=" << cols << " n=" << n
@@ -674,8 +705,8 @@ TEST_F(LikelihoodArrayTest, BatchedLogReadsMatchPointReadsAndRngStream) {
     p = {prng.uniform(0.1, 0.9), prng.uniform(0.1, 0.9),
          prng.uniform(0.1, 0.9)};
   core::Rng batch_rng(59), point_rng(59);
-  std::vector<double> batch(pts.size());
-  arr.read_log_likelihoods(pts, batch_rng, batch);
+  std::vector<double> batch;
+  read_batch(arr, pts, batch_rng, batch);
   for (std::size_t i = 0; i < pts.size(); ++i)
     EXPECT_EQ(batch[i], arr.read_log_likelihood(pts[i], point_rng)) << i;
   // Same stream position, including Box-Muller's cached spare.
@@ -703,8 +734,7 @@ TEST_F(LikelihoodArrayTest, ConcurrentBatchedReadsMatchSerialPass) {
   }
   const auto read_scan = [&](std::size_t s, std::vector<double>& out) {
     core::Rng scan_rng = core::Rng::stream(71, s);
-    out.resize(scans[s].size());
-    arr.read_log_likelihoods(scans[s], scan_rng, out);
+    read_batch(arr, scans[s], scan_rng, out);
   };
   std::vector<std::vector<double>> serial(kScans);
   for (std::size_t s = 0; s < kScans; ++s) read_scan(s, serial[s]);
@@ -745,8 +775,11 @@ TEST_F(LikelihoodArrayTest, KeyedIdealCurrentsMatchPointReads) {
     }
     EXPECT_EQ(keys[0], 0u);
     EXPECT_EQ(keys[1], arr.key_count() - 1);
+    // One key per call runs the kernel's one-read tail; the batch runs
+    // interleaved groups. Both sum each read in column order.
     std::vector<double> by_point(pts.size()), by_key(pts.size());
-    arr.ideal_currents(pts, by_point);
+    for (std::size_t i = 0; i < pts.size(); ++i)
+      by_point[i] = ideal_current(arr, pts[i]);
     const auto reads = arr.evaluation_count();
     const auto ideal = arr.ideal_current_count();
     arr.ideal_currents_by_key(keys, by_key);

@@ -2,7 +2,10 @@
 // backends.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <set>
 
 #include "core/rng.hpp"
 #include "core/stats.hpp"
@@ -55,10 +58,11 @@ TEST(ParticleFilter, UniformInitCoversBox) {
   Rng rng(5);
   pf.init_uniform({0, 0, 0}, {4, 3, 2}, rng);
   core::RunningStats sx;
-  for (const auto& p : pf.particles()) {
-    EXPECT_GE(p.pose.position.x, 0.0);
-    EXPECT_LE(p.pose.position.x, 4.0);
-    sx.add(p.pose.position.x);
+  const SoaView cloud = pf.soa();
+  for (std::size_t i = 0; i < cloud.count; ++i) {
+    EXPECT_GE(cloud.x[i], 0.0);
+    EXPECT_LE(cloud.x[i], 4.0);
+    sx.add(cloud.x[i]);
   }
   EXPECT_NEAR(sx.mean(), 2.0, 0.1);
   EXPECT_NEAR(pf.effective_sample_size(), 2000.0, 1e-9);
@@ -126,8 +130,10 @@ TEST(ParticleFilter, ResampleResetsWeightsAndKeepsCount) {
   Rng rng(17);
   pf.init_uniform({0, 0, 0}, {1, 1, 1}, rng);
   pf.resample(rng);
-  EXPECT_EQ(pf.particles().size(), 200u);
-  for (const auto& p : pf.particles()) EXPECT_DOUBLE_EQ(p.log_weight, 0.0);
+  const SoaView cloud = pf.soa();
+  EXPECT_EQ(cloud.count, 200u);
+  for (std::size_t i = 0; i < cloud.count; ++i)
+    EXPECT_DOUBLE_EQ(cloud.log_weight[i], 0.0);
 }
 
 TEST(ParticleFilter, EstimateUsesCircularYawMean) {
@@ -136,8 +142,8 @@ TEST(ParticleFilter, EstimateUsesCircularYawMean) {
   ParticleFilter pf(cfg);
   Rng rng(19);
   pf.init_gaussian(Pose{{0, 0, 0}, 0.0}, {1e-9, 1e-9, 1e-9}, 1e-9, rng);
-  // Hand-place two particles straddling the wrap point (the particles()
-  // view is read-only; edits go through the mutable SoA view).
+  // Hand-place two particles straddling the wrap point through the
+  // mutable SoA view.
   const auto soa = pf.mutable_soa();
   soa.yaw[0] = 3.1;
   soa.yaw[1] = -3.1;
@@ -412,8 +418,40 @@ TEST(Kld, BinCountReflectsSpread) {
   Rng rng(61);
   wide.init_uniform({0, 0, 0}, {4, 3, 2}, rng);
   tight.init_gaussian(Pose{{2, 1.5, 1}, 0.0}, {0.05, 0.05, 0.05}, 0.02, rng);
-  EXPECT_GT(count_occupied_bins(wide.particles(), cfg),
-            4 * count_occupied_bins(tight.particles(), cfg));
+  EXPECT_GT(count_occupied_bins(wide.soa(), cfg),
+            4 * count_occupied_bins(tight.soa(), cfg));
+}
+
+TEST(Kld, OccupiedBinsMatchASetOfBinIndices) {
+  // Reference: the distinct unpacked (x, y, z, yaw) bin indices in a
+  // std::set. Clouds of varying size (the key buffer shrinks and grows
+  // between calls) straddle the origin and put half their headings
+  // within 1e-9 of the +-pi wrap point.
+  KldConfig cfg;
+  cfg.bin_size = {0.3, 0.2, 0.25};
+  cfg.yaw_bin_rad = 0.4;
+  const double pi = 3.14159265358979323846;
+  Rng rng(73);
+  for (const int n : {900, 1, 40, 1200, 7, 300}) {
+    ParticleFilterConfig pcfg;
+    pcfg.particle_count = n;
+    ParticleFilter pf(pcfg);
+    pf.init_uniform({-2.0, -1.5, -0.5}, {1.0, 0.5, 0.7}, rng);
+    const MutableSoaView m = pf.mutable_soa();
+    for (std::size_t i = 0; i < m.count; i += 2)
+      m.yaw[i] = i % 4 == 0 ? pi - 1e-9 * rng.uniform()
+                            : -pi + 1e-9 * (1.0 + rng.uniform());
+    const auto bin = [](double v, double size) {
+      return static_cast<std::int64_t>(std::floor(v / size));
+    };
+    std::set<std::array<std::int64_t, 4>> bins;
+    for (std::size_t i = 0; i < m.count; ++i)
+      bins.insert({bin(m.x[i], 0.3), bin(m.y[i], 0.2), bin(m.z[i], 0.25),
+                   bin(m.yaw[i] + pi, 0.4)});
+    EXPECT_EQ(count_occupied_bins(pf.soa(), cfg),
+              static_cast<int>(bins.size()))
+        << "n=" << n;
+  }
 }
 
 TEST(Kld, AdaptiveResampleShrinksConvergedCloud) {
@@ -425,14 +463,22 @@ TEST(Kld, AdaptiveResampleShrinksConvergedCloud) {
   ParticleFilter pf(pcfg);
   Rng rng(67);
   pf.init_gaussian(Pose{{2, 1.5, 1}, 0.0}, {0.08, 0.08, 0.05}, 0.05, rng);
-  const int n = kld_resample(pf, cfg, rng);
-  EXPECT_EQ(static_cast<int>(pf.particles().size()), n);
+  // The production shrink (vo::OdometrySession::consume): bins, then the
+  // required count, then a systematic resample to it.
+  const auto shrink = [&](ParticleFilter& f) {
+    const int need =
+        kld_required_particles(count_occupied_bins(f.soa(), cfg), cfg);
+    f.resample_to(static_cast<std::size_t>(need), rng);
+    return need;
+  };
+  const int n = shrink(pf);
+  EXPECT_EQ(static_cast<int>(pf.size()), n);
   EXPECT_LT(n, 600);
   EXPECT_GE(n, cfg.min_particles);
 
   ParticleFilter global_pf(pcfg);
   global_pf.init_uniform({0, 0, 0}, {4, 3, 2}, rng);
-  const int n_global = kld_resample(global_pf, cfg, rng);
+  const int n_global = shrink(global_pf);
   EXPECT_GT(n_global, 3 * n);
 }
 
@@ -443,9 +489,9 @@ TEST(Kld, ResampleToChangesCount) {
   Rng rng(71);
   pf.init_uniform({0, 0, 0}, {1, 1, 1}, rng);
   pf.resample_to(37, rng);
-  EXPECT_EQ(pf.particles().size(), 37u);
+  EXPECT_EQ(pf.soa().count, 37u);
   pf.resample_to(250, rng);
-  EXPECT_EQ(pf.particles().size(), 250u);
+  EXPECT_EQ(pf.soa().count, 250u);
 }
 
 TEST(NoiseInflation, SigmaGrowsMonotonicallyAndRespectsCap) {
@@ -545,12 +591,11 @@ TEST(ParticleFilter, DecimatedUpdateFractionOneMatchesFull) {
   decimated.init_uniform({0, 0, 0}, {1, 1, 1}, rng_b);
   full.update(empty_scan, model, rng_a);
   decimated.update_decimated(empty_scan, model, 1.0, rng_b);
-  ASSERT_EQ(full.particles().size(), decimated.particles().size());
-  for (std::size_t i = 0; i < full.particles().size(); ++i) {
-    EXPECT_EQ(full.particles()[i].log_weight,
-              decimated.particles()[i].log_weight);
-    EXPECT_EQ(full.particles()[i].pose.position.x,
-              decimated.particles()[i].pose.position.x);
+  const SoaView a = full.soa(), b = decimated.soa();
+  ASSERT_EQ(a.count, b.count);
+  for (std::size_t i = 0; i < a.count; ++i) {
+    EXPECT_EQ(a.log_weight[i], b.log_weight[i]);
+    EXPECT_EQ(a.x[i], b.x[i]);
   }
 }
 
@@ -585,9 +630,9 @@ TEST(ParticleFilter, DecimatedUpdateSharesBlockLikelihoodsAndSavesEvals) {
   pf.update_decimated(empty_scan, model, 0.25, rng);
   // ceil(101 / 4) representatives evaluated, everyone else shares.
   EXPECT_EQ(model.evals, 26);
-  const auto& ps = pf.particles();
-  for (std::size_t i = 0; i < ps.size(); ++i)
-    EXPECT_EQ(ps[i].log_weight, ps[(i / 4) * 4].log_weight);
+  const SoaView cloud = pf.soa();
+  for (std::size_t i = 0; i < cloud.count; ++i)
+    EXPECT_EQ(cloud.log_weight[i], cloud.log_weight[(i / 4) * 4]);
 }
 
 TEST(ParticleFilter, DecimatedUpdateBitIdenticalAcrossPools) {
@@ -609,9 +654,8 @@ TEST(ParticleFilter, DecimatedUpdateBitIdenticalAcrossPools) {
     Rng rng(29);
     pf.init_uniform({0, 0, 0}, {1, 1, 1}, rng);
     pf.update_decimated(empty_scan, model, 0.25, rng, pool);
-    std::vector<double> w;
-    for (const auto& p : pf.particles()) w.push_back(p.log_weight);
-    weights.push_back(std::move(w));
+    const SoaView cloud = pf.soa();
+    weights.emplace_back(cloud.log_weight, cloud.log_weight + cloud.count);
   }
   EXPECT_EQ(weights[0], weights[1]);
   EXPECT_EQ(weights[0], weights[2]);

@@ -9,7 +9,11 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
+#include <limits>
 #include <new>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -490,11 +494,90 @@ TEST_F(FleetTest, InvalidSpecRejectedAtSubmitAndCoTenantCompletes) {
   EXPECT_EQ(engine.stats().sessions_completed, 1u);
 }
 
+TEST_F(FleetTest, SpecsThatWouldThrowMidFlightAreRejectedAtSubmit) {
+  // Each of these specs used to pass try_submit and then throw inside
+  // tick(): in the ParticleFilter constructor, in policy creation, in the
+  // KLD shrink or in the tracking-init draws. Each must be refused with
+  // its reason before it takes a state slot (the queue holds one), and a
+  // good session submitted afterwards must match its serial run.
+  const auto ref = vo::run_odometry_loop(*scenario_, *vo_, *net_, *model_,
+                                         small_config(120));
+  fleet::FleetConfig fcfg;
+  fcfg.window = 3;
+  fcfg.queue_capacity = 1;
+  fleet::FleetEngine engine(fcfg);
+  const std::size_t w = engine.add_workload(*scenario_, *vo_, *net_,
+                                            *model_);
+  fleet::SessionSpec good;
+  good.workload = w;
+  good.loop = small_config(120);
+
+  struct BadCase {
+    const char* reason;  ///< substring the rejection must name
+    std::function<void(vo::ClosedLoopConfig&)> spoil;
+  };
+  const std::vector<BadCase> cases = {
+      {"tempering_ess_floor",
+       [](vo::ClosedLoopConfig& c) { c.tempering_ess_floor = 1.5; }},
+      {"tempering_ess_floor",
+       [](vo::ClosedLoopConfig& c) {
+         c.tempering_ess_floor = std::numeric_limits<double>::quiet_NaN();
+       }},
+      {"decimated_fraction",
+       [](vo::ClosedLoopConfig& c) { c.policy_cfg.decimated_fraction = 0.0; }},
+      {"kld.epsilon",
+       [](vo::ClosedLoopConfig& c) {
+         c.kld_adapt = true;
+         c.kld.epsilon = 0.0;
+       }},
+      {"kld particle bounds",
+       [](vo::ClosedLoopConfig& c) {
+         c.kld_adapt = true;
+         c.kld.min_particles = 80;
+         c.kld.max_particles = 40;
+       }},
+      {"kld bin sizes",
+       [](vo::ClosedLoopConfig& c) {
+         c.kld_adapt = true;
+         c.kld.bin_size.y = 0.0;
+       }},
+      {"kld bin sizes",
+       [](vo::ClosedLoopConfig& c) {
+         c.kld_adapt = true;
+         c.kld.yaw_bin_rad = 0.0;
+       }},
+      {"init_sigma",
+       [](vo::ClosedLoopConfig& c) { c.init_sigma_m = -0.1; }},
+      {"init_sigma",
+       [](vo::ClosedLoopConfig& c) { c.init_sigma_yaw = -0.1; }},
+  };
+  for (const BadCase& bc : cases) {
+    fleet::SessionSpec bad = good;
+    bc.spoil(bad.loop);
+    try {
+      fleet::SessionHandle h = engine.try_submit(bad);
+      ADD_FAILURE() << "accepted a spec that should be rejected for "
+                    << bc.reason;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(bc.reason), std::string::npos)
+          << e.what();
+    }
+  }
+
+  fleet::SessionHandle healthy = engine.try_submit(good);
+  ASSERT_TRUE(healthy.valid());
+  engine.run_until_idle();
+  expect_same_runs(ref, healthy.wait());
+  EXPECT_EQ(engine.stats().sessions_admitted, 1u);
+  EXPECT_EQ(engine.stats().sessions_completed, 1u);
+}
+
 TEST_F(FleetTest, SteadyStateAdmitRunRetireIsAllocationFree) {
   // The pooled-buffer contract: after warm-up, whole admit -> run ->
   // retire cycles perform zero heap allocations. Serial engine (the
-  // pool's job descriptors and TLS are exercised elsewhere); KLD off
-  // (count_occupied_bins builds a hash set by design).
+  // pool's job descriptors and TLS are exercised elsewhere). The second
+  // tenant flies the kidnapped-drone workload with KLD-adaptive sizing,
+  // so the bin count and the shrinking resample run every updated frame.
   fleet::FleetConfig fcfg;
   fcfg.pool = nullptr;
   fcfg.window = 4;
@@ -505,16 +588,24 @@ TEST_F(FleetTest, SteadyStateAdmitRunRetireIsAllocationFree) {
   fleet::FleetEngine engine(fcfg);
   const std::size_t w = engine.add_workload(*scenario_, *vo_, *net_,
                                             *model_);
+  const std::size_t wk = engine.add_workload(*kidnapped_, *vo_, *net_,
+                                             *kidnapped_model_);
   fleet::SessionSpec spec;
   spec.workload = w;
   spec.loop = small_config(100);
+  fleet::SessionSpec kld_spec;
+  kld_spec.workload = wk;
+  kld_spec.loop = small_config(101);
+  kld_spec.loop.kld_adapt = true;
+  kld_spec.loop.kld.min_particles = 60;
 
   auto cycle = [&] {
     fleet::SessionHandle a = engine.try_submit(spec);
-    fleet::SessionHandle b = engine.try_submit(spec);
+    fleet::SessionHandle b = engine.try_submit(kld_spec);
     engine.run_until_idle();
     EXPECT_TRUE(a.poll());
-    EXPECT_TRUE(b.poll());
+    ASSERT_TRUE(b.poll());
+    EXPECT_LT(b.wait().final_particles, 300);  // the KLD shrink ran
   };
   // Warm every pooled buffer (slots, completions, TLS scratch, filter
   // arenas; the completion swap needs one extra lap to circulate run

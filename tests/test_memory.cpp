@@ -87,9 +87,26 @@ class SharpModel final : public filter::MeasurementModel {
 // The SoA engine promises bit-identity against this at any thread count.
 constexpr std::size_t kBlock = 32;
 
+struct AosParticle {
+  core::Pose pose;
+  double log_weight = 0.0;
+};
+
+// AoS copy of a filter's cloud.
+std::vector<AosParticle> snapshot(const filter::ParticleFilter& pf) {
+  const filter::SoaView soa = pf.soa();
+  std::vector<AosParticle> ps(soa.count);
+  for (std::size_t i = 0; i < soa.count; ++i) {
+    ps[i].pose.position = {soa.x[i], soa.y[i], soa.z[i]};
+    ps[i].pose.yaw = soa.yaw[i];
+    ps[i].log_weight = soa.log_weight[i];
+  }
+  return ps;
+}
+
 struct AosFilter {
   filter::ParticleFilterConfig cfg;
-  std::vector<filter::Particle> ps;
+  std::vector<AosParticle> ps;
   double last_beta = 1.0;
   double last_ess = 0.0;
 
@@ -135,7 +152,7 @@ struct AosFilter {
 
   void resample(Rng& rng) {
     const auto w = normalized();
-    std::vector<filter::Particle> next;
+    std::vector<AosParticle> next;
     next.reserve(ps.size());
     const double step = 1.0 / static_cast<double>(ps.size());
     double u = rng.uniform() * step;
@@ -302,7 +319,7 @@ TEST(ResampleTo, EqualWeightsPreserveTheCloud) {
   filter::ParticleFilter pf(cfg);
   Rng rng(7);
   pf.init_gaussian({{1.0, 1.0, 1.0}, 0.0}, {0.3, 0.3, 0.2}, 0.2, rng);
-  const std::vector<filter::Particle> before = pf.particles();
+  const std::vector<AosParticle> before = snapshot(pf);
 
   pf.resample_to(pf.size(), rng);
   const auto soa = pf.soa();
@@ -323,7 +340,7 @@ TEST(ResampleTo, OneHotWeightsCollapseToTheWinner) {
   Rng rng(11);
   pf.init_gaussian({{0.5, 0.5, 0.5}, 0.0}, {0.2, 0.2, 0.1}, 0.1, rng);
   const std::size_t winner = 17;
-  const core::Pose winner_pose = pf.particles()[winner].pose;
+  const core::Pose winner_pose = snapshot(pf)[winner].pose;
   {
     const auto soa = pf.mutable_soa();
     for (std::size_t i = 0; i < soa.count; ++i)
@@ -346,7 +363,7 @@ TEST(ResampleTo, ShrinkToOneKeepsAnAncestor) {
   filter::ParticleFilter pf(cfg);
   Rng rng(13);
   pf.init_gaussian({{0.4, 0.4, 0.4}, 0.0}, {0.2, 0.2, 0.1}, 0.1, rng);
-  const std::vector<filter::Particle> before = pf.particles();
+  const std::vector<AosParticle> before = snapshot(pf);
   const auto stats_before = pf.memory_stats();
 
   pf.resample_to(1, rng);
@@ -371,7 +388,7 @@ TEST(ResampleTo, GrowingPastCapacityReslabsOnceThenStaysFlat) {
   filter::ParticleFilter pf(cfg);
   Rng rng(17);
   pf.init_gaussian({{0.6, 0.6, 0.6}, 0.0}, {0.3, 0.3, 0.2}, 0.1, rng);
-  const std::vector<filter::Particle> before = pf.particles();
+  const std::vector<AosParticle> before = snapshot(pf);
   const auto stats_before = pf.memory_stats();
   ASSERT_LT(stats_before.particle_capacity, 500u);
 

@@ -1,5 +1,5 @@
 // Unit tests for the neural-network stack: matrix ops, MLP training,
-// quantized inference, CIM-executed inference and compute reuse.
+// CIM-executed inference and compute reuse.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,7 +12,6 @@
 #include "core/stats.hpp"
 #include "nn/cim_mlp.hpp"
 #include "nn/mlp.hpp"
-#include "nn/quant_mlp.hpp"
 #include "nn/tensor.hpp"
 
 namespace cimnav::nn {
@@ -182,33 +181,6 @@ class TrainedFixture : public ::testing::Test {
   Mlp net_;
   std::vector<Vector> inputs_, targets_;
 };
-
-TEST_F(TrainedFixture, QuantErrorDecreasesWithBits) {
-  auto mse_of = [&](int bits) {
-    const QuantMlp q(net_, bits, bits, inputs_);
-    double total = 0.0;
-    for (std::size_t i = 0; i < 100; ++i) {
-      const Vector ref = net_.forward(inputs_[i]);
-      const Vector y = q.forward(inputs_[i]);
-      for (std::size_t k = 0; k < y.size(); ++k)
-        total += (y[k] - ref[k]) * (y[k] - ref[k]);
-    }
-    return total;
-  };
-  const double e4 = mse_of(4), e6 = mse_of(6), e8 = mse_of(8);
-  EXPECT_GT(e4, e6);
-  EXPECT_GT(e6, e8);
-}
-
-TEST_F(TrainedFixture, QuantAtHighBitsMatchesFloat) {
-  const QuantMlp q(net_, 12, 12, inputs_);
-  for (std::size_t i = 0; i < 50; ++i) {
-    const Vector ref = net_.forward(inputs_[i]);
-    const Vector y = q.forward(inputs_[i]);
-    for (std::size_t k = 0; k < y.size(); ++k)
-      EXPECT_NEAR(y[k], ref[k], 0.02);
-  }
-}
 
 TEST_F(TrainedFixture, CimIdealTracksFloat) {
   cimsram::CimMacroConfig mc;

@@ -1,5 +1,5 @@
-// Unit tests for the VO pipeline: observations, trajectories, conformal
-// intervals, and the end-to-end precision/uncertainty behavior.
+// Unit tests for the VO pipeline: observations, trajectories and the
+// end-to-end precision/uncertainty behavior.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,7 +10,6 @@
 #include "core/rng.hpp"
 #include "core/stats.hpp"
 #include "core/thread_pool.hpp"
-#include "vo/conformal.hpp"
 #include "vo/observation.hpp"
 #include "vo/pipeline.hpp"
 #include "vo/trajectory.hpp"
@@ -113,34 +112,6 @@ TEST(Trajectory, DeltasReplayToPath) {
   }
 }
 
-TEST(Conformal, RadiusIsCalibrationQuantile) {
-  std::vector<double> scores;
-  for (int i = 1; i <= 100; ++i) scores.push_back(i);
-  const SplitConformal c(scores, 0.1);
-  // ceil(101 * 0.9) = 91 -> the 91st smallest score.
-  EXPECT_NEAR(c.radius(), 91.0, 1.0);
-}
-
-TEST(Conformal, CoverageOnExchangeableData) {
-  Rng rng(11);
-  std::vector<double> calib, test;
-  for (int i = 0; i < 500; ++i) calib.push_back(std::abs(rng.normal()));
-  for (int i = 0; i < 2000; ++i) test.push_back(std::abs(rng.normal()));
-  const SplitConformal c(calib, 0.1);
-  const double cov = SplitConformal::empirical_coverage(test, c.radius());
-  EXPECT_GE(cov, 0.87);  // finite-sample guarantee ~0.9
-  EXPECT_LE(cov, 0.94);
-}
-
-TEST(Conformal, SmallerAlphaWidensInterval) {
-  Rng rng(13);
-  std::vector<double> calib;
-  for (int i = 0; i < 300; ++i) calib.push_back(std::abs(rng.normal()));
-  const SplitConformal tight(calib, 0.2);
-  const SplitConformal wide(calib, 0.05);
-  EXPECT_GT(wide.radius(), tight.radius());
-}
-
 class PipelineFixture : public ::testing::Test {
  protected:
   static const VoPipeline& pipeline() {
@@ -167,24 +138,6 @@ TEST_F(PipelineFixture, FloatRunTracksTrajectory) {
   EXPECT_EQ(run.estimated.size(), pipeline().test_trajectory().size());
   EXPECT_LT(run.mean_delta_error, 0.08);
   EXPECT_GT(run.ate_rmse, 0.0);
-}
-
-TEST_F(PipelineFixture, QuantizationDegradesGracefully) {
-  // Deviation from the float predictions is strictly monotone in bits
-  // (trajectory-level error is too noisy a metric for monotonicity).
-  const VoRun f = pipeline().run_float();
-  auto deviation = [&](const VoRun& q) {
-    double s = 0.0;
-    for (std::size_t i = 0; i < q.frame_delta_error.size(); ++i)
-      s += std::abs(q.frame_delta_error[i] - f.frame_delta_error[i]);
-    return s / static_cast<double>(q.frame_delta_error.size());
-  };
-  const VoRun q8 = pipeline().run_quantized(8, 8);
-  const VoRun q4 = pipeline().run_quantized(4, 4);
-  EXPECT_LT(deviation(q8), deviation(q4));
-  // 8-bit digital is close to float end-to-end.
-  EXPECT_NEAR(q8.mean_delta_error, f.mean_delta_error,
-              0.5 * f.mean_delta_error + 0.01);
 }
 
 TEST_F(PipelineFixture, McDropoutBeatsDeterministicOnCim) {
@@ -313,20 +266,6 @@ TEST_F(PipelineFixture, WorkloadAccumulatesAcrossFrames) {
   pipeline().run_cim_mc(mc, opt, masks, &wl);
   EXPECT_GT(wl.macro.matvec_calls, 0u);
   EXPECT_GT(wl.mask_bits_drawn, 0u);
-}
-
-TEST_F(PipelineFixture, ConformalIntervalsCoverVoErrors) {
-  // Split the test frames into calibration and evaluation halves.
-  const VoRun run = pipeline().run_float();
-  const auto& err = run.frame_delta_error;
-  const std::size_t half = err.size() / 2;
-  std::vector<double> calib(err.begin(),
-                            err.begin() + static_cast<std::ptrdiff_t>(half));
-  std::vector<double> eval(err.begin() + static_cast<std::ptrdiff_t>(half),
-                           err.end());
-  const SplitConformal c(calib, 0.2);
-  const double cov = SplitConformal::empirical_coverage(eval, c.radius());
-  EXPECT_GE(cov, 0.6);  // marginal coverage with small n is noisy
 }
 
 }  // namespace

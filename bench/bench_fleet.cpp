@@ -350,26 +350,17 @@ int main() {
     };
 
     std::vector<vo::ClosedLoopRun> refs;
-    double ref_energy_j = 0.0;
-    for (int i = 0; i < kTenants; ++i) {
+    for (int i = 0; i < kTenants; ++i)
       refs.push_back(vo::run_odometry_loop(qscenario, vo, *cim, *qmodel,
                                            qspec_for(i)));
-      ref_energy_j += refs.back().total_energy_j;
-    }
-    const double frames_total =
-        static_cast<double>(kTenants) * static_cast<double>(qcfg.trajectory_steps);
-    const double j_per_frame = ref_energy_j / frames_total;
-    // A full 2-seat tick costs ~4 frames; 70% of that forces the
-    // energy_aware policy to shed the low class some of the time.
-    const double tick_budget_j = 0.7 * 2.0 * kQosWindow * j_per_frame;
 
     bool qos_identical = true;
     core::Table qtable({"policy", "at-target", "misses", "queue ticks",
-                        "dispatch ratio", "shed"});
+                        "dispatch ratio"});
     qtable.set_precision(3);
-    const char* policies[4] = {"fifo", "priority", "deadline",
-                               "energy_aware"};
-    for (const char* policy : policies) {
+    const std::vector<std::string> policies =
+        fleet::admission_policy_names();
+    for (const std::string& policy : policies) {
       fleet::FleetConfig qf;
       qf.pool = nullptr;
       qf.window = kQosWindow;
@@ -377,8 +368,6 @@ int main() {
       qf.queue_capacity = kTenants;
       qf.admission = policy;
       qf.working_set = 2;
-      if (std::string(policy) == "energy_aware")
-        qf.tick_energy_budget_j = tick_budget_j;
       fleet::FleetEngine qengine(qf);
       const std::size_t qw =
           qengine.add_workload(qscenario, vo, *cim, *qmodel);
@@ -411,14 +400,10 @@ int main() {
               : 1.0;
       qtable.add_row({policy, at_target,
                       static_cast<double>(report.deadline_misses),
-                      static_cast<double>(report.queue_ticks), qratio,
-                      static_cast<double>(report.shed_events)});
-      const std::string prefix = "fleet_qos_" + std::string(policy);
+                      static_cast<double>(report.queue_ticks), qratio});
+      const std::string prefix = "fleet_qos_" + policy;
       suite.add_summary(prefix + "_at_target_fraction", at_target);
       suite.add_summary(prefix + "_dispatch_ratio", qratio);
-      if (std::string(policy) == "energy_aware")
-        suite.add_summary(prefix + "_shed_events",
-                          static_cast<double>(report.shed_events));
     }
     std::printf("QoS sweep: %d tenants, 2-seat working set, window %d "
                 "(deadline targets in scheduler ticks):\n",
@@ -428,7 +413,8 @@ int main() {
                 "%s\n\n",
                 qos_identical ? "yes" : "NO (bug!)");
     suite.add_summary("fleet_qos_bit_identity", qos_identical ? 1.0 : 0.0);
-    suite.add_summary("fleet_qos_policy_count", 4.0);
+    suite.add_summary("fleet_qos_policy_count",
+                      static_cast<double>(policies.size()));
   }
 
   // ---- steady-state allocation probe: a small warmed engine (state

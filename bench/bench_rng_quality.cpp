@@ -7,7 +7,7 @@
 #include <iostream>
 
 #include "cimsram/sram_rng.hpp"
-#include "core/stat_tolerances.hpp"
+#include "conformance/stat_tolerances.hpp"
 #include "core/stats.hpp"
 #include "core/table.hpp"
 
@@ -54,9 +54,9 @@ int main() {
   calib.print(std::cout);
 
   std::printf("\nStatistical quality vs the LFSR baseline "
-              "(100k bits each; tolerances from core/stat_tolerances.hpp, "
-              "the same constants the unit tests and the conformance "
-              "harness enforce):\n");
+              "(100k bits each; tolerances from "
+              "conformance/stat_tolerances.hpp, the same constants the "
+              "unit tests and the conformance harness enforce):\n");
   core::Table quality({"source", "bias", "lag-1 autocorr",
                        "longest run", "within tol"});
   quality.set_precision(4);

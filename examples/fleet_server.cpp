@@ -21,7 +21,7 @@
 // what it computes (QoS schedules sessions, not frames). The demo
 // verifies that for one of the drones.
 //
-//   $ ./example_fleet_server [n_drones] [fifo|priority|deadline|energy_aware]
+//   $ ./example_fleet_server [n_drones] [fifo|priority|deadline]
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -162,13 +162,12 @@ int main(int argc, char** argv) {
   // wall-clock-shaped.
   const fleet::QosReport qr = engine.qos_report();
   std::printf("qos: policy %s, %llu/%llu deadline sessions at target, "
-              "%llu starvation overrides, %llu sheds\n",
+              "%llu starvation overrides\n",
               qr.admission.c_str(),
               static_cast<unsigned long long>(
                   qr.sessions_at_target_latency),
               static_cast<unsigned long long>(qr.deadline_sessions),
-              static_cast<unsigned long long>(qr.starvation_overrides),
-              static_cast<unsigned long long>(qr.shed_events));
+              static_cast<unsigned long long>(qr.starvation_overrides));
   for (const auto& cls : qr.classes)
     std::printf("  class %d: %llu sessions, %llu frames dispatched\n",
                 cls.priority,

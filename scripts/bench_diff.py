@@ -144,16 +144,10 @@ TRACKED = {
         "fleet_qos_priority_at_target_fraction": "higher",
         "fleet_qos_deadline_at_target_fraction": "higher",
         # Per-policy batching ratios from the dispatch ledger: a 2-seat
-        # working set batches 2 sessions per tick; energy_aware trades
-        # some batching for the budget (sheds below 2.0).
+        # working set batches 2 sessions per tick.
         "fleet_qos_fifo_dispatch_ratio": "stable",
         "fleet_qos_priority_dispatch_ratio": "stable",
         "fleet_qos_deadline_dispatch_ratio": "stable",
-        "fleet_qos_energy_aware_dispatch_ratio": "stable",
-        # The tight budget must keep actually shedding (the policy's
-        # point); the count is deterministic because the budget is
-        # priced from the same measured per-frame energies.
-        "fleet_qos_energy_aware_shed_events": "stable",
     },
 }
 

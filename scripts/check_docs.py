@@ -17,6 +17,10 @@ Fails when:
     (add_admission_policy or register_admission_policy with a
     string-literal name) is not mentioned in the docs, or docs/fleet.md
     lacks a QoS section (the fleet QoS layer must stay documented);
+  * the admission-policy table in docs/fleet.md (the table whose header
+    row starts with "| Policy |") is missing, or names a policy that no
+    add_admission_policy / register_admission_policy call registers
+    (a deleted policy must not keep a stale row);
   * the backend conformance harness is undocumented: docs/conformance.md
     must exist and the docs must mention tests/conformance;
   * a required doc file is missing.
@@ -65,6 +69,11 @@ ADMISSION_RE = re.compile(
 # QoS), not just scattered mentions of the policy names.
 QOS_SECTION_RE = re.compile(r"^#{2,}\s.*\bQoS\b", re.MULTILINE)
 
+# The admission-policy table in docs/fleet.md: its header row, and the
+# backticked policy name opening each body row's first cell.
+POLICY_TABLE_HEADER_RE = re.compile(r"^\|\s*Policy\s*\|")
+POLICY_TABLE_ROW_RE = re.compile(r"^\|\s*`([A-Za-z0-9_]+)`")
+
 # docs/architecture.md must keep a dedicated compute-reuse section (a
 # heading mentioning compute reuse) documenting the delta dispatch and
 # the chain-parallel engine.
@@ -91,6 +100,23 @@ def registered_policies(root):
 
 def registered_admission_policies(root):
     return registered_names(root, "fleet", ADMISSION_RE)
+
+
+def documented_admission_policies(fleet_doc_text):
+    """Policy names in the admission-policy table, or None if absent."""
+    lines = fleet_doc_text.splitlines()
+    for i, line in enumerate(lines):
+        if not POLICY_TABLE_HEADER_RE.match(line):
+            continue
+        names = []
+        for row in lines[i + 1:]:
+            if not row.startswith("|"):
+                break
+            m = POLICY_TABLE_ROW_RE.match(row)
+            if m:
+                names.append(m.group(1))
+        return names
+    return None
 
 
 def main():
@@ -184,10 +210,23 @@ def main():
     fleet_doc = os.path.join(root, "docs", "fleet.md")
     if os.path.exists(fleet_doc):
         with open(fleet_doc, encoding="utf-8") as f:
-            if not QOS_SECTION_RE.search(f.read()):
-                failures.append(
-                    "docs/fleet.md must keep a QoS section (a heading "
-                    "mentioning QoS)")
+            fleet_text = f.read()
+        if not QOS_SECTION_RE.search(fleet_text):
+            failures.append(
+                "docs/fleet.md must keep a QoS section (a heading "
+                "mentioning QoS)")
+        table = documented_admission_policies(fleet_text)
+        if table is None:
+            failures.append(
+                "docs/fleet.md must keep the admission-policy table "
+                "(header row starting '| Policy |')")
+        else:
+            for name in table:
+                if name not in admissions:
+                    failures.append(
+                        f"docs/fleet.md policy table lists '{name}', "
+                        f"which no add_admission_policy / "
+                        f"register_admission_policy call registers")
     arch_doc = os.path.join(root, "docs", "architecture.md")
     if os.path.exists(arch_doc):
         with open(arch_doc, encoding="utf-8") as f:

@@ -1,9 +1,9 @@
 // Fixed-capacity, alignment-aware memory for the hot loops.
 //
-// The SoA particle engine (filter/particle_filter) and the fleet
-// engine's pooled sessions (fleet/fleet_engine) both promise zero
-// steady-state heap allocations after warm-up. The two primitives here make that promise
-// checkable instead of aspirational:
+// The SoA particle engine (filter/particle_filter), the one user of
+// these types, promises zero steady-state heap allocations after
+// warm-up. The two primitives here make that promise checkable instead
+// of aspirational:
 //
 //   * core::Arena — one heap slab, carved by a bump pointer into
 //     cache-line-aligned arrays. Carves are O(1), never free

@@ -1,6 +1,7 @@
-// Shared name -> value registry behind the three string-selectable
+// Shared name -> value registry behind the four string-selectable
 // extension seams (cimsram compute backends, filter scenarios, autonomy
-// update policies). One contract, pinned by tests/test_registries.cpp:
+// update policies, fleet admission policies). One contract, pinned by
+// tests/test_registries.cpp:
 //
 //   * lookup of an unknown name throws std::invalid_argument whose
 //     message names the offender AND lists every registered name;

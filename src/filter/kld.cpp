@@ -1,6 +1,7 @@
 #include "filter/kld.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -36,18 +37,28 @@ int kld_required_particles(int occupied_bins, const KldConfig& config) {
 
 namespace {
 
-/// Packs one pose's four signed 16-bit bin indices into one key.
-std::uint64_t bin_key(double x, double y, double z, double yaw,
-                      const KldConfig& config) {
-  const auto qx = static_cast<std::int64_t>(std::floor(x / config.bin_size.x));
-  const auto qy = static_cast<std::int64_t>(std::floor(y / config.bin_size.y));
-  const auto qz = static_cast<std::int64_t>(std::floor(z / config.bin_size.z));
-  const auto qw = static_cast<std::int64_t>(
-      std::floor((yaw + 3.14159265358979323846) / config.yaw_bin_rad));
-  const auto pack = [](std::int64_t v) {
-    return static_cast<std::uint64_t>((v + 32768) & 0xFFFF);
-  };
-  return pack(qx) | (pack(qy) << 16) | (pack(qz) << 32) | (pack(qw) << 48);
+using BinKey = std::array<std::int64_t, 4>;
+
+/// Full-width histogram bin index of one pose coordinate. Rejects a
+/// non-finite coordinate, and one whose index does not fit int64 (the
+/// cast would be undefined), with the reason.
+std::int64_t bin_index(double v, double size) {
+  CIMNAV_REQUIRE(std::isfinite(v),
+                 "kld: particle pose coordinate must be finite");
+  const double q = std::floor(v / size);
+  // 2^63 is exact in double: q fits int64 iff -2^63 <= q < 2^63.
+  constexpr double kLimit = 9223372036854775808.0;
+  CIMNAV_REQUIRE(q >= -kLimit && q < kLimit,
+                 "kld: particle bin index does not fit int64 (pose "
+                 "coordinate too large for the bin size)");
+  return static_cast<std::int64_t>(q);
+}
+
+BinKey bin_key(double x, double y, double z, double yaw,
+               const KldConfig& config) {
+  return {bin_index(x, config.bin_size.x), bin_index(y, config.bin_size.y),
+          bin_index(z, config.bin_size.z),
+          bin_index(yaw + 3.14159265358979323846, config.yaw_bin_rad)};
 }
 
 }  // namespace
@@ -55,8 +66,8 @@ std::uint64_t bin_key(double x, double y, double z, double yaw,
 int count_occupied_bins(const SoaView& cloud, const KldConfig& config) {
   validate(config);
   // Grow-only per-thread key buffer: sort + unique counts the distinct
-  // bins without a hash set's per-node allocations.
-  thread_local std::vector<std::uint64_t> keys;
+  // full-width bin tuples without a hash set's per-node allocations.
+  thread_local std::vector<BinKey> keys;
   keys.resize(cloud.count);
   for (std::size_t i = 0; i < cloud.count; ++i)
     keys[i] =

@@ -36,8 +36,10 @@ void validate(const KldConfig& config);
 int kld_required_particles(int occupied_bins, const KldConfig& config);
 
 /// Counts the occupied (x, y, z, yaw) histogram bins of the cloud. The
-/// bin keys are sorted and deduplicated in a grow-only thread_local
-/// buffer, so steady-state calls do not touch the heap.
+/// full-width int64 bin tuples are sorted and deduplicated in a
+/// grow-only thread_local buffer, so steady-state calls do not touch the
+/// heap. Throws std::invalid_argument for a non-finite pose coordinate
+/// or one whose bin index does not fit int64.
 int count_occupied_bins(const SoaView& cloud, const KldConfig& config);
 
 }  // namespace cimnav::filter

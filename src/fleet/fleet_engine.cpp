@@ -119,8 +119,6 @@ SessionHandle FleetEngine::try_submit(const SessionSpec& spec) {
                  "session references an unregistered workload");
   CIMNAV_REQUIRE(spec.qos.target_latency_ticks >= 0,
                  "QosSpec::target_latency_ticks must be >= 0");
-  CIMNAV_REQUIRE(spec.qos.energy_budget_j >= 0.0,
-                 "QosSpec::energy_budget_j must be >= 0");
   // Reject a spec no run can execute here, before it takes a slot: past
   // this point a bad spec would throw out of every tick() instead.
   vo::validate(spec.loop);
@@ -179,8 +177,6 @@ void FleetEngine::admit_locked() {
     slot->queue_ticks_total = 0;
     slot->scheduled_ticks = 0;
     slot->scheduled = false;
-    slot->vo_energy_spent_j = 0.0;
-    slot->update_energy_spent_j = 0.0;
     const auto win = static_cast<std::size_t>(config_.window);
     slot->inputs.resize(win);
     slot->xs.resize(win);
@@ -210,21 +206,10 @@ void FleetEngine::select_locked() {
     SessionView v;
     v.slot = si;
     v.admit_seq = s.admit_seq;
-    v.admit_tick = s.admit_tick;
     v.priority = s.qos.priority;
     v.deadline_tick = s.deadline_tick;
     v.last_scheduled_tick = s.last_scheduled_tick;
     v.queue_ticks = s.queue_ticks_row;
-    v.frames_left = s.session.frame_count() - s.next_frame;
-    v.energy_spent_j = s.vo_energy_spent_j + s.update_energy_spent_j;
-    if (s.next_frame > 0 && v.frames_left > 0) {
-      const double mean =
-          v.energy_spent_j / static_cast<double>(s.next_frame);
-      v.projected_tick_energy_j =
-          mean * static_cast<double>(std::min(config_.window, v.frames_left));
-    }
-    v.over_session_budget = s.qos.energy_budget_j > 0.0 &&
-                            v.energy_spent_j > s.qos.energy_budget_j;
     views_.push_back(v);
   }
   selected_.clear();
@@ -255,9 +240,6 @@ void FleetEngine::select_locked() {
   // The policy fills the remaining seats from the non-forced views.
   if (selected_.size() < limit) {
     const std::size_t room = limit - selected_.size();
-    SelectContext ctx;
-    ctx.tick = stats_.ticks;
-    ctx.tick_energy_budget_j = config_.tick_energy_budget_j;
     const SessionView* pv = views_.data();
     std::size_t pn = views_.size();
     if (!forced_.empty()) {
@@ -270,12 +252,8 @@ void FleetEngine::select_locked() {
       pn = policy_views_.size();
     }
     if (pn > 0) {
-      const std::size_t before = selected_.size();
-      policy_->select(pv, pn, room, ctx, selected_);
+      policy_->select(pv, pn, room, selected_);
       if (selected_.size() > limit) selected_.resize(limit);
-      // Seats the policy left empty while sessions were runnable are
-      // shed work (only "energy_aware" sheds among the built-ins).
-      qos_.shed_events += std::min(pn, room) - (selected_.size() - before);
     }
   }
 
@@ -348,8 +326,6 @@ void FleetEngine::retire_locked(Slot& slot) {
       q.had_deadline &&
       q.ticks_to_completion <=
           static_cast<std::uint64_t>(slot.qos.target_latency_ticks);
-  q.vo_energy_j = slot.vo_energy_spent_j;
-  q.update_energy_j = slot.update_energy_spent_j;
   QosClassLedger& cls = class_ledger_locked(slot.qos.priority);
   ++cls.sessions_completed;
   if (q.had_deadline) {
@@ -453,11 +429,6 @@ bool FleetEngine::tick_locked() {
       const auto o = static_cast<std::size_t>(off);
       s.session.consume(f, s.preds[o]);
       s.session.record_frame_macro(f, s.frame_workloads[o].macro);
-      // In-flight QoS ledger, frame order — the same pricing and
-      // accumulation order finish() uses, so the record's totals are
-      // bitwise equal to the published run's.
-      s.vo_energy_spent_j += s.session.frame_vo_energy_j(f);
-      s.update_energy_spent_j += s.session.frame_update_energy_j(f);
     }
     s.next_frame += s.window_frames;
   }

@@ -74,9 +74,8 @@ class FleetEngine;
 struct SessionSpec {
   std::size_t workload = 0;
   vo::ClosedLoopConfig loop;
-  /// Quality-of-service contract (priority class, latency target,
-  /// energy budget). The default spec is what every pre-QoS session
-  /// implicitly had.
+  /// Quality-of-service contract (priority class, latency target). The
+  /// default spec is what every pre-QoS session implicitly had.
   QosSpec qos;
 };
 
@@ -114,8 +113,8 @@ class SessionHandle {
   /// Blocks until published; the reference stays valid until this
   /// handle (and its copies) release the slot.
   const vo::ClosedLoopRun& wait() const;
-  /// The session's QoS outcome (queue ticks, deadline hit/miss, energy
-  /// ledger). Requires poll() — the record publishes with the run.
+  /// The session's QoS outcome (queue ticks, deadline hit/miss).
+  /// Requires poll() — the record publishes with the run.
   const SessionQosRecord& qos() const;
   /// Releases the reference early (the handle becomes invalid).
   void reset();
@@ -147,8 +146,6 @@ struct FleetConfig {
   /// Max sessions the working set advances per tick; 0 = unbounded
   /// (every runnable session, the pre-QoS behavior).
   std::size_t working_set = 0;
-  /// Fleet J/tick budget for "energy_aware" (0 = unlimited).
-  double tick_energy_budget_j = 0.0;
   /// Engine-side starvation guard: a runnable session passed over for
   /// this many consecutive ticks is force-included ahead of the
   /// policy's picks (>= 1).
@@ -279,11 +276,6 @@ class FleetEngine {
     std::uint64_t queue_ticks_total = 0;
     std::uint64_t scheduled_ticks = 0;
     bool scheduled = false;               ///< in this tick's working set
-    /// In-flight energy ledger, accumulated frame-by-frame in stage C —
-    /// bitwise equal to the published run's totals (same pricing, same
-    /// accumulation order).
-    double vo_energy_spent_j = 0.0;
-    double update_energy_spent_j = 0.0;
   };
 
   bool tick_locked();

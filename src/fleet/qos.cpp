@@ -3,7 +3,7 @@
 // register_admission_policy calls with a string-literal first argument
 // under src/fleet/ and requires every such name to appear in the docs.
 //
-// All four built-ins share one shape: copy the view pointers into a
+// All three built-ins share one shape: copy the view pointers into a
 // member scratch vector, std::sort (in-place — std::stable_sort
 // allocates and would break the engine's zero-steady-state-allocation
 // probe) with a total, deterministic comparator whose final key is
@@ -72,7 +72,6 @@ class FifoPolicy final : public SortingPolicy {
   std::string_view name() const override { return "fifo"; }
 
   void select(const SessionView* views, std::size_t n, std::size_t limit,
-              const SelectContext&,
               std::vector<std::uint32_t>& out) override {
     if (limit >= n) {
       for (std::size_t i = 0; i < n; ++i) out.push_back(views[i].slot);
@@ -93,7 +92,6 @@ class PriorityPolicy final : public SortingPolicy {
   std::string_view name() const override { return "priority"; }
 
   void select(const SessionView* views, std::size_t n, std::size_t limit,
-              const SelectContext&,
               std::vector<std::uint32_t>& out) override {
     sort_views(views, n, [](const SessionView& a, const SessionView& b) {
       if (a.priority != b.priority) return a.priority > b.priority;
@@ -110,7 +108,6 @@ class DeadlinePolicy final : public SortingPolicy {
   std::string_view name() const override { return "deadline"; }
 
   void select(const SessionView* views, std::size_t n, std::size_t limit,
-              const SelectContext&,
               std::vector<std::uint32_t>& out) override {
     sort_views(views, n, [](const SessionView& a, const SessionView& b) {
       const std::int64_t da = effective_deadline(a);
@@ -119,38 +116,6 @@ class DeadlinePolicy final : public SortingPolicy {
       return a.admit_seq < b.admit_seq;
     });
     emit_prefix(limit, out);
-  }
-};
-
-/// "energy_aware": priority order with two energy interventions —
-/// sessions over their own QosSpec budget sort below every in-budget
-/// class, and the working set is cut at the first session whose
-/// projected tick energy would push the cumulative spend past the fleet
-/// budget. The scheduled set is always a prefix of the sorted order
-/// (the property tests rely on that), and never empty.
-class EnergyAwarePolicy final : public SortingPolicy {
- public:
-  std::string_view name() const override { return "energy_aware"; }
-
-  void select(const SessionView* views, std::size_t n, std::size_t limit,
-              const SelectContext& ctx,
-              std::vector<std::uint32_t>& out) override {
-    sort_views(views, n, [](const SessionView& a, const SessionView& b) {
-      if (a.over_session_budget != b.over_session_budget)
-        return !a.over_session_budget;
-      if (a.priority != b.priority) return a.priority > b.priority;
-      return rr_before(a, b);
-    });
-    const std::size_t take = std::min(limit, order_.size());
-    double projected = 0.0;
-    for (std::size_t i = 0; i < take; ++i) {
-      const SessionView& v = *order_[i];
-      if (!out.empty() && ctx.tick_energy_budget_j > 0.0 &&
-          projected + v.projected_tick_energy_j > ctx.tick_energy_budget_j)
-        break;  // shed v and everything ranked below it
-      projected += v.projected_tick_energy_j;
-      out.push_back(v.slot);
-    }
   }
 };
 
@@ -180,12 +145,6 @@ AdmissionRegistry& registry() {
         "earliest-deadline-first on the absolute deadline tick derived "
         "from target_latency_ticks; deadline-free sessions run last",
         [] { return std::make_unique<DeadlinePolicy>(); });
-    add_admission_policy(
-        "energy_aware",
-        "priority order cut to the fleet J/tick budget by projected "
-        "per-session tick energy; over-budget sessions demoted below "
-        "every in-budget class",
-        [] { return std::make_unique<EnergyAwarePolicy>(); });
     return true;
   }();
   (void)built_ins;

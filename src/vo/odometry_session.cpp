@@ -227,17 +227,6 @@ void OdometrySession::record_frame_macro(int f,
   frame_macro_[static_cast<std::size_t>(f)] = stats;
 }
 
-double OdometrySession::frame_vo_energy_j(int f) const {
-  // The same pricing finish() applies per frame — pure, so calling it
-  // both in flight and in the epilogue books identical joules.
-  return energy::macro_stats_energy_j(frame_macro_[static_cast<std::size_t>(f)],
-                                      net_->macro(0).config().adc_bits);
-}
-
-double OdometrySession::frame_update_energy_j(int f) const {
-  return run_.steps[static_cast<std::size_t>(f)].update_energy_j;
-}
-
 ClosedLoopRun& OdometrySession::finish() {
   // Ledger epilogue: price each frame's stage-B macro activity (the VO
   // pass runs for every frame regardless of the policy) and total the

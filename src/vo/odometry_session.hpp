@@ -68,15 +68,6 @@ class OdometrySession {
   /// Books frame f's stage-B macro activity for the energy epilogue.
   void record_frame_macro(int f, const cimsram::MacroStats& stats);
 
-  /// Frame f's VO energy priced on demand — the exact value finish()
-  /// will book for that frame (same macro stats, same ADC pricing), so
-  /// an in-flight ledger summed in frame order is bitwise equal to the
-  /// published run's totals. Valid once record_frame_macro(f) ran.
-  double frame_vo_energy_j(int f) const;
-  /// Frame f's measured likelihood-update energy; valid once
-  /// consume(f, ...) ran.
-  double frame_update_energy_j(int f) const;
-
   /// Ledger epilogue; returns the completed run (valid until the next
   /// begin()). Mutable so the fleet engine can swap it into a pooled
   /// core::Completion without copying.

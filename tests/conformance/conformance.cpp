@@ -8,7 +8,7 @@
 
 #include "core/error.hpp"
 #include "core/rng.hpp"
-#include "core/stat_tolerances.hpp"
+#include "conformance/stat_tolerances.hpp"
 #include "core/stats.hpp"
 #include "core/thread_pool.hpp"
 

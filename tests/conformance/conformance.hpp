@@ -41,9 +41,9 @@
 //   statistical  the analog path must be distribution-matched against
 //                reference: per-column Welford moment bounds plus
 //                KS-style quantile checks over keyed rng streams, with
-//                tolerances from core/stat_tolerances.hpp. A backend
-//                whose caps() declare draw_compatible_noise is held to
-//                bitwise identity on the noisy path instead.
+//                tolerances from conformance/stat_tolerances.hpp. A
+//                backend whose caps() declare draw_compatible_noise is
+//                held to bitwise identity on the noisy path instead.
 //
 // Every failure embeds a single-line repro (seed, geometry, backend,
 // family, mode, dispatch) that parse_repro turns back into the exact

@@ -17,7 +17,7 @@
 #include "cimsram/sharded_macro.hpp"
 #include "cimsram/sram_rng.hpp"
 #include "core/rng.hpp"
-#include "core/stat_tolerances.hpp"
+#include "conformance/stat_tolerances.hpp"
 #include "core/stats.hpp"
 
 namespace cimnav::cimsram {

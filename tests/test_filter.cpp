@@ -454,6 +454,39 @@ TEST(Kld, OccupiedBinsMatchASetOfBinIndices) {
   }
 }
 
+TEST(Kld, BinsFarApartDoNotAlias) {
+  // Bin indices 0 and 65,536 on x: a 16-bit packed key would wrap them
+  // onto one bin.
+  KldConfig cfg;
+  ParticleFilterConfig pcfg;
+  pcfg.particle_count = 2;
+  ParticleFilter pf(pcfg);
+  Rng rng(79);
+  pf.init_gaussian(Pose{{0.1, 0.1, 0.1}, 0.0}, {0.0, 0.0, 0.0}, 0.0, rng);
+  const MutableSoaView m = pf.mutable_soa();
+  m.x[1] = m.x[0] + 65536.0 * cfg.bin_size.x;
+  EXPECT_EQ(count_occupied_bins(pf.soa(), cfg), 2);
+}
+
+TEST(Kld, RejectsNonFiniteOrUnbinnablePose) {
+  KldConfig cfg;
+  ParticleFilterConfig pcfg;
+  pcfg.particle_count = 4;
+  ParticleFilter pf(pcfg);
+  Rng rng(83);
+  pf.init_uniform({0, 0, 0}, {1, 1, 1}, rng);
+  const MutableSoaView m = pf.mutable_soa();
+  const double saved = m.y[2];
+  for (const double bad : {std::nan(""), HUGE_VAL, 1e300}) {
+    m.y[2] = bad;
+    EXPECT_THROW(count_occupied_bins(pf.soa(), cfg), std::invalid_argument)
+        << bad;
+  }
+  m.y[2] = saved;
+  m.yaw[1] = std::nan("");
+  EXPECT_THROW(count_occupied_bins(pf.soa(), cfg), std::invalid_argument);
+}
+
 TEST(Kld, AdaptiveResampleShrinksConvergedCloud) {
   // A converged belief needs far fewer particles than a global one —
   // the workload elasticity KLD-sampling provides.

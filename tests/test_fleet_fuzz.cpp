@@ -1,7 +1,7 @@
 // Seeded randomized QoS-scheduler fuzzing for the fleet engine — the
 // fleet-side twin of test_scenario_fuzz.cpp. ~20 campaigns drawn from
 // one keyed rng sweep the admission-policy registry, working-set
-// bounds, priority/deadline/budget mixes, fleet windows, queue pressure
+// bounds, priority/deadline mixes, fleet windows, queue pressure
 // (more sessions than slots) and mid-run admission. Each campaign gates
 // the invariants that hold for ANY configuration:
 //
@@ -9,9 +9,7 @@
 //     standalone vo::run_odometry_loop with the same config, whatever
 //     the policy chose tick by tick — QoS selects sessions, it never
 //     perturbs rng keys or frame order;
-//   * exact energy-ledger conservation: the in-flight QoS record's
-//     vo/update joules are bitwise equal to the published run's totals,
-//     and the fleet ledger sums the sessions;
+//   * the fleet energy ledger sums the sessions' published runs;
 //   * no starvation: a bounded tick loop (never run_until_idle, which
 //     would hang on a starvation bug) drains every admitted session;
 //   * the accounting identities of SessionQosRecord and QosReport.
@@ -87,14 +85,6 @@ class FleetFuzz : public ::testing::Test {
     macro.weight_bits = 6;
     macro.adc_bits = 6;
     net_ = vo_->make_cim_network(macro).release();
-
-    // One serial probe run prices the workload so energy_aware budgets
-    // can be drawn at a meaningful scale.
-    vo::ClosedLoopConfig probe = loop_config(0);
-    const vo::ClosedLoopRun run =
-        vo::run_odometry_loop(*scenario_, *vo_, *net_, *model_, probe);
-    frame_energy_j_ =
-        run.total_energy_j / static_cast<double>(run.steps.size());
   }
 
   static void TearDownTestSuite() {
@@ -152,9 +142,8 @@ class FleetFuzz : public ::testing::Test {
   static FuzzCampaign draw_campaign(int index) {
     Rng rng = Rng::stream(kFuzzRoot, static_cast<std::uint64_t>(index));
     FuzzCampaign c;
-    const char* policies[] = {"fifo", "priority", "deadline",
-                              "energy_aware"};
-    c.config.admission = policies[rng.uniform_int(0, 3)];
+    const char* policies[] = {"fifo", "priority", "deadline"};
+    c.config.admission = policies[rng.uniform_int(0, 2)];
     c.config.window = static_cast<int>(rng.uniform_int(1, 3));
     c.config.max_sessions =
         static_cast<std::size_t>(rng.uniform_int(2, 4));
@@ -164,11 +153,6 @@ class FleetFuzz : public ::testing::Test {
         rng.uniform() < 0.3 ? 0 : rng.uniform_int(1, 3));
     c.config.starvation_bound_ticks =
         static_cast<std::uint64_t>(rng.uniform_int(3, 12));
-    if (std::string(c.config.admission) == "energy_aware" &&
-        rng.uniform() < 0.7)
-      c.config.tick_energy_budget_j =
-          rng.uniform(0.5, 3.0) * frame_energy_j_ *
-          static_cast<double>(c.config.window);
 
     const int n_sessions = static_cast<int>(rng.uniform_int(3, 7));
     for (int s = 0; s < n_sessions; ++s) {
@@ -184,9 +168,6 @@ class FleetFuzz : public ::testing::Test {
       if (rng.uniform() < 0.6)
         fs.spec.qos.target_latency_ticks =
             static_cast<int>(rng.uniform_int(1, 12));
-      if (rng.uniform() < 0.3)
-        fs.spec.qos.energy_budget_j =
-            rng.uniform(1.0, 6.0) * frame_energy_j_;
       fs.late = rng.uniform() < 0.4;
       c.sessions.push_back(fs);
     }
@@ -199,7 +180,6 @@ class FleetFuzz : public ::testing::Test {
   static filter::MeasurementModel* model_;
   static vo::VoPipeline* vo_;
   static nn::CimMlp* net_;
-  static double frame_energy_j_;
   static std::map<std::uint64_t, vo::ClosedLoopRun> refs_;
 };
 
@@ -207,7 +187,6 @@ filter::LocalizationScenario* FleetFuzz::scenario_ = nullptr;
 filter::MeasurementModel* FleetFuzz::model_ = nullptr;
 vo::VoPipeline* FleetFuzz::vo_ = nullptr;
 nn::CimMlp* FleetFuzz::net_ = nullptr;
-double FleetFuzz::frame_energy_j_ = 0.0;
 std::map<std::uint64_t, vo::ClosedLoopRun> FleetFuzz::refs_;
 
 void expect_bit_identical(const vo::ClosedLoopRun& ref,
@@ -236,7 +215,6 @@ TEST_F(FleetFuzz, RandomCampaignsPreserveDeterminismLedgerAndLiveness) {
                  << " window=" << c.config.window
                  << " slots=" << c.config.max_sessions
                  << " working_set=" << c.config.working_set
-                 << " budget=" << c.config.tick_energy_budget_j
                  << " sessions=" << c.sessions.size());
 
     fleet::FleetEngine engine(c.config);
@@ -277,16 +255,11 @@ TEST_F(FleetFuzz, RandomCampaignsPreserveDeterminismLedgerAndLiveness) {
 
       // Bit-identity vs the standalone loop, under every policy.
       expect_bit_identical(reference_run(c.sessions[s].spec.loop), run);
-
-      // Exact conservation: the in-flight QoS ledger equals the run's
-      // epilogue totals bitwise (same pricing, same accumulation order).
-      const fleet::SessionQosRecord& q = handles[s].qos();
-      EXPECT_EQ(q.vo_energy_j, run.vo_energy_j);
-      EXPECT_EQ(q.update_energy_j, run.update_energy_j);
       fleet_vo_j += run.vo_energy_j;
       fleet_update_j += run.update_energy_j;
 
       // Accounting identities hold for every drawn spec.
+      const fleet::SessionQosRecord& q = handles[s].qos();
       EXPECT_EQ(q.ticks_to_completion, q.scheduled_ticks + q.queue_ticks);
       EXPECT_EQ(q.ticks_to_completion, q.complete_tick - q.admit_tick + 1);
       EXPECT_EQ(q.had_deadline, q.spec.target_latency_ticks > 0);

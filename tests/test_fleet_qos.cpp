@@ -1,19 +1,17 @@
 // Scheduler property tests for the fleet QoS layer (fleet/qos.hpp):
 //
 //   * "fifo" with an unbounded working set is tick-for-tick identical
-//     to the pre-QoS (PR 7) scheduler on a recorded dispatch ledger —
+//     to the pre-QoS scheduler on a recorded dispatch ledger —
 //     every runnable session scheduled every tick, lock-step windows;
 //   * "fifo" with a bounded working set serves oldest admissions first;
 //   * "priority" never schedules a lower class while a higher class is
 //     runnable (strictness), and round-robins within a class;
 //   * "deadline" dispatch is EDF-consistent at every tick;
-//   * "energy_aware" sheds under a tight fleet J/tick budget, and shed
-//     sessions still complete bit-identically;
 //   * the starvation guard force-includes overdue sessions under any
 //     policy;
 //   * per-session records and the fleet QosReport satisfy their
 //     accounting identities (ticks_to_completion = scheduled + queued,
-//     report sums = sum of records, exact energy-ledger equality).
+//     report sums = sum of records).
 //
 // The randomized cross-policy campaigns live in test_fleet_fuzz.cpp;
 // here each property gets a small deterministic workload shaped to
@@ -145,7 +143,6 @@ TEST(FleetQos, FifoUnboundedMatchesPreQosSchedulerTickForTick) {
   EXPECT_EQ(report.admission, "fifo");
   EXPECT_EQ(report.queue_ticks, 0u);
   EXPECT_EQ(report.starvation_overrides, 0u);
-  EXPECT_EQ(report.shed_events, 0u);
   for (const auto& h : handles) {
     EXPECT_EQ(h.qos().queue_ticks, 0u);
     EXPECT_EQ(h.qos().scheduled_ticks, 4u);
@@ -320,51 +317,6 @@ TEST(FleetQos, StarvationGuardForcesOverdueSessionsUnderAnyPolicy) {
   for (const auto& h : handles) EXPECT_TRUE(h.poll());
 }
 
-TEST(FleetQos, EnergyAwareShedsUnderTightBudgetAndStillCompletes) {
-  const auto& w = qos_workload();
-  // Measure one standalone run to size a budget that fits ~1 of 3
-  // sessions per tick (wide margins — the gate is shedding happened,
-  // not a specific count).
-  vo::ClosedLoopConfig probe = small_loop(90);
-  probe.pool = nullptr;
-  const vo::ClosedLoopRun ref =
-      vo::run_odometry_loop(*w.scenario, *w.vo, *w.net, *w.model, probe);
-  const double per_frame_j = ref.total_energy_j / 4.0;
-
-  fleet::FleetConfig cfg;
-  cfg.admission = "energy_aware";
-  cfg.window = 1;
-  cfg.tick_energy_budget_j = 1.5 * per_frame_j;  // ~1 session's tick
-  cfg.record_dispatch = true;
-  fleet::FleetEngine engine(cfg);
-  const std::size_t wl = register_workload(engine);
-
-  std::vector<fleet::SessionHandle> handles;
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    fleet::SessionSpec spec{wl, small_loop(90 + i)};
-    spec.qos.priority = static_cast<int>(i);
-    handles.push_back(engine.try_submit(spec));
-  }
-  engine.run_until_idle();
-
-  const fleet::QosReport report = engine.qos_report();
-  EXPECT_GT(report.shed_events, 0u)
-      << "a 1.5x-frame budget must shed work from 3 sessions";
-  EXPECT_GT(report.queue_ticks, 0u);
-  // Shedding throttles — it never wedges or corrupts a session: each
-  // run is still bit-identical to its standalone twin.
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    ASSERT_TRUE(handles[i].poll());
-    vo::ClosedLoopConfig standalone = small_loop(90 + i);
-    standalone.pool = nullptr;
-    const vo::ClosedLoopRun twin = vo::run_odometry_loop(
-        *w.scenario, *w.vo, *w.net, *w.model, standalone);
-    EXPECT_EQ(handles[i].wait().rmse_m, twin.rmse_m);
-    EXPECT_EQ(handles[i].wait().vo_energy_j, twin.vo_energy_j);
-    EXPECT_EQ(handles[i].wait().update_energy_j, twin.update_energy_j);
-  }
-}
-
 TEST(FleetQos, RecordsAndReportSatisfyAccountingIdentities) {
   fleet::FleetConfig cfg;
   cfg.admission = "deadline";
@@ -402,10 +354,6 @@ TEST(FleetQos, RecordsAndReportSatisfyAccountingIdentities) {
     }
     queue_sum += q.queue_ticks;
     max_queue = std::max(max_queue, q.queue_ticks);
-    // Exact (bitwise) energy conservation: the in-flight QoS ledger
-    // equals the published run's epilogue totals.
-    EXPECT_EQ(q.vo_energy_j, h.wait().vo_energy_j);
-    EXPECT_EQ(q.update_energy_j, h.wait().update_energy_j);
   }
   const fleet::QosReport report = engine.qos_report();
   EXPECT_EQ(report.deadline_sessions, with_deadline);
@@ -445,13 +393,10 @@ TEST(FleetQos, ErrorPathsMatchRegistryAndHandleContracts) {
   fleet::SessionHandle invalid;
   EXPECT_THROW(invalid.qos(), std::invalid_argument);
 
-  // Negative QoS spec fields are caller bugs, rejected at submission.
+  // A negative latency target is a caller bug, rejected at submission.
   fleet::SessionSpec bad_latency{wl, small_loop(111)};
   bad_latency.qos.target_latency_ticks = -1;
   EXPECT_THROW(engine.try_submit(bad_latency), std::invalid_argument);
-  fleet::SessionSpec bad_budget{wl, small_loop(112)};
-  bad_budget.qos.energy_budget_j = -0.5;
-  EXPECT_THROW(engine.try_submit(bad_budget), std::invalid_argument);
 }
 
 }  // namespace

@@ -96,7 +96,7 @@ RegistryProbe policy_probe() {
 
 RegistryProbe admission_probe() {
   return {"admission",
-          {"fifo", "priority", "deadline", "energy_aware"},
+          {"fifo", "priority", "deadline"},
           [](const std::string& n) { fleet::make_admission_policy(n); },
           [] { return fleet::admission_policy_names(); },
           [](const std::string& n) {

@@ -23,7 +23,6 @@
 #include "cimsram/backend.hpp"
 #include "cimsram/cim_macro.hpp"
 #include "conformance/conformance.hpp"
-#include "cimsram/sharded_macro.hpp"
 #include "core/thread_pool.hpp"
 #include "filter/measurement.hpp"
 #include "filter/particle_filter.hpp"
@@ -518,8 +517,8 @@ int main() {
     if (sink == 42.0) std::printf("%f", sink);
   }
 
-  {  // CIM macro matvec: one dense read per backend, plus the sharded
-     // delta fan-out's bit-identity gate.
+  {  // CIM macro matvec: one dense read per backend, plus the pooled
+     // delta batch's bit-identity gate.
     for (int n : {64, 128}) {
       core::Rng rng(11);
       std::vector<double> w(static_cast<std::size_t>(n) *
@@ -538,20 +537,14 @@ int main() {
                   [&] { cimsram::matvec(macro, x, {}, {}, &arng); });
       }
       if (n == 128) {
-        // Same layer split across 64x64 physical arrays (2x2 shard grid)
-        // behind the MacroLike surface.
-        cimsram::CimMacroConfig cfg;
-        cfg.max_rows = 64;
-        cfg.max_cols = 64;
-        const auto sharded =
-            cimsram::make_macro(w, n, n, cfg, 1.0 / 63.0);
-        core::ThreadPool shard_pool(8);
-        // The shard-affine delta fan-out must stay invisible to results:
-        // pooled DeltaItem dispatch keys each item's per-shard noise
-        // streams off the item's own rng root in item order, so any
-        // worker partitioning is bit-identical to the serial item loop.
+        // The pooled delta batch must stay invisible to results: every
+        // DeltaItem carries its own noise stream, so any worker
+        // partitioning is bit-identical to the serial item loop.
+        const cimsram::CimMacro macro(w, n, n, cimsram::CimMacroConfig{},
+                                      1.0 / 63.0);
+        core::ThreadPool delta_pool(8);
         cimsram::EncodedInput denc;
-        sharded->encode_input(x, denc);
+        macro.encode_input(x, denc);
         constexpr std::size_t kDeltaItems = 8;
         std::vector<std::vector<std::size_t>> adds(kDeltaItems);
         std::vector<std::vector<std::size_t>> rems(kDeltaItems);
@@ -568,7 +561,7 @@ int main() {
               rems[k].push_back(r);
           }
         }
-        const std::size_t dn = static_cast<std::size_t>(sharded->n_out());
+        const std::size_t dn = static_cast<std::size_t>(macro.n_out());
         std::vector<double> dy_serial(kDeltaItems * dn);
         std::vector<double> dy_pooled(kDeltaItems * dn);
         const auto run_delta = [&](std::vector<double>& dy,
@@ -587,11 +580,11 @@ int main() {
             items[k].rng = &rngs[k];
             items[k].y = dy.data() + k * dn;
           }
-          sharded->matvec_delta_batch(items.data(), kDeltaItems, pool);
+          macro.matvec_delta_batch(items.data(), kDeltaItems, pool);
         };
         run_delta(dy_serial, nullptr);
-        run_delta(dy_pooled, &shard_pool);
-        suite.add_summary("sharded_delta_affinity_bit_identity",
+        run_delta(dy_pooled, &delta_pool);
+        suite.add_summary("delta_batch_pooled_bit_identity",
                           dy_serial == dy_pooled ? 1.0 : 0.0);
       }
     }
@@ -852,10 +845,10 @@ int main() {
     for (const std::string& be : names) {
       for (auto family : conf::families()) {
         // One representative deterministic case per (backend, family):
-        // ragged odd-row monolithic geometry, single ideal dispatch.
+        // ragged odd-row geometry, single ideal dispatch.
         conf::CaseSpec spec;
         spec.backend = be;
-        spec.geom = {149, 37, 0, 0};
+        spec.geom = {149, 37};
         spec.family = family;
         spec.mode = conf::NoiseMode::kIdeal;
         spec.dispatch = conf::Dispatch::kSingle;

@@ -45,10 +45,9 @@ TRACKED = {
         # on the filter's arena/pool counters). Exact-match gated.
         "particle_filter_100k_speedup_criterion_met": "stable",
         "particle_filter_100k_zero_alloc_cycle": "stable",
-        # The shard-affine pooled DeltaItem fan-out (compute-reuse
-        # dispatch shape) must keep producing the serial item loop's bits
-        # on the sharded grid.
-        "sharded_delta_affinity_bit_identity": "stable",
+        # The pooled DeltaItem batch (compute-reuse dispatch shape) must
+        # keep producing the serial item loop's bits on a 128x128 macro.
+        "delta_batch_pooled_bit_identity": "stable",
         # One filter update of CIM likelihood reads (500 poses x 80 px x
         # 500 columns, single thread): shared ideal currents per distinct
         # DAC code triple vs the default per-pose path (within-run ratio).

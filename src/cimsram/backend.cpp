@@ -364,85 +364,6 @@ void reference_run_columns(const MacroView& v,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Bit-sliced kernel, scalar fallback: same count/ADC math as the reference
-// but with noise drawn from a stream derived off the caller's rng (one
-// root draw per run_columns call), matching the AVX2 path's consumption
-// pattern so scalar and vector hosts agree on how the caller's stream
-// advances.
-// ---------------------------------------------------------------------------
-
-void bitsliced_run_columns_scalar(const MacroView& v,
-                                  const std::uint64_t* gated_planes,
-                                  const std::uint64_t* gated_rem,
-                                  const std::int32_t* word_list, int n_words,
-                                  std::uint64_t active_rows,
-                                  const std::uint8_t* out_mask,
-                                  int col_begin, int col_end,
-                                  std::uint64_t noise_root, double* y) {
-  const double adc_levels = static_cast<double>((1 << v.adc_bits) - 1);
-  const double adc_step = static_cast<double>(v.n_in) / adc_levels;
-  const double inv_adc_step = 1.0 / adc_step;
-  const bool noisy = v.analog_noise && active_rows > 0;
-  const double noise_sigma =
-      noisy ? v.noise_coeff * std::sqrt(static_cast<double>(active_rows))
-            : 0.0;
-  const std::size_t words = static_cast<std::size_t>(v.words);
-  const std::size_t col_stride = 2u * static_cast<std::size_t>(v.planes) *
-                                 words;
-
-  double wtab[kMaxCycles];
-  const int cycles = fill_wtab(v, wtab);
-  core::Rng noise_rng = core::Rng::stream(noise_root, 0);
-
-  const FillCountsFn fill = select_fill_counts(v.words);
-  const FillCountsDeltaFn dfill =
-      word_list != nullptr
-          ? select_fill_counts_delta(n_words, v.words,
-                                     gated_planes != nullptr,
-                                     gated_rem != nullptr)
-          : nullptr;
-  for (int j = col_begin; j < col_end; ++j) {
-    if (out_mask != nullptr && !out_mask[static_cast<std::size_t>(j)]) {
-      y[j] = 0.0;
-      continue;
-    }
-    const std::uint64_t* col =
-        v.weight_bits + static_cast<std::size_t>(j) * col_stride;
-    double counts[kMaxCycles];
-    double counts_rem[kMaxCycles];
-    if (dfill != nullptr)
-      dfill(col, gated_planes, gated_rem, word_list, n_words, 2 * v.planes,
-            v.input_bits, words, counts, counts_rem);
-    else
-      fill(col, gated_planes, 2 * v.planes, v.input_bits, words, counts);
-    if (noisy) {
-      for (int i = 0; i < cycles; ++i)
-        counts[i] += noise_sigma * noise_rng.normal_fast();
-    }
-    double acc = 0.0;
-    if (dfill != nullptr) {
-      // Correlated double sample: both rails through the dense quantizer,
-      // signed code difference out.
-      for (int i = 0; i < cycles; ++i) {
-        double ca = std::floor(counts[i] * inv_adc_step + 0.5);
-        ca = ca < 0.0 ? 0.0 : (ca > adc_levels ? adc_levels : ca);
-        double cr = std::floor(counts_rem[i] * inv_adc_step + 0.5);
-        cr = cr < 0.0 ? 0.0 : (cr > adc_levels ? adc_levels : cr);
-        acc += wtab[i] * (ca - cr);
-      }
-    } else {
-      for (int i = 0; i < cycles; ++i) {
-        double code = std::floor(counts[i] * inv_adc_step + 0.5);
-        code = code < 0.0 ? 0.0 : (code > adc_levels ? adc_levels : code);
-        acc += wtab[i] * code;
-      }
-    }
-    acc *= adc_step;
-    y[j] = acc * v.weight_scale * v.input_scale;
-  }
-}
-
 #if CIMNAV_X86
 
 // ---------------------------------------------------------------------------
@@ -833,9 +754,13 @@ class BitSlicedBackend final : public ComputeBackend {
       return;
     }
 #endif
-    bitsliced_run_columns_scalar(v, gated_planes, gated_rem, word_list,
-                                 n_words, active_rows, out_mask, col_begin,
-                                 col_end, noise_root, y);
+    // Scalar fallback: the reference kernel drawing sequentially from a
+    // stream keyed off the root (one normal_fast per cycle per live
+    // column, in column order).
+    core::Rng noise_rng = core::Rng::stream(noise_root, 0);
+    reference_run_columns(v, gated_planes, gated_rem, word_list, n_words,
+                          active_rows, out_mask, col_begin, col_end,
+                          /*ideal=*/false, &noise_rng, y);
   }
 };
 

@@ -37,7 +37,7 @@
 
 namespace cimnav::cimsram {
 
-/// Geometry + weight storage view of one macro (or one shard), passed to
+/// Geometry + weight storage view of one macro, passed to
 /// the backend kernel. `weight_bits` holds the packed weight planes,
 /// contiguous per column: weight_bits[((j*2 + sign)*planes + p)*words + w].
 struct MacroView {
@@ -52,7 +52,6 @@ struct MacroView {
   double noise_coeff = 0.0;
   /// Final output scaling y = acc * weight_scale * input_scale, applied in
   /// that order (two rounded products, matching the pre-backend engine).
-  /// Composite macros pass 1.0/1.0 and scale after their shard reduction.
   double weight_scale = 1.0;
   double input_scale = 1.0;
 };

@@ -7,6 +7,17 @@
 #include "core/error.hpp"
 
 namespace cimnav::cimsram {
+
+/// Per-thread scratch buffers for the zero-allocation read path. All
+/// vectors grow to the largest macro they have served and then stay put.
+struct MacroWorkspace {
+  std::vector<std::uint64_t> gate;       ///< packed add-side gate (delta)
+  std::vector<std::uint64_t> gate_rem;   ///< packed remove-side gate (delta)
+  std::vector<std::uint64_t> gated;      ///< planes & gate, input_bits x words
+  std::vector<std::uint64_t> gated_rem;  ///< planes & remove gate (delta)
+  std::vector<std::int32_t> word_list;   ///< touched word indices (delta)
+};
+
 namespace {
 
 MacroWorkspace& tls_workspace() {
@@ -72,7 +83,7 @@ void pack_row_mask(const std::vector<std::uint8_t>& mask, int n_rows,
   }
 }
 
-std::vector<double> matvec(const MacroLike& macro,
+std::vector<double> matvec(const CimMacro& macro,
                            const std::vector<double>& x,
                            const std::vector<std::uint8_t>& in_mask,
                            const std::vector<std::uint8_t>& out_mask,
@@ -86,19 +97,8 @@ std::vector<double> matvec(const MacroLike& macro,
   return y;
 }
 
-void validate_macro_config(const CimMacroConfig& config, double input_scale) {
-  CIMNAV_REQUIRE(config.input_bits >= 1 && config.input_bits <= 12,
-                 "input bits must be in [1, 12]");
-  CIMNAV_REQUIRE(config.weight_bits >= 2 && config.weight_bits <= 12,
-                 "weight bits must be in [2, 12]");
-  CIMNAV_REQUIRE(config.adc_bits >= 1 && config.adc_bits <= 16,
-                 "adc bits must be in [1, 16]");
-  CIMNAV_REQUIRE(input_scale > 0.0, "input scale must be positive");
-}
-
 CimMacro::CimMacro(const std::vector<double>& weights, int n_out, int n_in,
-                   const CimMacroConfig& config, double input_scale,
-                   double weight_scale_override)
+                   const CimMacroConfig& config, double input_scale)
     : config_(config), backend_(&backend(config.backend)), n_in_(n_in),
       n_out_(n_out), input_scale_(input_scale),
       inv_input_scale_(1.0 / input_scale) {
@@ -106,20 +106,20 @@ CimMacro::CimMacro(const std::vector<double>& weights, int n_out, int n_in,
   CIMNAV_REQUIRE(weights.size() == static_cast<std::size_t>(n_in) *
                                        static_cast<std::size_t>(n_out),
                  "weight size mismatch");
-  validate_macro_config(config, input_scale);
-  CIMNAV_REQUIRE(weight_scale_override >= 0.0,
-                 "weight scale override must be non-negative");
+  // Checked before anything shifts by a width.
+  CIMNAV_REQUIRE(config.input_bits >= 1 && config.input_bits <= 12,
+                 "input bits must be in [1, 12]");
+  CIMNAV_REQUIRE(config.weight_bits >= 2 && config.weight_bits <= 12,
+                 "weight bits must be in [2, 12]");
+  CIMNAV_REQUIRE(config.adc_bits >= 1 && config.adc_bits <= 16,
+                 "adc bits must be in [1, 16]");
+  CIMNAV_REQUIRE(input_scale > 0.0, "input scale must be positive");
 
-  // Per-tensor symmetric weight quantization (optionally on a shared grid
-  // forced by a composite macro).
+  // Per-tensor symmetric weight quantization.
   const int mag_max = (1 << (config.weight_bits - 1)) - 1;
-  if (weight_scale_override > 0.0) {
-    weight_scale_ = weight_scale_override;
-  } else {
-    double w_max = 0.0;
-    for (double w : weights) w_max = std::max(w_max, std::abs(w));
-    weight_scale_ = w_max > 0.0 ? w_max / static_cast<double>(mag_max) : 1.0;
-  }
+  double w_max = 0.0;
+  for (double w : weights) w_max = std::max(w_max, std::abs(w));
+  weight_scale_ = w_max > 0.0 ? w_max / static_cast<double>(mag_max) : 1.0;
 
   words_ = (n_in + 63) / 64;
   planes_ = config.weight_bits - 1;
@@ -152,65 +152,26 @@ CimMacro::CimMacro(const std::vector<double>& weights, int n_out, int n_in,
   }
 }
 
-CimMacro::CimMacro(CimMacro&& other) noexcept
-    : config_(std::move(other.config_)), backend_(other.backend_),
-      n_in_(other.n_in_), n_out_(other.n_out_), words_(other.words_),
-      planes_(other.planes_), weight_scale_(other.weight_scale_),
-      input_scale_(other.input_scale_),
-      inv_input_scale_(other.inv_input_scale_), bits_(std::move(other.bits_)) {
-  stat_calls_.store(other.stat_calls_.load());
-  stat_wordline_.store(other.stat_wordline_.load());
-  stat_wl_cols_.store(other.stat_wl_cols_.load());
-  stat_adc_.store(other.stat_adc_.load());
-  stat_cycles_.store(other.stat_cycles_.load());
-  stat_macs_.store(other.stat_macs_.load());
-}
-
-CimMacro& CimMacro::operator=(CimMacro&& other) noexcept {
-  if (this != &other) {
-    config_ = std::move(other.config_);
-    backend_ = other.backend_;
-    n_in_ = other.n_in_;
-    n_out_ = other.n_out_;
-    words_ = other.words_;
-    planes_ = other.planes_;
-    weight_scale_ = other.weight_scale_;
-    input_scale_ = other.input_scale_;
-    inv_input_scale_ = other.inv_input_scale_;
-    bits_ = std::move(other.bits_);
-    stat_calls_.store(other.stat_calls_.load());
-    stat_wordline_.store(other.stat_wordline_.load());
-    stat_wl_cols_.store(other.stat_wl_cols_.load());
-    stat_adc_.store(other.stat_adc_.load());
-    stat_cycles_.store(other.stat_cycles_.load());
-    stat_macs_.store(other.stat_macs_.load());
-  }
-  return *this;
-}
-
-void encode_input_planes(const std::vector<double>& x, int n_in,
-                         int input_bits, double inv_input_scale,
-                         EncodedInput& enc) {
-  CIMNAV_REQUIRE(x.size() == static_cast<std::size_t>(n_in),
+void CimMacro::encode_input(const std::vector<double>& x,
+                            EncodedInput& enc) const {
+  CIMNAV_REQUIRE(x.size() == static_cast<std::size_t>(n_in_),
                  "input size mismatch");
-  CIMNAV_REQUIRE(input_bits >= 1 && input_bits <= 12,
-                 "input bits must be in [1, 12]");
-  const int words = (n_in + 63) / 64;
-  const std::size_t stride = static_cast<std::size_t>(words);
+  const int input_bits = config_.input_bits;
+  const std::size_t stride = static_cast<std::size_t>(words_);
   const int max_code = (1 << input_bits) - 1;
   enc.planes.assign(static_cast<std::size_t>(input_bits) * stride, 0);
   // Word-at-a-time: accumulate the word's bit planes in registers, store
   // once per plane (the per-bit read-modify-write of the naive loop is
   // measurable in the MC hot path).
-  for (int w = 0; w < words; ++w) {
+  for (int w = 0; w < words_; ++w) {
     std::uint64_t acc[12] = {};
     const int i0 = w * 64;
-    const int i1 = std::min(i0 + 64, n_in);
+    const int i1 = std::min(i0 + 64, n_in_);
     for (int i = i0; i < i1; ++i) {
       // Truncation of (x / s + 0.5) equals lround(x / s) for every value
       // the [0, max] clamp can produce, and inlines where lround would not.
       const auto code = static_cast<int>(
-          x[static_cast<std::size_t>(i)] * inv_input_scale + 0.5);
+          x[static_cast<std::size_t>(i)] * inv_input_scale_ + 0.5);
       const std::uint32_t q =
           static_cast<std::uint32_t>(std::clamp(code, 0, max_code));
       // Branchless scatter: data-dependent skips mispredict on real
@@ -222,11 +183,6 @@ void encode_input_planes(const std::vector<double>& x, int n_in,
       enc.planes[static_cast<std::size_t>(b) * stride +
                  static_cast<std::size_t>(w)] = acc[b];
   }
-}
-
-void CimMacro::encode_input(const std::vector<double>& x,
-                            EncodedInput& enc) const {
-  encode_input_planes(x, n_in_, config_.input_bits, inv_input_scale_, enc);
 }
 
 std::uint64_t CimMacro::count_active_cols(const std::uint8_t* out_mask) const {
@@ -291,7 +247,7 @@ void CimMacro::reset_stats() const {
   stat_macs_.store(0, std::memory_order_relaxed);
 }
 
-MacroView CimMacro::view(bool unit_scale) const {
+MacroView CimMacro::view() const {
   MacroView v;
   v.weight_bits = bits_.data();
   v.n_in = n_in_;
@@ -302,80 +258,9 @@ MacroView CimMacro::view(bool unit_scale) const {
   v.adc_bits = config_.adc_bits;
   v.analog_noise = config_.analog_noise;
   v.noise_coeff = config_.noise_coeff;
-  v.weight_scale = unit_scale ? 1.0 : weight_scale_;
-  v.input_scale = unit_scale ? 1.0 : input_scale_;
+  v.weight_scale = weight_scale_;
+  v.input_scale = input_scale_;
   return v;
-}
-
-void CimMacro::run_view(const std::uint64_t* planes, std::size_t plane_stride,
-                        const std::uint64_t* row_gate,
-                        const std::uint8_t* out_mask, bool unit_scale,
-                        core::Rng* rng, MacroWorkspace& ws,
-                        double* y) const {
-  const std::size_t words = static_cast<std::size_t>(words_);
-  ws.gated.resize(static_cast<std::size_t>(config_.input_bits) * words);
-  for (int b = 0; b < config_.input_bits; ++b) {
-    const std::uint64_t* src = planes + static_cast<std::size_t>(b) *
-                                            plane_stride;
-    std::uint64_t* dst = ws.gated.data() + static_cast<std::size_t>(b) *
-                                               words;
-    for (std::size_t w = 0; w < words; ++w) dst[w] = src[w] & row_gate[w];
-  }
-  std::uint64_t active_rows = 0;
-  for (std::size_t w = 0; w < words; ++w)
-    active_rows += static_cast<std::uint64_t>(std::popcount(row_gate[w]));
-
-  backend_->run_columns(view(unit_scale), ws.gated.data(), active_rows,
-                        out_mask, 0, n_out_, rng == nullptr, rng, y);
-  account(1, active_rows, count_active_cols(out_mask));
-}
-
-void CimMacro::run_view_delta(const std::uint64_t* planes,
-                              std::size_t plane_stride,
-                              const std::uint64_t* gate_add,
-                              const std::uint64_t* gate_rem,
-                              const std::int32_t* word_list, int n_words,
-                              const std::uint8_t* out_mask, bool unit_scale,
-                              core::Rng* rng, MacroWorkspace& ws,
-                              double* y) const {
-  const std::size_t words = static_cast<std::size_t>(words_);
-  const std::size_t gated_size =
-      static_cast<std::size_t>(config_.input_bits) * words;
-  // The delta backend contract requires every unlisted word to be zero
-  // across all planes of BOTH buffers, so they are cleared wholesale
-  // before gating the listed words (input_bits x words u64s — trivial
-  // next to the scan).
-  std::uint64_t active_rows = 0;
-  const std::uint64_t* gated_add_ptr = nullptr;
-  const std::uint64_t* gated_rem_ptr = nullptr;
-  if (gate_add != nullptr) {
-    ws.gated.assign(gated_size, 0);
-    for (int k = 0; k < n_words; ++k) {
-      const std::size_t w = static_cast<std::size_t>(word_list[k]);
-      const std::uint64_t g = gate_add[w];
-      active_rows += static_cast<std::uint64_t>(std::popcount(g));
-      for (int b = 0; b < config_.input_bits; ++b)
-        ws.gated[static_cast<std::size_t>(b) * words + w] =
-            planes[static_cast<std::size_t>(b) * plane_stride + w] & g;
-    }
-    gated_add_ptr = ws.gated.data();
-  }
-  if (gate_rem != nullptr) {
-    ws.gated_rem.assign(gated_size, 0);
-    for (int k = 0; k < n_words; ++k) {
-      const std::size_t w = static_cast<std::size_t>(word_list[k]);
-      const std::uint64_t g = gate_rem[w];
-      active_rows += static_cast<std::uint64_t>(std::popcount(g));
-      for (int b = 0; b < config_.input_bits; ++b)
-        ws.gated_rem[static_cast<std::size_t>(b) * words + w] =
-            planes[static_cast<std::size_t>(b) * plane_stride + w] & g;
-    }
-    gated_rem_ptr = ws.gated_rem.data();
-  }
-  backend_->run_columns_delta(view(unit_scale), gated_add_ptr, gated_rem_ptr,
-                              word_list, n_words, active_rows, out_mask, 0,
-                              n_out_, rng == nullptr, rng, y);
-  account(1, active_rows, count_active_cols(out_mask));
 }
 
 void CimMacro::run_delta(const DeltaItem& item, MacroWorkspace& ws) const {
@@ -402,11 +287,37 @@ void CimMacro::run_delta(const DeltaItem& item, MacroWorkspace& ws) const {
   for (std::size_t w = 0; w < words; ++w)
     if ((ws.gate[w] | ws.gate_rem[w]) != 0)
       ws.word_list.push_back(static_cast<std::int32_t>(w));
-  run_view_delta(item.enc->planes.data(), words,
-                 item.n_add > 0 ? ws.gate.data() : nullptr,
-                 item.n_rem > 0 ? ws.gate_rem.data() : nullptr,
-                 ws.word_list.data(), static_cast<int>(ws.word_list.size()),
-                 nullptr, /*unit_scale=*/false, item.rng, ws, item.y);
+
+  // Gates one rail over the listed words. The delta backend contract
+  // requires every unlisted word to be zero across all planes of BOTH
+  // buffers, so each is cleared wholesale first (input_bits x words
+  // u64s — trivial next to the scan). A rail with no flipped rows stays
+  // null and reads zero.
+  const std::uint64_t* planes = item.enc->planes.data();
+  std::uint64_t active_rows = 0;
+  const auto gate_rail = [&](const std::vector<std::uint64_t>& gate,
+                             std::vector<std::uint64_t>& gated) {
+    gated.assign(static_cast<std::size_t>(config_.input_bits) * words, 0);
+    for (const std::int32_t wi : ws.word_list) {
+      const std::size_t w = static_cast<std::size_t>(wi);
+      const std::uint64_t g = gate[w];
+      active_rows += static_cast<std::uint64_t>(std::popcount(g));
+      for (int b = 0; b < config_.input_bits; ++b)
+        gated[static_cast<std::size_t>(b) * words + w] =
+            planes[static_cast<std::size_t>(b) * words + w] & g;
+    }
+    return static_cast<const std::uint64_t*>(gated.data());
+  };
+  const std::uint64_t* gated_add =
+      item.n_add > 0 ? gate_rail(ws.gate, ws.gated) : nullptr;
+  const std::uint64_t* gated_rem =
+      item.n_rem > 0 ? gate_rail(ws.gate_rem, ws.gated_rem) : nullptr;
+  backend_->run_columns_delta(view(), gated_add, gated_rem,
+                              ws.word_list.data(),
+                              static_cast<int>(ws.word_list.size()),
+                              active_rows, nullptr, 0, n_out_,
+                              item.rng == nullptr, item.rng, item.y);
+  account(1, active_rows, static_cast<std::uint64_t>(n_out_));
 }
 
 void CimMacro::matvec_delta_batch(const DeltaItem* items, std::size_t n_items,
@@ -429,19 +340,32 @@ void CimMacro::matvec_encoded(const EncodedInput& enc,
                               const std::vector<std::uint64_t>& row_gate,
                               const std::vector<std::uint8_t>& out_mask,
                               core::Rng* rng, std::vector<double>& y) const {
-  CIMNAV_REQUIRE(row_gate.size() == static_cast<std::size_t>(words_),
-                 "row gate word count mismatch");
+  const std::size_t words = static_cast<std::size_t>(words_);
+  CIMNAV_REQUIRE(row_gate.size() == words, "row gate word count mismatch");
   CIMNAV_REQUIRE(enc.planes.size() ==
-                     static_cast<std::size_t>(config_.input_bits) *
-                         static_cast<std::size_t>(words_),
+                     static_cast<std::size_t>(config_.input_bits) * words,
                  "encoded input shape mismatch");
   CIMNAV_REQUIRE(out_mask.empty() ||
                      out_mask.size() == static_cast<std::size_t>(n_out_),
                  "output mask size mismatch");
   y.resize(static_cast<std::size_t>(n_out_));
-  run_view(enc.planes.data(), static_cast<std::size_t>(words_),
-           row_gate.data(), out_mask.empty() ? nullptr : out_mask.data(),
-           /*unit_scale=*/false, rng, tls_workspace(), y.data());
+  MacroWorkspace& ws = tls_workspace();
+  ws.gated.resize(static_cast<std::size_t>(config_.input_bits) * words);
+  for (int b = 0; b < config_.input_bits; ++b) {
+    const std::uint64_t* src =
+        enc.planes.data() + static_cast<std::size_t>(b) * words;
+    std::uint64_t* dst = ws.gated.data() + static_cast<std::size_t>(b) *
+                                               words;
+    for (std::size_t w = 0; w < words; ++w) dst[w] = src[w] & row_gate[w];
+  }
+  std::uint64_t active_rows = 0;
+  for (std::size_t w = 0; w < words; ++w)
+    active_rows += static_cast<std::uint64_t>(std::popcount(row_gate[w]));
+
+  const std::uint8_t* mask = out_mask.empty() ? nullptr : out_mask.data();
+  backend_->run_columns(view(), ws.gated.data(), active_rows, mask, 0,
+                        n_out_, rng == nullptr, rng, y.data());
+  account(1, active_rows, count_active_cols(mask));
 }
 
 }  // namespace cimnav::cimsram

@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <exception>
 #include <mutex>
 #include <utility>
 
@@ -25,7 +26,10 @@ class Completion {
   /// Rearms the slot for a new producer/consumer cycle. Must not race
   /// with poll/wait — callers rearm only while they hold the only
   /// reference (the pool's free list guarantees that).
-  void reset() { done_.store(false, std::memory_order_relaxed); }
+  void reset() {
+    error_ = nullptr;
+    done_.store(false, std::memory_order_relaxed);
+  }
 
   /// Publishes by swapping `value` in (the previous occupant's storage
   /// swaps out to the producer, keeping capacity in circulation) and
@@ -39,14 +43,28 @@ class Completion {
     cv_.notify_all();
   }
 
-  /// True once complete() has run this cycle. Lock-free.
+  /// Publishes a failure instead of a value: done() turns true and
+  /// wait() rethrows `error`. Call instead of complete(), at most once
+  /// per reset() cycle.
+  void fail(std::exception_ptr error) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      error_ = std::move(error);
+      done_.store(true, std::memory_order_release);
+    }
+    cv_.notify_all();
+  }
+
+  /// True once complete() or fail() has run this cycle. Lock-free.
   bool done() const { return done_.load(std::memory_order_acquire); }
 
-  /// Blocks until done and returns the published value. The reference
-  /// is valid until the last handle releases the slot.
+  /// Blocks until done and returns the published value, or rethrows the
+  /// published failure. The reference is valid until the last handle
+  /// releases the slot.
   const T& wait() const {
     std::unique_lock<std::mutex> lock(mutex_);
     cv_.wait(lock, [this] { return done_.load(std::memory_order_acquire); });
+    if (error_) std::rethrow_exception(error_);
     return value_;
   }
 
@@ -67,6 +85,7 @@ class Completion {
   mutable std::condition_variable cv_;
   std::atomic<bool> done_{false};
   std::atomic<int> refs_{0};
+  std::exception_ptr error_;
   T value_{};
 };
 

@@ -27,7 +27,7 @@ double macro_stats_energy_j(const cimsram::MacroStats& stats, int adc_bits,
   // Word-line drive scales with the wire span (the physical array width
   // each pulse crosses): wordline_j is calibrated at wordline_ref_cols
   // columns, and wordline_col_drives accumulates (pulses x driven
-  // columns), so narrow shard arrays are charged proportionally less.
+  // columns), so narrow arrays are charged proportionally less.
   // Snapshots without the span counter (hand-built stats) fall back to
   // flat per-pulse pricing at the reference width.
   const double wordline_j =

@@ -33,17 +33,16 @@ double layer_energy_j(int active_rows, int active_cols, int input_bits,
                       int adc_bits, const SramCim16nm& tech = {});
 
 /// Energy of a *measured* activity snapshot: a cimsram::MacroStats
-/// aggregate (one macro, a shard grid, or a whole CimMlp via
-/// total_stats()) priced with the same per-event costs as the analytic
-/// model. wordline_pulses are word-line events and adc_conversions are
-/// column readouts (bit line + ADC + shift-add), so this is the
-/// functional simulator's ground truth counterpart to layer_energy_j —
-/// including sharding overheads, which the analytic model cannot see.
-/// Word-line pulses are priced by wire span: snapshots carrying
-/// MacroStats::wordline_col_drives charge wordline_j scaled by
-/// (driven columns / tech.wordline_ref_cols) per pulse, so narrow shard
-/// arrays are no longer over-charged; span-free snapshots fall back to
-/// the flat reference-width price.
+/// aggregate (one macro or a whole CimMlp via total_stats()) priced with
+/// the same per-event costs as the analytic model. wordline_pulses are
+/// word-line events and adc_conversions are column readouts (bit line +
+/// ADC + shift-add), so this is the functional simulator's ground truth
+/// counterpart to layer_energy_j. Word-line pulses are priced by wire
+/// span: snapshots carrying MacroStats::wordline_col_drives charge
+/// wordline_j scaled by (driven columns / tech.wordline_ref_cols) per
+/// pulse, so a macro narrower than the reference width pays less per
+/// pulse; span-free snapshots fall back to the flat reference-width
+/// price.
 double macro_stats_energy_j(const cimsram::MacroStats& stats, int adc_bits,
                             const SramCim16nm& tech = {});
 

@@ -56,7 +56,7 @@ struct SramCim16nm {
   double wordline_j = 9.2e-15;
   /// Array width the word-line constant is calibrated at. A word line is
   /// a wire across the whole array, so pulse energy scales with the
-  /// driven column count: a 64-column shard pays wordline_j * 64 / 128
+  /// driven column count: a 64-column macro pays wordline_j * 64 / 128
   /// per pulse. Used by macro_stats_energy_j when the activity snapshot
   /// carries MacroStats::wordline_col_drives.
   double wordline_ref_cols = 128.0;

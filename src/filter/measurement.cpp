@@ -168,7 +168,7 @@ double CimHmgmLikelihood::log_likelihood(const core::Pose& pose,
 namespace {
 
 // Scratch of one shared update. Grow-only and thread_local on the
-// dispatching thread (the sharded_macro / mc_dropout idiom): every filter
+// dispatching thread (the mc_dropout idiom): every filter
 // that thread updates reuses it, so a fleet holds one set per dispatching
 // thread instead of one per filter, and steady-state updates never touch
 // the heap.

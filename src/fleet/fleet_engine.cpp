@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <utility>
 
 #include "core/error.hpp"
@@ -155,7 +156,19 @@ void FleetEngine::admit_locked() {
     // policy, MC options, KLD adaptation) is the session's own.
     vo::ClosedLoopConfig cfg = st.spec.loop;
     cfg.pool = config_.pool;
-    slot->session.begin(*w.scenario, *w.vo, *w.net, *w.model, cfg);
+    try {
+      slot->session.begin(*w.scenario, *w.vo, *w.net, *w.model, cfg);
+    } catch (...) {
+      // Setup threw (e.g. a registered policy factory): the slot stays
+      // free, the handle publishes the error (wait() rethrows) and the
+      // state index recycles through the usual last-release path, so
+      // admission goes on for everyone else.
+      st.qos = SessionQosRecord{};
+      st.qos.spec = st.spec.qos;
+      st.completion.fail(std::current_exception());
+      if (st.completion.release() == 0) recycle(idx);
+      continue;
+    }
     slot->state = &st;
     slot->net = w.net;
     slot->next_frame = 0;

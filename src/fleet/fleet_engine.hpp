@@ -108,13 +108,16 @@ class SessionHandle {
 
   /// False for default-constructed handles and rejected submissions.
   bool valid() const { return state_ != nullptr; }
-  /// True once the session's run has been published.
+  /// True once the session's run (or its admission failure) has been
+  /// published.
   bool poll() const;
   /// Blocks until published; the reference stays valid until this
-  /// handle (and its copies) release the slot.
+  /// handle (and its copies) release the slot. Rethrows the exception if
+  /// the session's setup threw at admission.
   const vo::ClosedLoopRun& wait() const;
   /// The session's QoS outcome (queue ticks, deadline hit/miss).
-  /// Requires poll() — the record publishes with the run.
+  /// Requires poll() — the record publishes with the run. A session that
+  /// failed at admission carries only its spec.
   const SessionQosRecord& qos() const;
   /// Releases the reference early (the handle becomes invalid).
   void reset();

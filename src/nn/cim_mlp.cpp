@@ -73,13 +73,13 @@ CimMlp::CimMlp(const Mlp& reference,
     const Matrix& w = reference.weights(l);
     const double scale = act_max[static_cast<std::size_t>(l)] *
                          kScaleHeadroom / static_cast<double>(max_code);
-    macros_.push_back(cimsram::make_macro(w.data(), w.rows(), w.cols(),
-                                          macro_config, scale));
+    macros_.push_back(std::make_unique<cimsram::CimMacro>(
+        w.data(), w.rows(), w.cols(), macro_config, scale));
     biases_.push_back(reference.biases(l));
   }
 }
 
-const cimsram::MacroLike& CimMlp::macro(int layer) const {
+const cimsram::CimMacro& CimMlp::macro(int layer) const {
   CIMNAV_REQUIRE(layer >= 0 && layer < layer_count(), "layer out of range");
   return *macros_[static_cast<std::size_t>(layer)];
 }
@@ -178,9 +178,9 @@ void CimMlp::forward_window(const std::vector<FrameBatch>& frames,
       for (std::size_t i = begin; i < end; ++i) {
         const std::size_t f = scratch.frame_of[i];
         const std::size_t t = scratch.iter_of[i];
-        // Scoped to the item body: a sharded matvec runs its shards
-        // serially on this thread, so the capture sees exactly this
-        // item's accounting and nothing else.
+        // Scoped to the item body: the item's reads account on this
+        // thread, so the capture sees exactly this item's accounting and
+        // nothing else.
         const cimsram::ScopedStatsCapture capture(
             frame_stats != nullptr ? &scratch.item_stats[i] : nullptr);
         const std::vector<Mask>& set = (*frames[f].mask_sets)[t];
@@ -411,10 +411,10 @@ void CimMlp::forward_reuse_window(const std::vector<ReuseFrame>& frames,
   // (chains never read each other's state):
   //  * few chains (one session's frame) — each chain runs
   //    start -> (diff -> delta -> finish)* as one work item, with no step
-  //    barriers, each delta a one-item MacroLike::matvec_delta_batch;
+  //    barriers, each delta a one-item CimMacro::matvec_delta_batch;
   //  * many chains (the fleet case) — chains advance step-synchronously:
   //    position 0 is one dispatch of start + finish; every later position
-  //    is one pooled differential batch (MacroLike::matvec_delta_batch)
+  //    is one pooled differential batch (CimMacro::matvec_delta_batch)
   //    over the chains with flips, then one dispatch of finish.
   constexpr std::size_t kStepSyncMinChains = 16;
   if (n_chains < kStepSyncMinChains) {

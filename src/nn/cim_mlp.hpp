@@ -1,14 +1,11 @@
 // MLP inference executed on simulated 8T-SRAM CIM macros (paper Fig. 3a).
 //
-// Each weight layer is programmed into one cimsram::MacroLike — a
-// monolithic CimMacro, or a ShardedMacro grid when the layer exceeds the
-// configured physical array bounds (CimMacroConfig::max_rows/max_cols);
-// the network code is identical either way. Biases, ReLU and the
-// inverted-dropout scaling stay digital (as in the paper's architecture,
-// where only the matrix products live in the array). Dropout masks map
-// onto the macro's physical ports: the input-site mask gates word lines
-// (CL AND), hidden-site masks gate both the producing layer's columns
-// (RL AND) and the consuming layer's word lines.
+// Each weight layer is programmed into one cimsram::CimMacro. Biases,
+// ReLU and the inverted-dropout scaling stay digital (as in the paper's
+// architecture, where only the matrix products live in the array).
+// Dropout masks map onto the macro's physical ports: the input-site mask
+// gates word lines (CL AND), hidden-site masks gate both the producing
+// layer's columns (RL AND) and the consuming layer's word lines.
 //
 // Compute reuse (paper Sec. III-C): consecutive MC-Dropout iterations
 // share the same input vector at the reuse locus, so
@@ -30,7 +27,6 @@
 #include <vector>
 
 #include "cimsram/cim_macro.hpp"
-#include "cimsram/sharded_macro.hpp"
 #include "core/rng.hpp"
 #include "core/thread_pool.hpp"
 #include "nn/mlp.hpp"
@@ -41,8 +37,7 @@ namespace cimnav::nn {
 /// CIM-executed snapshot of a trained Mlp.
 class CimMlp {
  public:
-  /// Programs one macro per layer (sharded when the layer exceeds the
-  /// config's physical bounds). Activation scales are calibrated by
+  /// Programs one macro per layer. Activation scales are calibrated by
   /// running the float reference (with representative dropout masks) on
   /// `calibration_inputs`.
   CimMlp(const Mlp& reference, const cimsram::CimMacroConfig& macro_config,
@@ -50,8 +45,8 @@ class CimMlp {
 
   /// Number of weight layers (= programmed macros).
   int layer_count() const { return static_cast<int>(macros_.size()); }
-  /// The macro executing `layer` (monolithic or sharded; throws on range).
-  const cimsram::MacroLike& macro(int layer) const;
+  /// The macro executing `layer` (throws on range).
+  const cimsram::CimMacro& macro(int layer) const;
 
   /// One frame of a multi-frame MC-Dropout window (forward_window): the
   /// frame's shared input, its per-iteration mask sets, and the root of
@@ -158,7 +153,7 @@ class CimMlp {
   /// bnn::mc_predict_cim_jobs, across sessions). Each refresh chain runs
   /// one chain-step kernel: a dense start (the hidden-site layer-0 read,
   /// then the locus accumulator), then per position a digital flip diff,
-  /// one differential delta read (a MacroLike::matvec_delta_batch item)
+  /// one differential delta read (a CimMacro::matvec_delta_batch item)
   /// netting the added rows against the removed rows, and the locus
   /// epilogue plus the dense tail layers. Below 16 chains each chain runs
   /// the kernel as one work item, issuing one-item delta batches; from 16
@@ -178,7 +173,7 @@ class CimMlp {
                             core::ThreadPool* pool,
                             ReuseScratch& scratch) const;
 
-  /// Aggregate macro activity (sum over layers and shards). Callers
+  /// Aggregate macro activity (sum over layers). Callers
   /// snapshot this around a pass and price the delta through
   /// energy::macro_stats_energy_j — the stage-B half of the closed
   /// loop's energy ledger (bnn::McWorkload carries the deltas; the
@@ -205,7 +200,7 @@ class CimMlp {
   void finish_layer(Vector& z, const Vector& bias, const Mask& col_mask,
                     bool hidden) const;
 
-  std::vector<std::unique_ptr<cimsram::MacroLike>> macros_;
+  std::vector<std::unique_ptr<cimsram::CimMacro>> macros_;
   std::vector<Vector> biases_;
   double keep_scale_ = 2.0;
   bool dropout_on_input_ = true;

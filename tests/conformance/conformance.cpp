@@ -47,8 +47,6 @@ std::vector<double> case_weights(const CaseSpec& c) {
 CimMacroConfig case_config(const CaseSpec& c, std::string_view backend_name) {
   CimMacroConfig cfg;
   cfg.backend = std::string(backend_name);
-  cfg.max_rows = c.geom.max_rows;
-  cfg.max_cols = c.geom.max_cols;
   switch (c.mode) {
     case NoiseMode::kIdeal:
       break;  // defaults; the ideal read ignores the noise model anyway
@@ -121,7 +119,7 @@ struct Checker {
 // per-sample streams make any partitioning bit-identical to the serial
 // loop.
 std::vector<std::vector<double>> read_batch(
-    const MacroLike& m, const std::vector<std::vector<double>>& xs,
+    const CimMacro& m, const std::vector<std::vector<double>>& xs,
     const std::vector<std::uint8_t>& im, const std::vector<std::uint8_t>& om,
     Rng* rng, core::ThreadPool* pool = nullptr) {
   const std::uint64_t root = rng != nullptr ? (*rng)() : 0;
@@ -141,7 +139,7 @@ std::vector<std::vector<double>> read_batch(
 }
 
 // One differential read: a one-item matvec_delta_batch.
-void delta_read(const MacroLike& m, const EncodedInput& enc,
+void delta_read(const CimMacro& m, const EncodedInput& enc,
                 const std::vector<std::size_t>& add,
                 const std::vector<std::size_t>& rem, Rng& rng,
                 std::vector<double>& y) {
@@ -181,16 +179,6 @@ CaseResult check_ideal(const CaseSpec& c) {
       make_case_input(c, 0, x, im, om);
       const auto yt = matvec(*test, x, im, om, nullptr);
       ck.expect_bitwise(yt, matvec(*ref, x, im, om, nullptr), "ideal/single");
-      if (c.geom.sharded()) {
-        // Shard-reduction identity: the grid must produce the monolithic
-        // macro's exact bits (scale-last integer reduction).
-        CaseSpec mono = c;
-        mono.geom.max_rows = 0;
-        mono.geom.max_cols = 0;
-        const auto mono_ref = make_case_macro(mono, "reference");
-        ck.expect_bitwise(yt, matvec(*mono_ref, x, im, om, nullptr),
-                          "ideal/shard-vs-monolithic");
-      }
       break;
     }
     case Dispatch::kBatch: {
@@ -437,7 +425,9 @@ CaseResult check_multijob(const CaseSpec& c) {
 
 // ---------------------------------------------------------------- delta
 
-bool mono_odd_rows(const CaseGeometry& g);
+// Tie-free geometry: an odd physical row count keeps every count off an
+// ADC half-code boundary (see the header).
+bool odd_rows(const CaseGeometry& g) { return (g.n_in % 2) == 1; }
 
 // Deterministic disjoint flip lists for a delta case: ~20% of rows flip
 // on, ~20% flip off, and rows 0 / n_in-1 anchor each side so neither
@@ -501,7 +491,7 @@ CaseResult check_delta(const CaseSpec& c) {
     test->matvec_encoded(enc_t, gate, no_mask, &r5, yb);
     ck.expect_bitwise(ya, yb, "delta/one-sided-vs-dense");
 
-    if (mono_odd_rows(c.geom)) {
+    if (odd_rows(c.geom)) {
       // Tie-free geometry: the deterministic delta read is bitwise
       // cross-backend, like the dense ADC-only tier.
       Rng r6(c.seed ^ 0x9b), r7(c.seed ^ 0x9d);
@@ -513,8 +503,7 @@ CaseResult check_delta(const CaseSpec& c) {
   }
 
   // kAnalog. First the batched-dispatch determinism contract: pooled
-  // matvec_delta_batch must produce the serial schedule's exact bits
-  // (this is where the shard-affine delta fan-out is gated).
+  // matvec_delta_batch must produce the serial schedule's exact bits.
   constexpr int kItems = 6;
   std::vector<std::vector<std::size_t>> adds(kItems), rems(kItems);
   for (int k = 0; k < kItems; ++k)
@@ -612,10 +601,6 @@ CaseResult check_delta(const CaseSpec& c) {
   return ck.result;
 }
 
-bool mono_odd_rows(const CaseGeometry& g) {
-  return !g.sharded() && (g.n_in % 2) == 1;
-}
-
 }  // namespace
 
 // -------------------------------------------------------------- strings
@@ -671,7 +656,6 @@ E parse_enum(std::string_view v, const std::vector<E>& all,
 std::string CaseSpec::repro() const {
   std::ostringstream os;
   os << "backend=" << backend << " geom=" << geom.n_in << "x" << geom.n_out
-     << " shard=" << geom.max_rows << "x" << geom.max_cols
      << " family=" << to_string(family) << " mode=" << to_string(mode)
      << " dispatch=" << to_string(dispatch) << " seed=0x" << std::hex
      << seed << std::dec << " tier=" << to_string(tier);
@@ -704,8 +688,6 @@ CaseSpec CaseSpec::parse_repro(std::string_view line) {
     } else if (key == "geom") {
       parse_pair(c.geom.n_in, c.geom.n_out);
       have_geom = true;
-    } else if (key == "shard") {
-      parse_pair(c.geom.max_rows, c.geom.max_cols);
     } else if (key == "family") {
       c.family = parse_enum(val, families(), "family");
     } else if (key == "mode") {
@@ -745,21 +727,19 @@ std::vector<InputFamily> families() {
 }
 
 std::vector<CaseGeometry> geometries(Tier tier) {
-  // Odd-row monolithic shapes double as the ADC-only bitwise geometries
-  // (tie-free, see the header). The two shard grids are the harness's
-  // standing ShardedMacro coverage: a 2x2 64x48 grid with ragged tails
-  // and a row-split-only 2x1 grid.
+  // Odd-row shapes double as the ADC-only bitwise geometries (tie-free,
+  // see the header).
   std::vector<CaseGeometry> g = {
-      {97, 24, 0, 0},     // monolithic, odd rows, two gate words
-      {149, 37, 0, 0},    // monolithic, odd + ragged third word
-      {128, 96, 64, 48},  // 2x2 shard grid
-      {150, 32, 64, 0},   // 3x1 row shards with a 22-row tail
+      {97, 24},   // odd rows, two gate words
+      {149, 37},  // odd + ragged third word
+      {128, 96},  // two full gate words
+      {150, 32},  // ragged third word (22 rows)
   };
   if (tier == Tier::kFull) {
-    g.push_back({256, 64, 0, 0});     // wide monolithic
-    g.push_back({257, 48, 0, 0});     // odd just past four words
-    g.push_back({192, 120, 64, 32});  // 3x4 shard grid
-    g.push_back({320, 128, 128, 64}); // bigger physical arrays
+    g.push_back({256, 64});   // four full gate words
+    g.push_back({257, 48});   // odd just past four words
+    g.push_back({192, 120});  // three full words, wide
+    g.push_back({320, 128});  // five full words, widest
   }
   return g;
 }
@@ -790,8 +770,8 @@ std::vector<CaseSpec> cases_for(std::string_view backend_name, Tier tier) {
                          Dispatch::kPooled, Dispatch::kMultiJob})
         push(g, f, NoiseMode::kIdeal, d);
       // ADC-only: deterministic noisy entry points, cross-backend
-      // bitwise — only on tie-free geometries (odd monolithic rows).
-      if (mono_odd_rows(g)) {
+      // bitwise — only on tie-free geometries (odd rows).
+      if (odd_rows(g)) {
         push(g, f, NoiseMode::kAdcOnly, Dispatch::kSingle);
         push(g, f, NoiseMode::kAdcOnly, Dispatch::kBatch);
       }
@@ -878,12 +858,13 @@ void make_case_input(const CaseSpec& c, std::uint64_t sample_id,
   }
 }
 
-std::unique_ptr<MacroLike> make_case_macro(const CaseSpec& c,
-                                           std::string_view backend_name) {
+std::unique_ptr<CimMacro> make_case_macro(const CaseSpec& c,
+                                          std::string_view backend_name) {
   CIMNAV_REQUIRE(c.geom.n_in > 0 && c.geom.n_out > 0,
                  "conformance case needs a positive geometry");
-  return make_macro(case_weights(c), c.geom.n_out, c.geom.n_in,
-                    case_config(c, backend_name), kInputScale);
+  return std::make_unique<CimMacro>(case_weights(c), c.geom.n_out,
+                                    c.geom.n_in, case_config(c, backend_name),
+                                    kInputScale);
 }
 
 // -------------------------------------------------------------- running

@@ -1,14 +1,13 @@
 // Backend conformance harness (the ggml test-backend-ops pattern): a
 // table-driven sweep of randomized op cases that EVERY registered compute
-// backend — and every ShardedMacro grid configuration — must pass against
-// the "reference" kernel. Registering a new backend (AVX-512 VPOPCNTDQ,
-// CUDA, ...) is a pure register_backend call: the case table is built
-// from backend_names() at runtime, so the new kernel inherits the whole
-// suite (test_backend_conformance.cpp next to this file) and the
-// bench_micro timing sweep rows with zero test code written. Built as the
-// cimnav_conformance library, which needs no GTest.
+// backend must pass against the "reference" kernel. Registering a new
+// backend (AVX-512 VPOPCNTDQ, CUDA, ...) is a pure register_backend call:
+// the case table is built from backend_names() at runtime, so the new
+// kernel inherits the whole suite (test_backend_conformance.cpp next to
+// this file) and the bench_micro timing sweep rows with zero test code
+// written. Built as the cimnav_conformance library, which needs no GTest.
 //
-// The harness drives only the MacroLike primitives: a batch is its own
+// The harness drives only the CimMacro primitives: a batch is its own
 // loop over matvec_encoded (sample s noisy reads draw from
 // Rng::stream(root, s)), run serially or as concurrent reads of one
 // shared macro over a ThreadPool; a delta read is a matvec_delta_batch.
@@ -16,8 +15,8 @@
 // Case axes (the cross product is pruned per noise mode, see the table
 // builder in conformance.cpp):
 //
-//   geometry   monolithic and sharded layer shapes, including ragged
-//              dims and 64-aligned row/column shard splits;
+//   geometry   layer shapes from one to five gate words, including odd
+//              row counts and ragged last words;
 //   input      dense / sparse+row-masked / extreme-magnitude (clamp
 //              paths) / bit-plane edge codes with column masks;
 //   noise mode ideal / ADC-only (analog_noise off, coarse ADC) /
@@ -29,10 +28,8 @@
 // Check tiers:
 //
 //   bitwise      the ideal path must be bit-identical across backends
-//                (exact integer reduction), sharded grids bit-identical
-//                to the monolithic macro, concurrent pooled reads and the
-//                pooled delta fan-out bit-identical to serial (the delta
-//                axis gates ShardedMacro's shard-affine reorder), and the
+//                (exact integer reduction), concurrent pooled reads and
+//                the pooled delta fan-out bit-identical to serial, and the
 //                deterministic ADC-only path bit-identical cross-backend
 //                on tie-free geometries (odd physical row counts — even
 //                row counts can land counts exactly on an ADC half-code
@@ -57,7 +54,7 @@
 #include <string_view>
 #include <vector>
 
-#include "cimsram/sharded_macro.hpp"
+#include "cimsram/cim_macro.hpp"
 
 namespace cimnav::cimsram::conformance {
 
@@ -92,15 +89,10 @@ enum class Dispatch {
 /// variable CIMNAV_CONFORMANCE_TIER=quick|full (default quick).
 enum class Tier { kQuick, kFull };
 
-/// Layer shape of a case. max_rows/max_cols are the make_macro physical
-/// bounds: 0/0 builds a monolithic CimMacro, otherwise a ShardedMacro
-/// grid (max_rows a multiple of 64).
+/// Layer shape of a case (rows x columns of one CimMacro).
 struct CaseGeometry {
   int n_in = 0;
   int n_out = 0;
-  int max_rows = 0;
-  int max_cols = 0;
-  bool sharded() const { return max_rows > 0 || max_cols > 0; }
 };
 
 /// One fully-specified conformance case.
@@ -114,7 +106,7 @@ struct CaseSpec {
   Tier tier = Tier::kQuick;
 
   /// Single-line self-contained repro, e.g.
-  ///   backend=bitsliced geom=149x37 shard=0x0 family=sparse mode=analog
+  ///   backend=bitsliced geom=149x37 family=sparse mode=analog
   ///   dispatch=batch seed=0x1f3 tier=quick
   std::string repro() const;
   /// Inverse of repro(); throws std::invalid_argument on malformed input.
@@ -129,8 +121,8 @@ const char* to_string(Tier t);
 /// All input families (the per-family ctest shards iterate this).
 std::vector<InputFamily> families();
 
-/// The geometry axis of a tier (quick: 4 shapes incl. two shard grids;
-/// full: adds larger monolithic and grid shapes).
+/// The geometry axis of a tier (quick: 4 shapes; full: adds 4 larger
+/// ones).
 std::vector<CaseGeometry> geometries(Tier tier);
 
 /// The pruned case table for one backend at one tier, and the per-family
@@ -163,9 +155,9 @@ void make_case_input(const CaseSpec& c, std::uint64_t sample_id,
                      std::vector<std::uint8_t>& in_mask,
                      std::vector<std::uint8_t>& out_mask);
 
-/// Builds the case's macro (make_macro under the case geometry) with the
-/// given backend name ("reference" for the baseline side).
-std::unique_ptr<MacroLike> make_case_macro(const CaseSpec& c,
-                                           std::string_view backend_name);
+/// Builds the case's macro under the case geometry with the given
+/// backend name ("reference" for the baseline side).
+std::unique_ptr<CimMacro> make_case_macro(const CaseSpec& c,
+                                          std::string_view backend_name);
 
 }  // namespace cimnav::cimsram::conformance

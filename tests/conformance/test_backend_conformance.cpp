@@ -5,8 +5,8 @@
 // of the suite with no test code written.
 //
 // The binary also accepts
-//   --repro="backend=... geom=... shard=... family=... mode=... \
-//            dispatch=... seed=0x... tier=..."
+//   --repro="backend=... geom=... family=... mode=... dispatch=... \
+//            seed=0x... tier=..."
 // (the single-line repro printed by a failing check) to re-run exactly
 // one case and exit 0/1 — bypassing gtest entirely.
 #include <cctype>
@@ -74,14 +74,10 @@ INSTANTIATE_TEST_SUITE_P(Backends, ConformanceSweep,
 
 // -------------------------------------------------------- case table
 
-TEST(ConformanceTable, CoversEveryBackendShardGridsAndAllAxes) {
+TEST(ConformanceTable, CoversEveryBackendGeometryAndAllAxes) {
   const auto names = cimnav::cimsram::backend_names();
   ASSERT_FALSE(names.empty());
   EXPECT_EQ(names.front(), "reference");
-  int sharded_geoms = 0;
-  for (const auto& g : conf::geometries(conf::Tier::kQuick))
-    if (g.sharded()) ++sharded_geoms;
-  EXPECT_GE(sharded_geoms, 2);
   for (const auto& b : names) {
     const auto cases = conf::cases_for(b, conf::Tier::kQuick);
     ASSERT_FALSE(cases.empty()) << b;
@@ -92,7 +88,7 @@ TEST(ConformanceTable, CoversEveryBackendShardGridsAndAllAxes) {
       fams.insert(static_cast<int>(c.family));
       modes.insert(static_cast<int>(c.mode));
       dispatches.insert(static_cast<int>(c.dispatch));
-      geoms.insert({c.geom.n_in, c.geom.max_rows});
+      geoms.insert({c.geom.n_in, c.geom.n_out});
     }
     EXPECT_EQ(fams.size(), 4u) << b;
     EXPECT_EQ(modes.size(), 3u) << b;
@@ -107,8 +103,6 @@ TEST(ConformanceTable, ReproRoundTripsEveryCase) {
     EXPECT_EQ(back.backend, c.backend);
     EXPECT_EQ(back.geom.n_in, c.geom.n_in);
     EXPECT_EQ(back.geom.n_out, c.geom.n_out);
-    EXPECT_EQ(back.geom.max_rows, c.geom.max_rows);
-    EXPECT_EQ(back.geom.max_cols, c.geom.max_cols);
     EXPECT_EQ(back.family, c.family);
     EXPECT_EQ(back.mode, c.mode);
     EXPECT_EQ(back.dispatch, c.dispatch);
@@ -116,6 +110,10 @@ TEST(ConformanceTable, ReproRoundTripsEveryCase) {
     EXPECT_EQ(back.tier, c.tier);
   }
   EXPECT_THROW(conf::CaseSpec::parse_repro("backend=reference"),
+               std::invalid_argument);
+  // Geometry is rows x columns of one macro; there is no shard field.
+  EXPECT_THROW(conf::CaseSpec::parse_repro(
+                   "backend=reference geom=97x24 shard=0x0 seed=0x1"),
                std::invalid_argument);
   EXPECT_THROW(
       conf::CaseSpec::parse_repro(

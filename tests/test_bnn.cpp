@@ -431,7 +431,7 @@ Vector serial_item_forward(const nn::Mlp& net, const nn::CimMlp& cim,
   for (int l = 0; l < cim.layer_count(); ++l) {
     const bool hidden = l + 1 < cim.layer_count();
     const Mask& cols = hidden ? set[site] : none;
-    const cimsram::MacroLike& macro = cim.macro(l);
+    const cimsram::CimMacro& macro = cim.macro(l);
     macro.encode_input(a, enc);
     cimsram::pack_row_mask(*rows, macro.n_in(), gate);
     macro.matvec_encoded(enc, gate, cols, &rng, z);

@@ -1,20 +1,17 @@
-// Unit tests for the SRAM-embedded RNG and the 8T CIM macro: gate packing,
-// the macro itself (parameterized over every registered compute backend),
-// and the sharded macro grid. Cross-backend and sharded-vs-monolithic
-// equivalence (bitwise + statistical) lives in the conformance harness —
-// tests/conformance/ sweeps every registered backend over randomized
-// geometry/input/noise/dispatch cases, so hand-written equivalence tests
-// do not belong here anymore.
+// Unit tests for the SRAM-embedded RNG and the 8T CIM macro: gate packing
+// and the macro itself (parameterized over every registered compute
+// backend). Cross-backend equivalence (bitwise + statistical) lives in the
+// conformance harness — tests/conformance/ sweeps every registered backend
+// over randomized geometry/input/noise/dispatch cases, so hand-written
+// equivalence tests do not belong here anymore.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
-#include <memory>
 #include <string>
 
 #include "cimsram/backend.hpp"
 #include "cimsram/cim_macro.hpp"
-#include "cimsram/sharded_macro.hpp"
 #include "cimsram/sram_rng.hpp"
 #include "core/rng.hpp"
 #include "conformance/stat_tolerances.hpp"
@@ -356,6 +353,9 @@ TEST_P(CimMacroTest, StatsTrackActivity) {
   EXPECT_EQ(s.wordline_pulses, 24u * 16u);
   EXPECT_EQ(s.adc_conversions, 24u * 8u);
   EXPECT_EQ(s.nominal_macs, static_cast<std::uint64_t>(n_in) * n_out);
+  // Every pulse drives the full array width, masked columns included.
+  EXPECT_EQ(s.wordline_col_drives,
+            s.wordline_pulses * static_cast<std::uint64_t>(n_out));
 
   // Masked call counts only active rows/cols.
   std::vector<std::uint8_t> in_mask(static_cast<std::size_t>(n_in), 1);
@@ -364,13 +364,40 @@ TEST_P(CimMacroTest, StatsTrackActivity) {
   out_mask[7] = 0;
   macro.reset_stats();
   matvec(macro, x, in_mask, out_mask, &rng);
-  EXPECT_EQ(macro.stats().wordline_pulses, 24u * 14u);
-  EXPECT_EQ(macro.stats().adc_conversions, 24u * 7u);
+  const auto m = macro.stats();
+  EXPECT_EQ(m.wordline_pulses, 24u * 14u);
+  EXPECT_EQ(m.adc_conversions, 24u * 7u);
+  EXPECT_EQ(m.wordline_col_drives,
+            m.wordline_pulses * static_cast<std::uint64_t>(n_out));
+
+  // Aggregation operators: snapshot sums and deltas.
+  const auto sum = s + m;
+  EXPECT_EQ(sum.adc_conversions, s.adc_conversions + m.adc_conversions);
+  EXPECT_EQ(sum.wordline_col_drives,
+            s.wordline_col_drives + m.wordline_col_drives);
+  const auto delta = s - m;  // one column fewer converted per cycle
+  EXPECT_EQ(delta.adc_conversions, 24u);
 }
 
 TEST_P(CimMacroTest, RejectsBadArguments) {
   CimMacroConfig cfg = base_config();
   EXPECT_THROW(CimMacro({1.0}, 1, 2, cfg, 1.0), std::invalid_argument);
+  // Bit widths are checked before the constructor derives the weight grid
+  // from 1 << (weight_bits - 1) (a negative shift at weight_bits = 0).
+  const auto w = random_weights(16, 16, 251);
+  for (const int bits : {0, 13}) {
+    CimMacroConfig bad = cfg;
+    bad.weight_bits = bits;
+    EXPECT_THROW(CimMacro(w, 16, 16, bad, 1.0), std::invalid_argument)
+        << "weight_bits=" << bits;
+  }
+  CimMacroConfig bad_input = cfg;
+  bad_input.input_bits = 0;
+  EXPECT_THROW(CimMacro(w, 16, 16, bad_input, 1.0), std::invalid_argument);
+  CimMacroConfig bad_adc = cfg;
+  bad_adc.adc_bits = 17;
+  EXPECT_THROW(CimMacro(w, 16, 16, bad_adc, 1.0), std::invalid_argument);
+  EXPECT_THROW(CimMacro(w, 16, 16, cfg, 0.0), std::invalid_argument);
   const CimMacro macro({0.5, -0.5}, 1, 2, cfg, 1.0);
   Rng rng(61);
   EXPECT_THROW(matvec(macro, {1.0}, {}, {}, &rng), std::invalid_argument);
@@ -449,9 +476,8 @@ TEST(PackRowMask, WrongSizeThrows) {
 // ---------------------------------------------------------------------------
 // Backend registry.
 //
-// Cross-backend equivalence (ideal bitwise, noisy statistical), the
-// sharded-vs-monolithic bit-identity and the pooled thread-count
-// invariance all moved into the conformance sweep: run
+// Cross-backend equivalence (ideal bitwise, noisy statistical) and the
+// pooled thread-count invariance live in the conformance sweep: run
 //   ctest -R conformance
 // or tests/conformance/test_backend_conformance directly.
 // ---------------------------------------------------------------------------
@@ -464,87 +490,6 @@ TEST(BackendRegistry, KnownNamesResolveAndUnknownThrows) {
   const auto names = backend_names();
   ASSERT_GE(names.size(), 2u);
   EXPECT_EQ(names[0], "reference");
-}
-
-// ---------------------------------------------------------------------------
-// Sharded macro grid (accounting + factory; equivalence is in conformance).
-// ---------------------------------------------------------------------------
-
-TEST(ShardedMacro, StatsCountPerShardPhysicalOps) {
-  // A column crossing two row shards pays two ADC conversions per cycle;
-  // word lines split per shard array.
-  const int n = 128;
-  const auto w = random_weights(n, n, 231);
-  CimMacroConfig mono_cfg;
-  mono_cfg.input_bits = 4;
-  mono_cfg.weight_bits = 4;
-  CimMacroConfig shard_cfg = mono_cfg;
-  shard_cfg.max_rows = 64;
-  shard_cfg.max_cols = 64;
-  const CimMacro mono(w, n, n, mono_cfg, 1.0 / 15.0);
-  const ShardedMacro grid(w, n, n, shard_cfg, 1.0 / 15.0);
-  const auto x = random_input(n, 233);
-  Rng r1(7), r2(7);
-  matvec(mono, x, {}, {}, &r1);
-  matvec(grid, x, {}, {}, &r2);
-  const auto ms = mono.stats();
-  const auto gs = grid.stats();
-  EXPECT_EQ(gs.adc_conversions, 2u * ms.adc_conversions);
-  EXPECT_EQ(gs.wordline_pulses, 2u * ms.wordline_pulses);
-  EXPECT_EQ(gs.nominal_macs, ms.nominal_macs);
-  EXPECT_EQ(gs.matvec_calls, 4u);
-
-  // Aggregation operators: snapshot sums and deltas.
-  const auto sum = ms + gs;
-  EXPECT_EQ(sum.adc_conversions, ms.adc_conversions + gs.adc_conversions);
-  const auto delta = gs - ms;
-  EXPECT_EQ(delta.adc_conversions, ms.adc_conversions);
-}
-
-TEST(ShardedMacro, FactoryAndValidation) {
-  const auto w = random_weights(70, 128, 241);
-  CimMacroConfig cfg;
-  cfg.max_rows = 64;
-  cfg.max_cols = 64;
-  const auto sharded = make_macro(w, 70, 128, cfg, 1.0 / 63.0);
-  EXPECT_NE(dynamic_cast<const ShardedMacro*>(sharded.get()), nullptr);
-
-  CimMacroConfig fits;
-  fits.max_rows = 128;
-  fits.max_cols = 128;
-  const auto mono = make_macro(w, 70, 128, fits, 1.0 / 63.0);
-  EXPECT_NE(dynamic_cast<const CimMacro*>(mono.get()), nullptr);
-
-  CimMacroConfig unaligned;
-  unaligned.max_rows = 100;  // not a multiple of 64
-  unaligned.max_cols = 64;
-  EXPECT_THROW(ShardedMacro(w, 70, 128, unaligned, 1.0 / 63.0),
-               std::invalid_argument);
-}
-
-TEST(ShardedMacro, RejectsBadBitWidthsBeforeBuildingTheGrid) {
-  // Regression: the grid constructor derived the weight grid from
-  // 1 << (weight_bits - 1) before any shard validated the width, so
-  // weight_bits = 0 shifted by a negative exponent (UB).
-  const auto w = random_weights(16, 16, 251);
-  for (const int bits : {0, 13}) {
-    CimMacroConfig cfg;
-    cfg.weight_bits = bits;
-    cfg.max_cols = 8;
-    EXPECT_THROW(make_macro(w, 16, 16, cfg, 1.0), std::invalid_argument)
-        << "weight_bits=" << bits;
-  }
-  CimMacroConfig bad_input;
-  bad_input.input_bits = 0;
-  bad_input.max_cols = 8;
-  EXPECT_THROW(make_macro(w, 16, 16, bad_input, 1.0), std::invalid_argument);
-  CimMacroConfig bad_adc;
-  bad_adc.adc_bits = 17;
-  bad_adc.max_cols = 8;
-  EXPECT_THROW(make_macro(w, 16, 16, bad_adc, 1.0), std::invalid_argument);
-  CimMacroConfig ok;
-  ok.max_cols = 8;
-  EXPECT_THROW(make_macro(w, 16, 16, ok, 0.0), std::invalid_argument);
 }
 
 }  // namespace

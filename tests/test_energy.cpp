@@ -3,11 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <vector>
 
 #include "cimsram/cim_macro.hpp"
-#include "cimsram/sharded_macro.hpp"
-#include "core/rng.hpp"
 #include "energy/likelihood_energy.hpp"
 #include "energy/macro_energy.hpp"
 #include "energy/tech.hpp"
@@ -153,7 +150,7 @@ TEST(MacroEnergy, StatsEnergyMatchesLayerModelOnEquivalentActivity) {
 }
 
 TEST(MacroEnergy, WordlineEnergyScalesWithDrivenColumnSpan) {
-  // A pulse on a 64-column shard drives half the wire of a pulse on the
+  // A pulse on a 64-column macro drives half the wire of a pulse on the
   // 128-column reference array, so it must cost half the word-line
   // energy. ADC activity is zeroed to isolate the word-line term.
   const SramCim16nm tech;
@@ -172,35 +169,6 @@ TEST(MacroEnergy, WordlineEnergyScalesWithDrivenColumnSpan) {
   cimsram::MacroStats flat;
   flat.wordline_pulses = 1000;
   EXPECT_DOUBLE_EQ(macro_stats_energy_j(flat, 6), 1000.0 * tech.wordline_j);
-}
-
-TEST(MacroEnergy, ShardedGridMeasuresCheaperWordlinesThanFlatPricing) {
-  // A 128x128 layer split into 64x64 shards duplicates word-line pulses
-  // across the two column shards, but each pulse drives half the wire:
-  // span pricing must charge the grid the same word-line energy as the
-  // monolithic array, where flat pricing over-charged it 2x.
-  core::Rng rng(77);
-  const int n = 128;
-  std::vector<double> w(static_cast<std::size_t>(n) *
-                        static_cast<std::size_t>(n));
-  for (auto& v : w) v = rng.normal(0.0, 0.3);
-  cimsram::CimMacroConfig mono_cfg;
-  mono_cfg.input_bits = 4;
-  mono_cfg.weight_bits = 4;
-  cimsram::CimMacroConfig shard_cfg = mono_cfg;
-  shard_cfg.max_rows = 64;
-  shard_cfg.max_cols = 64;
-  const auto mono = cimsram::make_macro(w, n, n, mono_cfg, 1.0 / 15.0);
-  const auto grid = cimsram::make_macro(w, n, n, shard_cfg, 1.0 / 15.0);
-  std::vector<double> x(static_cast<std::size_t>(n));
-  for (auto& v : x) v = rng.uniform();
-  core::Rng arng(78);
-  cimsram::matvec(*mono, x, {}, {}, &arng);
-  cimsram::matvec(*grid, x, {}, {}, &arng);
-  const auto ms = mono->stats();
-  const auto gs = grid->stats();
-  EXPECT_EQ(gs.wordline_pulses, 2u * ms.wordline_pulses);
-  EXPECT_EQ(gs.wordline_col_drives, ms.wordline_col_drives);
 }
 
 TEST(MacroEnergy, RejectsBadWorkloads) {

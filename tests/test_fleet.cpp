@@ -1,9 +1,10 @@
 // Tests for the multi-tenant fleet engine: the hard determinism contract
 // (every session bit-identical to its serial vo::run_odometry_loop at
 // any session count, pool size and fleet window), submission-queue
-// stress, mid-run admission/retirement, handle semantics, KLD-adaptive
-// cloud sizing through the fleet, and the zero-steady-state-allocation
-// guarantee of the admit -> run -> retire cycle.
+// stress, mid-run admission/retirement, handle semantics, a session whose
+// setup throws at admission, KLD-adaptive cloud sizing through the fleet,
+// and the zero-steady-state-allocation guarantee of the admit -> run ->
+// retire cycle.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "autonomy/update_policy.hpp"
 #include "core/mpsc_queue.hpp"
 #include "core/thread_pool.hpp"
 #include "fleet/fleet_engine.hpp"
@@ -570,6 +572,67 @@ TEST_F(FleetTest, SpecsThatWouldThrowMidFlightAreRejectedAtSubmit) {
   expect_same_runs(ref, healthy.wait());
   EXPECT_EQ(engine.stats().sessions_admitted, 1u);
   EXPECT_EQ(engine.stats().sessions_completed, 1u);
+}
+
+TEST_F(FleetTest, SetupThrowAtAdmissionFailsOnlyThatSession) {
+  // A policy whose factory throws passes submit-time validation (the name
+  // is registered) and only fails inside tick(), when admission builds
+  // the session. That session alone must fail: run_until_idle returns,
+  // its handle publishes the error, the co-tenant's run matches its
+  // serial run bit for bit, and the failed state index recycles.
+  autonomy::register_policy(
+      "throws_at_setup", "test policy whose factory throws",
+      [](const autonomy::PolicyConfig&)
+          -> std::unique_ptr<autonomy::UpdatePolicy> {
+        throw std::runtime_error("policy setup failed");
+      });
+  const auto ref = vo::run_odometry_loop(*scenario_, *vo_, *net_, *model_,
+                                         small_config(130));
+  fleet::FleetConfig fcfg;
+  fcfg.window = 3;
+  fcfg.max_sessions = 2;
+  fcfg.queue_capacity = 2;
+  fleet::FleetEngine engine(fcfg);
+  const std::size_t w = engine.add_workload(*scenario_, *vo_, *net_,
+                                            *model_);
+  fleet::SessionSpec good;
+  good.workload = w;
+  good.loop = small_config(130);
+  fleet::SessionSpec bad = good;
+  bad.loop.policy = "throws_at_setup";
+
+  fleet::SessionHandle failed = engine.try_submit(bad);
+  fleet::SessionHandle healthy = engine.try_submit(good);
+  ASSERT_TRUE(failed.valid());
+  ASSERT_TRUE(healthy.valid());
+  ASSERT_NO_THROW(engine.run_until_idle());
+  EXPECT_TRUE(engine.idle());
+  ASSERT_TRUE(failed.poll());
+  EXPECT_THROW(failed.wait(), std::runtime_error);
+  ASSERT_TRUE(healthy.poll());
+  expect_same_runs(ref, healthy.wait());
+  EXPECT_EQ(engine.stats().sessions_admitted, 1u);
+  EXPECT_EQ(engine.stats().sessions_completed, 1u);
+  failed.reset();
+  healthy.reset();
+
+  // Every state slot is free again: max_sessions submissions fill the
+  // slots, queue_capacity more fill the queue, and all of them complete.
+  std::vector<fleet::SessionHandle> more;
+  for (std::size_t i = 0; i < fcfg.max_sessions; ++i) {
+    more.push_back(engine.try_submit(good));
+    ASSERT_TRUE(more.back().valid()) << "slot submission " << i;
+  }
+  engine.tick();  // admits them, freeing the queue
+  for (std::size_t i = 0; i < fcfg.queue_capacity; ++i) {
+    more.push_back(engine.try_submit(good));
+    ASSERT_TRUE(more.back().valid()) << "queued submission " << i;
+  }
+  engine.run_until_idle();
+  for (const fleet::SessionHandle& h : more) {
+    ASSERT_TRUE(h.poll());
+    expect_same_runs(ref, h.wait());
+  }
 }
 
 TEST_F(FleetTest, SteadyStateAdmitRunRetireIsAllocationFree) {

@@ -324,55 +324,6 @@ TEST(CimMlpInputDropout, ReuseEquivalenceWithInputSite) {
       EXPECT_NEAR(reused[t][k], dense[t][k], 1e-6);
 }
 
-TEST(CimMlpSharded, ShardedLayersMatchMonolithicNoiseFree) {
-  // A network whose first layer exceeds 64x64 runs on a ShardedMacro grid
-  // behind the same CimMlp code path. With analog noise off and a
-  // lossless ADC the only difference is the per-shard ADC range, so the
-  // two executions must agree tightly (and reuse must still hold).
-  Rng rng(113);
-  MlpConfig cfg;
-  cfg.layer_sizes = {80, 72, 3};
-  cfg.dropout_p = 0.4;
-  cfg.dropout_on_input = false;
-  Mlp net(cfg, rng);
-  std::vector<Vector> calib;
-  for (int i = 0; i < 12; ++i) {
-    Vector v(80);
-    for (auto& e : v) e = rng.uniform();
-    calib.push_back(std::move(v));
-  }
-  cimsram::CimMacroConfig mono;
-  mono.input_bits = 8;
-  mono.weight_bits = 8;
-  mono.adc_bits = 14;
-  mono.analog_noise = false;
-  cimsram::CimMacroConfig sharded = mono;
-  sharded.max_rows = 64;
-  sharded.max_cols = 64;
-  Rng c1(127), c2(127);
-  const CimMlp cim_mono(net, mono, calib, c1);
-  const CimMlp cim_shard(net, sharded, calib, c2);
-  // Layer 0 is 72x80 -> a shard grid; layer 1 (3x72) splits row-wise too.
-  EXPECT_NE(dynamic_cast<const cimsram::ShardedMacro*>(&cim_shard.macro(0)),
-            nullptr);
-  EXPECT_NE(dynamic_cast<const cimsram::CimMacro*>(&cim_mono.macro(0)),
-            nullptr);
-
-  Rng mrng(131);
-  const auto sets = draw_sets(net, 6, 0.4, mrng);
-  const auto ym = window_frame(cim_mono, calib[0], sets, 137);
-  const auto ys = window_frame(cim_shard, calib[0], sets, 137);
-  const auto yr = reuse_frame(cim_shard, calib[0], sets, 137);
-  ASSERT_EQ(ym.size(), ys.size());
-  for (std::size_t t = 0; t < ym.size(); ++t) {
-    ASSERT_EQ(ym[t].size(), ys[t].size());
-    for (std::size_t k = 0; k < ym[t].size(); ++k) {
-      EXPECT_NEAR(ys[t][k], ym[t][k], 2e-2) << "iteration " << t;
-      EXPECT_NEAR(yr[t][k], ys[t][k], 2e-2) << "iteration " << t;
-    }
-  }
-}
-
 TEST(CimMlpNoise, AnalogNoiseAccumulatesAcrossReuse) {
   // With analog noise on, repeated delta updates drift relative to a
   // fresh dense evaluation — the trade-off the reuse ablation quantifies.

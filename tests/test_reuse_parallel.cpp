@@ -8,10 +8,9 @@
 // the chain-step kernel: hidden-site {4,16,8,2} (locus layer 1, one tail
 // layer), input-site {4,16,8,2} (locus layer 0, two tail layers),
 // hidden-site {4,16,2} (the locus is the output layer) and hidden-site
-// {80,72,3} on 64x64 physical arrays (a 2x2 shard grid under layer 0 and
-// a row-sharded locus, so delta reads run on a ShardedMacro with analog
-// noise on). The warmed pooled reuse path must run without touching the
-// heap (operator-new spy in this TU).
+// {80,72,3} (a two-word layer 0 and a locus whose delta reads span two
+// packed gate words, with analog noise on). The warmed pooled reuse path
+// must run without touching the heap (operator-new spy in this TU).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -56,13 +55,11 @@ using core::Rng;
 using core::ThreadPool;
 using nn::Vector;
 
-/// A network shape under test: layer widths (>= 4 inputs, >= 2 outputs),
-/// the dropout site and the physical array bounds of every layer.
+/// A network shape under test: layer widths (>= 4 inputs, >= 2 outputs)
+/// and the dropout site.
 struct NetShape {
   std::vector<int> layer_sizes;
   bool dropout_on_input = false;
-  int max_rows = 0;  ///< make_macro shard bounds (0 = unbounded)
-  int max_cols = 0;
 };
 
 class ReuseParallelFixture : public ::testing::TestWithParam<NetShape> {
@@ -87,8 +84,6 @@ class ReuseParallelFixture : public ::testing::TestWithParam<NetShape> {
     for (int i = 0; i < 20; ++i) calib.push_back(random_input(crng));
     cimsram::CimMacroConfig mc;  // analog noise ON: bit-identity is the
                                  // strong claim on the noisy path
-    mc.max_rows = GetParam().max_rows;
-    mc.max_cols = GetParam().max_cols;
     Rng nrng(17);
     cim_ = std::make_unique<nn::CimMlp>(net_, mc, calib, nrng);
   }
@@ -326,14 +321,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(NetShape{{4, 16, 8, 2}, false},
                       NetShape{{4, 16, 8, 2}, true},
                       NetShape{{4, 16, 2}, false},
-                      NetShape{{80, 72, 3}, false, 64, 64}),
+                      NetShape{{80, 72, 3}, false}),
     [](const ::testing::TestParamInfo<NetShape>& info) {
       std::string name = info.param.dropout_on_input ? "input" : "hidden";
       for (const int width : info.param.layer_sizes)
         name += "_" + std::to_string(width);
-      if (info.param.max_rows > 0 || info.param.max_cols > 0)
-        name += "_shard" + std::to_string(info.param.max_rows) + "x" +
-                std::to_string(info.param.max_cols);
       return name;
     });
 

@@ -52,10 +52,13 @@ double InverterBranch::current(double v_in) const {
   return (i_n * i_p) / (i_n + i_p);
 }
 
-void InverterBranch::invalidate_cache() { cache_valid_ = false; }
+void InverterBranch::invalidate_cache() {
+  center_valid_ = false;
+  sigma_valid_ = false;
+}
 
-void InverterBranch::refresh_cache() const {
-  if (cache_valid_) return;
+void InverterBranch::refresh_center() const {
+  if (center_valid_) return;
   // Golden-section search for the unimodal bump maximum on [0, VDD].
   constexpr double kGolden = 0.6180339887498949;
   double a = 0.0, b = supply_.vdd_v;
@@ -79,13 +82,22 @@ void InverterBranch::refresh_cache() const {
   }
   cached_center_ = 0.5 * (a + b);
   cached_peak_ = current(cached_center_);
+  center_valid_ = true;
+}
 
+void InverterBranch::refresh_sigma() const {
+  if (sigma_valid_) return;
+  refresh_center();
   // Half-width at exp(-1/2) of the peak, averaged over both sides.
   const double target = cached_peak_ * std::exp(-0.5);
   auto crossing = [&](double lo, double hi) {
     // current(lo) >= target >= current(hi) along the walk direction.
     for (int it = 0; it < 100; ++it) {
       const double mid = 0.5 * (lo + hi);
+      // Once the midpoint rounds onto an end, no later step can move it:
+      // either the bracket stays put or it collapses onto that end, and
+      // both leave 0.5 * (lo + hi) == mid for every remaining step.
+      if (mid == lo || mid == hi) return mid;
       if (current(mid) > target)
         lo = mid;
       else
@@ -99,21 +111,21 @@ void InverterBranch::refresh_cache() const {
   double left = 0.0;
   if (current(0.0) < target) left = crossing(cached_center_, 0.0);
   cached_sigma_ = 0.5 * ((right - cached_center_) + (cached_center_ - left));
-  cache_valid_ = true;
+  sigma_valid_ = true;
 }
 
 double InverterBranch::center() const {
-  refresh_cache();
+  refresh_center();
   return cached_center_;
 }
 
 double InverterBranch::sigma() const {
-  refresh_cache();
+  refresh_sigma();
   return cached_sigma_;
 }
 
 double InverterBranch::peak_current() const {
-  refresh_cache();
+  refresh_center();
   return cached_peak_;
 }
 
@@ -167,11 +179,6 @@ InverterProgrammer::Programming InverterProgrammer::solve(
   const double s_lo = -0.25, s_hi = 0.48;
   const double d_lo = -0.6, d_hi = 0.6;
 
-  auto measure = [&](double s, double d) {
-    scratch.program(s + d, s - d);
-    return std::pair<double, double>(scratch.center(), scratch.sigma());
-  };
-
   double s = 0.0, d = 0.0;
   for (int round = 0; round < 4; ++round) {
     // Center is monotonically increasing in d (raising VT_n and lowering
@@ -179,7 +186,9 @@ InverterProgrammer::Programming InverterProgrammer::solve(
     double lo = d_lo, hi = d_hi;
     for (int it = 0; it < 48; ++it) {
       const double mid = 0.5 * (lo + hi);
-      if (measure(s, mid).first < center_v)
+      scratch.program(s + mid, s - mid);
+      // center() alone skips the half-width search sigma() adds.
+      if (scratch.center() < center_v)
         lo = mid;
       else
         hi = mid;
@@ -192,7 +201,8 @@ InverterProgrammer::Programming InverterProgrammer::solve(
     hi = s_hi;
     for (int it = 0; it < 48; ++it) {
       const double mid = 0.5 * (lo + hi);
-      if (measure(mid, d).second > sigma_v)
+      scratch.program(mid + d, mid - d);
+      if (scratch.sigma() > sigma_v)
         lo = mid;
       else
         hi = mid;
@@ -203,9 +213,9 @@ InverterProgrammer::Programming InverterProgrammer::solve(
   Programming p;
   p.delta_vt_n_v = s + d;
   p.delta_vt_p_v = s - d;
-  const auto [c, sg] = measure(s, d);
-  p.achieved_center_v = c;
-  p.achieved_sigma_v = sg;
+  scratch.program(p.delta_vt_n_v, p.delta_vt_p_v);
+  p.achieved_center_v = scratch.center();
+  p.achieved_sigma_v = scratch.sigma();
   return p;
 }
 

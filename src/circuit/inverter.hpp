@@ -66,7 +66,11 @@ class InverterBranch {
 
  private:
   void invalidate_cache();
-  void refresh_cache() const;
+  // Center and peak come from one golden-section search; sigma adds two
+  // half-width bisections on top, so readers of center() or
+  // peak_current() alone never pay for them.
+  void refresh_center() const;
+  void refresh_sigma() const;
 
   Mosfet nmos_;
   Mosfet pmos_;
@@ -76,7 +80,8 @@ class InverterBranch {
   double programmed_n_v_ = 0.0;
   double programmed_p_v_ = 0.0;
 
-  mutable bool cache_valid_ = false;
+  mutable bool center_valid_ = false;
+  mutable bool sigma_valid_ = false;
   mutable double cached_center_ = 0.0;
   mutable double cached_sigma_ = 0.0;
   mutable double cached_peak_ = 0.0;

@@ -35,20 +35,4 @@ double Mosfet::drain_current(double v_gs) const {
   return params_.i_spec_a * params_.size_factor * soft * soft;
 }
 
-double Mosfet::gate_voltage_for_current(double i_a) const {
-  CIMNAV_REQUIRE(i_a > 0.0, "current must be positive");
-  double lo = effective_vt() - 1.5;  // deep subthreshold
-  double hi = effective_vt() + 3.0;  // far above threshold
-  // Expand upward if the requested current exceeds the bracket.
-  while (drain_current(hi) < i_a && hi < 100.0) hi *= 2.0;
-  for (int it = 0; it < 200; ++it) {
-    const double mid = 0.5 * (lo + hi);
-    if (drain_current(mid) < i_a)
-      lo = mid;
-    else
-      hi = mid;
-  }
-  return 0.5 * (lo + hi);
-}
-
 }  // namespace cimnav::circuit

@@ -1,9 +1,11 @@
 #include "filter/scenario.hpp"
 
 #include <cmath>
+#include <tuple>
 
 #include "core/error.hpp"
 #include "core/stats.hpp"
+#include "prob/gmm.hpp"
 
 namespace cimnav::filter {
 namespace {
@@ -12,6 +14,20 @@ constexpr double kPi = 3.14159265358979323846;
 
 map::Scene build_scene(const ScenarioConfig& cfg, core::Rng& rng) {
   return map::Scene::generate(cfg.scene, rng);
+}
+
+/// Co-design: constrains the HMGM fit to the bump widths the inverter
+/// array can actually realize, mapped into world units.
+prob::Hmgm fit_hmgm(const std::vector<core::Vec3>& cloud, int components,
+                    const map::WorldToVoltage& mapping, core::Rng rng) {
+  const circuit::InverterProgrammer programmer(circuit::MosfetParams{},
+                                               circuit::MosfetParams{},
+                                               circuit::SupplyParams{});
+  const auto [sig_min_v, sig_max_v] = programmer.sigma_range();
+  prob::MixtureFitOptions opt;
+  std::tie(opt.sigma_floor_axes, opt.sigma_ceiling_axes) =
+      map::world_sigma_bounds(mapping, sig_min_v, sig_max_v);
+  return prob::Hmgm::fit(cloud, components, rng, opt);
 }
 
 /// Body-frame controls replaying poses[i] -> poses[i+1] exactly.
@@ -214,6 +230,10 @@ Trajectory make_trajectory(TrajectoryKind kind, const map::Scene& scene,
 }
 
 LocalizationScenario::LocalizationScenario(const ScenarioConfig& config)
+    : LocalizationScenario(config, core::Rng(config.seed + 1)) {}
+
+LocalizationScenario::LocalizationScenario(const ScenarioConfig& config,
+                                           core::Rng map_rng)
     : config_(config),
       scene_([&] {
         core::Rng rng(config.seed);
@@ -221,21 +241,14 @@ LocalizationScenario::LocalizationScenario(const ScenarioConfig& config)
       }()),
       mapping_(scene_.interior_min() - core::Vec3{0.3, 0.3, 0.3},
                scene_.interior_max() + core::Vec3{0.3, 0.3, 0.3}, 0.1, 0.9),
-      maps_([&] {
-        core::Rng rng(config.seed + 1);
-        const auto cloud = scene_.sample_point_cloud(
-            config.map_cloud_points, config.map_cloud_noise_m, rng);
-        // Co-design: constrain the HMGM fit to the bump widths the
-        // inverter array can actually realize, mapped into world units.
-        const circuit::InverterProgrammer programmer(
-            circuit::MosfetParams{}, circuit::MosfetParams{},
-            circuit::SupplyParams{});
-        const auto [sig_min_v, sig_max_v] = programmer.sigma_range();
-        prob::MixtureFitOptions hmgm_opt;
-        std::tie(hmgm_opt.sigma_floor_axes, hmgm_opt.sigma_ceiling_axes) =
-            map::world_sigma_bounds(mapping_, sig_min_v, sig_max_v);
-        return map::fit_maps(cloud, config.mixture_components, rng, hmgm_opt);
-      }()) {
+      map_cloud_(scene_.sample_point_cloud(config.map_cloud_points,
+                                           config.map_cloud_noise_m,
+                                           map_rng)),
+      // Members initialize in declaration order: the GMM's stream is
+      // split first, then the HMGM's.
+      gmm_rng_(map_rng.split()),
+      hmgm_(fit_hmgm(map_cloud_, config.mixture_components, mapping_,
+                     map_rng.split())) {
   core::Rng rng(config.seed + 2);
   trajectory_ = make_trajectory(config_.trajectory, scene_,
                                 config.trajectory_steps, rng);
@@ -288,12 +301,15 @@ void LocalizationScenario::render_scan_into(std::size_t step,
 
 std::unique_ptr<MeasurementModel> LocalizationScenario::make_gmm_backend()
     const {
-  return std::make_unique<GmmLikelihood>(maps_.gmm, config_.likelihood_beta);
+  core::Rng rng = gmm_rng_;  // a copy: every call fits the same GMM
+  return std::make_unique<GmmLikelihood>(
+      prob::Gmm::fit(map_cloud_, config_.mixture_components, rng),
+      config_.likelihood_beta);
 }
 
 std::unique_ptr<MeasurementModel> LocalizationScenario::make_hmgm_backend()
     const {
-  return std::make_unique<HmgmLikelihood>(maps_.hmgm,
+  return std::make_unique<HmgmLikelihood>(hmgm_,
                                           config_.likelihood_beta);
 }
 
@@ -309,7 +325,7 @@ std::unique_ptr<MeasurementModel> LocalizationScenario::make_cim_backend(
   cfg.dac_bits = dac_bits;
   cfg.adc_bits = adc_bits;
   core::Rng rng(config_.seed + 3);
-  return std::make_unique<CimHmgmLikelihood>(maps_.hmgm, mapping_, cfg, rng,
+  return std::make_unique<CimHmgmLikelihood>(hmgm_, mapping_, cfg, rng,
                                              config_.likelihood_beta);
 }
 

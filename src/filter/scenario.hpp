@@ -16,6 +16,7 @@
 #include "filter/particle_filter.hpp"
 #include "map/map_model.hpp"
 #include "map/scene.hpp"
+#include "prob/hmg.hpp"
 #include "vision/depth.hpp"
 
 namespace cimnav::filter {
@@ -117,7 +118,11 @@ class LocalizationScenario {
   BackendRun run(const MeasurementModel& model, std::uint64_t run_seed,
                  bool global_init = false) const;
 
-  /// Backends constructed from this scenario's fitted maps.
+  /// Backends constructed from this scenario's maps. The HMGM (and so
+  /// the CIM array's programming) is fitted at construction. The digital
+  /// GMM baseline, which CIM flights never read, is fitted by each
+  /// make_gmm_backend call from the stored map cloud and a copy of its
+  /// rng stream, so every call returns the same model.
   std::unique_ptr<MeasurementModel> make_gmm_backend() const;
   std::unique_ptr<MeasurementModel> make_hmgm_backend() const;
   std::unique_ptr<MeasurementModel> make_cim_backend(int dac_bits,
@@ -126,7 +131,8 @@ class LocalizationScenario {
 
   const map::Scene& scene() const { return scene_; }
   const Trajectory& trajectory() const { return trajectory_; }
-  const map::FittedMaps& maps() const { return maps_; }
+  /// The hardware-constrained HMGM map the CIM array is programmed from.
+  const prob::Hmgm& hmgm() const { return hmgm_; }
   const ScenarioConfig& config() const { return config_; }
   /// Eagerly pre-rendered scans (empty when config().defer_scans).
   const std::vector<vision::DepthScan>& scans() const { return scans_; }
@@ -146,10 +152,16 @@ class LocalizationScenario {
   void render_scan_into(std::size_t step, vision::DepthScan& out) const;
 
  private:
+  // `map_rng` is the stream the map cloud is sampled from and the two
+  // mixture fits are split from.
+  LocalizationScenario(const ScenarioConfig& config, core::Rng map_rng);
+
   ScenarioConfig config_;
   map::Scene scene_;
   map::WorldToVoltage mapping_;
-  map::FittedMaps maps_;
+  std::vector<core::Vec3> map_cloud_;
+  core::Rng gmm_rng_;  ///< split before the HMGM's stream
+  prob::Hmgm hmgm_;
   Trajectory trajectory_;
   std::vector<vision::DepthScan> scans_;  ///< one per trajectory step
 };

@@ -49,16 +49,6 @@ std::vector<circuit::VoltageComponent> compile_hmgm(
   return out;
 }
 
-FittedMaps fit_maps(const std::vector<core::Vec3>& cloud, int components,
-                    core::Rng& rng,
-                    const prob::MixtureFitOptions& hmgm_options) {
-  core::Rng rng_gmm = rng.split();
-  core::Rng rng_hmgm = rng.split();
-  return FittedMaps{
-      prob::Gmm::fit(cloud, components, rng_gmm),
-      prob::Hmgm::fit(cloud, components, rng_hmgm, hmgm_options)};
-}
-
 std::pair<core::Vec3, core::Vec3> world_sigma_bounds(
     const WorldToVoltage& mapping, double sigma_min_v, double sigma_max_v) {
   CIMNAV_REQUIRE(sigma_min_v > 0.0 && sigma_max_v > sigma_min_v,

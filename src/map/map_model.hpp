@@ -12,7 +12,6 @@
 #include "circuit/array.hpp"
 #include "core/rng.hpp"
 #include "core/vec.hpp"
-#include "prob/gmm.hpp"
 #include "prob/hmg.hpp"
 
 namespace cimnav::map {
@@ -43,18 +42,6 @@ class WorldToVoltage {
 /// analog current stays proportional to the normalized density.
 std::vector<circuit::VoltageComponent> compile_hmgm(
     const prob::Hmgm& hmgm, const WorldToVoltage& mapping);
-
-/// Convenience bundle: one scene cloud fitted both ways (same seed stream),
-/// as used by the Fig. 2(e-h) comparison. The HMGM fit may carry hardware
-/// sigma constraints (co-design), the GMM baseline is unconstrained.
-struct FittedMaps {
-  prob::Gmm gmm;
-  prob::Hmgm hmgm;
-};
-
-FittedMaps fit_maps(const std::vector<core::Vec3>& cloud, int components,
-                    core::Rng& rng,
-                    const prob::MixtureFitOptions& hmgm_options = {});
 
 /// Maps the array's achievable bump-width window [sigma_min_v, sigma_max_v]
 /// back to per-axis world-unit bounds under the given mapping, for use as

@@ -39,19 +39,39 @@ class Matrix {
   const std::vector<double>& data() const { return data_; }
   std::vector<double>& data() { return data_; }
 
-  /// y = A x  (rows x cols) * (cols) -> (rows).
+  /// y = A x  (rows x cols) * (cols) -> (rows). Each row is one serial
+  /// column-order sum; four rows run interleaved, which overlaps their
+  /// independent add chains without changing any row's result.
   Vector matvec(const Vector& x) const {
     CIMNAV_REQUIRE(x.size() == static_cast<std::size_t>(cols_),
                    "matvec size mismatch");
-    Vector y(static_cast<std::size_t>(rows_), 0.0);
-    for (int r = 0; r < rows_; ++r) {
+    const auto rows = static_cast<std::size_t>(rows_);
+    const auto cols = static_cast<std::size_t>(cols_);
+    Vector y(rows, 0.0);
+    const double* xv = x.data();
+    std::size_t r = 0;
+    for (; r + 4 <= rows; r += 4) {
+      const double* a0 = data_.data() + r * cols;
+      const double* a1 = a0 + cols;
+      const double* a2 = a1 + cols;
+      const double* a3 = a2 + cols;
+      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+      for (std::size_t c = 0; c < cols; ++c) {
+        s0 += a0[c] * xv[c];
+        s1 += a1[c] * xv[c];
+        s2 += a2[c] * xv[c];
+        s3 += a3[c] * xv[c];
+      }
+      y[r] = s0;
+      y[r + 1] = s1;
+      y[r + 2] = s2;
+      y[r + 3] = s3;
+    }
+    for (; r < rows; ++r) {
+      const double* a = data_.data() + r * cols;
       double s = 0.0;
-      const std::size_t base =
-          static_cast<std::size_t>(r) * static_cast<std::size_t>(cols_);
-      for (int c = 0; c < cols_; ++c)
-        s += data_[base + static_cast<std::size_t>(c)] *
-             x[static_cast<std::size_t>(c)];
-      y[static_cast<std::size_t>(r)] = s;
+      for (std::size_t c = 0; c < cols; ++c) s += a[c] * xv[c];
+      y[r] = s;
     }
     return y;
   }

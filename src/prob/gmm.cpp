@@ -23,8 +23,10 @@ Gmm::Gmm(std::vector<GmmComponent> components)
 }
 
 double Gmm::log_pdf(const core::Vec3& p) const {
-  std::vector<double> terms;
-  terms.reserve(components_.size());
+  // Grow-only per-thread scratch: once warm, per-pixel likelihood loops
+  // (filter::GmmLikelihood) stay off the heap.
+  thread_local std::vector<double> terms;
+  terms.clear();
   for (const auto& c : components_) {
     if (c.weight <= 0.0) continue;
     terms.push_back(std::log(c.weight) + c.gaussian.log_pdf(p));
@@ -88,15 +90,19 @@ Gmm Gmm::fit(const std::vector<core::Vec3>& points, int k, core::Rng& rng,
   std::vector<std::vector<double>> resp(n, std::vector<double>(kk, 0.0));
   double prev_avg_ll = -std::numeric_limits<double>::infinity();
 
+  std::vector<DiagGaussian> gauss(kk);
+  std::vector<double> log_w(kk), logterm(kk);
   for (int iter = 0; iter < opt.max_iterations; ++iter) {
-    // E-step.
+    // E-step. Each component's Gaussian and log weight are fixed within
+    // the step, so they are built once per iteration, not per point.
+    for (std::size_t c = 0; c < kk; ++c) {
+      gauss[c] = DiagGaussian(mean[c], sigma[c]);
+      log_w[c] = std::log(std::max(weight[c], 1e-300));
+    }
     double total_ll = 0.0;
-    std::vector<double> logterm(kk);
     for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t c = 0; c < kk; ++c) {
-        const DiagGaussian g(mean[c], sigma[c]);
-        logterm[c] = std::log(std::max(weight[c], 1e-300)) + g.log_pdf(points[i]);
-      }
+      for (std::size_t c = 0; c < kk; ++c)
+        logterm[c] = log_w[c] + gauss[c].log_pdf(points[i]);
       const double lse = log_sum_exp(logterm);
       total_ll += lse;
       for (std::size_t c = 0; c < kk; ++c)

@@ -1,6 +1,7 @@
 #include "prob/hmg.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -59,13 +60,22 @@ double hmg_log_kernel(const core::Vec3& p, const core::Vec3& mu,
                       const core::Vec3& sigma) {
   CIMNAV_REQUIRE(sigma.x > 0.0 && sigma.y > 0.0 && sigma.z > 0.0,
                  "HMG sigmas must be positive");
-  // log K = -logsumexp(u_d^2 / 2).
-  std::vector<double> e(3);
+  // log K = -logsumexp(u_d^2 / 2), reduced on the stack exactly as
+  // log_sum_exp does: first maximum m, the same non-finite early return,
+  // then exp(e_d - m) summed in axis order. The maximum's own term is
+  // exp(0) == 1 exactly, so it is added without the call.
+  std::array<double, 3> e{};
   for (int d = 0; d < 3; ++d) {
     const double ud = (p[d] - mu[d]) / sigma[d];
     e[static_cast<std::size_t>(d)] = 0.5 * ud * ud;
   }
-  return -log_sum_exp(e);
+  const auto top = std::max_element(e.begin(), e.end());
+  const double m = *top;
+  if (!std::isfinite(m)) return -m;
+  double s = 0.0;
+  for (auto it = e.begin(); it != e.end(); ++it)
+    s += it == top ? 1.0 : std::exp(*it - m);
+  return -(m + std::log(s));
 }
 
 double hmg_kernel(const core::Vec3& p, const core::Vec3& mu,
@@ -89,22 +99,24 @@ Hmgm::Hmgm(std::vector<HmgComponent> components)
   }
   CIMNAV_REQUIRE(total > 0.0, "total weight must be positive");
   const double log_zu = std::log(hmg_unit_normalization());
-  log_norm_.reserve(components_.size());
+  log_coef_.reserve(components_.size());
   for (auto& c : components_) {
     c.weight /= total;
-    log_norm_.push_back(-(log_zu + std::log(c.sigma.x) + std::log(c.sigma.y) +
-                          std::log(c.sigma.z)));
+    const double log_norm = -(log_zu + std::log(c.sigma.x) +
+                              std::log(c.sigma.y) + std::log(c.sigma.z));
+    log_coef_.push_back(std::log(c.weight) + log_norm);
   }
 }
 
 double Hmgm::log_pdf(const core::Vec3& p) const {
-  std::vector<double> terms;
-  terms.reserve(components_.size());
+  // Grow-only per-thread scratch: once warm, per-pixel likelihood loops
+  // (filter::HmgmLikelihood) stay off the heap.
+  thread_local std::vector<double> terms;
+  terms.clear();
   for (std::size_t k = 0; k < components_.size(); ++k) {
     const auto& c = components_[k];
     if (c.weight <= 0.0) continue;
-    terms.push_back(std::log(c.weight) + log_norm_[k] +
-                    hmg_log_kernel(p, c.mean, c.sigma));
+    terms.push_back(log_coef_[k] + hmg_log_kernel(p, c.mean, c.sigma));
   }
   return log_sum_exp(terms);
 }
@@ -205,17 +217,21 @@ Hmgm Hmgm::fit(const std::vector<core::Vec3>& points, int k, core::Rng& rng,
   std::vector<std::vector<double>> resp(n, std::vector<double>(kk, 0.0));
   double prev_avg_ll = -std::numeric_limits<double>::infinity();
 
+  std::vector<double> log_coef(kk), logterm(kk);
   for (int iter = 0; iter < opt.max_iterations; ++iter) {
-    // E-step with normalized HMG densities.
+    // E-step with normalized HMG densities. A component's log weight plus
+    // log normalizer is fixed within the step; each point then adds its
+    // kernel, (log w + log norm) + log K, the order the density uses.
+    for (std::size_t c = 0; c < kk; ++c) {
+      const double log_norm = -(log_zu + std::log(sigma[c].x) +
+                                std::log(sigma[c].y) + std::log(sigma[c].z));
+      log_coef[c] = std::log(std::max(weight[c], 1e-300)) + log_norm;
+    }
     double total_ll = 0.0;
-    std::vector<double> logterm(kk);
     for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t c = 0; c < kk; ++c) {
-        const double log_norm = -(log_zu + std::log(sigma[c].x) +
-                                  std::log(sigma[c].y) + std::log(sigma[c].z));
-        logterm[c] = std::log(std::max(weight[c], 1e-300)) + log_norm +
-                     hmg_log_kernel(points[i], mean[c], sigma[c]);
-      }
+      for (std::size_t c = 0; c < kk; ++c)
+        logterm[c] =
+            log_coef[c] + hmg_log_kernel(points[i], mean[c], sigma[c]);
       const double lse = log_sum_exp(logterm);
       total_ll += lse;
       for (std::size_t c = 0; c < kk; ++c)

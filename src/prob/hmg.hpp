@@ -89,7 +89,7 @@ class Hmgm {
 
  private:
   std::vector<HmgComponent> components_;
-  std::vector<double> log_norm_;  // per-component -log Z_k
+  std::vector<double> log_coef_;  // per-component log w_k - log Z_k
 };
 
 }  // namespace cimnav::prob

@@ -64,11 +64,28 @@ TEST(Mosfet, FloatingGateShiftsThreshold) {
   EXPECT_GT(m.drain_current(0.5), i_before);
 }
 
+// Gate drive that yields `i_a`: bisection on the monotone I-V law over a
+// fixed bracket from deep subthreshold to far above threshold.
+double gate_voltage_for_current(const Mosfet& m, double i_a) {
+  double lo = m.effective_vt() - 1.5;
+  double hi = m.effective_vt() + 3.0;
+  EXPECT_LE(m.drain_current(lo), i_a);
+  EXPECT_GE(m.drain_current(hi), i_a);
+  for (int it = 0; it < 200; ++it) {
+    const double mid = 0.5 * (lo + hi);
+    if (m.drain_current(mid) < i_a)
+      lo = mid;
+    else
+      hi = mid;
+  }
+  return 0.5 * (lo + hi);
+}
+
 TEST(Mosfet, InverseQueryRoundTrips) {
   Mosfet m{MosfetParams{}};
   for (double v : {0.2, 0.35, 0.5, 0.8}) {
     const double i = m.drain_current(v);
-    EXPECT_NEAR(m.gate_voltage_for_current(i), v, 1e-6);
+    EXPECT_NEAR(gate_voltage_for_current(m, i), v, 1e-6);
   }
 }
 
@@ -169,6 +186,152 @@ TEST(Programmer, ClampsOutOfRangeSigma) {
   // Requesting narrower than achievable clamps to the floor.
   const auto p = prog.solve(0.5, lo / 4.0);
   EXPECT_NEAR(p.achieved_sigma_v, lo, 0.01);
+}
+
+// Serial reference of a branch's measures as first written: the same
+// 120-step golden-section search for the center and peak, then both
+// half-width bisections run all 100 steps, computed together on every
+// call. The branch computes the half-width only when sigma() asks and
+// stops a bisection once its midpoint stops moving; neither may change a
+// bit.
+struct ReferenceMeasures {
+  double center = 0.0;
+  double sigma = 0.0;
+  double peak = 0.0;
+  bool crossed_left = false;
+  bool crossed_right = false;
+};
+
+ReferenceMeasures reference_measures(const InverterBranch& b) {
+  const double vdd = b.supply().vdd_v;
+  constexpr double kGolden = 0.6180339887498949;
+  double a = 0.0, c = vdd;
+  double x1 = c - kGolden * (c - a);
+  double x2 = a + kGolden * (c - a);
+  double f1 = b.current(x1), f2 = b.current(x2);
+  for (int it = 0; it < 120; ++it) {
+    if (f1 < f2) {
+      a = x1;
+      x1 = x2;
+      f1 = f2;
+      x2 = a + kGolden * (c - a);
+      f2 = b.current(x2);
+    } else {
+      c = x2;
+      x2 = x1;
+      f2 = f1;
+      x1 = c - kGolden * (c - a);
+      f1 = b.current(x1);
+    }
+  }
+  ReferenceMeasures m;
+  m.center = 0.5 * (a + c);
+  m.peak = b.current(m.center);
+  const double target = m.peak * std::exp(-0.5);
+  const auto crossing = [&](double lo, double hi) {
+    for (int it = 0; it < 100; ++it) {
+      const double mid = 0.5 * (lo + hi);
+      if (b.current(mid) > target)
+        lo = mid;
+      else
+        hi = mid;
+    }
+    return 0.5 * (lo + hi);
+  };
+  double right = vdd;
+  m.crossed_right = b.current(vdd) < target;
+  if (m.crossed_right) right = crossing(m.center, vdd);
+  double left = 0.0;
+  m.crossed_left = b.current(0.0) < target;
+  if (m.crossed_left) left = crossing(m.center, 0.0);
+  m.sigma = 0.5 * ((right - m.center) + (m.center - left));
+  return m;
+}
+
+TEST(InverterBranch, MeasuresMatchFullSearchReferenceBitForBit) {
+  // Common-mode s and differential d over the programmer's whole knob
+  // range and past it: the wide, off-center corners leave a rail above
+  // the half-width target, so one side needs no crossing at all.
+  InverterBranch b{MosfetParams{}, MosfetParams{}, SupplyParams{}};
+  core::Rng rng(53);
+  int railed = 0, both_crossed = 0;
+  for (int is = 0; is <= 10; ++is) {
+    for (int id = 0; id <= 12; ++id) {
+      const double s = -0.35 + 0.085 * is;
+      const double d = -0.7 + (1.4 / 12.0) * id;
+      b.program(s + d, s - d);
+      const ReferenceMeasures ref = reference_measures(b);
+      // Read in a different order on alternate programmings, so the
+      // center-only path runs both before and after the sigma path.
+      if ((is + id) % 2 == 0) {
+        EXPECT_EQ(b.center(), ref.center) << "s=" << s << " d=" << d;
+        EXPECT_EQ(b.peak_current(), ref.peak) << "s=" << s << " d=" << d;
+        EXPECT_EQ(b.sigma(), ref.sigma) << "s=" << s << " d=" << d;
+      } else {
+        EXPECT_EQ(b.sigma(), ref.sigma) << "s=" << s << " d=" << d;
+        EXPECT_EQ(b.center(), ref.center) << "s=" << s << " d=" << d;
+        EXPECT_EQ(b.peak_current(), ref.peak) << "s=" << s << " d=" << d;
+      }
+      railed += !(ref.crossed_left && ref.crossed_right);
+      both_crossed += ref.crossed_left && ref.crossed_right;
+    }
+  }
+  // A mismatched, resized branch (as the array programs them).
+  for (int rep = 0; rep < 8; ++rep) {
+    b.apply_mismatch(0.02, rng);
+    b.program(rng.uniform(-0.2, 0.4), rng.uniform(-0.2, 0.4));
+    b.set_size_factor(rng.uniform(0.5, 3.0));
+    const ReferenceMeasures ref = reference_measures(b);
+    EXPECT_EQ(b.peak_current(), ref.peak) << "rep=" << rep;
+    EXPECT_EQ(b.sigma(), ref.sigma) << "rep=" << rep;
+    EXPECT_EQ(b.center(), ref.center) << "rep=" << rep;
+  }
+  EXPECT_GT(railed, 0) << "no programming left a rail above the target";
+  EXPECT_GT(both_crossed, 0);
+}
+
+TEST(Programmer, SolveMatchesFullMeasureReferenceBitForBit) {
+  // The programmer as first written: every bisection step of both knobs
+  // measures center and sigma together from scratch.
+  const InverterProgrammer prog{MosfetParams{}, MosfetParams{},
+                                SupplyParams{}};
+  InverterBranch scratch{MosfetParams{}, MosfetParams{}, SupplyParams{}};
+  const auto measure = [&](double s, double d) {
+    scratch.program(s + d, s - d);
+    return reference_measures(scratch);
+  };
+  for (double center : {0.05, 0.3, 0.5, 0.72, 0.95}) {
+    for (double sigma : {0.001, 0.06, 0.15, 0.6}) {
+      double s = 0.0, d = 0.0;
+      for (int round = 0; round < 4; ++round) {
+        double lo = -0.6, hi = 0.6;
+        for (int it = 0; it < 48; ++it) {
+          const double mid = 0.5 * (lo + hi);
+          if (measure(s, mid).center < center)
+            lo = mid;
+          else
+            hi = mid;
+        }
+        d = 0.5 * (lo + hi);
+        lo = -0.25;
+        hi = 0.48;
+        for (int it = 0; it < 48; ++it) {
+          const double mid = 0.5 * (lo + hi);
+          if (measure(mid, d).sigma > sigma)
+            lo = mid;
+          else
+            hi = mid;
+        }
+        s = 0.5 * (lo + hi);
+      }
+      const ReferenceMeasures at = measure(s, d);
+      const auto p = prog.solve(center, sigma);
+      EXPECT_EQ(p.delta_vt_n_v, s + d) << center << " " << sigma;
+      EXPECT_EQ(p.delta_vt_p_v, s - d) << center << " " << sigma;
+      EXPECT_EQ(p.achieved_center_v, at.center) << center << " " << sigma;
+      EXPECT_EQ(p.achieved_sigma_v, at.sigma) << center << " " << sigma;
+    }
+  }
 }
 
 TEST(SixTransistorInverter, HarmonicCompositionBelowMin) {

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <set>
+#include <tuple>
 
 #include "core/rng.hpp"
 #include "core/stats.hpp"
@@ -375,11 +376,66 @@ TEST_F(ScenarioTest, CimGainCalibrationRecoversScale) {
   const map::WorldToVoltage mapping(
       sc.scene().interior_min() - Vec3{0.3, 0.3, 0.3},
       sc.scene().interior_max() + Vec3{0.3, 0.3, 0.3}, 0.1, 0.9);
-  const CimHmgmLikelihood cim(sc.maps().hmgm, mapping, acfg, rng, 1.0);
+  const CimHmgmLikelihood cim(sc.hmgm(), mapping, acfg, rng, 1.0);
   // The physical kernel compresses log-likelihood; calibration must find
   // a substantial >1 gain.
   EXPECT_GT(cim.calibrated_gain(), 1.2);
   EXPECT_LT(cim.calibrated_gain(), 20.0);
+}
+
+TEST_F(ScenarioTest, LazyGmmRefitsTheSameModelOnEveryCall) {
+  // The digital GMM is fitted per make_gmm_backend call from the stored
+  // map cloud and a copy of its rng stream: repeated calls, and calls
+  // after the CIM array is programmed, must score scans identically, and
+  // match a GMM fitted here from the same cloud and split.
+  const ScenarioConfig cfg = small_config();
+  const LocalizationScenario sc(cfg);
+  Rng map_rng(cfg.seed + 1);
+  const auto cloud = sc.scene().sample_point_cloud(
+      cfg.map_cloud_points, cfg.map_cloud_noise_m, map_rng);
+  Rng gmm_rng = map_rng.split();
+  const GmmLikelihood expected(
+      prob::Gmm::fit(cloud, cfg.mixture_components, gmm_rng),
+      cfg.likelihood_beta);
+  const auto first = sc.make_gmm_backend();
+  const auto second = sc.make_gmm_backend();
+  const auto cim = sc.make_cim_backend();
+  const auto after_cim = sc.make_gmm_backend();
+  Rng rng(3);
+  for (std::size_t f = 0; f < 3; ++f) {
+    const auto& scan = sc.scans()[f];
+    for (double dx : {0.0, 0.1, -0.25}) {
+      Pose pose = sc.trajectory().poses[f + 1];
+      pose.position.x += dx;
+      const double want = expected.log_likelihood(pose, scan, rng);
+      EXPECT_EQ(first->log_likelihood(pose, scan, rng), want);
+      EXPECT_EQ(second->log_likelihood(pose, scan, rng), want);
+      EXPECT_EQ(after_cim->log_likelihood(pose, scan, rng), want);
+    }
+  }
+
+  // The HMGM's stream is the second split of the same root.
+  const map::WorldToVoltage mapping(
+      sc.scene().interior_min() - Vec3{0.3, 0.3, 0.3},
+      sc.scene().interior_max() + Vec3{0.3, 0.3, 0.3}, 0.1, 0.9);
+  const circuit::InverterProgrammer programmer(circuit::MosfetParams{},
+                                               circuit::MosfetParams{},
+                                               circuit::SupplyParams{});
+  const auto [sig_min_v, sig_max_v] = programmer.sigma_range();
+  prob::MixtureFitOptions opt;
+  std::tie(opt.sigma_floor_axes, opt.sigma_ceiling_axes) =
+      map::world_sigma_bounds(mapping, sig_min_v, sig_max_v);
+  Rng hmgm_rng = map_rng.split();
+  const prob::Hmgm hmgm =
+      prob::Hmgm::fit(cloud, cfg.mixture_components, hmgm_rng, opt);
+  ASSERT_EQ(hmgm.component_count(), sc.hmgm().component_count());
+  for (std::size_t c = 0; c < hmgm.components().size(); ++c) {
+    const auto& a = hmgm.components()[c];
+    const auto& b = sc.hmgm().components()[c];
+    EXPECT_EQ(a.weight, b.weight) << c;
+    EXPECT_EQ(a.mean, b.mean) << c;
+    EXPECT_EQ(a.sigma, b.sigma) << c;
+  }
 }
 
 TEST_F(ScenarioTest, GlobalLocalizationConverges) {

@@ -569,5 +569,55 @@ TEST(ZeroAllocation, SharedCimUpdatesNeverTouchTheHeap) {
   }
 }
 
+TEST(ZeroAllocation, DigitalLikelihoodsNeverTouchTheHeap) {
+  // GmmLikelihood and HmgmLikelihood score every pixel through the
+  // mixture's log_pdf, whose per-component terms live in a grow-only
+  // thread_local scratch: after one warm call per thread, per-pose and
+  // batched scoring must not allocate.
+  filter::ScenarioConfig sc_cfg;
+  sc_cfg.scene.room_size = {2.6, 2.2, 1.8};
+  sc_cfg.scene.furniture_count = 4;
+  sc_cfg.scene.clutter_count = 6;
+  sc_cfg.map_cloud_points = 1500;
+  sc_cfg.mixture_components = 25;
+  sc_cfg.trajectory_steps = 3;
+  sc_cfg.scan_pixels = 80;
+  const filter::LocalizationScenario sc(sc_cfg);
+  const vision::DepthScan& scan = sc.scans()[0];
+  ASSERT_EQ(scan.pixels.size(), 80u);
+  const core::Pose pose = sc.trajectory().poses[1];
+
+  constexpr std::size_t kPoses = 40;
+  std::vector<double> x(kPoses), y(kPoses), z(kPoses), yaw(kPoses);
+  for (std::size_t i = 0; i < kPoses; ++i) {
+    x[i] = pose.position.x + 0.01 * static_cast<double>(i);
+    y[i] = pose.position.y;
+    z[i] = pose.position.z;
+    yaw[i] = pose.yaw;
+  }
+  const filter::PoseView poses{x.data(), y.data(), z.data(), yaw.data(),
+                               kPoses, 1};
+  std::vector<double> out(kPoses);
+
+  for (const auto& model : {sc.make_gmm_backend(), sc.make_hmgm_backend()}) {
+    Rng rng(5);
+    const double warm = model->log_likelihood(pose, scan, rng);
+    const auto evals = model->evaluation_count();
+    g_heap_allocs.store(0);
+    g_count_heap.store(true);
+    double ll = 0.0;
+    for (int rep = 0; rep < 4; ++rep) ll = model->log_likelihood(pose, scan, rng);
+    model->log_likelihoods(poses, scan, 7, nullptr, out);
+    g_count_heap.store(false);
+
+    EXPECT_EQ(g_heap_allocs.load(), 0u)
+        << model->name() << ": a warm digital likelihood touched the heap";
+    EXPECT_EQ(ll, warm) << model->name();
+    EXPECT_EQ(out[0], warm) << model->name();
+    EXPECT_EQ(model->evaluation_count() - evals, (4 + kPoses) * 80u)
+        << model->name();
+  }
+}
+
 }  // namespace
 }  // namespace cimnav

@@ -2,7 +2,10 @@
 // the HMG kernel's geometry (rectilinear tails).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "core/rng.hpp"
 #include "core/stats.hpp"
@@ -286,6 +289,235 @@ TEST(Hmgm, SigmaConstraintsAreRespected) {
       EXPECT_LE(c.sigma[d], 1.0 + 1e-9);
     }
   }
+}
+
+// ------------------------------------------------------- EM fit oracles
+// Serial references of both EM fits as first written: every (point,
+// component) pair of the E-step rebuilds its HMG log normalizer or its
+// DiagGaussian, and the HMG kernel reduces through a heap vector. The
+// library hoists that per-component work out of the point loop; the fitted
+// components must not move by a bit.
+
+double reference_hmg_log_kernel(const Vec3& p, const Vec3& mu,
+                                const Vec3& sigma) {
+  std::vector<double> e(3);
+  for (int d = 0; d < 3; ++d) {
+    const double ud = (p[d] - mu[d]) / sigma[d];
+    e[static_cast<std::size_t>(d)] = 0.5 * ud * ud;
+  }
+  return -log_sum_exp(e);
+}
+
+// k-means init shared by both references: weights, means and per-cluster
+// axis sums of squares.
+struct ReferenceInit {
+  std::vector<double> weight;
+  std::vector<Vec3> mean;
+  std::vector<Vec3> ss;
+  std::vector<int> counts;
+};
+
+ReferenceInit reference_init(const std::vector<Vec3>& points, int k,
+                             Rng& rng, const MixtureFitOptions& opt) {
+  const KMeansResult km = kmeans(points, k, rng, opt.kmeans_iterations);
+  const auto kk = static_cast<std::size_t>(k);
+  ReferenceInit init{std::vector<double>(kk, 0.0), km.centroids,
+                     std::vector<Vec3>(kk), std::vector<int>(kk, 0)};
+  for (std::size_t i = 0; i < points.size(); ++i)
+    ++init.counts[static_cast<std::size_t>(km.assignment[i])];
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const auto c = static_cast<std::size_t>(km.assignment[i]);
+    const Vec3 d = points[i] - km.centroids[c];
+    init.ss[c] += d.cwise_mul(d);
+  }
+  for (std::size_t c = 0; c < kk; ++c)
+    init.weight[c] = std::max(1, init.counts[c]) /
+                     static_cast<double>(points.size());
+  return init;
+}
+
+// One EM fit: `log_term(c, i)` is component c's log joint at point i and
+// `sigma_of(var_over_nk, axis)` maps a responsibility-weighted variance to
+// the component sigma. The M-step and stopping rule are the library's.
+template <typename LogTerm, typename SigmaOf>
+void reference_em(const std::vector<Vec3>& points, std::vector<double>& weight,
+                  std::vector<Vec3>& mean, std::vector<Vec3>& sigma,
+                  const MixtureFitOptions& opt, bool abs_tolerance,
+                  const LogTerm& log_term, const SigmaOf& sigma_of) {
+  const std::size_t n = points.size();
+  const std::size_t kk = weight.size();
+  std::vector<std::vector<double>> resp(n, std::vector<double>(kk, 0.0));
+  double prev_avg_ll = -std::numeric_limits<double>::infinity();
+  for (int iter = 0; iter < opt.max_iterations; ++iter) {
+    double total_ll = 0.0;
+    std::vector<double> logterm(kk);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t c = 0; c < kk; ++c) logterm[c] = log_term(c, i);
+      const double lse = log_sum_exp(logterm);
+      total_ll += lse;
+      for (std::size_t c = 0; c < kk; ++c)
+        resp[i][c] = std::exp(logterm[c] - lse);
+    }
+    const double avg_ll = total_ll / static_cast<double>(n);
+    for (std::size_t c = 0; c < kk; ++c) {
+      double nk = 0.0;
+      Vec3 mu{};
+      for (std::size_t i = 0; i < n; ++i) {
+        nk += resp[i][c];
+        mu += points[i] * resp[i][c];
+      }
+      if (nk < 1e-9) continue;
+      mu = mu / nk;
+      Vec3 var{};
+      for (std::size_t i = 0; i < n; ++i) {
+        const Vec3 d = points[i] - mu;
+        var += d.cwise_mul(d) * resp[i][c];
+      }
+      weight[c] = nk / static_cast<double>(n);
+      mean[c] = mu;
+      for (int d = 0; d < 3; ++d) sigma[c][d] = sigma_of(var[d] / nk, d);
+    }
+    const double gain = avg_ll - prev_avg_ll;
+    if ((abs_tolerance ? std::abs(gain) : gain) < opt.tolerance && iter > 0)
+      break;
+    prev_avg_ll = avg_ll;
+  }
+}
+
+Hmgm reference_hmgm_fit(const std::vector<Vec3>& points, int k, Rng& rng,
+                        const MixtureFitOptions& opt) {
+  ReferenceInit init = reference_init(points, k, rng, opt);
+  const auto kk = static_cast<std::size_t>(k);
+  const double c2 = hmg_axis_second_moment();
+  const double log_zu = std::log(hmg_unit_normalization());
+  const auto clamp_sigma = [&opt](double s, int axis) {
+    return core::clamp(s, std::max(opt.sigma_floor, opt.sigma_floor_axes[axis]),
+                       opt.sigma_ceiling_axes[axis]);
+  };
+  std::vector<Vec3> sigma(kk, {1, 1, 1});
+  for (std::size_t c = 0; c < kk; ++c) {
+    const double cnt = std::max(1, init.counts[c]);
+    for (int d = 0; d < 3; ++d)
+      sigma[c][d] = clamp_sigma(std::sqrt(init.ss[c][d] / cnt / c2), d);
+  }
+  std::vector<double>& weight = init.weight;
+  std::vector<Vec3>& mean = init.mean;
+  reference_em(
+      points, weight, mean, sigma, opt, /*abs_tolerance=*/true,
+      [&](std::size_t c, std::size_t i) {
+        const double log_norm = -(log_zu + std::log(sigma[c].x) +
+                                  std::log(sigma[c].y) + std::log(sigma[c].z));
+        return std::log(std::max(weight[c], 1e-300)) + log_norm +
+               reference_hmg_log_kernel(points[i], mean[c], sigma[c]);
+      },
+      [&](double v, int d) { return clamp_sigma(std::sqrt(v / c2), d); });
+  std::vector<HmgComponent> comps;
+  for (std::size_t c = 0; c < kk; ++c)
+    comps.push_back({weight[c], mean[c], sigma[c]});
+  return Hmgm(std::move(comps));
+}
+
+Gmm reference_gmm_fit(const std::vector<Vec3>& points, int k, Rng& rng,
+                      const MixtureFitOptions& opt) {
+  ReferenceInit init = reference_init(points, k, rng, opt);
+  const auto kk = static_cast<std::size_t>(k);
+  std::vector<Vec3> sigma(kk, {1, 1, 1});
+  for (std::size_t c = 0; c < kk; ++c) {
+    const double cnt = std::max(1, init.counts[c]);
+    for (int d = 0; d < 3; ++d)
+      sigma[c][d] = std::max(opt.sigma_floor, std::sqrt(init.ss[c][d] / cnt));
+  }
+  std::vector<double>& weight = init.weight;
+  std::vector<Vec3>& mean = init.mean;
+  reference_em(
+      points, weight, mean, sigma, opt, /*abs_tolerance=*/false,
+      [&](std::size_t c, std::size_t i) {
+        const DiagGaussian g(mean[c], sigma[c]);
+        return std::log(std::max(weight[c], 1e-300)) + g.log_pdf(points[i]);
+      },
+      [&](double v, int) { return std::max(opt.sigma_floor, std::sqrt(v)); });
+  std::vector<GmmComponent> comps;
+  for (std::size_t c = 0; c < kk; ++c)
+    comps.push_back({weight[c], DiagGaussian(mean[c], sigma[c])});
+  return Gmm(std::move(comps));
+}
+
+// Two clouds: anisotropic blobs around a flat (z == 0) sheet, and a long
+// thin rod beside a wide diffuse blob. The sheet drives the GMM's sigma
+// floor; the HMGM bounds below bite at both ends.
+std::vector<std::vector<Vec3>> em_oracle_clouds() {
+  Rng rng(71);
+  std::vector<Vec3> blobs;
+  for (int i = 0; i < 400; ++i)
+    blobs.push_back({rng.normal(0, 0.3), rng.normal(0, 0.8), rng.normal(0, 0.1)});
+  for (int i = 0; i < 300; ++i)
+    blobs.push_back({rng.normal(3, 0.5), rng.normal(1, 0.2), rng.normal(1, 0.4)});
+  for (int i = 0; i < 200; ++i)
+    blobs.push_back({rng.uniform(-1.0, 4.0), rng.uniform(4.0, 6.0), 0.0});
+  std::vector<Vec3> rod;
+  for (int i = 0; i < 500; ++i)
+    rod.push_back({rng.uniform(-5.0, 5.0), rng.normal(0, 0.01), rng.normal(0, 0.01)});
+  for (int i = 0; i < 400; ++i)
+    rod.push_back({rng.normal(0, 2.0), rng.normal(4, 2.0), rng.normal(0, 2.0)});
+  return {blobs, rod};
+}
+
+TEST(EmOracle, HmgmFitMatchesPerPairReferenceBitForBit) {
+  MixtureFitOptions opt;
+  opt.sigma_floor_axes = {0.05, 0.04, 0.03};
+  opt.sigma_ceiling_axes = {0.9, 0.7, 0.6};
+  int at_floor = 0, at_ceiling = 0;
+  for (const auto& cloud : em_oracle_clouds()) {
+    for (int k : {1, 5, 9}) {
+      Rng rng_fit(101 + static_cast<std::uint64_t>(k)), rng_ref = rng_fit;
+      const Hmgm fit = Hmgm::fit(cloud, k, rng_fit, opt);
+      const Hmgm ref = reference_hmgm_fit(cloud, k, rng_ref, opt);
+      ASSERT_EQ(fit.component_count(), ref.component_count());
+      for (int c = 0; c < k; ++c) {
+        const auto& a = fit.components()[static_cast<std::size_t>(c)];
+        const auto& b = ref.components()[static_cast<std::size_t>(c)];
+        EXPECT_EQ(a.weight, b.weight) << "k=" << k << " c=" << c;
+        for (int d = 0; d < 3; ++d) {
+          EXPECT_EQ(a.mean[d], b.mean[d]) << "k=" << k << " c=" << c;
+          EXPECT_EQ(a.sigma[d], b.sigma[d]) << "k=" << k << " c=" << c;
+          at_floor += a.sigma[d] == opt.sigma_floor_axes[d];
+          at_ceiling += a.sigma[d] == opt.sigma_ceiling_axes[d];
+        }
+      }
+      const Vec3 probe = cloud[cloud.size() / 3];
+      EXPECT_EQ(fit.log_pdf(probe), ref.log_pdf(probe)) << "k=" << k;
+    }
+  }
+  EXPECT_GT(at_floor, 0) << "no sigma hit its floor";
+  EXPECT_GT(at_ceiling, 0) << "no sigma hit its ceiling";
+}
+
+TEST(EmOracle, GmmFitMatchesPerPairReferenceBitForBit) {
+  const MixtureFitOptions opt;
+  int at_floor = 0;
+  for (const auto& cloud : em_oracle_clouds()) {
+    for (int k : {1, 5, 9}) {
+      Rng rng_fit(201 + static_cast<std::uint64_t>(k)), rng_ref = rng_fit;
+      const Gmm fit = Gmm::fit(cloud, k, rng_fit, opt);
+      const Gmm ref = reference_gmm_fit(cloud, k, rng_ref, opt);
+      ASSERT_EQ(fit.component_count(), ref.component_count());
+      for (int c = 0; c < k; ++c) {
+        const auto& a = fit.components()[static_cast<std::size_t>(c)];
+        const auto& b = ref.components()[static_cast<std::size_t>(c)];
+        EXPECT_EQ(a.weight, b.weight) << "k=" << k << " c=" << c;
+        for (int d = 0; d < 3; ++d) {
+          EXPECT_EQ(a.gaussian.mean()[d], b.gaussian.mean()[d])
+              << "k=" << k << " c=" << c;
+          EXPECT_EQ(a.gaussian.sigma()[d], b.gaussian.sigma()[d])
+              << "k=" << k << " c=" << c;
+          at_floor += a.gaussian.sigma()[d] == opt.sigma_floor;
+        }
+      }
+      const Vec3 probe = cloud[cloud.size() / 3];
+      EXPECT_EQ(fit.log_pdf(probe), ref.log_pdf(probe)) << "k=" << k;
+    }
+  }
+  EXPECT_GT(at_floor, 0) << "no sigma hit the variance-collapse floor";
 }
 
 }  // namespace

@@ -517,8 +517,8 @@ int main() {
     if (sink == 42.0) std::printf("%f", sink);
   }
 
-  {  // CIM macro matvec: one dense read per backend, plus the pooled
-     // delta batch's bit-identity gate.
+  {  // CIM macro matvec: one dense read, the column kernel against the
+     // scalar kernel, and the pooled delta batch's bit-identity gate.
     for (int n : {64, 128}) {
       core::Rng rng(11);
       std::vector<double> w(static_cast<std::size_t>(n) *
@@ -528,23 +528,55 @@ int main() {
       for (auto& v : x) v = rng.uniform();
       core::Rng arng(13);
       const double macs = static_cast<double>(n) * n;
-      for (const std::string& be : cimsram::backend_names()) {
-        cimsram::CimMacroConfig cfg;
-        cfg.backend = be;
-        const cimsram::CimMacro macro(w, n, n, cfg, 1.0 / 63.0);
-        suite.run("cim_macro_matvec/n=" + std::to_string(n) + "/" + be, 1,
-                  macs, "macs",
-                  [&] { cimsram::matvec(macro, x, {}, {}, &arng); });
-      }
+      const cimsram::CimMacro macro(w, n, n, cimsram::CimMacroConfig{},
+                                    1.0 / 63.0);
+      suite.run("cim_macro_matvec/n=" + std::to_string(n), 1, macs, "macs",
+                [&] { cimsram::matvec(macro, x, {}, {}, &arng); });
       if (n == 128) {
+        // Noisy dense reads of one view through the shipped kernel and
+        // through the scalar draw-sequential kernel, timed in alternating
+        // rounds; the ratio of the medians shields the tracked summary
+        // from CPU-steal spikes on shared hosts (a spike lands on one
+        // round, not on one side).
+        const cimsram::MacroView view = macro.view();
+        cimsram::EncodedInput enc;
+        macro.encode_input(x, enc);
+        std::vector<double> ky(static_cast<std::size_t>(n));
+        core::Rng krng(17);
+        const auto time_kernel = [&](const char* name, auto kernel,
+                                     int round) {
+          return suite
+              .run(std::string("column_kernel/") + name +
+                       "/round=" + std::to_string(round),
+                   1, macs, "macs",
+                   [&] {
+                     kernel(view, enc.planes.data(), nullptr, nullptr, 0,
+                            static_cast<std::uint64_t>(n), nullptr, 0, n,
+                            false, &krng, ky.data());
+                   })
+              .ns_per_op;
+        };
+        std::vector<double> shipped_ns, scalar_ns;
+        for (int round = 0; round < 3; ++round) {
+          shipped_ns.push_back(
+              time_kernel("run_columns", &cimsram::run_columns, round));
+          scalar_ns.push_back(time_kernel(
+              "scalar_run_columns", &cimsram::scalar_run_columns, round));
+        }
+        const auto median = [](std::vector<double> v) {
+          std::sort(v.begin(), v.end());
+          return v[v.size() / 2];
+        };
+        const double ratio = median(scalar_ns) / median(shipped_ns);
+        suite.add_summary("column_kernel_speedup_vs_scalar", ratio);
+        std::printf("\nrun_columns speedup vs scalar_run_columns (noisy "
+                    "%dx%d read): %.2fx\n\n",
+                    n, n, ratio);
+
         // The pooled delta batch must stay invisible to results: every
         // DeltaItem carries its own noise stream, so any worker
         // partitioning is bit-identical to the serial item loop.
-        const cimsram::CimMacro macro(w, n, n, cimsram::CimMacroConfig{},
-                                      1.0 / 63.0);
         core::ThreadPool delta_pool(8);
-        cimsram::EncodedInput denc;
-        macro.encode_input(x, denc);
         constexpr std::size_t kDeltaItems = 8;
         std::vector<std::vector<std::size_t>> adds(kDeltaItems);
         std::vector<std::vector<std::size_t>> rems(kDeltaItems);
@@ -572,7 +604,7 @@ int main() {
             rngs.emplace_back(123 + k);
           std::vector<cimsram::DeltaItem> items(kDeltaItems);
           for (std::size_t k = 0; k < kDeltaItems; ++k) {
-            items[k].enc = &denc;
+            items[k].enc = &enc;
             items[k].add_rows = adds[k].data();
             items[k].n_add = adds[k].size();
             items[k].rem_rows = rems[k].data();
@@ -792,93 +824,42 @@ int main() {
         "\nmc_predict_cim speedup vs single-threaded seed path: "
         "%.2fx (1 thread), %.2fx (8 threads)\n\n",
         speedup1, speedup8);
-
-    // Backend sweep: the same prediction through every registered column
-    // kernel, serially, so the ratio isolates the kernel itself. Each
-    // backend is measured three times in alternation and the medians are
-    // compared, shielding the tracked bitsliced/reference ratio from
-    // CPU-steal spikes on shared hosts (the two sides are timed in
-    // different windows, so a spike on one side would otherwise skew the
-    // ratio).
-    std::vector<double> ref_runs, bit_runs;
-    for (int round = 0; round < 3; ++round) {
-      for (const std::string& be : cimsram::backend_names()) {
-        cimsram::CimMacroConfig bcfg = mc;
-        bcfg.backend = be;
-        core::Rng bcrng(7);
-        const nn::CimMlp bcim(net, bcfg, calib, bcrng);
-        bnn::SoftwareMaskSource bmasks(core::Rng{11});
-        bnn::McOptions opt;
-        opt.iterations = kIters;
-        opt.dropout_p = kP;
-        core::Rng barng(13);
-        const auto res = suite.run(
-            "mc_predict_cim/backend=" + be + "/round=" +
-                std::to_string(round),
-            1, macs_per_pred, "macs",
-            [&] { bnn::mc_predict_cim(bcim, x, opt, bmasks, barng); });
-        if (be == "reference") ref_runs.push_back(res.ns_per_op);
-        if (be == "bitsliced") bit_runs.push_back(res.ns_per_op);
-      }
-    }
-    if (!ref_runs.empty() && !bit_runs.empty()) {
-      const auto median = [](std::vector<double> v) {
-        std::sort(v.begin(), v.end());
-        return v[v.size() / 2];
-      };
-      const double ratio = median(ref_runs) / median(bit_runs);
-      suite.add_summary("mc_predict_bitsliced_speedup_vs_reference", ratio);
-      std::printf(
-          "\nmc_predict_cim BitSlicedBackend speedup vs ReferenceBackend: "
-          "%.2fx\n\n",
-          ratio);
-    }
   }
 
-  {  // Conformance harness: per-(backend x family) case timing + the
-     // quick-tier sweep itself. A backend registered via register_backend
-     // joins these rows and the pass count automatically, so the tracked
-     // conformance_cases_passed summary can only grow with new backends.
+  {  // Conformance harness: per-family case timing + the quick-tier
+     // sweep itself (run_columns against the scalar oracle).
     namespace conf = cimsram::conformance;
-    const auto names = cimsram::backend_names();
-    int passed = 0, total = 0;
-    for (const std::string& be : names) {
-      for (auto family : conf::families()) {
-        // One representative deterministic case per (backend, family):
-        // ragged odd-row geometry, single ideal dispatch.
-        conf::CaseSpec spec;
-        spec.backend = be;
-        spec.geom = {149, 37};
-        spec.family = family;
-        spec.mode = conf::NoiseMode::kIdeal;
-        spec.dispatch = conf::Dispatch::kSingle;
-        spec.seed = 0xBE11C;
-        const auto macro = conf::make_case_macro(spec, be);
-        std::vector<double> x;
-        std::vector<std::uint8_t> im, om;
-        conf::make_case_input(spec, 0, x, im, om);
-        suite.run(std::string("conformance_case/") +
-                      conf::to_string(family) + "/" + be,
-                  1, static_cast<double>(spec.geom.n_in) * spec.geom.n_out,
-                  "macs",
-                  [&] { cimsram::matvec(*macro, x, im, om, nullptr); });
-      }
-      for (const auto& c : conf::cases_for(be, conf::Tier::kQuick)) {
-        ++total;
-        const auto r = conf::run_case(c);
-        if (r.pass)
-          ++passed;
-        else
-          std::printf("conformance FAIL: %s\n", r.failure.c_str());
-      }
+    for (auto family : conf::families()) {
+      // One representative deterministic case per family: ragged odd-row
+      // geometry, single ideal dispatch.
+      conf::CaseSpec spec;
+      spec.geom = {149, 37};
+      spec.family = family;
+      spec.mode = conf::NoiseMode::kIdeal;
+      spec.dispatch = conf::Dispatch::kSingle;
+      spec.seed = 0xBE11C;
+      const auto macro = conf::make_case_macro(spec);
+      std::vector<double> x;
+      std::vector<std::uint8_t> im, om;
+      conf::make_case_input(spec, 0, x, im, om);
+      suite.run(std::string("conformance_case/") + conf::to_string(family),
+                1, static_cast<double>(spec.geom.n_in) * spec.geom.n_out,
+                "macs", [&] { cimsram::matvec(*macro, x, im, om, nullptr); });
     }
-    std::printf("\nconformance quick sweep: %d/%d cases passed over %zu "
-                "backends\n\n",
-                passed, total, names.size());
+    int passed = 0, total = 0;
+    for (const auto& c : conf::cases_for(conf::Tier::kQuick)) {
+      ++total;
+      const auto r = conf::run_case(c);
+      if (r.pass)
+        ++passed;
+      else
+        std::printf("conformance FAIL: %s\n", r.failure.c_str());
+    }
+    std::printf("\nconformance quick sweep: %d/%d cases passed\n\n", passed,
+                total);
     suite.add_summary("conformance_cases_passed",
                       static_cast<double>(passed));
     suite.add_summary("conformance_cases_total", static_cast<double>(total));
-    suite.add_summary("backends_swept", static_cast<double>(names.size()));
   }
 
   suite.write_json();

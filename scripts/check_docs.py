@@ -21,7 +21,7 @@ Fails when:
     row starts with "| Policy |") is missing, or names a policy that no
     add_admission_policy / register_admission_policy call registers
     (a deleted policy must not keep a stale row);
-  * the backend conformance harness is undocumented: docs/conformance.md
+  * the column-kernel conformance harness is undocumented: docs/conformance.md
     must exist and the docs must mention tests/conformance;
   * a required doc file is missing.
 

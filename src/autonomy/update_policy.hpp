@@ -13,8 +13,8 @@
 //   kSkip       predict-only: the cloud coasts on the (variance-inflated)
 //               odometry until the uncertainty wakes the array up.
 //
-// Policies are selected by name from a registry mirroring the cimsram
-// backend and filter scenario registries (built-ins "always",
+// Policies are selected by name from a registry mirroring the filter
+// scenario and fleet admission registries (built-ins "always",
 // "sigma_gate", "decimate"; extension hook register_policy), so benches
 // and examples sweep them by string. A policy instance is created per
 // run (make_update_policy) and may keep per-run state (running sigma

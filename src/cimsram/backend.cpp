@@ -4,10 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
-#include <stdexcept>
-
-#include "core/error.hpp"
-#include "core/name_registry.hpp"
+#include <vector>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -116,7 +113,7 @@ FillCountsFn select_fill_counts(int words) {
 
 // Sparse stage-1 kernel for delta dispatch: per-rail coincidence counts
 // of the differential read. Only the listed packed words can hold set
-// bits in either gate buffer (run_columns_delta contract), so the scan
+// bits in either gate buffer (delta-read contract), so the scan
 // touches n_words words per cycle instead of all of them; added word
 // lines accumulate on the sample rail (`counts_add`), removed ones on
 // the hold rail (`counts_rem`). Either buffer may be null (no flips in
@@ -255,29 +252,21 @@ FillCountsDeltaFn select_fill_counts_delta(int n_words, int words,
   return pick_fill_counts_delta<FillDeltaSw>(full, words, has_add, has_rem);
 }
 
+}  // namespace
+
 // ---------------------------------------------------------------------------
-// Reference kernel: scalar, noise drawn sequentially from the caller's
-// stream in cycle order. This is the pre-backend engine path, preserved
-// bit-for-bit; the ideal branch doubles as the cross-backend ground truth.
+// Scalar kernel: noise drawn sequentially from the caller's stream in
+// cycle order. Its ideal branch is the exact reduction both kernels share.
+// `word_list` non-null selects the differential delta read (backend.hpp).
 // ---------------------------------------------------------------------------
 
-// `word_list`/`n_words` non-null selects the differential delta read: the
-// stage-1 scan counts gated_planes (add rail) and `gated_rem` (hold rail)
-// over the listed packed words only, and the column ADC performs a
-// correlated double sample — each rail converts through the dense
-// unsigned quantizer, the op emits their signed difference (codes in
-// [-levels, +levels]). The per-rail quantization is bit-for-bit the
-// dense read's, so delta accumulation tracks a dense re-read's lattice.
-// nullptr means the dense full-width unsigned read (`gated_rem`
-// ignored).
-void reference_run_columns(const MacroView& v,
-                           const std::uint64_t* gated_planes,
-                           const std::uint64_t* gated_rem,
-                           const std::int32_t* word_list, int n_words,
-                           std::uint64_t active_rows,
-                           const std::uint8_t* out_mask, int col_begin,
-                           int col_end, bool ideal, core::Rng* rng,
-                           double* y) {
+void scalar_run_columns(const MacroView& v,
+                        const std::uint64_t* gated_planes,
+                        const std::uint64_t* gated_rem,
+                        const std::int32_t* word_list, int n_words,
+                        std::uint64_t active_rows,
+                        const std::uint8_t* out_mask, int col_begin,
+                        int col_end, bool ideal, core::Rng* rng, double* y) {
   // The column ADC spans the full physical row count.
   const double adc_levels = static_cast<double>((1 << v.adc_bits) - 1);
   const double adc_step = static_cast<double>(v.n_in) / adc_levels;
@@ -364,6 +353,8 @@ void reference_run_columns(const MacroView& v,
   }
 }
 
+namespace {
+
 #if CIMNAV_X86
 
 // ---------------------------------------------------------------------------
@@ -382,8 +373,8 @@ void reference_run_columns(const MacroView& v,
 //
 //  2. Fused noise + ADC + shift-add stage: counts, Gaussian disturbance,
 //     ADC rounding/clamping and the power-of-two shift-add reduction run
-//     four cycles per instruction with FMA, instead of the reference's
-//     scalar per-cycle loop.
+//     four cycles per instruction with FMA, instead of the scalar kernel's
+//     per-cycle loop.
 // ---------------------------------------------------------------------------
 
 // 512-layer ziggurat tables, plus the layer-edge densities
@@ -561,14 +552,12 @@ void zig_fill(ZigVec& z, double* dst, int n, double sigma) {
 }
 
 __attribute__((target("avx2,fma")))
-void bitsliced_run_columns_avx2(const MacroView& v,
-                                const std::uint64_t* gated_planes,
-                                const std::uint64_t* gated_rem,
-                                const std::int32_t* word_list, int n_words,
-                                std::uint64_t active_rows,
-                                const std::uint8_t* out_mask, int col_begin,
-                                int col_end, std::uint64_t noise_root,
-                                double* y) {
+void run_columns_avx2(const MacroView& v, const std::uint64_t* gated_planes,
+                      const std::uint64_t* gated_rem,
+                      const std::int32_t* word_list, int n_words,
+                      std::uint64_t active_rows,
+                      const std::uint8_t* out_mask, int col_begin,
+                      int col_end, std::uint64_t noise_root, double* y) {
   const double adc_levels = static_cast<double>((1 << v.adc_bits) - 1);
   const double adc_step = static_cast<double>(v.n_in) / adc_levels;
   const double inv_adc_step = 1.0 / adc_step;
@@ -672,142 +661,41 @@ bool cpu_has_avx2_fma() {
 
 #endif  // CIMNAV_X86
 
-// ---------------------------------------------------------------------------
-// Backend classes + registry.
-// ---------------------------------------------------------------------------
-
-class ReferenceBackend final : public ComputeBackend {
- public:
-  std::string_view name() const override { return "reference"; }
-  BackendCaps caps() const override {
-    // The reference IS the draw-sequential noise contract.
-    return {.draw_compatible_noise = true, .vectorized = false};
-  }
-  void run_columns(const MacroView& v, const std::uint64_t* gated_planes,
-                   std::uint64_t active_rows, const std::uint8_t* out_mask,
-                   int col_begin, int col_end, bool ideal, core::Rng* rng,
-                   double* y) const override {
-    reference_run_columns(v, gated_planes, nullptr, nullptr, 0, active_rows,
-                          out_mask, col_begin, col_end, ideal, rng, y);
-  }
-  // run_columns_delta: inherits the base default, which IS the reference
-  // kernel (draw-sequential noise, shared signed-clamp math).
-};
-
-class BitSlicedBackend final : public ComputeBackend {
- public:
-  std::string_view name() const override { return "bitsliced"; }
-  BackendCaps caps() const override {
-    // Noise comes from a lane-parallel ziggurat keyed off one caller
-    // draw: distribution-matched, not draw-for-draw comparable.
-#if CIMNAV_X86
-    return {.draw_compatible_noise = false,
-            .vectorized = cpu_has_avx2_fma()};
-#else
-    return {.draw_compatible_noise = false, .vectorized = false};
-#endif
-  }
-  void run_columns(const MacroView& v, const std::uint64_t* gated_planes,
-                   std::uint64_t active_rows, const std::uint8_t* out_mask,
-                   int col_begin, int col_end, bool ideal, core::Rng* rng,
-                   double* y) const override {
-    run_impl(v, gated_planes, nullptr, nullptr, 0, active_rows, out_mask,
-             col_begin, col_end, ideal, rng, y);
-  }
-  void run_columns_delta(const MacroView& v,
-                         const std::uint64_t* gated_add,
-                         const std::uint64_t* gated_rem,
-                         const std::int32_t* word_list, int n_words,
-                         std::uint64_t active_rows,
-                         const std::uint8_t* out_mask, int col_begin,
-                         int col_end, bool ideal, core::Rng* rng,
-                         double* y) const override {
-    run_impl(v, gated_add, gated_rem, word_list, n_words, active_rows,
-             out_mask, col_begin, col_end, ideal, rng, y);
-  }
-
- private:
-  static void run_impl(const MacroView& v, const std::uint64_t* gated_planes,
-                       const std::uint64_t* gated_rem,
-                       const std::int32_t* word_list, int n_words,
-                       std::uint64_t active_rows,
-                       const std::uint8_t* out_mask, int col_begin,
-                       int col_end, bool ideal, core::Rng* rng, double* y) {
-    if (ideal || rng == nullptr) {
-      // The ideal reduction is exact integer arithmetic in double, so the
-      // scalar kernel is already bit-identical to any evaluation order;
-      // share it with the reference for a single source of truth.
-      reference_run_columns(v, gated_planes, gated_rem, word_list, n_words,
-                            active_rows, out_mask, col_begin, col_end,
-                            /*ideal=*/true, nullptr, y);
-      return;
-    }
-    // One root draw per call keys the noise stream; the caller's stream
-    // advances identically whether the AVX2 or the scalar body runs.
-    const std::uint64_t noise_root = (*rng)();
-#if CIMNAV_X86
-    static const bool kHaveAvx2 = cpu_has_avx2_fma();
-    if (kHaveAvx2) {
-      bitsliced_run_columns_avx2(v, gated_planes, gated_rem, word_list,
-                                 n_words, active_rows, out_mask, col_begin,
-                                 col_end, noise_root, y);
-      return;
-    }
-#endif
-    // Scalar fallback: the reference kernel drawing sequentially from a
-    // stream keyed off the root (one normal_fast per cycle per live
-    // column, in column order).
-    core::Rng noise_rng = core::Rng::stream(noise_root, 0);
-    reference_run_columns(v, gated_planes, gated_rem, word_list, n_words,
-                          active_rows, out_mask, col_begin, col_end,
-                          /*ideal=*/false, &noise_rng, y);
-  }
-};
-
-// Shared registry contract (error shape, replace-in-place duplicates,
-// insertion-order sweeps) lives in core::NameRegistry; "reference" is
-// registered first so backend_names() keeps its stable sweep order.
-core::NameRegistry<const ComputeBackend*>& registry() {
-  static core::NameRegistry<const ComputeBackend*> r("CIM backend");
-  static const bool built_ins = [&] {
-    static const ReferenceBackend reference;
-    static const BitSlicedBackend bitsliced;
-    r.add("reference", "scalar kernel, sequential analog-noise draws",
-          &reference);
-    r.add("bitsliced", "packed bit-plane kernel (AVX2 when available)",
-          &bitsliced);
-    return true;
-  }();
-  (void)built_ins;
-  return r;
-}
-
 }  // namespace
 
-void ComputeBackend::run_columns_delta(
-    const MacroView& view, const std::uint64_t* gated_add,
-    const std::uint64_t* gated_rem, const std::int32_t* word_list,
-    int n_words, std::uint64_t active_rows, const std::uint8_t* out_mask,
-    int col_begin, int col_end, bool ideal, core::Rng* rng,
-    double* y) const {
-  // Default = the reference kernel: draw-sequential noise, shared
-  // signed-clamp math. Backends with their own noise contract (bitsliced)
-  // override with a matching differential kernel.
-  reference_run_columns(view, gated_add, gated_rem, word_list, n_words,
-                        active_rows, out_mask, col_begin, col_end, ideal,
-                        rng, y);
-}
-
-const ComputeBackend& backend(std::string_view name) {
-  if (name.empty() || name == "auto") name = "bitsliced";
-  return *registry().lookup(name);
-}
-
-std::vector<std::string> backend_names() { return registry().names(); }
-
-bool register_backend(const ComputeBackend* backend) {
-  CIMNAV_REQUIRE(backend != nullptr, "backend must not be null");
-  return registry().add(std::string(backend->name()), "", backend);
+void run_columns(const MacroView& v, const std::uint64_t* gated_planes,
+                 const std::uint64_t* gated_rem,
+                 const std::int32_t* word_list, int n_words,
+                 std::uint64_t active_rows, const std::uint8_t* out_mask,
+                 int col_begin, int col_end, bool ideal, core::Rng* rng,
+                 double* y) {
+  if (ideal || rng == nullptr) {
+    // The ideal reduction is exact integer arithmetic in double, so the
+    // scalar kernel is already bit-identical to any evaluation order.
+    scalar_run_columns(v, gated_planes, gated_rem, word_list, n_words,
+                       active_rows, out_mask, col_begin, col_end,
+                       /*ideal=*/true, nullptr, y);
+    return;
+  }
+  // One root draw per call keys the noise stream; the caller's stream
+  // advances identically whether the AVX2 or the scalar body runs.
+  const std::uint64_t noise_root = (*rng)();
+#if CIMNAV_X86
+  static const bool kHaveAvx2 = cpu_has_avx2_fma();
+  if (kHaveAvx2) {
+    run_columns_avx2(v, gated_planes, gated_rem, word_list, n_words,
+                     active_rows, out_mask, col_begin, col_end, noise_root,
+                     y);
+    return;
+  }
+#endif
+  // Scalar fallback: the scalar kernel drawing sequentially from a stream
+  // keyed off the root (one normal_fast per cycle per live column, in
+  // column order).
+  core::Rng noise_rng = core::Rng::stream(noise_root, 0);
+  scalar_run_columns(v, gated_planes, gated_rem, word_list, n_words,
+                     active_rows, out_mask, col_begin, col_end,
+                     /*ideal=*/false, &noise_rng, y);
 }
 
 }  // namespace cimnav::cimsram

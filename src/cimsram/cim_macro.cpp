@@ -99,8 +99,7 @@ std::vector<double> matvec(const CimMacro& macro,
 
 CimMacro::CimMacro(const std::vector<double>& weights, int n_out, int n_in,
                    const CimMacroConfig& config, double input_scale)
-    : config_(config), backend_(&backend(config.backend)), n_in_(n_in),
-      n_out_(n_out), input_scale_(input_scale),
+    : config_(config), n_in_(n_in), n_out_(n_out), input_scale_(input_scale),
       inv_input_scale_(1.0 / input_scale) {
   CIMNAV_REQUIRE(n_in > 0 && n_out > 0, "matrix dims must be positive");
   CIMNAV_REQUIRE(weights.size() == static_cast<std::size_t>(n_in) *
@@ -113,6 +112,11 @@ CimMacro::CimMacro(const std::vector<double>& weights, int n_out, int n_in,
                  "weight bits must be in [2, 12]");
   CIMNAV_REQUIRE(config.adc_bits >= 1 && config.adc_bits <= 16,
                  "adc bits must be in [1, 16]");
+  // A NaN sigma would read 0 on the AVX2 kernel (its ADC clamp drops NaN)
+  // and NaN on the scalar one.
+  CIMNAV_REQUIRE(std::isfinite(config.noise_coeff) &&
+                     config.noise_coeff >= 0.0,
+                 "noise coeff must be finite and non-negative");
   CIMNAV_REQUIRE(input_scale > 0.0, "input scale must be positive");
 
   // Per-tensor symmetric weight quantization.
@@ -288,7 +292,7 @@ void CimMacro::run_delta(const DeltaItem& item, MacroWorkspace& ws) const {
     if ((ws.gate[w] | ws.gate_rem[w]) != 0)
       ws.word_list.push_back(static_cast<std::int32_t>(w));
 
-  // Gates one rail over the listed words. The delta backend contract
+  // Gates one rail over the listed words. The delta-read contract
   // requires every unlisted word to be zero across all planes of BOTH
   // buffers, so each is cleared wholesale first (input_bits x words
   // u64s — trivial next to the scan). A rail with no flipped rows stays
@@ -312,11 +316,9 @@ void CimMacro::run_delta(const DeltaItem& item, MacroWorkspace& ws) const {
       item.n_add > 0 ? gate_rail(ws.gate, ws.gated) : nullptr;
   const std::uint64_t* gated_rem =
       item.n_rem > 0 ? gate_rail(ws.gate_rem, ws.gated_rem) : nullptr;
-  backend_->run_columns_delta(view(), gated_add, gated_rem,
-                              ws.word_list.data(),
-                              static_cast<int>(ws.word_list.size()),
-                              active_rows, nullptr, 0, n_out_,
-                              item.rng == nullptr, item.rng, item.y);
+  run_columns(view(), gated_add, gated_rem, ws.word_list.data(),
+              static_cast<int>(ws.word_list.size()), active_rows, nullptr, 0,
+              n_out_, item.rng == nullptr, item.rng, item.y);
   account(1, active_rows, static_cast<std::uint64_t>(n_out_));
 }
 
@@ -363,8 +365,8 @@ void CimMacro::matvec_encoded(const EncodedInput& enc,
     active_rows += static_cast<std::uint64_t>(std::popcount(row_gate[w]));
 
   const std::uint8_t* mask = out_mask.empty() ? nullptr : out_mask.data();
-  backend_->run_columns(view(), ws.gated.data(), active_rows, mask, 0,
-                        n_out_, rng == nullptr, rng, y.data());
+  run_columns(view(), ws.gated.data(), nullptr, nullptr, 0, active_rows,
+              mask, 0, n_out_, rng == nullptr, rng, y.data());
   account(1, active_rows, count_active_cols(mask));
 }
 

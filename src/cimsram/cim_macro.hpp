@@ -19,10 +19,9 @@
 // matvec_encoded (dense read) and matvec_delta_batch (delta read) —
 // which CimMlp, the MC-Dropout engine, the VO pipeline and the energy
 // model call directly. Encoding, row gating, delta-item dispatch and
-// stats are backend-independent and live here; the column kernel (the
-// gated coincidence counts, noise and ADC for a column range) is a
-// ComputeBackend (backend.hpp: "reference", "bitsliced",
-// registry-extensible).
+// stats live here; both reads end in one call of the column kernel
+// run_columns (backend.hpp: the gated coincidence counts, noise and ADC
+// for a column range).
 //
 // Both reads are physical macro operations. encode_input quantizes and
 // bit-plane-expands an input once into an EncodedInput that any number of
@@ -43,7 +42,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "cimsram/backend.hpp"
@@ -58,11 +56,9 @@ struct CimMacroConfig {
   int weight_bits = 6;   ///< signed weight precision (magnitude bits = w-1)
   int adc_bits = 6;      ///< per-column partial-sum ADC resolution
   bool analog_noise = true;
-  /// Column-sum disturbance sigma in row-count units per sqrt(active row).
+  /// Column-sum disturbance sigma in row-count units per sqrt(active row);
+  /// finite and non-negative.
   double noise_coeff = 0.03;
-  /// Column-kernel backend: "reference", "bitsliced", or "auto" (the
-  /// fastest available). See backend.hpp for the contract between them.
-  std::string backend = "auto";
 };
 
 /// Cumulative activity counters for energy/throughput accounting.
@@ -173,7 +169,8 @@ class CimMacro {
   /// may land one code away from the exact-division grid (irrelevant
   /// under the analog noise model, and the ADC clamp bounds it). Throws
   /// std::invalid_argument on bad dims, bit widths outside the modeled
-  /// ranges or a non-positive input scale.
+  /// ranges, a non-finite or negative noise_coeff or a non-positive input
+  /// scale.
   CimMacro(const std::vector<double>& weights, int n_out, int n_in,
            const CimMacroConfig& config, double input_scale);
 
@@ -207,7 +204,7 @@ class CimMacro {
   /// positively, `rem_rows` on the complementary bit-lines — and converts
   /// the net count with a single signed ADC conversion per cycle (codes
   /// in [-levels, +levels]), writing W x|A - W x|D to the item's `y`. The
-  /// backend's sparse kernel scans only the touched packed words, so the
+  /// kernel's sparse scan reads only the touched packed words, so the
   /// cost tracks the flips, not the layer width; MacroStats prices
   /// exactly the |A| + |D| driven lines and ONE conversion set. Items fan
   /// over `pool` (nullptr = serial, same results): every item carries its
@@ -217,6 +214,10 @@ class CimMacro {
   void matvec_delta_batch(const DeltaItem* items, std::size_t n_items,
                           core::ThreadPool* pool = nullptr) const;
 
+  /// The programmed array as the column kernel sees it (weight planes,
+  /// geometry, ADC and noise model); valid while the macro lives.
+  MacroView view() const;
+
   /// Snapshot of the cumulative activity counters (thread-safe).
   MacroStats stats() const;
   /// Clears the activity counters (stats are mutable bookkeeping).
@@ -224,12 +225,10 @@ class CimMacro {
 
  private:
   /// One differential op: packs both flip lists into zeroed gates, lists
-  /// the touched words, gates the encoding over them, runs the backend's
-  /// delta kernel once and accounts one op with active_rows =
+  /// the touched words, gates the encoding over them, runs the column
+  /// kernel's delta read once and accounts one op with active_rows =
   /// n_add + n_rem (all columns converted once).
   void run_delta(const DeltaItem& item, MacroWorkspace& ws) const;
-
-  MacroView view() const;
 
   std::uint64_t count_active_cols(const std::uint8_t* out_mask) const;
   std::uint64_t cycles_per_call() const;
@@ -237,7 +236,6 @@ class CimMacro {
                std::uint64_t active_cols) const;
 
   CimMacroConfig config_;
-  const ComputeBackend* backend_ = nullptr;
   int n_in_ = 0;
   int n_out_ = 0;
   int words_ = 0;   // packed words per plane

@@ -1,6 +1,6 @@
-// Shared name -> value registry behind the four string-selectable
-// extension seams (cimsram compute backends, filter scenarios, autonomy
-// update policies, fleet admission policies). One contract, pinned by
+// Shared name -> value registry behind the three string-selectable
+// extension seams (filter scenarios, autonomy update policies, fleet
+// admission policies). One contract, pinned by
 // tests/test_registries.cpp:
 //
 //   * lookup of an unknown name throws std::invalid_argument whose
@@ -13,8 +13,7 @@
 //     the registry (e.g. a derived scenario built from a built-in) must
 //     not deadlock on the non-recursive mutex.
 //
-// The registry is thread-safe; values are typically factories
-// (std::function) or raw pointers to process-lifetime singletons.
+// The registry is thread-safe; its values are factories (std::function).
 #pragma once
 
 #include <mutex>

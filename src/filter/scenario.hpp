@@ -193,10 +193,10 @@ Trajectory make_trajectory(TrajectoryKind kind, const map::Scene& scene,
                            int steps, core::Rng& rng);
 
 // ---------------------------------------------------------------------
-// Named-scenario registry, mirroring cimsram's backend registry: each
-// entry pairs a scene layout, a trajectory kind and filter sizing under a
-// stable string name, so examples and benches select whole workloads by
-// string. Built-ins (registered on first use):
+// Named-scenario registry (a core::NameRegistry): each entry pairs a
+// scene layout, a trajectory kind and filter sizing under a stable string
+// name, so examples and benches select whole workloads by string.
+// Built-ins (registered on first use):
 //   "indoor_loop"         cluttered room + panning ellipse
 //   "corridor_dropout"    bare-mid-span corridor + one-way sweep
 //   "loop_closure_square" cluttered room + constant-speed rounded square

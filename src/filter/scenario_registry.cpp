@@ -1,5 +1,5 @@
 // Named-scenario registry (declared in scenario.hpp): string-selectable
-// end-to-end localization workloads, mirroring cimsram's backend registry.
+// end-to-end localization workloads on the shared core::NameRegistry.
 // Each built-in pairs a scene layout with a trajectory kind and filter
 // sizing tuned so a full open- or closed-loop run finishes in seconds and
 // per-step deltas stay inside the VO regressor's training envelope

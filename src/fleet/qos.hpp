@@ -12,8 +12,8 @@
 // session stays bit-identical to a standalone vo::run_odometry_loop —
 // the determinism boundary pinned by tests/test_fleet_fuzz.cpp.
 //
-// Policies are selected by name from a registry mirroring the cimsram
-// backend / filter scenario / autonomy policy registries (one contract,
+// Policies are selected by name from a registry mirroring the filter
+// scenario and autonomy policy registries (one contract,
 // tests/test_registries.cpp):
 //
 //   "fifo"      every runnable session, in slot order — the pre-QoS

@@ -1,8 +1,10 @@
 #include "conformance/conformance.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 
@@ -44,9 +46,8 @@ std::vector<double> case_weights(const CaseSpec& c) {
   return w;
 }
 
-CimMacroConfig case_config(const CaseSpec& c, std::string_view backend_name) {
+CimMacroConfig case_config(const CaseSpec& c) {
   CimMacroConfig cfg;
-  cfg.backend = std::string(backend_name);
   switch (c.mode) {
     case NoiseMode::kIdeal:
       break;  // defaults; the ideal read ignores the noise model anyway
@@ -109,26 +110,72 @@ struct Checker {
       if (!result.pass) return;
     }
   }
+
+  /// The two generators must have consumed the same number of draws:
+  /// their next raw outputs agree.
+  void expect_same_stream(Rng& got, Rng& want, const char* label) {
+    ++result.checks;
+    for (int k = 0; k < 4; ++k) {
+      if (got() != want()) {
+        fail(std::string(label) + ": rng streams diverged");
+        return;
+      }
+    }
+  }
 };
 
-// The harness's batch dispatch over the single-read primitive: one root
-// is drawn from `rng`, then sample s is encoded and read once, a noisy
-// read drawing from Rng::stream(root, s) (null `rng` = the ideal read).
-// With a pool the samples run as concurrent reads of one shared macro —
-// the shape CimMlp::forward_window uses in production — and the
-// per-sample streams make any partitioning bit-identical to the serial
-// loop.
+// One read of a case: `x` (with its row / column masks) in, n_out values
+// out; a null rng selects the ideal read.
+using Reader = std::function<std::vector<double>(const std::vector<double>&,
+                                                 Rng*)>;
+
+// A dense read through `kernel` on the macro's view. The harness gates
+// the encoding itself (encoding & row gate) and counts the driven rows.
+Reader kernel_reader(ColumnKernel kernel, const CimMacro& m,
+                     const std::vector<std::uint8_t>& im,
+                     const std::vector<std::uint8_t>& om) {
+  return [kernel, &m, &im, &om](const std::vector<double>& x, Rng* rng) {
+    EncodedInput enc;
+    m.encode_input(x, enc);
+    std::vector<std::uint64_t> gate;
+    pack_row_mask(im, m.n_in(), gate);
+    std::vector<std::uint64_t> gated(enc.planes.size());
+    for (std::size_t i = 0; i < gated.size(); ++i)
+      gated[i] = enc.planes[i] & gate[i % gate.size()];
+    std::uint64_t active_rows = 0;
+    for (const std::uint64_t g : gate)
+      active_rows += static_cast<std::uint64_t>(std::popcount(g));
+    std::vector<double> y(static_cast<std::size_t>(m.n_out()));
+    kernel(m.view(), gated.data(), nullptr, nullptr, 0, active_rows,
+           om.empty() ? nullptr : om.data(), 0, m.n_out(), rng == nullptr,
+           rng, y.data());
+    return y;
+  };
+}
+
+// The same read through the CimMacro primitives (encode + matvec_encoded).
+Reader macro_reader(const CimMacro& m, const std::vector<std::uint8_t>& im,
+                    const std::vector<std::uint8_t>& om) {
+  return [&m, &im, &om](const std::vector<double>& x, Rng* rng) {
+    return matvec(m, x, im, om, rng);
+  };
+}
+
+// The harness's batch dispatch over a single read: one root is drawn
+// from `rng`, then sample s is read once, a noisy read drawing from
+// Rng::stream(root, s) (null `rng` = the ideal read). With a pool the
+// samples run concurrently — the shape CimMlp::forward_window uses in
+// production — and the per-sample streams make any partitioning
+// bit-identical to the serial loop.
 std::vector<std::vector<double>> read_batch(
-    const CimMacro& m, const std::vector<std::vector<double>>& xs,
-    const std::vector<std::uint8_t>& im, const std::vector<std::uint8_t>& om,
-    Rng* rng, core::ThreadPool* pool = nullptr) {
+    const Reader& read, const std::vector<std::vector<double>>& xs, Rng* rng,
+    core::ThreadPool* pool = nullptr) {
   const std::uint64_t root = rng != nullptr ? (*rng)() : 0;
   std::vector<std::vector<double>> ys(xs.size());
   const auto body = [&](std::size_t begin, std::size_t end, int) {
     for (std::size_t s = begin; s < end; ++s) {
       Rng sample_rng = Rng::stream(root, s);
-      ys[s] = matvec(m, xs[s], im, om,
-                     rng != nullptr ? &sample_rng : nullptr);
+      ys[s] = read(xs[s], rng != nullptr ? &sample_rng : nullptr);
     }
   };
   if (pool != nullptr)
@@ -138,21 +185,59 @@ std::vector<std::vector<double>> read_batch(
   return ys;
 }
 
-// One differential read: a one-item matvec_delta_batch.
-void delta_read(const CimMacro& m, const EncodedInput& enc,
-                const std::vector<std::size_t>& add,
-                const std::vector<std::size_t>& rem, Rng& rng,
-                std::vector<double>& y) {
-  y.assign(static_cast<std::size_t>(m.n_out()), 0.0);
+// One differential read through `kernel` on the macro's view. The harness
+// derives the add and remove gates and the touched-word list from the
+// flip lists; a rail with no flipped rows is null.
+std::vector<double> kernel_delta_read(ColumnKernel kernel, const CimMacro& m,
+                                      const EncodedInput& enc,
+                                      const std::vector<std::size_t>& add,
+                                      const std::vector<std::size_t>& rem,
+                                      Rng* rng) {
+  const std::size_t words = static_cast<std::size_t>(m.gate_words());
+  const auto gate_of = [&](const std::vector<std::size_t>& rows) {
+    std::vector<std::uint64_t> gate(words, 0);
+    for (const std::size_t r : rows)
+      gate[r / 64] |= std::uint64_t{1} << (r % 64);
+    return gate;
+  };
+  const auto gate_add = gate_of(add), gate_rem = gate_of(rem);
+  std::vector<std::int32_t> word_list;
+  for (std::size_t w = 0; w < words; ++w)
+    if ((gate_add[w] | gate_rem[w]) != 0)
+      word_list.push_back(static_cast<std::int32_t>(w));
+  const auto gated_of = [&](const std::vector<std::uint64_t>& gate) {
+    std::vector<std::uint64_t> gated(enc.planes.size());
+    for (std::size_t i = 0; i < gated.size(); ++i)
+      gated[i] = enc.planes[i] & gate[i % words];
+    return gated;
+  };
+  const auto gated_add = gated_of(gate_add), gated_rem = gated_of(gate_rem);
+  std::vector<double> y(static_cast<std::size_t>(m.n_out()));
+  kernel(m.view(), add.empty() ? nullptr : gated_add.data(),
+         rem.empty() ? nullptr : gated_rem.data(), word_list.data(),
+         static_cast<int>(word_list.size()),
+         static_cast<std::uint64_t>(add.size() + rem.size()), nullptr, 0,
+         m.n_out(), rng == nullptr, rng, y.data());
+  return y;
+}
+
+// The same differential read as a one-item matvec_delta_batch.
+std::vector<double> macro_delta_read(const CimMacro& m,
+                                     const EncodedInput& enc,
+                                     const std::vector<std::size_t>& add,
+                                     const std::vector<std::size_t>& rem,
+                                     Rng* rng) {
+  std::vector<double> y(static_cast<std::size_t>(m.n_out()), 0.0);
   DeltaItem it;
   it.enc = &enc;
   it.add_rows = add.data();
   it.n_add = add.size();
   it.rem_rows = rem.data();
   it.n_rem = rem.size();
-  it.rng = &rng;
+  it.rng = rng;
   it.y = y.data();
   m.matvec_delta_batch(&it, 1);
+  return y;
 }
 
 std::vector<std::vector<double>> case_batch_inputs(
@@ -165,132 +250,26 @@ std::vector<std::vector<double>> case_batch_inputs(
   return xs;
 }
 
-// ---------------------------------------------------------------- ideal
-
-CaseResult check_ideal(const CaseSpec& c) {
-  Checker ck{c, {}};
-  const auto test = make_case_macro(c, c.backend);
-  const auto ref = make_case_macro(c, "reference");
-  std::vector<std::uint8_t> im, om;
-
-  switch (c.dispatch) {
-    case Dispatch::kSingle: {
-      std::vector<double> x;
-      make_case_input(c, 0, x, im, om);
-      const auto yt = matvec(*test, x, im, om, nullptr);
-      ck.expect_bitwise(yt, matvec(*ref, x, im, om, nullptr), "ideal/single");
-      break;
-    }
-    case Dispatch::kBatch: {
-      const auto xs = case_batch_inputs(c, 0, 5, im, om);
-      ck.expect_bitwise_batch(read_batch(*test, xs, im, om, nullptr),
-                              read_batch(*ref, xs, im, om, nullptr),
-                              "ideal/batch");
-      break;
-    }
-    case Dispatch::kPooled: {
-      const auto xs = case_batch_inputs(c, 0, 6, im, om);
-      const auto pooled =
-          read_batch(*test, xs, im, om, nullptr, &case_pool());
-      ck.expect_bitwise_batch(pooled,
-                              read_batch(*test, xs, im, om, nullptr),
-                              "ideal/pooled-vs-serial");
-      ck.expect_bitwise_batch(pooled,
-                              read_batch(*ref, xs, im, om, nullptr),
-                              "ideal/pooled-vs-reference");
-      break;
-    }
-    case Dispatch::kMultiJob: {
-      for (std::uint64_t job = 0; job < 3; ++job) {
-        const auto xs = case_batch_inputs(c, job * 8, 3, im, om);
-        std::ostringstream os;
-        os << "ideal/multijob " << job;
-        ck.expect_bitwise_batch(read_batch(*test, xs, im, om, nullptr),
-                                read_batch(*ref, xs, im, om, nullptr),
-                                os.str().c_str());
-        if (!ck.result.pass) break;
-      }
-      break;
-    }
-  }
-  return ck.result;
-}
-
-// ------------------------------------------------------------- ADC-only
-
-CaseResult check_adc(const CaseSpec& c) {
-  Checker ck{c, {}};
-  const auto test = make_case_macro(c, c.backend);
-  const auto ref = make_case_macro(c, "reference");
-  std::vector<std::uint8_t> im, om;
-
-  if (c.dispatch == Dispatch::kSingle) {
-    for (std::uint64_t s = 0; s < 3; ++s) {
-      std::vector<double> x;
-      make_case_input(c, s, x, im, om);
-      // Noise is off, so the noisy read is deterministic: the rngs
-      // differ per macro and must not matter.
-      Rng rt(c.seed ^ 0x17), rr(c.seed ^ 0x23), rt2(c.seed ^ 0x31);
-      const auto yt = matvec(*test, x, im, om, &rt);
-      ck.expect_bitwise(yt, matvec(*ref, x, im, om, &rr), "adc/single");
-      ck.expect_bitwise(yt, matvec(*test, x, im, om, &rt2),
-                        "adc/determinism");
-      if (!ck.result.pass) break;
-    }
-  } else {  // kBatch
-    const auto xs = case_batch_inputs(c, 0, 5, im, om);
-    Rng rt(c.seed ^ 0x41), rr(c.seed ^ 0x43);
-    ck.expect_bitwise_batch(read_batch(*test, xs, im, om, &rt),
-                            read_batch(*ref, xs, im, om, &rr), "adc/batch");
-  }
-  return ck.result;
-}
-
-// --------------------------------------------------------------- analog
-
-int stat_reps(Tier tier) { return tier == Tier::kFull ? 1200 : 320; }
-
-CaseResult check_statistical(const CaseSpec& c) {
-  Checker ck{c, {}};
-  const auto test = make_case_macro(c, c.backend);
-  const auto ref = make_case_macro(c, "reference");
-  std::vector<std::uint8_t> im, om;
-  std::vector<double> x;
-  make_case_input(c, 0, x, im, om);
-
-  if (backend(c.backend).caps().draw_compatible_noise) {
-    // Draw-for-draw compatible kernels are held to the strict tier: the
-    // same seed must produce the reference's exact bits on the noisy
-    // path.
-    const auto xs =
-        std::vector<std::vector<double>>(8, x);
-    Rng rt(c.seed ^ 0x55), rr(c.seed ^ 0x55);
-    ck.expect_bitwise_batch(read_batch(*test, xs, im, om, &rt),
-                            read_batch(*ref, xs, im, om, &rr),
-                            "analog/draw-compatible");
-    return ck.result;
-  }
-
-  const int reps = stat_reps(c.tier);
-  const auto xs = std::vector<std::vector<double>>(
-      static_cast<std::size_t>(reps), x);
-  Rng rt(c.seed ^ 0x61), rr(c.seed ^ 0x67);
-  const auto yt = read_batch(*test, xs, im, om, &rt);
-  const auto yr = read_batch(*ref, xs, im, om, &rr);
-
-  const int n_out = c.geom.n_out;
+// Per-column moment bounds of `got` against `want` (reps x n_out samples
+// of the same read, masked columns skipped). Returns the column with the
+// widest oracle spread (-1 when none has any) so the caller can run
+// the quantile check on it.
+int expect_moments(Checker& ck, const std::vector<std::vector<double>>& got,
+                   const std::vector<std::vector<double>>& want,
+                   const std::vector<std::uint8_t>& om, const char* label) {
+  const std::size_t reps = got.size();
   const double ratio_tol =
       std::max(core::tol::kStddevRatioTol,
                core::tol::kStddevRatioSigmas /
                    std::sqrt(2.0 * static_cast<double>(reps)));
   int best_col = -1;
   double best_sd = 0.0;
-  for (int j = 0; j < n_out; ++j) {
-    if (!om.empty() && !om[static_cast<std::size_t>(j)]) continue;
+  for (std::size_t j = 0; j < want.front().size(); ++j) {
+    if (!om.empty() && !om[j]) continue;
     core::RunningStats st, sr;
-    for (int k = 0; k < reps; ++k) {
-      st.add(yt[static_cast<std::size_t>(k)][static_cast<std::size_t>(j)]);
-      sr.add(yr[static_cast<std::size_t>(k)][static_cast<std::size_t>(j)]);
+    for (std::size_t k = 0; k < reps; ++k) {
+      st.add(got[k][j]);
+      sr.add(want[k][j]);
     }
     ++ck.result.checks;
     const double se = std::sqrt((st.variance() + sr.variance()) /
@@ -301,88 +280,203 @@ CaseResult check_statistical(const CaseSpec& c) {
       // exactly up to representation noise.
       if (dm > 1e-9 * std::max(1.0, std::abs(sr.mean()))) {
         std::ostringstream os;
-        os << "analog/mean(degenerate): col " << j << " " << st.mean()
+        os << label << "/mean(degenerate): col " << j << " " << st.mean()
            << " vs " << sr.mean();
         ck.fail(os.str());
-        return ck.result;
+        return -1;
       }
       continue;
     }
     if (dm > core::tol::kMeanStdErrFactor * se) {
       std::ostringstream os;
-      os << "analog/mean: col " << j << " " << st.mean() << " vs "
-         << sr.mean() << " (|d|=" << dm << " > " <<
-          core::tol::kMeanStdErrFactor << "*se=" <<
-          core::tol::kMeanStdErrFactor * se << ")";
+      os << label << "/mean: col " << j << " " << st.mean() << " vs "
+         << sr.mean() << " (|d|=" << dm << " > "
+         << core::tol::kMeanStdErrFactor << "*se="
+         << core::tol::kMeanStdErrFactor * se << ")";
       ck.fail(os.str());
-      return ck.result;
+      return -1;
     }
     ++ck.result.checks;
     if (sr.stddev() > 0.0) {
       const double ratio = st.stddev() / sr.stddev();
       if (std::abs(ratio - 1.0) > ratio_tol) {
         std::ostringstream os;
-        os << "analog/stddev: col " << j << " ratio " << ratio
+        os << label << "/stddev: col " << j << " ratio " << ratio
            << " outside 1 +- " << ratio_tol;
         ck.fail(os.str());
-        return ck.result;
+        return -1;
       }
       if (sr.stddev() > best_sd) {
         best_sd = sr.stddev();
-        best_col = j;
+        best_col = static_cast<int>(j);
       }
     }
   }
+  return best_col;
+}
 
-  if (best_col >= 0) {
-    // KS-style quantile agreement on the most informative column. The
-    // bound is the asymptotic sample-quantile standard error for a
-    // normal with the reference's spread: sqrt(q(1-q)) / (pdf(z_q)/sd)
-    // / sqrt(reps), combined over the two independent samples.
-    std::vector<double> a(static_cast<std::size_t>(reps)),
-        b(static_cast<std::size_t>(reps));
-    for (int k = 0; k < reps; ++k) {
-      a[static_cast<std::size_t>(k)] =
-          yt[static_cast<std::size_t>(k)][static_cast<std::size_t>(best_col)];
-      b[static_cast<std::size_t>(k)] =
-          yr[static_cast<std::size_t>(k)][static_cast<std::size_t>(best_col)];
+// ---------------------------------------------------------------- ideal
+
+CaseResult check_ideal(const CaseSpec& c, ColumnKernel subject) {
+  Checker ck{c, {}};
+  const auto m = make_case_macro(c);
+  std::vector<std::uint8_t> im, om;
+
+  switch (c.dispatch) {
+    case Dispatch::kSingle: {
+      std::vector<double> x;
+      make_case_input(c, 0, x, im, om);
+      ck.expect_bitwise(kernel_reader(subject, *m, im, om)(x, nullptr),
+                        kernel_reader(&scalar_run_columns, *m, im, om)(
+                            x, nullptr),
+                        "ideal/single");
+      break;
     }
-    constexpr double kQ[] = {0.10, 0.25, 0.50, 0.75, 0.90};
-    constexpr double kNormPdf[] = {0.17550, 0.31778, 0.39894, 0.31778,
-                                   0.17550};
-    for (int i = 0; i < 5; ++i) {
-      ++ck.result.checks;
-      const double qa = core::quantile(a, kQ[i]);
-      const double qb = core::quantile(b, kQ[i]);
-      const double se = std::sqrt(kQ[i] * (1.0 - kQ[i])) /
-                        (kNormPdf[i] / best_sd) /
-                        std::sqrt(static_cast<double>(reps)) *
-                        std::sqrt(2.0);
-      if (std::abs(qa - qb) > core::tol::kQuantileStdErrFactor * se) {
+    case Dispatch::kBatch: {
+      const auto xs = case_batch_inputs(c, 0, 5, im, om);
+      ck.expect_bitwise_batch(
+          read_batch(kernel_reader(subject, *m, im, om), xs, nullptr),
+          read_batch(kernel_reader(&scalar_run_columns, *m, im, om), xs,
+                     nullptr),
+          "ideal/batch");
+      break;
+    }
+    case Dispatch::kPooled: {
+      const auto xs = case_batch_inputs(c, 0, 6, im, om);
+      const Reader read = macro_reader(*m, im, om);
+      const auto pooled = read_batch(read, xs, nullptr, &case_pool());
+      ck.expect_bitwise_batch(pooled, read_batch(read, xs, nullptr),
+                              "ideal/pooled-vs-serial");
+      ck.expect_bitwise_batch(
+          pooled,
+          read_batch(kernel_reader(&scalar_run_columns, *m, im, om), xs,
+                     nullptr),
+          "ideal/pooled-vs-oracle");
+      break;
+    }
+    case Dispatch::kMultiJob: {
+      for (std::uint64_t job = 0; job < 3; ++job) {
+        const auto xs = case_batch_inputs(c, job * 8, 3, im, om);
         std::ostringstream os;
-        os << "analog/quantile: col " << best_col << " q=" << kQ[i] << " "
-           << qa << " vs " << qb << " (bound "
-           << core::tol::kQuantileStdErrFactor * se << ")";
-        ck.fail(os.str());
-        return ck.result;
+        os << "ideal/multijob " << job;
+        ck.expect_bitwise_batch(
+            read_batch(kernel_reader(subject, *m, im, om), xs, nullptr),
+            read_batch(kernel_reader(&scalar_run_columns, *m, im, om), xs,
+                       nullptr),
+            os.str().c_str());
+        if (!ck.result.pass) break;
       }
+      break;
+    }
+    case Dispatch::kDelta:
+    case Dispatch::kMacro:
+      throw std::invalid_argument("conformance: no ideal case for dispatch " +
+                                  std::string(to_string(c.dispatch)));
+  }
+  return ck.result;
+}
+
+// ------------------------------------------------------------- ADC-only
+
+CaseResult check_adc(const CaseSpec& c, ColumnKernel subject) {
+  Checker ck{c, {}};
+  const auto m = make_case_macro(c);
+  std::vector<std::uint8_t> im, om;
+  const Reader test = kernel_reader(subject, *m, im, om);
+  const Reader oracle = kernel_reader(&scalar_run_columns, *m, im, om);
+
+  if (c.dispatch == Dispatch::kSingle) {
+    for (std::uint64_t s = 0; s < 3; ++s) {
+      std::vector<double> x;
+      make_case_input(c, s, x, im, om);
+      // Noise is off, so the noisy read is deterministic: the rngs
+      // differ per read and must not matter.
+      Rng rt(c.seed ^ 0x17), rr(c.seed ^ 0x23), rt2(c.seed ^ 0x31);
+      const auto yt = test(x, &rt);
+      ck.expect_bitwise(yt, oracle(x, &rr), "adc/single");
+      ck.expect_bitwise(yt, test(x, &rt2), "adc/determinism");
+      if (!ck.result.pass) break;
+    }
+  } else {  // kBatch
+    const auto xs = case_batch_inputs(c, 0, 5, im, om);
+    Rng rt(c.seed ^ 0x41), rr(c.seed ^ 0x43);
+    ck.expect_bitwise_batch(read_batch(test, xs, &rt),
+                            read_batch(oracle, xs, &rr), "adc/batch");
+  }
+  return ck.result;
+}
+
+// --------------------------------------------------------------- analog
+
+int stat_reps(Tier tier) { return tier == Tier::kFull ? 1200 : 320; }
+
+CaseResult check_statistical(const CaseSpec& c, ColumnKernel subject) {
+  Checker ck{c, {}};
+  const auto m = make_case_macro(c);
+  std::vector<std::uint8_t> im, om;
+  std::vector<double> x;
+  make_case_input(c, 0, x, im, om);
+
+  const int reps = stat_reps(c.tier);
+  const auto xs = std::vector<std::vector<double>>(
+      static_cast<std::size_t>(reps), x);
+  Rng rt(c.seed ^ 0x61), rr(c.seed ^ 0x67);
+  const auto yt = read_batch(kernel_reader(subject, *m, im, om), xs, &rt);
+  const auto yr =
+      read_batch(kernel_reader(&scalar_run_columns, *m, im, om), xs, &rr);
+
+  const int best_col = expect_moments(ck, yt, yr, om, "analog");
+  if (!ck.result.pass || best_col < 0) return ck.result;
+
+  // KS-style quantile agreement on the most informative column. The
+  // bound is the asymptotic sample-quantile standard error for a normal
+  // with the oracle's spread: sqrt(q(1-q)) / (pdf(z_q)/sd) / sqrt(reps),
+  // combined over the two independent samples.
+  const std::size_t col = static_cast<std::size_t>(best_col);
+  std::vector<double> a(static_cast<std::size_t>(reps)),
+      b(static_cast<std::size_t>(reps));
+  core::RunningStats sr;
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    a[k] = yt[k][col];
+    b[k] = yr[k][col];
+    sr.add(b[k]);
+  }
+  const double best_sd = sr.stddev();
+  constexpr double kQ[] = {0.10, 0.25, 0.50, 0.75, 0.90};
+  constexpr double kNormPdf[] = {0.17550, 0.31778, 0.39894, 0.31778,
+                                 0.17550};
+  for (int i = 0; i < 5; ++i) {
+    ++ck.result.checks;
+    const double qa = core::quantile(a, kQ[i]);
+    const double qb = core::quantile(b, kQ[i]);
+    const double se = std::sqrt(kQ[i] * (1.0 - kQ[i])) /
+                      (kNormPdf[i] / best_sd) /
+                      std::sqrt(static_cast<double>(reps)) * std::sqrt(2.0);
+    if (std::abs(qa - qb) > core::tol::kQuantileStdErrFactor * se) {
+      std::ostringstream os;
+      os << "analog/quantile: col " << best_col << " q=" << kQ[i] << " "
+         << qa << " vs " << qb << " (bound "
+         << core::tol::kQuantileStdErrFactor * se << ")";
+      ck.fail(os.str());
+      return ck.result;
     }
   }
   return ck.result;
 }
 
 CaseResult check_pooled_identity(const CaseSpec& c) {
-  // The concurrent-read determinism contract, per backend and geometry:
-  // noise streams are keyed on sample indices and every scratch buffer is
-  // per thread, so concurrent noisy reads of one shared macro must
-  // produce the serial loop's exact bits.
+  // The concurrent-read determinism contract, per geometry: noise streams
+  // are keyed on sample indices and every scratch buffer is per thread,
+  // so concurrent noisy reads of one shared macro must produce the serial
+  // loop's exact bits.
   Checker ck{c, {}};
-  const auto test = make_case_macro(c, c.backend);
+  const auto m = make_case_macro(c);
   std::vector<std::uint8_t> im, om;
   const auto xs = case_batch_inputs(c, 0, 6, im, om);
+  const Reader read = macro_reader(*m, im, om);
   Rng ra(c.seed ^ 0x71), rb(c.seed ^ 0x71);
-  ck.expect_bitwise_batch(read_batch(*test, xs, im, om, &rb, &case_pool()),
-                          read_batch(*test, xs, im, om, &ra),
+  ck.expect_bitwise_batch(read_batch(read, xs, &rb, &case_pool()),
+                          read_batch(read, xs, &ra),
                           "analog/pooled-vs-serial");
   return ck.result;
 }
@@ -392,14 +486,15 @@ CaseResult check_multijob(const CaseSpec& c) {
   // schedule must be reproducible run-to-run, and distinct job keys must
   // actually decorrelate the noise.
   Checker ck{c, {}};
-  const auto test = make_case_macro(c, c.backend);
+  const auto m = make_case_macro(c);
   std::vector<std::uint8_t> im, om;
+  const Reader read = macro_reader(*m, im, om);
   auto run_schedule = [&] {
     std::vector<std::vector<std::vector<double>>> jobs;
     for (std::uint64_t job = 0; job < 3; ++job) {
       const auto xs = case_batch_inputs(c, job * 8, 3, im, om);
       Rng jr = Rng::stream(c.seed, job);
-      jobs.push_back(read_batch(*test, xs, im, om, &jr));
+      jobs.push_back(read_batch(read, xs, &jr));
     }
     return jobs;
   };
@@ -414,8 +509,8 @@ CaseResult check_multijob(const CaseSpec& c) {
   // Same inputs, different job keys -> different noise somewhere.
   const auto xs = case_batch_inputs(c, 0, 3, im, om);
   Rng j0 = Rng::stream(c.seed, 101), j1 = Rng::stream(c.seed, 202);
-  const auto y0 = read_batch(*test, xs, im, om, &j0);
-  const auto y1 = read_batch(*test, xs, im, om, &j1);
+  const auto y0 = read_batch(read, xs, &j0);
+  const auto y1 = read_batch(read, xs, &j1);
   ++ck.result.checks;
   if (y0 == y1)
     ck.fail("analog/multijob-distinct: different job keys produced "
@@ -450,54 +545,54 @@ void case_delta_rows(const CaseSpec& c, std::uint64_t salt,
   rem.push_back(static_cast<std::size_t>(c.geom.n_in) - 1);
 }
 
-CaseResult check_delta(const CaseSpec& c) {
+CaseResult check_delta(const CaseSpec& c, ColumnKernel subject) {
   Checker ck{c, {}};
-  const auto test = make_case_macro(c, c.backend);
-  const auto ref = make_case_macro(c, "reference");
+  const auto m = make_case_macro(c);
   std::vector<std::uint8_t> im, om, no_mask;
   std::vector<double> x;
   make_case_input(c, 0, x, im, om);
-  EncodedInput enc_t, enc_r;
-  test->encode_input(x, enc_t);
-  ref->encode_input(x, enc_r);
+  EncodedInput enc;
+  m->encode_input(x, enc);
   std::vector<std::size_t> add, rem;
   case_delta_rows(c, 0, add, rem);
+  const auto test = [&](const std::vector<std::size_t>& a,
+                        const std::vector<std::size_t>& r, Rng* rng) {
+    return kernel_delta_read(subject, *m, enc, a, r, rng);
+  };
 
   if (c.mode == NoiseMode::kAdcOnly) {
     // Noise is off, so the differential read is deterministic and its
-    // algebraic identities hold bitwise within one backend on every
-    // geometry (ties cancel: both sides evaluate the same quantizer on
-    // the same counts).
-    std::vector<double> ya, yb;
+    // algebraic identities hold bitwise on every geometry (ties cancel:
+    // both sides evaluate the same quantizer on the same counts).
     Rng r1(c.seed ^ 0x91), r2(c.seed ^ 0x93);
-    delta_read(*test, enc_t, add, rem, r1, ya);
-    delta_read(*test, enc_t, add, rem, r2, yb);
-    ck.expect_bitwise(yb, ya, "delta/determinism");
+    const auto ya = test(add, rem, &r1);
+    ck.expect_bitwise(test(add, rem, &r2), ya, "delta/determinism");
 
     // Swapping the rails must negate the op exactly: the correlated
     // double sample converts each rail independently.
     Rng r3(c.seed ^ 0x95);
-    delta_read(*test, enc_t, rem, add, r3, yb);
+    auto yb = test(rem, add, &r3);
     for (auto& v : yb) v = -v;
     ck.expect_bitwise(yb, ya, "delta/antisymmetry");
 
     // A one-sided op (no removed rows) degenerates to the dense gated
     // read over the flipped rows — same counts, same code lattice.
     Rng r4(c.seed ^ 0x97), r5(c.seed ^ 0x99);
-    delta_read(*test, enc_t, add, {}, r4, ya);
-    std::vector<std::uint64_t> gate(
-        static_cast<std::size_t>(test->gate_words()), 0);
-    for (std::size_t r : add) gate[r >> 6] |= 1ull << (r & 63u);
-    test->matvec_encoded(enc_t, gate, no_mask, &r5, yb);
-    ck.expect_bitwise(ya, yb, "delta/one-sided-vs-dense");
+    std::vector<std::uint8_t> add_mask(static_cast<std::size_t>(c.geom.n_in),
+                                       0);
+    for (const std::size_t r : add) add_mask[r] = 1;
+    ck.expect_bitwise(test(add, {}, &r4),
+                      kernel_reader(subject, *m, add_mask, no_mask)(x, &r5),
+                      "delta/one-sided-vs-dense");
 
     if (odd_rows(c.geom)) {
       // Tie-free geometry: the deterministic delta read is bitwise
-      // cross-backend, like the dense ADC-only tier.
+      // against the oracle, like the dense ADC-only tier.
       Rng r6(c.seed ^ 0x9b), r7(c.seed ^ 0x9d);
-      delta_read(*test, enc_t, add, rem, r6, ya);
-      delta_read(*ref, enc_r, add, rem, r7, yb);
-      ck.expect_bitwise(ya, yb, "delta/cross-backend");
+      ck.expect_bitwise(
+          test(add, rem, &r6),
+          kernel_delta_read(&scalar_run_columns, *m, enc, add, rem, &r7),
+          "delta/vs-oracle");
     }
     return ck.result;
   }
@@ -519,7 +614,7 @@ CaseResult check_delta(const CaseSpec& c) {
         std::vector<double>(static_cast<std::size_t>(c.geom.n_out), 0.0));
     std::vector<DeltaItem> items(kItems);
     for (int k = 0; k < kItems; ++k) {
-      items[k].enc = &enc_t;
+      items[k].enc = &enc;
       items[k].add_rows = adds[k].data();
       items[k].n_add = adds[k].size();
       items[k].rem_rows = rems[k].data();
@@ -527,24 +622,15 @@ CaseResult check_delta(const CaseSpec& c) {
       items[k].rng = &rngs[static_cast<std::size_t>(k)];
       items[k].y = ys[static_cast<std::size_t>(k)].data();
     }
-    test->matvec_delta_batch(items.data(), items.size(), pool);
+    m->matvec_delta_batch(items.data(), items.size(), pool);
     return ys;
   };
   ck.expect_bitwise_batch(run_items(&case_pool()), run_items(nullptr),
                           "delta/pooled-vs-serial");
   if (!ck.result.pass) return ck.result;
 
-  if (backend(c.backend).caps().draw_compatible_noise) {
-    std::vector<double> ya, yb;
-    Rng rt(c.seed ^ 0xA5), rr(c.seed ^ 0xA5);
-    delta_read(*test, enc_t, add, rem, rt, ya);
-    delta_read(*ref, enc_r, add, rem, rr, yb);
-    ck.expect_bitwise(ya, yb, "delta/draw-compatible");
-    return ck.result;
-  }
-
   // Statistical tier: the noisy differential read must be
-  // distribution-matched against reference — per-column mean and spread
+  // distribution-matched against the oracle — per-column mean and spread
   // over independent keyed repetitions of the same flip lists.
   const int reps = stat_reps(c.tier);
   std::vector<std::vector<double>> yt(static_cast<std::size_t>(reps)),
@@ -552,51 +638,51 @@ CaseResult check_delta(const CaseSpec& c) {
   for (int k = 0; k < reps; ++k) {
     Rng rt = Rng::stream(c.seed ^ 0x61, static_cast<std::uint64_t>(k));
     Rng rr = Rng::stream(c.seed ^ 0x67, static_cast<std::uint64_t>(k));
-    delta_read(*test, enc_t, add, rem, rt, yt[static_cast<std::size_t>(k)]);
-    delta_read(*ref, enc_r, add, rem, rr, yr[static_cast<std::size_t>(k)]);
+    yt[static_cast<std::size_t>(k)] = test(add, rem, &rt);
+    yr[static_cast<std::size_t>(k)] =
+        kernel_delta_read(&scalar_run_columns, *m, enc, add, rem, &rr);
   }
-  const double ratio_tol =
-      std::max(core::tol::kStddevRatioTol,
-               core::tol::kStddevRatioSigmas /
-                   std::sqrt(2.0 * static_cast<double>(reps)));
-  for (int j = 0; j < c.geom.n_out; ++j) {
-    core::RunningStats st, sr;
-    for (int k = 0; k < reps; ++k) {
-      st.add(yt[static_cast<std::size_t>(k)][static_cast<std::size_t>(j)]);
-      sr.add(yr[static_cast<std::size_t>(k)][static_cast<std::size_t>(j)]);
-    }
-    ++ck.result.checks;
-    const double se = std::sqrt((st.variance() + sr.variance()) /
-                                static_cast<double>(reps));
-    const double dm = std::abs(st.mean() - sr.mean());
-    if (se < 1e-12) {
-      if (dm > 1e-9 * std::max(1.0, std::abs(sr.mean()))) {
-        std::ostringstream os;
-        os << "delta/mean(degenerate): col " << j << " " << st.mean()
-           << " vs " << sr.mean();
-        ck.fail(os.str());
-        return ck.result;
-      }
-      continue;
-    }
-    if (dm > core::tol::kMeanStdErrFactor * se) {
-      std::ostringstream os;
-      os << "delta/mean: col " << j << " " << st.mean() << " vs "
-         << sr.mean() << " (|d|=" << dm << ")";
-      ck.fail(os.str());
-      return ck.result;
-    }
-    ++ck.result.checks;
-    if (sr.stddev() > 0.0) {
-      const double ratio = st.stddev() / sr.stddev();
-      if (std::abs(ratio - 1.0) > ratio_tol) {
-        std::ostringstream os;
-        os << "delta/stddev: col " << j << " ratio " << ratio
-           << " outside 1 +- " << ratio_tol;
-        ck.fail(os.str());
-        return ck.result;
-      }
-    }
+  expect_moments(ck, yt, yr, no_mask, "delta");
+  return ck.result;
+}
+
+// ---------------------------------------------------------------- macro
+
+CaseResult check_macro(const CaseSpec& c) {
+  // CimMacro's two reads must be exactly run_columns on view() over the
+  // planes the harness gates itself — same bits and the same rng
+  // consumption, noisy reads included.
+  Checker ck{c, {}};
+  const auto m = make_case_macro(c);
+  std::vector<std::uint8_t> im, om;
+  std::vector<double> x;
+  make_case_input(c, 0, x, im, om);
+  const Reader kernel = kernel_reader(&run_columns, *m, im, om);
+  const Reader macro = macro_reader(*m, im, om);
+
+  ck.expect_bitwise(macro(x, nullptr), kernel(x, nullptr), "macro/ideal");
+  Rng rm(c.seed ^ 0xC1), rk(c.seed ^ 0xC1);
+  ck.expect_bitwise(macro(x, &rm), kernel(x, &rk), "macro/noisy");
+  ck.expect_same_stream(rm, rk, "macro/noisy");
+
+  EncodedInput enc;
+  m->encode_input(x, enc);
+  std::vector<std::size_t> add, rem;
+  case_delta_rows(c, 0, add, rem);
+  ck.expect_bitwise(macro_delta_read(*m, enc, add, rem, nullptr),
+                    kernel_delta_read(&run_columns, *m, enc, add, rem,
+                                      nullptr),
+                    "macro/delta-ideal");
+  for (const bool one_sided : {false, true}) {
+    const std::vector<std::size_t> r =
+        one_sided ? std::vector<std::size_t>{} : rem;
+    Rng dm(c.seed ^ 0xC3), dk(c.seed ^ 0xC3);
+    const char* label =
+        one_sided ? "macro/delta-one-sided" : "macro/delta-noisy";
+    ck.expect_bitwise(macro_delta_read(*m, enc, add, r, &dm),
+                      kernel_delta_read(&run_columns, *m, enc, add, r, &dk),
+                      label);
+    ck.expect_same_stream(dm, dk, label);
   }
   return ck.result;
 }
@@ -631,6 +717,7 @@ const char* to_string(Dispatch d) {
     case Dispatch::kPooled: return "pooled";
     case Dispatch::kMultiJob: return "multijob";
     case Dispatch::kDelta: return "delta";
+    case Dispatch::kMacro: return "macro";
   }
   return "?";
 }
@@ -655,7 +742,7 @@ E parse_enum(std::string_view v, const std::vector<E>& all,
 
 std::string CaseSpec::repro() const {
   std::ostringstream os;
-  os << "backend=" << backend << " geom=" << geom.n_in << "x" << geom.n_out
+  os << "geom=" << geom.n_in << "x" << geom.n_out
      << " family=" << to_string(family) << " mode=" << to_string(mode)
      << " dispatch=" << to_string(dispatch) << " seed=0x" << std::hex
      << seed << std::dec << " tier=" << to_string(tier);
@@ -664,7 +751,7 @@ std::string CaseSpec::repro() const {
 
 CaseSpec CaseSpec::parse_repro(std::string_view line) {
   CaseSpec c;
-  bool have_backend = false, have_geom = false, have_seed = false;
+  bool have_geom = false, have_seed = false;
   std::istringstream is{std::string(line)};
   std::string token;
   while (is >> token) {
@@ -682,10 +769,7 @@ CaseSpec CaseSpec::parse_repro(std::string_view line) {
       a = std::stoi(val.substr(0, x));
       b = std::stoi(val.substr(x + 1));
     };
-    if (key == "backend") {
-      c.backend = val;
-      have_backend = true;
-    } else if (key == "geom") {
+    if (key == "geom") {
       parse_pair(c.geom.n_in, c.geom.n_out);
       have_geom = true;
     } else if (key == "family") {
@@ -701,7 +785,7 @@ CaseSpec CaseSpec::parse_repro(std::string_view line) {
           val,
           std::vector<Dispatch>{Dispatch::kSingle, Dispatch::kBatch,
                                 Dispatch::kPooled, Dispatch::kMultiJob,
-                                Dispatch::kDelta},
+                                Dispatch::kDelta, Dispatch::kMacro},
           "dispatch");
     } else if (key == "seed") {
       c.seed = std::stoull(val, nullptr, 0);
@@ -714,8 +798,8 @@ CaseSpec CaseSpec::parse_repro(std::string_view line) {
                                   "'");
     }
   }
-  CIMNAV_REQUIRE(have_backend && have_geom && have_seed,
-                 "conformance repro needs backend=, geom= and seed=");
+  CIMNAV_REQUIRE(have_geom && have_seed,
+                 "conformance repro needs geom= and seed=");
   return c;
 }
 
@@ -744,7 +828,7 @@ std::vector<CaseGeometry> geometries(Tier tier) {
   return g;
 }
 
-std::vector<CaseSpec> cases_for(std::string_view backend_name, Tier tier) {
+std::vector<CaseSpec> cases_for(Tier tier) {
   std::vector<CaseSpec> out;
   const auto geoms = geometries(tier);
   const auto fams = families();
@@ -752,7 +836,6 @@ std::vector<CaseSpec> cases_for(std::string_view backend_name, Tier tier) {
   auto push = [&](const CaseGeometry& g, InputFamily f, NoiseMode m,
                   Dispatch d) {
     CaseSpec c;
-    c.backend = std::string(backend_name);
     c.geom = g;
     c.family = f;
     c.mode = m;
@@ -769,13 +852,13 @@ std::vector<CaseSpec> cases_for(std::string_view backend_name, Tier tier) {
       for (Dispatch d : {Dispatch::kSingle, Dispatch::kBatch,
                          Dispatch::kPooled, Dispatch::kMultiJob})
         push(g, f, NoiseMode::kIdeal, d);
-      // ADC-only: deterministic noisy entry points, cross-backend
-      // bitwise — only on tie-free geometries (odd rows).
+      // ADC-only: deterministic noisy entry points, bitwise against the
+      // oracle — only on tie-free geometries (odd rows).
       if (odd_rows(g)) {
         push(g, f, NoiseMode::kAdcOnly, Dispatch::kSingle);
         push(g, f, NoiseMode::kAdcOnly, Dispatch::kBatch);
       }
-      // Analog: statistical vs reference (batch), pooled-vs-serial
+      // Analog: statistical vs the oracle (batch), pooled-vs-serial
       // bit-identity, and keyed multi-job reproducibility (dense only —
       // the noise model does not see the input family).
       push(g, f, NoiseMode::kAnalog, Dispatch::kBatch);
@@ -783,21 +866,24 @@ std::vector<CaseSpec> cases_for(std::string_view backend_name, Tier tier) {
       if (f == InputFamily::kDense)
         push(g, f, NoiseMode::kAnalog, Dispatch::kMultiJob);
       // Delta dispatch (differential compute-reuse read): deterministic
-      // identities everywhere + cross-backend bitwise on tie-free
-      // geometries; pooled bit-identity and noise statistics vs
-      // reference on the dense family (the noise model does not see the
+      // identities everywhere + bitwise against the oracle on tie-free
+      // geometries; pooled bit-identity and noise statistics vs the
+      // oracle on the dense family (the noise model does not see the
       // input family).
       push(g, f, NoiseMode::kAdcOnly, Dispatch::kDelta);
       if (f == InputFamily::kDense)
         push(g, f, NoiseMode::kAnalog, Dispatch::kDelta);
     }
   }
+  // CimMacro against its kernel, noisy reads included. Appended after the
+  // loop above so the seeds of the other cases do not depend on it.
+  for (const auto& g : geoms)
+    for (InputFamily f : fams) push(g, f, NoiseMode::kAnalog, Dispatch::kMacro);
   return out;
 }
 
-std::vector<CaseSpec> cases_for(std::string_view backend_name, InputFamily f,
-                                Tier tier) {
-  auto all = cases_for(backend_name, tier);
+std::vector<CaseSpec> cases_for(InputFamily f, Tier tier) {
+  auto all = cases_for(tier);
   std::vector<CaseSpec> out;
   for (auto& c : all)
     if (c.family == f) out.push_back(std::move(c));
@@ -858,24 +944,30 @@ void make_case_input(const CaseSpec& c, std::uint64_t sample_id,
   }
 }
 
-std::unique_ptr<CimMacro> make_case_macro(const CaseSpec& c,
-                                          std::string_view backend_name) {
+std::unique_ptr<CimMacro> make_case_macro(const CaseSpec& c) {
   CIMNAV_REQUIRE(c.geom.n_in > 0 && c.geom.n_out > 0,
                  "conformance case needs a positive geometry");
   return std::make_unique<CimMacro>(case_weights(c), c.geom.n_out,
-                                    c.geom.n_in, case_config(c, backend_name),
+                                    c.geom.n_in, case_config(c),
                                     kInputScale);
 }
 
 // -------------------------------------------------------------- running
 
-CaseResult run_case(const CaseSpec& c) {
-  if (c.dispatch == Dispatch::kDelta) return check_delta(c);
+CaseResult run_case(const CaseSpec& c, ColumnKernel subject) {
+  switch (c.dispatch) {
+    case Dispatch::kDelta:
+      return check_delta(c, subject);
+    case Dispatch::kMacro:
+      return check_macro(c);
+    default:
+      break;
+  }
   switch (c.mode) {
     case NoiseMode::kIdeal:
-      return check_ideal(c);
+      return check_ideal(c, subject);
     case NoiseMode::kAdcOnly:
-      return check_adc(c);
+      return check_adc(c, subject);
     case NoiseMode::kAnalog:
       switch (c.dispatch) {
         case Dispatch::kPooled:
@@ -883,7 +975,7 @@ CaseResult run_case(const CaseSpec& c) {
         case Dispatch::kMultiJob:
           return check_multijob(c);
         default:
-          return check_statistical(c);
+          return check_statistical(c, subject);
       }
   }
   throw std::invalid_argument("conformance: unknown noise mode");

@@ -1,16 +1,22 @@
-// Backend conformance harness (the ggml test-backend-ops pattern): a
-// table-driven sweep of randomized op cases that EVERY registered compute
-// backend must pass against the "reference" kernel. Registering a new
-// backend (AVX-512 VPOPCNTDQ, CUDA, ...) is a pure register_backend call:
-// the case table is built from backend_names() at runtime, so the new
-// kernel inherits the whole suite (test_backend_conformance.cpp next to
-// this file) and the bench_micro timing sweep rows with zero test code
-// written. Built as the cimnav_conformance library, which needs no GTest.
+// Column-kernel conformance harness (the ggml test-backend-ops pattern):
+// a table-driven sweep of randomized op cases in which a *subject* column
+// kernel — cimsram::run_columns, the kernel CimMacro ships, by default —
+// is checked against the *oracle* cimsram::scalar_run_columns, the
+// draw-sequential scalar kernel. Any function with run_columns' signature
+// can be the subject, so a new kernel (AVX-512 VPOPCNTDQ, CUDA, ...)
+// inherits the whole suite (test_backend_conformance.cpp next to this
+// file) by being passed to run_case. Built as the cimnav_conformance
+// library, which needs no GTest.
 //
-// The harness drives only the CimMacro primitives: a batch is its own
-// loop over matvec_encoded (sample s noisy reads draw from
-// Rng::stream(root, s)), run serially or as concurrent reads of one
-// shared macro over a ThreadPool; a delta read is a matvec_delta_batch.
+// Each case builds one CimMacro and runs both kernels on macro.view()
+// with planes the harness gates itself: encoding & row gate for a dense
+// read; the add and remove gates plus the touched-word list, derived from
+// the flip lists, for a delta read. A batch is the harness's own loop of
+// reads (sample s noisy reads draw from Rng::stream(root, s)). The pooled
+// and multi-job tiers drive the CimMacro primitives instead — concurrent
+// matvec_encoded reads of one shared macro over a ThreadPool, and
+// matvec_delta_batch — and the macro tier pins those primitives to
+// run_columns on view() bit for bit.
 //
 // Case axes (the cross product is pruned per noise mode, see the table
 // builder in conformance.cpp):
@@ -23,28 +29,34 @@
 //              analog (noise-dominated);
 //   dispatch   single read / harness batch loop / the same loop pooled /
 //              multi-job keyed streams / differential delta reads
-//              (compute reuse).
+//              (compute reuse) / CimMacro against its kernel.
 //
 // Check tiers:
 //
-//   bitwise      the ideal path must be bit-identical across backends
-//                (exact integer reduction), concurrent pooled reads and
-//                the pooled delta fan-out bit-identical to serial, and the
-//                deterministic ADC-only path bit-identical cross-backend
-//                on tie-free geometries (odd physical row counts — even
-//                row counts can land counts exactly on an ADC half-code
-//                boundary, where FMA contraction differences make
-//                floor(x + 0.5) legitimately host-dependent);
+//   bitwise      the ideal path must be bit-identical to the oracle
+//                (exact integer reduction), and the deterministic ADC-only
+//                path too on tie-free geometries (odd physical row counts
+//                — even row counts can land counts exactly on an ADC
+//                half-code boundary, where FMA contraction differences
+//                make floor(x + 0.5) legitimately host-dependent);
 //   statistical  the analog path must be distribution-matched against
-//                reference: per-column Welford moment bounds plus
+//                the oracle: per-column Welford moment bounds plus
 //                KS-style quantile checks over keyed rng streams, with
-//                tolerances from conformance/stat_tolerances.hpp. A
-//                backend whose caps() declare draw_compatible_noise is
-//                held to bitwise identity on the noisy path instead.
+//                tolerances from conformance/stat_tolerances.hpp;
+//   delta        the differential read's identities (determinism, rail
+//                antisymmetry, one-sided = dense) bitwise, bitwise against
+//                the oracle on tie-free geometries, and distribution-
+//                matched on the noisy path;
+//   identity     pooled and multi-job CimMacro reads and the pooled delta
+//                fan-out bit-identical to serial;
+//   macro        matvec_encoded and matvec_delta_batch bit-identical to
+//                run_columns on view() with the same rng, noisy reads
+//                included: CimMacro's gating and word lists feed its one
+//                kernel.
 //
-// Every failure embeds a single-line repro (seed, geometry, backend,
-// family, mode, dispatch) that parse_repro turns back into the exact
-// case — tests/conformance/test_backend_conformance accepts it via
+// Every failure embeds a single-line repro (seed, geometry, family,
+// mode, dispatch) that parse_repro turns back into the exact case —
+// tests/conformance/test_backend_conformance accepts it via
 // --repro="...".
 #pragma once
 
@@ -54,9 +66,13 @@
 #include <string_view>
 #include <vector>
 
+#include "cimsram/backend.hpp"
 #include "cimsram/cim_macro.hpp"
 
 namespace cimnav::cimsram::conformance {
+
+/// A column kernel with run_columns' signature: the subject of a case.
+using ColumnKernel = decltype(&run_columns);
 
 /// Input-vector family of a case (what the generator feeds the macro).
 enum class InputFamily {
@@ -81,7 +97,8 @@ enum class Dispatch {
   kBatch,     ///< harness loop of reads, one keyed stream per sample
   kPooled,    ///< the same loop over a ThreadPool vs serial (bit-identity)
   kMultiJob,  ///< several jobs with rng streams keyed off one root
-  kDelta,     ///< matvec_delta_batch (differential read), 1 and n items
+  kDelta,     ///< differential reads, 1 and n items
+  kMacro,     ///< CimMacro reads against run_columns on its view
 };
 
 /// Sweep depth: kQuick is the CI tier, kFull the nightly tier (more
@@ -97,7 +114,6 @@ struct CaseGeometry {
 
 /// One fully-specified conformance case.
 struct CaseSpec {
-  std::string backend;
   CaseGeometry geom;
   InputFamily family = InputFamily::kDense;
   NoiseMode mode = NoiseMode::kIdeal;
@@ -106,8 +122,8 @@ struct CaseSpec {
   Tier tier = Tier::kQuick;
 
   /// Single-line self-contained repro, e.g.
-  ///   backend=bitsliced geom=149x37 family=sparse mode=analog
-  ///   dispatch=batch seed=0x1f3 tier=quick
+  ///   geom=149x37 family=sparse mode=analog dispatch=batch seed=0x1f3
+  ///   tier=quick
   std::string repro() const;
   /// Inverse of repro(); throws std::invalid_argument on malformed input.
   static CaseSpec parse_repro(std::string_view line);
@@ -125,11 +141,10 @@ std::vector<InputFamily> families();
 /// ones).
 std::vector<CaseGeometry> geometries(Tier tier);
 
-/// The pruned case table for one backend at one tier, and the per-family
-/// subset (one ctest shard per backend x family).
-std::vector<CaseSpec> cases_for(std::string_view backend, Tier tier);
-std::vector<CaseSpec> cases_for(std::string_view backend, InputFamily f,
-                                Tier tier);
+/// The pruned case table at one tier, and the per-family subset (one
+/// ctest shard per family).
+std::vector<CaseSpec> cases_for(Tier tier);
+std::vector<CaseSpec> cases_for(InputFamily f, Tier tier);
 
 /// Outcome of one case: `checks` counts elementary comparisons, and on
 /// failure `failure` is a single line ending in "repro: <line>".
@@ -139,10 +154,11 @@ struct CaseResult {
   std::string failure;
 };
 
-/// Runs one case end to end (builds macros, generates inputs, applies
-/// the tier's checks). Never throws on a conformance failure — that is a
-/// CaseResult with pass == false; programming errors still throw.
-CaseResult run_case(const CaseSpec& c);
+/// Runs one case end to end (builds the macro, generates inputs, applies
+/// the tier's checks to `subject`). Never throws on a conformance failure
+/// — that is a CaseResult with pass == false; programming errors still
+/// throw.
+CaseResult run_case(const CaseSpec& c, ColumnKernel subject = &run_columns);
 
 /// Tier from CIMNAV_CONFORMANCE_TIER ("full" -> kFull, else kQuick).
 Tier tier_from_env();
@@ -155,9 +171,7 @@ void make_case_input(const CaseSpec& c, std::uint64_t sample_id,
                      std::vector<std::uint8_t>& in_mask,
                      std::vector<std::uint8_t>& out_mask);
 
-/// Builds the case's macro under the case geometry with the given
-/// backend name ("reference" for the baseline side).
-std::unique_ptr<CimMacro> make_case_macro(const CaseSpec& c,
-                                          std::string_view backend_name);
+/// Builds the case's macro (geometry, weights and noise mode of `c`).
+std::unique_ptr<CimMacro> make_case_macro(const CaseSpec& c);
 
 }  // namespace cimnav::cimsram::conformance

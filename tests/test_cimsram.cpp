@@ -1,9 +1,9 @@
-// Unit tests for the SRAM-embedded RNG and the 8T CIM macro: gate packing
-// and the macro itself (parameterized over every registered compute
-// backend). Cross-backend equivalence (bitwise + statistical) lives in the
-// conformance harness — tests/conformance/ sweeps every registered backend
-// over randomized geometry/input/noise/dispatch cases, so hand-written
-// equivalence tests do not belong here anymore.
+// Unit tests for the SRAM-embedded RNG and the 8T CIM macro: gate packing,
+// the macro itself and the column kernel's rng contract. Kernel
+// equivalence (bitwise + statistical against the scalar oracle) lives in
+// the conformance harness — tests/conformance/ sweeps randomized
+// geometry/input/noise/dispatch cases, so hand-written equivalence tests
+// do not belong here.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -169,25 +169,11 @@ std::vector<double> reference_matvec(const std::vector<double>& w, int n_out,
   return y;
 }
 
-// The whole macro behavior suite runs once per registered backend.
-class CimMacroTest : public ::testing::TestWithParam<std::string> {
- protected:
-  CimMacroConfig base_config() const {
-    CimMacroConfig cfg;
-    cfg.backend = GetParam();
-    return cfg;
-  }
-};
-
-INSTANTIATE_TEST_SUITE_P(Backends, CimMacroTest,
-                         ::testing::ValuesIn(backend_names()),
-                         [](const auto& info) { return info.param; });
-
-TEST_P(CimMacroTest, IdealMatchesFloatWithinQuantError) {
+TEST(CimMacroTest, IdealMatchesFloatWithinQuantError) {
   const int n_out = 16, n_in = 48;
   const auto w = random_weights(n_out, n_in, 3);
   const auto x = random_input(n_in, 5);
-  CimMacroConfig cfg = base_config();
+  CimMacroConfig cfg;
   cfg.input_bits = 8;
   cfg.weight_bits = 8;
   const CimMacro macro(w, n_out, n_in, cfg, 1.0 / 255.0);
@@ -239,22 +225,22 @@ INSTANTIATE_TEST_SUITE_P(Sweep, MacroPrecisionTest,
                                            BitsCase{8, 0.02},
                                            BitsCase{10, 0.006}));
 
-TEST_P(CimMacroTest, InputMaskZerosContribution) {
+TEST(CimMacroTest, InputMaskZerosContribution) {
   const int n_out = 8, n_in = 16;
   const auto w = random_weights(n_out, n_in, 11);
   std::vector<double> x(static_cast<std::size_t>(n_in), 0.5);
-  CimMacroConfig cfg = base_config();
+  CimMacroConfig cfg;
   const CimMacro macro(w, n_out, n_in, cfg, 1.0 / 63.0);
   std::vector<std::uint8_t> none(static_cast<std::size_t>(n_in), 0);
   const auto y = matvec(macro, x, none, {}, nullptr);
   for (double v : y) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
-TEST_P(CimMacroTest, OutputMaskSkipsColumns) {
+TEST(CimMacroTest, OutputMaskSkipsColumns) {
   const int n_out = 8, n_in = 16;
   const auto w = random_weights(n_out, n_in, 13);
   const auto x = random_input(n_in, 17);
-  CimMacroConfig cfg = base_config();
+  CimMacroConfig cfg;
   const CimMacro macro(w, n_out, n_in, cfg, 1.0 / 63.0);
   std::vector<std::uint8_t> mask(static_cast<std::size_t>(n_out), 1);
   mask[3] = 0;
@@ -268,13 +254,13 @@ TEST_P(CimMacroTest, OutputMaskSkipsColumns) {
   }
 }
 
-TEST_P(CimMacroTest, RowSubsetsAddUpExactlyInIdealMode) {
+TEST(CimMacroTest, RowSubsetsAddUpExactlyInIdealMode) {
   // The delta rule's foundation: W x|_A + W x|_B == W x when A and B
   // partition the active rows (exact for the noise-free quantized macro).
   const int n_out = 10, n_in = 32;
   const auto w = random_weights(n_out, n_in, 19);
   const auto x = random_input(n_in, 23);
-  CimMacroConfig cfg = base_config();
+  CimMacroConfig cfg;
   cfg.analog_noise = false;
   cfg.adc_bits = 12;  // effectively lossless column readout
   const CimMacro macro(w, n_out, n_in, cfg, 1.0 / 63.0);
@@ -293,11 +279,11 @@ TEST_P(CimMacroTest, RowSubsetsAddUpExactlyInIdealMode) {
   }
 }
 
-TEST_P(CimMacroTest, AnalogNoiseScalesWithActiveRows) {
+TEST(CimMacroTest, AnalogNoiseScalesWithActiveRows) {
   const int n_out = 1, n_in = 64;
   std::vector<double> w(static_cast<std::size_t>(n_in), 0.3);
   std::vector<double> x(static_cast<std::size_t>(n_in), 0.8);
-  CimMacroConfig cfg = base_config();
+  CimMacroConfig cfg;
   cfg.adc_bits = 14;  // make quantization negligible vs noise
   cfg.noise_coeff = 0.5;
   const CimMacro macro(w, n_out, n_in, cfg, 1.0 / 63.0);
@@ -312,12 +298,12 @@ TEST_P(CimMacroTest, AnalogNoiseScalesWithActiveRows) {
   EXPECT_GT(many.stddev(), few.stddev());
 }
 
-TEST_P(CimMacroTest, CoarseAdcAddsError) {
+TEST(CimMacroTest, CoarseAdcAddsError) {
   const int n_out = 6, n_in = 40;
   const auto w = random_weights(n_out, n_in, 37);
   const auto x = random_input(n_in, 41);
   auto rel_err = [&](int adc_bits) {
-    CimMacroConfig cfg = base_config();
+    CimMacroConfig cfg;
     cfg.analog_noise = false;
     cfg.adc_bits = adc_bits;
     const CimMacro macro(w, n_out, n_in, cfg, 1.0 / 63.0);
@@ -336,11 +322,11 @@ TEST_P(CimMacroTest, CoarseAdcAddsError) {
   EXPECT_GT(rel_err(6), rel_err(10) - 1e-12);
 }
 
-TEST_P(CimMacroTest, StatsTrackActivity) {
+TEST(CimMacroTest, StatsTrackActivity) {
   const int n_out = 8, n_in = 16;
   const auto w = random_weights(n_out, n_in, 47);
   const auto x = random_input(n_in, 53);
-  CimMacroConfig cfg = base_config();
+  CimMacroConfig cfg;
   cfg.input_bits = 4;
   cfg.weight_bits = 4;
   const CimMacro macro(w, n_out, n_in, cfg, 1.0 / 15.0);
@@ -379,8 +365,8 @@ TEST_P(CimMacroTest, StatsTrackActivity) {
   EXPECT_EQ(delta.adc_conversions, 24u);
 }
 
-TEST_P(CimMacroTest, RejectsBadArguments) {
-  CimMacroConfig cfg = base_config();
+TEST(CimMacroTest, RejectsBadArguments) {
+  CimMacroConfig cfg;
   EXPECT_THROW(CimMacro({1.0}, 1, 2, cfg, 1.0), std::invalid_argument);
   // Bit widths are checked before the constructor derives the weight grid
   // from 1 << (weight_bits - 1) (a negative shift at weight_bits = 0).
@@ -398,6 +384,17 @@ TEST_P(CimMacroTest, RejectsBadArguments) {
   bad_adc.adc_bits = 17;
   EXPECT_THROW(CimMacro(w, 16, 16, bad_adc, 1.0), std::invalid_argument);
   EXPECT_THROW(CimMacro(w, 16, 16, cfg, 0.0), std::invalid_argument);
+  // noise_coeff must be finite and non-negative: a NaN sigma reads 0 on
+  // the AVX2 kernel body and NaN on the scalar one.
+  for (const double coeff : {std::nan(""), HUGE_VAL, -0.03}) {
+    CimMacroConfig bad_noise = cfg;
+    bad_noise.noise_coeff = coeff;
+    EXPECT_THROW(CimMacro(w, 16, 16, bad_noise, 1.0), std::invalid_argument)
+        << "noise_coeff=" << coeff;
+  }
+  CimMacroConfig noiseless = cfg;
+  noiseless.noise_coeff = 0.0;
+  EXPECT_NO_THROW(CimMacro(w, 16, 16, noiseless, 1.0));
   const CimMacro macro({0.5, -0.5}, 1, 2, cfg, 1.0);
   Rng rng(61);
   EXPECT_THROW(matvec(macro, {1.0}, {}, {}, &rng), std::invalid_argument);
@@ -407,13 +404,13 @@ TEST_P(CimMacroTest, RejectsBadArguments) {
                std::invalid_argument);
 }
 
-TEST_P(CimMacroTest, GatedMatvecValidatesRowGateWidth) {
+TEST(CimMacroTest, GatedMatvecValidatesRowGateWidth) {
   // Regression: the engine core used to index a caller-provided packed row
   // gate without checking its width; a short gate read out of bounds.
   const int n_out = 4, n_in = 100;  // 100 rows -> 2 packed gate words
   const auto w = random_weights(n_out, n_in, 71);
   const auto x = random_input(n_in, 73);
-  CimMacroConfig cfg = base_config();
+  CimMacroConfig cfg;
   cfg.input_bits = 4;
   cfg.weight_bits = 4;
   const CimMacro macro(w, n_out, n_in, cfg, 1.0 / 15.0);
@@ -474,22 +471,61 @@ TEST(PackRowMask, WrongSizeThrows) {
 }
 
 // ---------------------------------------------------------------------------
-// Backend registry.
+// Column kernel rng contract.
 //
-// Cross-backend equivalence (ideal bitwise, noisy statistical) and the
-// pooled thread-count invariance live in the conformance sweep: run
-//   ctest -R conformance
-// or tests/conformance/test_backend_conformance directly.
+// run_columns must advance the caller's stream identically on every host
+// (AVX2 or scalar body), which is what keeps closed-loop runs
+// bit-identical across them: an ideal read, or a null rng, consumes no
+// draw; every other read consumes exactly one, ADC-only reads included.
 // ---------------------------------------------------------------------------
 
-TEST(BackendRegistry, KnownNamesResolveAndUnknownThrows) {
-  EXPECT_EQ(backend("reference").name(), "reference");
-  EXPECT_EQ(backend("bitsliced").name(), "bitsliced");
-  EXPECT_EQ(backend("auto").name(), "bitsliced");
-  EXPECT_THROW(backend("cuda-someday"), std::invalid_argument);
-  const auto names = backend_names();
-  ASSERT_GE(names.size(), 2u);
-  EXPECT_EQ(names[0], "reference");
+TEST(ColumnKernel, RunColumnsConsumesOneDrawPerNonIdealRead) {
+  const int n_out = 9, n_in = 70;
+  const auto w = random_weights(n_out, n_in, 83);
+  const auto x = random_input(n_in, 89);
+  for (const bool analog : {true, false}) {
+    CimMacroConfig cfg;
+    cfg.analog_noise = analog;
+    const CimMacro macro(w, n_out, n_in, cfg, 1.0 / 63.0);
+    EncodedInput enc;
+    macro.encode_input(x, enc);
+    std::vector<std::uint64_t> gate;
+    pack_row_mask({}, n_in, gate);
+    std::vector<std::uint64_t> gated(enc.planes.size());
+    for (std::size_t i = 0; i < gated.size(); ++i)
+      gated[i] = enc.planes[i] & gate[i % gate.size()];
+    std::vector<double> y(static_cast<std::size_t>(n_out));
+    // Delta read: rows 0..9 flipped on, the last row flipped off.
+    std::vector<std::uint64_t> add(gated.size(), 0), rem(gated.size(), 0);
+    const std::size_t words = gate.size();
+    for (std::size_t b = 0; b < gated.size() / words; ++b) {
+      add[b * words] = enc.planes[b * words] & 0x3FFu;
+      rem[b * words + 1] =
+          enc.planes[b * words + 1] & (std::uint64_t{1} << (n_in - 1 - 64));
+    }
+    const std::int32_t word_list[] = {0, 1};
+
+    const auto read = [&](bool delta, bool ideal, Rng* rng) {
+      if (delta)
+        run_columns(macro.view(), add.data(), rem.data(), word_list, 2, 11,
+                    nullptr, 0, n_out, ideal, rng, y.data());
+      else
+        run_columns(macro.view(), gated.data(), nullptr, nullptr, 0,
+                    static_cast<std::uint64_t>(n_in), nullptr, 0, n_out,
+                    ideal, rng, y.data());
+    };
+    for (const bool delta : {false, true}) {
+      Rng rng(97), expected(97);
+      read(delta, /*ideal=*/true, &rng);
+      read(delta, /*ideal=*/false, nullptr);
+      EXPECT_EQ(rng(), expected()) << "an ideal read consumed a draw";
+      read(delta, /*ideal=*/false, &rng);
+      expected();
+      EXPECT_EQ(rng(), expected())
+          << "analog=" << analog << " delta=" << delta
+          << ": a non-ideal read must consume exactly one draw";
+    }
+  }
 }
 
 }  // namespace

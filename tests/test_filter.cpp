@@ -607,8 +607,9 @@ TEST(NoiseInflation, SigmaGrowsMonotonicallyAndRespectsCap) {
     EXPECT_GE(n.sigma_position.x, base.sigma_position.x);  // floored
     EXPECT_LE(n.sigma_position.x, inflation.sigma_pos_max);  // capped
     EXPECT_LE(n.sigma_yaw, inflation.sigma_yaw_max);
-    if (s > 0.0 && prev_x < inflation.sigma_pos_max)
+    if (s > 0.0 && prev_x < inflation.sigma_pos_max) {
       EXPECT_GT(n.sigma_position.x, prev_x);  // strict below the cap
+    }
     prev_x = n.sigma_position.x;
     prev_yaw = n.sigma_yaw;
   }

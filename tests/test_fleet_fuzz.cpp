@@ -263,11 +263,12 @@ TEST_F(FleetFuzz, RandomCampaignsPreserveDeterminismLedgerAndLiveness) {
       EXPECT_EQ(q.ticks_to_completion, q.scheduled_ticks + q.queue_ticks);
       EXPECT_EQ(q.ticks_to_completion, q.complete_tick - q.admit_tick + 1);
       EXPECT_EQ(q.had_deadline, q.spec.target_latency_ticks > 0);
-      if (q.had_deadline)
+      if (q.had_deadline) {
         EXPECT_EQ(q.deadline_hit,
                   q.ticks_to_completion <=
                       static_cast<std::uint64_t>(
                           q.spec.target_latency_ticks));
+      }
       EXPECT_GE(q.admit_tick, 1u);
       EXPECT_LE(q.admit_tick, q.complete_tick);
     }

@@ -119,7 +119,7 @@ TEST(FleetQos, FifoUnboundedMatchesPreQosSchedulerTickForTick) {
 
   std::vector<fleet::SessionHandle> handles;
   for (std::uint64_t i = 0; i < 4; ++i) {
-    handles.push_back(engine.try_submit({wl, small_loop(40 + i)}));
+    handles.push_back(engine.try_submit({wl, small_loop(40 + i), {}}));
     ASSERT_TRUE(handles.back().valid());
   }
   engine.run_until_idle();
@@ -160,7 +160,7 @@ TEST(FleetQos, FifoBoundedServesOldestAdmissionsFirst) {
 
   std::vector<fleet::SessionHandle> handles;
   for (std::uint64_t i = 0; i < 3; ++i)
-    handles.push_back(engine.try_submit({wl, small_loop(50 + i)}));
+    handles.push_back(engine.try_submit({wl, small_loop(50 + i), {}}));
   engine.run_until_idle();
 
   // One seat, oldest first: session k+1 is never scheduled before
@@ -193,7 +193,7 @@ TEST(FleetQos, PriorityIsStrictAndRoundRobinsWithinClass) {
   const int priorities[] = {5, 5, 2, 0};
   std::vector<fleet::SessionHandle> handles;
   for (std::uint64_t i = 0; i < 4; ++i) {
-    fleet::SessionSpec spec{wl, small_loop(60 + i)};
+    fleet::SessionSpec spec{wl, small_loop(60 + i), {}};
     spec.qos.priority = priorities[i];
     handles.push_back(engine.try_submit(spec));
   }
@@ -209,8 +209,9 @@ TEST(FleetQos, PriorityIsStrictAndRoundRobinsWithinClass) {
           e.scheduled ? std::min(min_scheduled, e.priority)
                       : std::max(max_queued, e.priority);
     if (min_scheduled != std::numeric_limits<int>::max() &&
-        max_queued != std::numeric_limits<int>::min())
+        max_queued != std::numeric_limits<int>::min()) {
       EXPECT_GE(min_scheduled, max_queued) << "tick " << tick;
+    }
   }
 
   // Round-robin within class 5: the single seat alternates between the
@@ -245,7 +246,7 @@ TEST(FleetQos, DeadlineDispatchIsEdfConsistent) {
   const int targets[] = {12, 2, 6, 0};
   std::vector<fleet::SessionHandle> handles;
   for (std::uint64_t i = 0; i < 4; ++i) {
-    fleet::SessionSpec spec{wl, small_loop(70 + i)};
+    fleet::SessionSpec spec{wl, small_loop(70 + i), {}};
     spec.qos.target_latency_ticks = targets[i];
     handles.push_back(engine.try_submit(spec));
   }
@@ -261,9 +262,11 @@ TEST(FleetQos, DeadlineDispatchIsEdfConsistent) {
     std::int64_t scheduled_deadline = std::numeric_limits<std::int64_t>::max();
     for (const fleet::DispatchEvent& e : events)
       if (e.scheduled) scheduled_deadline = eff(e);
-    for (const fleet::DispatchEvent& e : events)
-      if (!e.scheduled)
+    for (const fleet::DispatchEvent& e : events) {
+      if (!e.scheduled) {
         EXPECT_LE(scheduled_deadline, eff(e)) << "tick " << tick;
+      }
+    }
   }
 
   // The tight target (2 ticks, first in line under EDF) is met; the
@@ -293,11 +296,11 @@ TEST(FleetQos, StarvationGuardForcesOverdueSessionsUnderAnyPolicy) {
   // guard must fire at 3 consecutive pass-overs.
   std::vector<fleet::SessionHandle> handles;
   for (std::uint64_t i = 0; i < 2; ++i) {
-    fleet::SessionSpec spec{wl, small_loop(80 + i)};
+    fleet::SessionSpec spec{wl, small_loop(80 + i), {}};
     spec.qos.priority = 9;
     handles.push_back(engine.try_submit(spec));
   }
-  fleet::SessionSpec low{wl, small_loop(89)};
+  fleet::SessionSpec low{wl, small_loop(89), {}};
   low.qos.priority = 0;
   handles.push_back(engine.try_submit(low));
   engine.run_until_idle();
@@ -327,7 +330,7 @@ TEST(FleetQos, RecordsAndReportSatisfyAccountingIdentities) {
 
   std::vector<fleet::SessionHandle> handles;
   for (std::uint64_t i = 0; i < 5; ++i) {
-    fleet::SessionSpec spec{wl, small_loop(100 + i)};
+    fleet::SessionSpec spec{wl, small_loop(100 + i), {}};
     spec.qos.priority = static_cast<int>(i % 2);
     spec.qos.target_latency_ticks = (i % 2 == 0) ? 4 : 0;
     handles.push_back(engine.try_submit(spec));
@@ -385,7 +388,7 @@ TEST(FleetQos, ErrorPathsMatchRegistryAndHandleContracts) {
   fleet::FleetConfig ok;
   fleet::FleetEngine engine(ok);
   const std::size_t wl = register_workload(engine);
-  auto handle = engine.try_submit({wl, small_loop(110)});
+  auto handle = engine.try_submit({wl, small_loop(110), {}});
   ASSERT_TRUE(handle.valid());
   EXPECT_THROW(handle.qos(), std::invalid_argument);
   engine.run_until_idle();
@@ -394,7 +397,7 @@ TEST(FleetQos, ErrorPathsMatchRegistryAndHandleContracts) {
   EXPECT_THROW(invalid.qos(), std::invalid_argument);
 
   // A negative latency target is a caller bug, rejected at submission.
-  fleet::SessionSpec bad_latency{wl, small_loop(111)};
+  fleet::SessionSpec bad_latency{wl, small_loop(111), {}};
   bad_latency.qos.target_latency_ticks = -1;
   EXPECT_THROW(engine.try_submit(bad_latency), std::invalid_argument);
 }

@@ -52,6 +52,10 @@ void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
 void* operator new[](std::size_t size, const std::nothrow_t& t) noexcept {
   return ::operator new(size, t);
 }
+// GCC pairs the free() below with the replaced operator new and reports
+// a mismatch; both sides are malloc/free, so the pairing is correct.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -60,6 +64,7 @@ void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
   std::free(p);
 }
+#pragma GCC diagnostic pop
 
 namespace cimnav {
 namespace {

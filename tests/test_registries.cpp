@@ -1,8 +1,8 @@
 // Error-path contracts, in two parameterized suites:
 //
-// RegistryContract — shared by the four name registries (cimsram
-// compute backends, filter scenarios, autonomy update policies, fleet
-// admission policies), one probe per registry:
+// RegistryContract — shared by the three name registries (filter
+// scenarios, autonomy update policies, fleet admission policies), one
+// probe per registry:
 //
 //   * looking up an unknown name throws std::invalid_argument whose
 //     message names the offender AND lists every registered name;
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "autonomy/update_policy.hpp"
-#include "cimsram/backend.hpp"
 #include "filter/scenario.hpp"
 #include "fleet/fleet_engine.hpp"
 #include "vo/pipeline.hpp"
@@ -42,18 +41,6 @@ struct RegistryProbe {
   std::function<bool(const std::string&)> register_name;
 };
 
-class StubBackend final : public cimsram::ComputeBackend {
- public:
-  explicit StubBackend(std::string name) : name_(std::move(name)) {}
-  std::string_view name() const override { return name_; }
-  void run_columns(const cimsram::MacroView&, const std::uint64_t*,
-                   std::uint64_t, const std::uint8_t*, int, int, bool,
-                   core::Rng*, double*) const override {}
-
- private:
-  std::string name_;
-};
-
 RegistryProbe scenario_probe() {
   return {"scenario",
           {"indoor_loop", "corridor_dropout", "loop_closure_square",
@@ -63,21 +50,6 @@ RegistryProbe scenario_probe() {
           [](const std::string& n) {
             return filter::register_scenario(
                 n, "probe", [] { return filter::ScenarioConfig{}; });
-          }};
-}
-
-RegistryProbe backend_probe() {
-  return {"backend",
-          {"reference", "bitsliced"},
-          [](const std::string& n) { cimsram::backend(n); },
-          [] { return cimsram::backend_names(); },
-          [](const std::string& n) {
-            // Instances must outlive the registry (process-lifetime
-            // registration); a static owner keeps them reachable so
-            // LeakSanitizer stays quiet about the intentional lifetime.
-            static std::vector<std::unique_ptr<StubBackend>> kept;
-            kept.push_back(std::make_unique<StubBackend>(n));
-            return cimsram::register_backend(kept.back().get());
           }};
 }
 
@@ -148,8 +120,7 @@ TEST_P(RegistryContract, DuplicateRegistrationRejected) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRegistries, RegistryContract,
-                         ::testing::Values(scenario_probe(), backend_probe(),
-                                           policy_probe(),
+                         ::testing::Values(scenario_probe(), policy_probe(),
                                            admission_probe()),
                          [](const auto& info) {
                            return std::string(info.param.label);
@@ -220,7 +191,7 @@ FleetErrorProbe double_wait_probe() {
             fleet::FleetEngine engine(fleet::FleetConfig{});
             const std::size_t wl = engine.add_workload(
                 *w.scenario, *w.vo, *w.net, *w.model);
-            auto handle = engine.try_submit({wl, small_loop(7)});
+            auto handle = engine.try_submit({wl, small_loop(7), {}});
             ASSERT_TRUE(handle.valid());
             engine.run_until_idle();
             // wait() after completion returns immediately; a second
@@ -241,7 +212,7 @@ FleetErrorProbe poll_after_retire_probe() {
             fleet::FleetEngine engine(fleet::FleetConfig{});
             const std::size_t wl = engine.add_workload(
                 *w.scenario, *w.vo, *w.net, *w.model);
-            auto handle = engine.try_submit({wl, small_loop(11)});
+            auto handle = engine.try_submit({wl, small_loop(11), {}});
             ASSERT_TRUE(handle.valid());
             EXPECT_FALSE(handle.poll());  // nothing ticked yet
             engine.run_until_idle();      // session retired to free list
@@ -275,7 +246,7 @@ FleetErrorProbe queue_full_probe() {
                 *w.scenario, *w.vo, *w.net, *w.model);
             // Submitting against an unregistered workload index is a
             // caller bug, not back-pressure: it throws.
-            EXPECT_THROW(engine.try_submit({wl + 1, small_loop(1)}),
+            EXPECT_THROW(engine.try_submit({wl + 1, small_loop(1), {}}),
                          std::invalid_argument);
             // Without ticking, capacity is bounded by the state pool
             // (max_sessions + queue_capacity): excess submissions get
@@ -283,7 +254,7 @@ FleetErrorProbe queue_full_probe() {
             std::vector<fleet::SessionHandle> handles;
             int rejected = 0;
             for (std::uint64_t i = 0; i < 10; ++i) {
-              auto h = engine.try_submit({wl, small_loop(100 + i)});
+              auto h = engine.try_submit({wl, small_loop(100 + i), {}});
               if (h.valid())
                 handles.push_back(std::move(h));
               else

@@ -43,10 +43,15 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
+// GCC pairs the free() below with the replaced operator new and reports
+// a mismatch; both sides are malloc/free, so the pairing is correct.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace cimnav::bnn {
 namespace {
@@ -324,8 +329,10 @@ INSTANTIATE_TEST_SUITE_P(
                       NetShape{{80, 72, 3}, false}),
     [](const ::testing::TestParamInfo<NetShape>& info) {
       std::string name = info.param.dropout_on_input ? "input" : "hidden";
-      for (const int width : info.param.layer_sizes)
-        name += "_" + std::to_string(width);
+      for (const int width : info.param.layer_sizes) {
+        name += '_';
+        name += std::to_string(width);
+      }
       return name;
     });
 

@@ -491,6 +491,67 @@ int main() {
     if (sink == 42.0) std::printf("%f", sink);
   }
 
+  // Consecutive shared updates of a corridor_dropout flight, which the
+  // one-scan row above cannot show: a 500-particle filter flies the
+  // scenario's 36 frames (predict, then update on that frame's scan), so
+  // the cloud moves along the trajectory, and the array's ideal-current
+  // cache carries currents from one update to the next. One op is one
+  // flight from a tracking start, single-threaded. The computed fraction
+  // (ideal currents computed per logical read) is taken on the first
+  // flight, from a cold cache; the later flights repeat the route.
+  {
+    const filter::LocalizationScenario sc(
+        filter::make_scenario_config("corridor_dropout"));
+    const auto model = sc.make_cim_backend();
+    const auto& cim = dynamic_cast<const filter::CimHmgmLikelihood&>(*model);
+    const std::size_t frames = sc.trajectory().controls.size();
+    std::vector<vision::DepthScan> scans;
+    std::size_t pixels = 0;
+    for (std::size_t f = 0; f < frames; ++f) {
+      scans.push_back(sc.render_scan(f));
+      pixels += scans.back().pixels.size();
+    }
+    filter::ParticleFilter pf(sc.config().filter);
+    const double reads =
+        static_cast<double>(sc.config().filter.particle_count * pixels);
+    core::Rng frng(37);
+    std::size_t flights = 0;
+    double sink = 0.0;
+    const auto fly = [&] {
+      ++flights;
+      pf.init_gaussian(sc.trajectory().poses.front(), {0.15, 0.15, 0.08},
+                       0.1, frng);
+      for (std::size_t f = 0; f < frames; ++f) {
+        pf.predict(sc.trajectory().controls[f], frng);
+        pf.update(scans[f], cim, frng);
+      }
+      sink += pf.soa().x[0];
+    };
+    const auto ideal0 = cim.array().ideal_current_count();
+    fly();
+    const double computed_fraction =
+        static_cast<double>(cim.array().ideal_current_count() - ideal0) /
+        reads;
+    const std::string tag =
+        "/frames=" + std::to_string(frames) +
+        ",p=" + std::to_string(sc.config().filter.particle_count) +
+        ",px=" + std::to_string(scans.front().pixels.size()) +
+        ",cols=" + std::to_string(cim.array().column_count());
+    const auto later0 = cim.array().ideal_current_count();
+    const std::size_t later_flights0 = flights;
+    const bench::Result seq = suite.run("likelihood_update_sequence" + tag, 1,
+                                        reads, "reads", fly);
+    const double later_fraction =
+        static_cast<double>(cim.array().ideal_current_count() - later0) /
+        (reads * static_cast<double>(flights - later_flights0));
+    std::printf("  (per logical read) %.1f ns; ideal currents computed per "
+                "read %.3f on the first flight, %.3f on the later ones\n",
+                seq.ns_per_op / reads, computed_fraction, later_fraction);
+    suite.add_summary("likelihood_update_sequence_computed_fraction",
+                      computed_fraction);
+    if (sink == 42.0) std::printf("%f", sink);
+  }
+
   {  // GMM log-pdf.
     core::Rng rng(9);
     std::vector<core::Vec3> pts;

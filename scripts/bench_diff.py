@@ -55,6 +55,11 @@ TRACKED = {
         # 500 columns, single thread): shared ideal currents per distinct
         # DAC code triple vs the default per-pose path (within-run ratio).
         "likelihood_update_shared_speedup_vs_per_pose": "higher",
+        # A 36-frame corridor_dropout flight of shared updates, first
+        # flight from a cold ideal-current cache: ideal currents computed
+        # per logical read (serial and seeded, so deterministic). It rises
+        # when the cache keeps fewer currents across updates.
+        "likelihood_update_sequence_computed_fraction": "lower",
         # Conformance sweep embedded in bench_micro (quick tier): the case
         # table must not shrink, and every case must pass (EQUAL below).
         "conformance_cases_passed": "higher",

@@ -1,6 +1,7 @@
 #include "circuit/array.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -73,12 +74,20 @@ void trim_branch(InverterBranch& branch, double base_dn, double base_dp,
 
 // Rejects a DAC too wide for the code cube before any member sizes a
 // table from it: 2^(3 * dac_bits) keys, and 3 * 2^dac_bits * columns
-// table entries.
+// table entries. Rejects read-noise parameters that would give a read a
+// NaN or negative sigma: that read throws only later, mid-update, inside
+// a pool worker.
 const LikelihoodArrayConfig& checked(const LikelihoodArrayConfig& config) {
   CIMNAV_REQUIRE(config.dac_bits >= 1 &&
                      config.dac_bits <= CimLikelihoodArray::kMaxDacBits,
                  "dac_bits must lie in [1, 8]: a read's code triple keys a "
                  "2^(3 * dac_bits)-bit code-cube bitmap");
+  CIMNAV_REQUIRE(std::isfinite(config.noise.shot_coeff_a) &&
+                     config.noise.shot_coeff_a >= 0.0,
+                 "noise.shot_coeff_a must be finite and non-negative");
+  CIMNAV_REQUIRE(std::isfinite(config.noise.thermal_floor_a) &&
+                     config.noise.thermal_floor_a >= 0.0,
+                 "noise.thermal_floor_a must be finite and non-negative");
   return config;
 }
 
@@ -153,6 +162,12 @@ CimLikelihoodArray::CimLikelihoodArray(
       }
     }
   }
+
+  const std::size_t sets =
+      std::min<std::size_t>(kCacheSets, key_count() / kCacheWays);
+  cache_shift_ = 32 - std::countr_zero(sets);
+  cache_keys_.assign(sets * kCacheWays, kNoKey);
+  cache_currents_.assign(sets * kCacheWays, 0.0);
 }
 
 namespace {
@@ -207,6 +222,51 @@ void CimLikelihoodArray::ideal_currents_by_key(
   for (; i < n; ++i)
     read_interleaved<1>(inv_, cols, b, keys.data() + i, out.data() + i);
   ideal_currents_.fetch_add(n, std::memory_order_relaxed);
+}
+
+std::size_t CimLikelihoodArray::lookup_cached_currents(
+    std::span<const std::uint32_t> keys, std::span<double> out) const {
+  CIMNAV_REQUIRE(out.size() == keys.size(),
+                 "lookup_cached_currents: output size must match the key "
+                 "count");
+  std::size_t misses = 0;
+  const std::lock_guard<std::mutex> lock(cache_mutex_);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const std::uint32_t* const set_keys =
+        cache_keys_.data() + cache_base(keys[i]);
+    const std::uint32_t* const way =
+        std::find(set_keys, set_keys + kCacheWays, keys[i]);
+    if (way != set_keys + kCacheWays) {
+      out[i] = cache_currents_[static_cast<std::size_t>(
+          way - cache_keys_.data())];
+    } else {
+      out[i] = kMissingCurrent;
+      ++misses;
+    }
+  }
+  return misses;
+}
+
+void CimLikelihoodArray::cache_currents(
+    std::span<const std::uint32_t> keys,
+    std::span<const double> currents) const {
+  CIMNAV_REQUIRE(currents.size() == keys.size(),
+                 "cache_currents: current count must match the key count");
+  const std::lock_guard<std::mutex> lock(cache_mutex_);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const std::size_t base = cache_base(keys[i]);
+    std::uint32_t* const set_keys = cache_keys_.data() + base;
+    double* const set_currents = cache_currents_.data() + base;
+    if (std::find(set_keys, set_keys + kCacheWays, keys[i]) !=
+        set_keys + kCacheWays)
+      continue;
+    std::copy_backward(set_keys, set_keys + kCacheWays - 1,
+                       set_keys + kCacheWays);
+    std::copy_backward(set_currents, set_currents + kCacheWays - 1,
+                       set_currents + kCacheWays);
+    set_keys[0] = keys[i];
+    set_currents[0] = currents[i];
+  }
 }
 
 double CimLikelihoodArray::read_log_likelihood(const core::Vec3& point_v,

@@ -28,16 +28,23 @@
 // ideal_currents_by_key computes the column sums of a batch of keys,
 // read_log applies noise and the log-ADC per logical read, and
 // record_reads books those reads. The particle filter's whole update
-// (filter::CimHmgmLikelihood::log_likelihoods) computes one ideal current
-// per distinct key; the per-pose path and read_log_likelihood key every
-// read. evaluation_count() counts logical reads for the energy ledger;
+// (filter::CimHmgmLikelihood::log_likelihoods) needs one ideal current per
+// distinct key, and takes it from the array's ideal-current cache when an
+// earlier update computed it: a fixed set-associative (key, current) cache
+// allocated at construction (lookup_cached_currents, cache_currents). The
+// device tables never change after programming, so a cached current is
+// the kernel's bits for its key and never goes stale. The per-pose path,
+// read_log_likelihood and the gain calibration compute every read.
+// evaluation_count() counts logical reads for the energy ledger;
 // ideal_current_count() counts the column sums actually computed (see
 // docs/architecture.md, "The likelihood read").
 #pragma once
 
 #include <atomic>
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -113,6 +120,35 @@ class CimLikelihoodArray {
   void ideal_currents_by_key(std::span<const std::uint32_t> keys,
                              std::span<double> out) const;
 
+  /// Ideal-current cache geometry: kCacheSets sets of kCacheWays
+  /// (key, current) ways, capped at key_count() entries for narrow DACs.
+  static constexpr std::size_t kCacheSets = 4096;
+  static constexpr std::size_t kCacheWays = 4;
+
+  /// Entries the ideal-current cache holds:
+  /// min(kCacheSets * kCacheWays, key_count()).
+  std::size_t cache_capacity() const { return cache_keys_.size(); }
+
+  /// Marks a cache miss in lookup_cached_currents' output. No ideal
+  /// current is negative: each is a sum of non-negative column currents.
+  static constexpr double kMissingCurrent = -1.0;
+
+  /// Looks up keys in the ideal-current cache under the array's mutex.
+  /// A hit's current, the bits ideal_currents_by_key computed for that
+  /// key, goes to out[i]; a miss sets out[i] to kMissingCurrent. Returns
+  /// the miss count. Lookups do not reorder the cache and advance no
+  /// counter. Needs out.size() equal to keys.size().
+  std::size_t lookup_cached_currents(std::span<const std::uint32_t> keys,
+                                     std::span<double> out) const;
+
+  /// Inserts (keys[i], currents[i]) in order under the array's mutex,
+  /// skipping a key already cached (another thread may have inserted it
+  /// since its lookup). Each insert shifts its set's ways down one slot,
+  /// dropping the oldest, and puts the new entry first. The currents
+  /// must come from ideal_currents_by_key.
+  void cache_currents(std::span<const std::uint32_t> keys,
+                      std::span<const double> currents) const;
+
   /// Noise + log-ADC of one read whose ideal current is `ideal_a` [A],
   /// one draw from `rng`: the digital log-current reading (natural log
   /// of amps), a pose-independent affine transform of the mixture
@@ -146,7 +182,8 @@ class CimLikelihoodArray {
 
   /// Ideal currents actually computed (one column sum each) since
   /// construction. Equal to evaluation_count() when every read computes
-  /// its own; below it once reads share currents.
+  /// its own; below it once reads share currents within an update or take
+  /// them from the ideal-current cache.
   std::uint64_t ideal_current_count() const {
     return ideal_currents_.load(std::memory_order_relaxed);
   }
@@ -164,6 +201,20 @@ class CimLikelihoodArray {
   // once per batch, by the batch size.
   mutable std::atomic<std::uint64_t> evaluations_{0};
   mutable std::atomic<std::uint64_t> ideal_currents_{0};
+  // Ideal-current cache, way w of set s at s * kCacheWays + w; an unused
+  // way holds kNoKey. Guarded by cache_mutex_.
+  static constexpr std::uint32_t kNoKey = ~std::uint32_t{0};
+  int cache_shift_ = 0;
+  // First way of the key's set: a multiplicative (golden-ratio) hash's
+  // top log2(sets) bits pick the set.
+  std::size_t cache_base(std::uint32_t key) const {
+    return static_cast<std::size_t>((key * std::uint32_t{0x9E3779B9u}) >>
+                                    cache_shift_) *
+           kCacheWays;
+  }
+  mutable std::mutex cache_mutex_;
+  mutable std::vector<std::uint32_t> cache_keys_;
+  mutable std::vector<double> cache_currents_;
 };
 
 /// Allocates `total` columns across components proportionally to weights

@@ -186,9 +186,15 @@ SharedReadScratch& tls_shared_read_scratch() {
   return scratch;
 }
 
-// Distinct keys per phase-2 work item. Each current is computed on its
-// own, so the chunking is a throughput knob only.
+// Distinct keys per phase-2 work item, which computes those of them the
+// cache missed. Each current is computed on its own, so the chunking is a
+// throughput knob only.
 constexpr std::size_t kKeyChunk = 64;
+
+// Marks a distinct key whose current phase 2 computed, for the insert
+// into the array's cache after phase 3. Keys use 3 * dac_bits <= 24 bits.
+constexpr std::uint32_t kComputedFlag = std::uint32_t{1} << 31;
+static_assert(3 * circuit::CimLikelihoodArray::kMaxDacBits < 31);
 
 }  // namespace
 
@@ -239,7 +245,8 @@ void CimHmgmLikelihood::log_likelihoods(const PoseView& poses,
     occupied[key >> 6] |= std::uint64_t{1} << (key & 63);
 
   // Phase 2: rank the bitmap, then one ideal current per distinct key in
-  // ascending key order, in parallel chunks.
+  // ascending key order: from the array's cache, or computed in parallel
+  // chunks.
   s.rank.resize(words);
   std::uint32_t distinct = 0;
   for (std::size_t w = 0; w < words; ++w) {
@@ -259,16 +266,35 @@ void CimHmgmLikelihood::log_likelihoods(const PoseView& poses,
     for (std::uint64_t bits = occupied[w]; bits != 0; bits &= bits - 1)
       s.distinct[d++] = static_cast<std::uint32_t>(
           w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
-  const std::uint32_t* const distinct_keys = s.distinct.data();
+  // The cache lookup here and the insert after phase 3 each take the
+  // array's mutex; neither holds it while work runs on the (re-entrant)
+  // pool. Each chunk gathers its misses on the stack, so a miss costs no
+  // scratch beyond the distinct lists.
+  std::uint32_t* const distinct_keys = s.distinct.data();
   double* const current = s.current.data();
-  fan(pool, (distinct + kKeyChunk - 1) / kKeyChunk, 1,
-      [&](std::size_t begin, std::size_t end, int) {
-        const std::size_t k0 = begin * kKeyChunk;
-        const std::size_t k1 = std::min<std::size_t>(end * kKeyChunk,
-                                                     distinct);
-        array_->ideal_currents_by_key({distinct_keys + k0, k1 - k0},
-                                      {current + k0, k1 - k0});
-      });
+  constexpr double kMissing = circuit::CimLikelihoodArray::kMissingCurrent;
+  if (array_->lookup_cached_currents(s.distinct, s.current) > 0)
+    fan(pool, (distinct + kKeyChunk - 1) / kKeyChunk, 1,
+        [&](std::size_t begin, std::size_t end, int) {
+          std::array<std::uint32_t, kKeyChunk> miss_keys{}, miss_at{};
+          std::array<double, kKeyChunk> miss_current{};
+          for (std::size_t c = begin; c < end; ++c) {
+            const std::size_t d_end =
+                std::min<std::size_t>((c + 1) * kKeyChunk, distinct);
+            std::size_t n = 0;
+            for (std::size_t d = c * kKeyChunk; d < d_end; ++d)
+              if (current[d] == kMissing) {
+                miss_keys[n] = distinct_keys[d];
+                miss_at[n++] = static_cast<std::uint32_t>(d);
+              }
+            array_->ideal_currents_by_key({miss_keys.data(), n},
+                                          {miss_current.data(), n});
+            for (std::size_t t = 0; t < n; ++t) {
+              current[miss_at[t]] = miss_current[t];
+              distinct_keys[miss_at[t]] |= kComputedFlag;
+            }
+          }
+        });
 
   // Phase 3: per block, with the block's stream, noise + log-ADC per read
   // in pose then pixel order, summed in pixel order — the draws and sums
@@ -295,6 +321,16 @@ void CimHmgmLikelihood::log_likelihoods(const PoseView& poses,
         }
       });
   array_->record_reads(poses.count * n_px);
+
+  // Cache the computed currents, in ascending key order: phase 3 is done
+  // with the distinct lists, so they are gathered to their fronts.
+  std::size_t computed = 0;
+  for (std::size_t d = 0; d < distinct; ++d)
+    if ((distinct_keys[d] & kComputedFlag) != 0) {
+      distinct_keys[computed] = distinct_keys[d] & ~kComputedFlag;
+      current[computed++] = current[d];
+    }
+  array_->cache_currents({distinct_keys, computed}, {current, computed});
 }
 
 }  // namespace cimnav::filter

@@ -158,8 +158,9 @@ class HmgmLikelihood final : public MeasurementModel {
 /// A whole update (log_likelihoods) shares ideal currents across reads: an
 /// ideal current depends only on the read's DAC code triple, and read
 /// noise is applied after it. The override back-projects the scan once
-/// into the body frame, encodes every read to a code-cube key, computes
-/// one ideal current per distinct key, then applies noise and the log-ADC
+/// into the body frame, encodes every read to a code-cube key, takes one
+/// ideal current per distinct key (from the array's ideal-current cache,
+/// computing and caching the misses), then applies noise and the log-ADC
 /// per read in the default body's rng order — bit-identical to scoring
 /// each pose with log_likelihood. Its scratch is one grow-only
 /// thread_local set on the dispatching thread, shared by every model that

@@ -981,6 +981,109 @@ TEST_F(LikelihoodArrayTest, RejectsDacWiderThanTheCodeCube) {
   EXPECT_NO_THROW(CimLikelihoodArray(widest, three_components(), rng));
 }
 
+TEST_F(LikelihoodArrayTest, RejectsBadReadNoise) {
+  // A NaN or negative read-noise sigma would only throw at the first
+  // noisy read, mid-update inside a pool worker: the constructor names
+  // the field instead.
+  core::Rng rng(97);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const NoiseParams defaults;
+  struct Case {
+    double shot_coeff_a, thermal_floor_a;
+    const char* field;
+  };
+  const Case cases[] = {
+      {-1e-3, defaults.thermal_floor_a, "noise.shot_coeff_a"},
+      {nan, defaults.thermal_floor_a, "noise.shot_coeff_a"},
+      {inf, defaults.thermal_floor_a, "noise.shot_coeff_a"},
+      {defaults.shot_coeff_a, nan, "noise.thermal_floor_a"},
+      {defaults.shot_coeff_a, inf, "noise.thermal_floor_a"},
+      {defaults.shot_coeff_a, -2e-9, "noise.thermal_floor_a"},
+  };
+  for (const Case& c : cases) {
+    LikelihoodArrayConfig cfg;
+    cfg.total_columns = 3;
+    cfg.noise.shot_coeff_a = c.shot_coeff_a;
+    cfg.noise.thermal_floor_a = c.thermal_floor_a;
+    try {
+      const CimLikelihoodArray arr(cfg, three_components(), rng);
+      ADD_FAILURE() << "shot_coeff_a=" << c.shot_coeff_a
+                    << " thermal_floor_a=" << c.thermal_floor_a
+                    << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+          << e.what();
+    }
+  }
+  LikelihoodArrayConfig zero;
+  zero.total_columns = 3;
+  zero.noise.shot_coeff_a = 0.0;
+  zero.noise.thermal_floor_a = 0.0;
+  const CimLikelihoodArray arr(zero, three_components(), rng);
+  core::Rng nrng(101);
+  EXPECT_TRUE(std::isfinite(arr.read_log_likelihood({0.5, 0.5, 0.5}, nrng)));
+}
+
+TEST_F(LikelihoodArrayTest, IdealCurrentCacheReturnsKernelBits) {
+  for (int dac_bits : {1, 4, 6, 8}) {
+    LikelihoodArrayConfig cfg;
+    cfg.dac_bits = dac_bits;
+    cfg.total_columns = 30;
+    core::Rng rng(103);
+    const CimLikelihoodArray arr(cfg, three_components(), rng);
+    SCOPED_TRACE(::testing::Message() << "dac_bits=" << dac_bits);
+    const std::size_t cap = arr.cache_capacity();
+    EXPECT_EQ(cap, std::min<std::size_t>(CimLikelihoodArray::kCacheSets *
+                                             CimLikelihoodArray::kCacheWays,
+                                         arr.key_count()));
+    // Twice the capacity in distinct keys (the whole cube when it is
+    // smaller), spread over the cube by an odd stride.
+    const std::size_t n = std::min<std::size_t>(2 * cap, arr.key_count());
+    std::vector<std::uint32_t> keys(n);
+    for (std::size_t i = 0; i < n; ++i)
+      keys[i] = static_cast<std::uint32_t>((i * 769) % arr.key_count());
+    std::vector<double> want(n);
+    arr.ideal_currents_by_key(keys, want);
+
+    // An empty cache misses every key, and a lookup advances no counter.
+    const auto ideal = arr.ideal_current_count();
+    const auto reads = arr.evaluation_count();
+    constexpr double kMissing = CimLikelihoodArray::kMissingCurrent;
+    std::vector<double> got(n);
+    ASSERT_EQ(arr.lookup_cached_currents(keys, got), n);
+    EXPECT_EQ(got, std::vector<double>(n, kMissing));
+
+    // Once inserted past capacity, at most `cap` keys hit, every hit is
+    // the kernel's bits, and the newest insert is never the one evicted.
+    arr.cache_currents(keys, want);
+    const std::size_t misses = arr.lookup_cached_currents(keys, got);
+    EXPECT_GE(misses, n - cap);
+    EXPECT_LT(misses, n);
+    std::size_t marked = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (got[i] == kMissing) {
+        ++marked;
+      } else {
+        EXPECT_EQ(got[i], want[i]) << i;
+      }
+    }
+    EXPECT_EQ(marked, misses);
+    EXPECT_EQ(got.back(), want.back());
+
+    // A key already cached keeps its current: an insert racing another
+    // thread's insert of the same key is skipped.
+    const std::uint32_t last = keys.back();
+    const double other = 0.5;
+    arr.cache_currents({&last, 1}, {&other, 1});
+    double hit = kMissing;
+    EXPECT_EQ(arr.lookup_cached_currents({&last, 1}, {&hit, 1}), 0u);
+    EXPECT_EQ(hit, want.back());
+    EXPECT_EQ(arr.ideal_current_count(), ideal);
+    EXPECT_EQ(arr.evaluation_count(), reads);
+  }
+}
+
 TEST_F(LikelihoodArrayTest, RejectsBadConfig) {
   core::Rng rng(39);
   LikelihoodArrayConfig cfg;

@@ -6,7 +6,9 @@
 #include <cmath>
 #include <cstdint>
 #include <set>
+#include <thread>
 #include <tuple>
+#include <vector>
 
 #include "core/rng.hpp"
 #include "core/stats.hpp"
@@ -270,6 +272,51 @@ TEST_F(ScenarioTest, CimLikelihoodCountsOneReadPerPixel) {
   }
 }
 
+// Poses as the structure-of-arrays columns a PoseView reads.
+struct Cloud {
+  std::vector<double> x, y, z, yaw;
+  void push(const Vec3& position, double heading) {
+    x.push_back(position.x);
+    y.push_back(position.y);
+    z.push_back(position.z);
+    yaw.push_back(heading);
+  }
+  std::size_t size() const { return x.size(); }
+  PoseView view() const {
+    return {x.data(), y.data(), z.data(), yaw.data(), size(), 1};
+  }
+};
+
+// `count` poses around `center`, `spread` m per axis and `spread` rad of
+// heading.
+Cloud gaussian_cloud(const Pose& center, double spread, std::size_t count,
+                     Rng& rng) {
+  Cloud cloud;
+  for (std::size_t i = 0; i < count; ++i)
+    cloud.push(center.position + Vec3{rng.normal(0.0, spread),
+                                      rng.normal(0.0, spread),
+                                      rng.normal(0.0, spread)},
+               Pose({}, center.yaw + rng.normal(0.0, spread)).yaw);
+  return cloud;
+}
+
+// Distinct code-cube keys among the reads of `scan` from every pose of
+// `cloud`: what one shared update computes without the cache. The
+// mapping is the one LocalizationScenario programs its array with.
+std::size_t distinct_keys(const CimHmgmLikelihood& cim, const SoaView& cloud,
+                          const vision::DepthScan& scan,
+                          const map::WorldToVoltage& mapping) {
+  std::set<std::uint32_t> keys;
+  for (std::size_t i = 0; i < cloud.count; ++i) {
+    const core::Mat3 rot = core::Mat3::rotation_z(cloud.yaw[i]);
+    const Vec3 position{cloud.x[i], cloud.y[i], cloud.z[i]};
+    for (const auto& px : scan.pixels)
+      keys.insert(cim.array().code_key(mapping.point_to_voltage(
+          vision::pixel_to_world(scan, rot, position, px))));
+  }
+  return keys.size();
+}
+
 // Forwards log_likelihood only, so updates through it take the default
 // per-pose log_likelihoods body: the reference for the CIM backend's
 // shared-current override.
@@ -363,9 +410,109 @@ TEST_F(ScenarioTest, CimSharedUpdateBitIdenticalToPerPosePath) {
       reference.resample_to(77, rng_r, pool);
       step("after shrink", sc.scans()[3], 1.0);
       step("empty scan", empty_scan, 1.0);
+      // A 10-frame predict/update flight: each update takes the currents
+      // earlier updates cached, so the array computes fewer ideal
+      // currents than the updates' distinct keys add up to.
+      const map::WorldToVoltage mapping(
+          sc.scene().interior_min() - Vec3{0.3, 0.3, 0.3},
+          sc.scene().interior_max() + Vec3{0.3, 0.3, 0.3}, 0.1, 0.9);
+      std::uint64_t flight_distinct = 0;
+      const std::uint64_t flight_ideal0 = total_ideal;
+      const std::size_t n_ctl = sc.trajectory().controls.size();
+      for (std::size_t f = 0; f < 10; ++f) {
+        const vision::DepthScan& scan = sc.scans()[f % n_ctl];
+        shared.predict(sc.trajectory().controls[f % n_ctl], rng_s);
+        reference.predict(sc.trajectory().controls[f % n_ctl], rng_r);
+        flight_distinct += distinct_keys(cim, shared.soa(), scan, mapping);
+        step("flight", scan, 1.0);
+      }
+      EXPECT_LT(total_ideal - flight_ideal0, flight_distinct);
       EXPECT_LT(total_ideal, total_reads);
     }
   }
+}
+
+TEST_F(ScenarioTest, CimCacheRefillsEvictedKeysWithTheSameBits) {
+  // 8-bit DACs: a wide cloud's reads rarely share a code triple, so one
+  // update holds more distinct keys than the ideal-current cache.
+  const LocalizationScenario sc(small_config());
+  const auto model = sc.make_cim_backend(8, 4);
+  const auto& cim = dynamic_cast<const CimHmgmLikelihood&>(*model);
+  const PerPoseForward per_pose(cim);
+  const vision::DepthScan& scan = sc.scans()[1];
+  core::ThreadPool pool(2);
+  Rng rng(53);
+  // Ten poses around the true pose, and 600 anywhere in the interior
+  // with any heading.
+  const Cloud tight = gaussian_cloud(sc.trajectory().poses[2], 0.05, 10, rng);
+  const Vec3 lo = sc.scene().interior_min(), hi = sc.scene().interior_max();
+  Cloud wide;
+  for (std::size_t i = 0; i < 600; ++i)
+    wide.push({rng.uniform(lo.x, hi.x), rng.uniform(lo.y, hi.y),
+               rng.uniform(lo.z, hi.z)},
+              rng.uniform(-3.14, 3.14));
+  // Scores the cloud through the shared path and the per-pose path and
+  // returns the ideal currents the shared path computed.
+  const auto update = [&](const Cloud& cloud, std::uint64_t root,
+                          core::ThreadPool* p) {
+    std::vector<double> got(cloud.size()), want(cloud.size());
+    const auto ideal0 = cim.array().ideal_current_count();
+    cim.log_likelihoods(cloud.view(), scan, root, p, got);
+    const auto computed = cim.array().ideal_current_count() - ideal0;
+    per_pose.log_likelihoods(cloud.view(), scan, root, nullptr, want);
+    EXPECT_EQ(got, want) << "root=" << root;
+    return computed;
+  };
+  // A repeated update whose keys fit in the cache computes nothing.
+  EXPECT_GT(update(tight, 1, &pool), 0u);
+  EXPECT_EQ(update(tight, 2, nullptr), 0u);
+  EXPECT_EQ(update(tight, 3, &pool), 0u);
+  // The wide cloud overflows the cache, so its second pass recomputes
+  // the evicted keys and takes the rest from the cache, with the same
+  // bits as the uncached per-pose path both times.
+  const auto first = update(wide, 4, &pool);
+  EXPECT_GT(first, cim.array().cache_capacity());
+  const auto second = update(wide, 5, nullptr);
+  EXPECT_GT(second, 0u);
+  EXPECT_LT(second, first);
+  EXPECT_GT(update(wide, 6, &pool), 0u);
+}
+
+TEST_F(ScenarioTest, CimSharedUpdatesFromTwoThreadsMatchSerialReplay) {
+  // Two threads update through one model at once, one serially and one
+  // on its own pool, so their cache lookups, kernel runs and inserts
+  // interleave. Every log-likelihood must equal a serial replay on a
+  // fresh, identically programmed model.
+  const LocalizationScenario sc(small_config());
+  const auto model = sc.make_cim_backend();
+  const auto replay_model = sc.make_cim_backend();
+  constexpr std::size_t kFrames = 6, kPoses = 150;
+  ASSERT_GE(sc.scans().size(), kFrames);
+  Rng rng(59);
+  std::array<std::vector<Cloud>, 2> clouds;
+  for (auto& per_thread : clouds)
+    for (std::size_t f = 0; f < kFrames; ++f)
+      per_thread.push_back(
+          gaussian_cloud(sc.trajectory().poses[f + 1], 0.2, kPoses, rng));
+  using Outputs = std::vector<std::vector<double>>;
+  const auto fly = [&](const MeasurementModel& m, std::size_t t,
+                       core::ThreadPool* pool, Outputs& out) {
+    out.assign(kFrames, std::vector<double>(kPoses));
+    for (std::size_t f = 0; f < kFrames; ++f)
+      m.log_likelihoods(clouds[t][f].view(), sc.scans()[f], 100 * t + f,
+                        pool, out[f]);
+  };
+  core::ThreadPool pool(2);
+  Outputs serial_thread, pooled_thread, replay0, replay1;
+  std::thread a([&] { fly(*model, 0, nullptr, serial_thread); });
+  std::thread b([&] { fly(*model, 1, &pool, pooled_thread); });
+  a.join();
+  b.join();
+  fly(*replay_model, 0, nullptr, replay0);
+  fly(*replay_model, 1, nullptr, replay1);
+  EXPECT_EQ(serial_thread, replay0);
+  EXPECT_EQ(pooled_thread, replay1);
+  EXPECT_EQ(model->evaluation_count(), replay_model->evaluation_count());
 }
 
 TEST_F(ScenarioTest, CimGainCalibrationRecoversScale) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -507,7 +508,10 @@ TEST(ZeroAllocation, SteadyStateFilterCyclesNeverTouchTheHeap) {
 TEST(ZeroAllocation, SharedCimUpdatesNeverTouchTheHeap) {
   // The CIM backend's shared update keeps its keys, code-cube bitmap,
   // rank and distinct currents in one grow-only thread_local scratch on
-  // the dispatching thread; once warm, updates must not allocate.
+  // the dispatching thread, gathers cache misses in per-chunk stack
+  // buffers, and each array allocates its ideal-current cache at
+  // construction; once warm, updates must not allocate, also once the
+  // cache is full and evicting.
   filter::ScenarioConfig sc_cfg;
   sc_cfg.scene.room_size = {2.6, 2.2, 1.8};
   sc_cfg.scene.furniture_count = 4;
@@ -545,6 +549,24 @@ TEST(ZeroAllocation, SharedCimUpdatesNeverTouchTheHeap) {
     pf.update_decimated(scan, *model, 0.5, rng, &pool);
     pf.init_gaussian(start, {0.3, 0.3, 0.15}, 0.3, rng);
 
+    // Three 200-pose clouds scattered over the interior: together their
+    // reads hold more distinct keys than the ideal-current cache, so the
+    // counted updates below also fill it and evict from it.
+    const core::Vec3 lo = sc.scene().interior_min();
+    const core::Vec3 hi = sc.scene().interior_max();
+    constexpr std::size_t kScattered = 200;
+    std::array<std::array<std::vector<double>, 4>, 3> scattered;
+    for (auto& cloud : scattered) {
+      for (auto& column : cloud) column.resize(kScattered);
+      for (std::size_t i = 0; i < kScattered; ++i) {
+        cloud[0][i] = rng.uniform(lo.x, hi.x);
+        cloud[1][i] = rng.uniform(lo.y, hi.y);
+        cloud[2][i] = rng.uniform(lo.z, hi.z);
+        cloud[3][i] = rng.uniform(-3.14, 3.14);
+      }
+    }
+    std::vector<double> out(kScattered);
+
     const auto reads = model->evaluation_count();
     g_heap_allocs.store(0);
     g_count_heap.store(true);
@@ -561,16 +583,29 @@ TEST(ZeroAllocation, SharedCimUpdatesNeverTouchTheHeap) {
         pf.update(scan, *model, rng, &pool);
       }
     }
+    const auto scattered0 = cim->array().ideal_current_count();
+    std::uint64_t root = 0;
+    for (const auto& cloud : scattered) {
+      const filter::PoseView poses{cloud[0].data(), cloud[1].data(),
+                                   cloud[2].data(), cloud[3].data(),
+                                   kScattered, 1};
+      model->log_likelihoods(poses, scan, ++root, &pool, out);
+    }
+    const auto scattered_computed =
+        cim->array().ideal_current_count() - scattered0;
     g_count_heap.store(false);
 
     EXPECT_EQ(g_heap_allocs.load(), 0u)
         << "threads=" << threads << ": a warm shared CIM update touched "
         << "the heap";
-    // 4 full updates of 200 poses and 2 decimated ones of 100, 80 reads
-    // per pose.
-    EXPECT_EQ(model->evaluation_count() - reads, (4 * 200 + 2 * 100) * 80u);
+    // 4 full updates of 200 poses, 2 decimated ones of 100 and 3
+    // scattered clouds of 200, 80 reads per pose.
+    EXPECT_EQ(model->evaluation_count() - reads,
+              (4 * 200 + 2 * 100 + 3 * 200) * 80u);
     EXPECT_GT(first_distinct, warm_distinct)
         << "the steady state must outgrow the warm-up's distinct set";
+    EXPECT_GT(scattered_computed, cim->array().cache_capacity())
+        << "the scattered clouds must overflow the ideal-current cache";
   }
 }
 

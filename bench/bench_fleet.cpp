@@ -14,8 +14,9 @@
 //               vo::run_odometry_loop — the fleet_bit_identity flag;
 //   overhead    the scheduler itself is cheap: single-threaded fleet
 //               wall time over the same 8 runs serial, as a within-run
-//               ratio (~1.0; the batched dispatch amortizes per-frame
-//               bookkeeping, the scheduler adds queue + grouping work);
+//               ratio of medians over three alternating rounds (~1.0;
+//               the batched dispatch amortizes per-frame bookkeeping,
+//               the scheduler adds queue + grouping work);
 //
 // plus the KLD-adaptive particle-cost ledger: a kidnapped-drone session
 // (900-particle global-init cloud) run with ClosedLoopConfig::kld_adapt
@@ -29,6 +30,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 #include <new>
 #include <string>
 #include <vector>
@@ -140,13 +142,15 @@ int main() {
 
   // ---- serial reference: the same 8 sessions, one run_odometry_loop
   // each, single-threaded (within-run comparisons only).
-  std::vector<vo::ClosedLoopRun> serial_runs;
-  const auto t_serial = std::chrono::steady_clock::now();
-  for (int i = 0; i < kSessions; ++i)
-    serial_runs.push_back(vo::run_odometry_loop(
-        scenario, vo, *cim, *model,
-        spec_for(31 + static_cast<std::uint64_t>(i))));
-  const double serial_s = seconds_since(t_serial);
+  const auto run_serial = [&](std::vector<vo::ClosedLoopRun>& runs) {
+    runs.clear();
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < kSessions; ++i)
+      runs.push_back(vo::run_odometry_loop(
+          scenario, vo, *cim, *model,
+          spec_for(31 + static_cast<std::uint64_t>(i))));
+    return seconds_since(t0);
+  };
 
   // ---- fleet: same sessions, one engine, single-threaded too — the
   // runtime ratio isolates scheduling + batching overhead, not cores.
@@ -155,32 +159,49 @@ int main() {
   fcfg.window = kWindow;
   fcfg.max_sessions = kSessions;
   fcfg.queue_capacity = kSessions;
-  fleet::FleetEngine engine(fcfg);
-  const std::size_t workload =
-      engine.add_workload(scenario, vo, *cim, *model);
-
+  std::unique_ptr<fleet::FleetEngine> engine;
   std::vector<fleet::SessionHandle> handles;
-  const auto t_fleet = std::chrono::steady_clock::now();
-  for (int i = 0; i < kSessions; ++i) {
-    fleet::SessionSpec spec;
-    spec.workload = workload;
-    spec.loop = spec_for(31 + static_cast<std::uint64_t>(i));
-    handles.push_back(engine.try_submit(spec));
-  }
-  engine.run_until_idle();
-  const double fleet_s = seconds_since(t_fleet);
+  const auto run_fleet = [&] {
+    handles.clear();
+    engine = std::make_unique<fleet::FleetEngine>(fcfg);
+    const std::size_t workload =
+        engine->add_workload(scenario, vo, *cim, *model);
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < kSessions; ++i) {
+      fleet::SessionSpec spec;
+      spec.workload = workload;
+      spec.loop = spec_for(31 + static_cast<std::uint64_t>(i));
+      handles.push_back(engine->try_submit(spec));
+    }
+    engine->run_until_idle();
+    return seconds_since(t0);
+  };
 
+  // Both sides run in three alternating rounds, and the tracked ratio
+  // takes their medians. Every round's sessions must match that round's
+  // serial runs.
+  std::vector<vo::ClosedLoopRun> serial_runs;
+  std::vector<double> serial_times, fleet_times;
   bool identical = true;
+  for (int round = 0; round < 3; ++round) {
+    serial_times.push_back(run_serial(serial_runs));
+    fleet_times.push_back(run_fleet());
+    for (int i = 0; i < kSessions; ++i)
+      identical = identical &&
+                  same_runs(serial_runs[static_cast<std::size_t>(i)],
+                            handles[static_cast<std::size_t>(i)].wait());
+  }
+  const double serial_s = bench::median(serial_times);
+  const double fleet_s = bench::median(fleet_times);
+
   core::Table table({"session", "rmse [m]", "energy [uJ]", "particles/frame"});
   table.set_precision(3);
   for (int i = 0; i < kSessions; ++i) {
     const auto& run = handles[static_cast<std::size_t>(i)].wait();
-    identical =
-        identical && same_runs(serial_runs[static_cast<std::size_t>(i)], run);
     table.add_row({"corridor_dropout/" + std::to_string(i), run.rmse_m,
                    run.total_energy_j * 1e6, run.mean_particles});
   }
-  const fleet::FleetStats st = engine.stats();
+  const fleet::FleetStats st = engine->stats();
   const double dispatch_ratio =
       st.pooled_layer_dispatches > 0
           ? static_cast<double>(st.serial_layer_dispatches) /
@@ -198,7 +219,8 @@ int main() {
               static_cast<unsigned long long>(st.serial_layer_dispatches));
   std::printf("  dispatch ratio               : %.2fx (gate >= 4x)\n",
               dispatch_ratio);
-  std::printf("  fleet / serial wall time     : %.3f\n", overhead_ratio);
+  std::printf("  fleet / serial wall time     : %.3f (medians of 3 rounds)\n",
+              overhead_ratio);
   std::printf("  scheduling time per frame    : %.1f us\n\n",
               frames > 0.0 ? (fleet_s - serial_s) / frames * 1e6 : 0.0);
 

@@ -34,6 +34,15 @@ struct Result {
   std::int64_t iterations = 0;
 };
 
+/// Median of a set of timings (the upper one of an even count). Timed
+/// sides of a within-run ratio run in alternating rounds and the ratio
+/// takes their medians: a CPU-steal spike on a shared host lands on one
+/// round, not on one side.
+inline double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
 class Suite {
  public:
   explicit Suite(std::string name) : name_(std::move(name)) {}

@@ -53,7 +53,8 @@ TRACKED = {
         "delta_batch_pooled_bit_identity": "stable",
         # One filter update of CIM likelihood reads (500 poses x 80 px x
         # 500 columns, single thread): shared ideal currents per distinct
-        # DAC code triple vs the default per-pose path (within-run ratio).
+        # DAC code triple vs the default per-pose path, median of
+        # alternating rounds (within-run ratio).
         "likelihood_update_shared_speedup_vs_per_pose": "higher",
         # A 36-frame corridor_dropout flight of shared updates, first
         # flight from a cold ideal-current cache: ideal currents computed
@@ -117,9 +118,9 @@ TRACKED = {
         # PR acceptance flag: dispatch ratio >= 4x at 8 sessions.
         "fleet_dispatch_criterion_met": "stable",
         # Scheduler overhead as a within-run wall-time ratio (fleet vs
-        # the same 8 sessions run serially, both single-threaded) — the
-        # only portable timing quantity; raw multicore speedups are
-        # deliberately NOT tracked.
+        # the same 8 sessions run serially, both single-threaded, median
+        # of alternating rounds) — the only portable timing quantity; raw
+        # multicore speedups are deliberately NOT tracked.
         "fleet_over_serial_runtime_ratio": "lower",
         # Steady-state admit -> run -> retire must not touch the heap.
         "fleet_zero_steady_state_alloc": "stable",

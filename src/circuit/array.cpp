@@ -174,7 +174,9 @@ namespace {
 
 // Reads evaluated together by the batched kernel. Each read keeps its own
 // serial column-order sum; interleaving them only overlaps independent
-// divide/add chains, so the count changes speed, never results.
+// divide/add chains, so the group size changes speed, never results. A
+// batch runs in groups of 8, and its tail in one group each of 4, 2 and 1
+// as needed: a lone read leaves the divider mostly idle.
 constexpr std::size_t kInterleavedReads = 8;
 
 // Ideal currents of the L reads keyed keys[0..L) over reciprocal tables
@@ -202,12 +204,6 @@ void read_interleaved(const std::array<std::vector<double>, 3>& inv,
 
 }  // namespace
 
-std::uint32_t CimLikelihoodArray::code_key(const core::Vec3& point_v) const {
-  const int b = dac_.bits();
-  return (dac_.encode(point_v.x) << (2 * b)) | (dac_.encode(point_v.y) << b) |
-         dac_.encode(point_v.z);
-}
-
 void CimLikelihoodArray::ideal_currents_by_key(
     std::span<const std::uint32_t> keys, std::span<double> out) const {
   CIMNAV_REQUIRE(out.size() == keys.size(),
@@ -219,7 +215,15 @@ void CimLikelihoodArray::ideal_currents_by_key(
   for (; i + kInterleavedReads <= n; i += kInterleavedReads)
     read_interleaved<kInterleavedReads>(inv_, cols, b, keys.data() + i,
                                         out.data() + i);
-  for (; i < n; ++i)
+  if (n - i >= 4) {
+    read_interleaved<4>(inv_, cols, b, keys.data() + i, out.data() + i);
+    i += 4;
+  }
+  if (n - i >= 2) {
+    read_interleaved<2>(inv_, cols, b, keys.data() + i, out.data() + i);
+    i += 2;
+  }
+  if (i < n)
     read_interleaved<1>(inv_, cols, b, keys.data() + i, out.data() + i);
   ideal_currents_.fetch_add(n, std::memory_order_relaxed);
 }

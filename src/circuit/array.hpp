@@ -104,8 +104,13 @@ class CimLikelihoodArray {
 
   /// Code-cube key of a point: its three DAC codes packed x-major,
   /// (cx << 2b) | (cy << b) | cz for b = dac_bits, in [0, key_count()).
-  /// Inputs are DAC-quantized exactly as the hardware would.
-  std::uint32_t code_key(const core::Vec3& point_v) const;
+  /// Inputs are DAC-quantized exactly as the hardware would. Inline: the
+  /// likelihood update keys every read.
+  std::uint32_t code_key(const core::Vec3& point_v) const {
+    const int b = dac_.bits();
+    return (dac_.encode(point_v.x) << (2 * b)) |
+           (dac_.encode(point_v.y) << b) | dac_.encode(point_v.z);
+  }
 
   /// Number of code-cube keys, 2^(3 * dac_bits).
   std::uint32_t key_count() const {
@@ -122,7 +127,7 @@ class CimLikelihoodArray {
 
   /// Ideal-current cache geometry: kCacheSets sets of kCacheWays
   /// (key, current) ways, capped at key_count() entries for narrow DACs.
-  static constexpr std::size_t kCacheSets = 4096;
+  static constexpr std::size_t kCacheSets = 8192;
   static constexpr std::size_t kCacheWays = 4;
 
   /// Entries the ideal-current cache holds:

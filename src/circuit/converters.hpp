@@ -3,14 +3,37 @@
 // The paper's likelihood pipeline is: digital coordinates -> DAC -> analog
 // inverter array -> summed current -> logarithmic ADC -> digital
 // log-likelihood. Converters dominate the precision budget, so they are
-// modeled explicitly: uniform quantization for the DAC and linear ADC, and
-// log-domain companding for the log ADC (which is what makes a 4-bit
-// conversion usable on a quantity spanning decades).
+// modeled explicitly: uniform quantization for the DAC and log-domain
+// companding for the log ADC (which is what makes a 4-bit conversion usable
+// on a quantity spanning decades).
+//
+// The encoders are defined inline: every likelihood read runs three DAC
+// encodes and one log-ADC conversion, where a call costs as much as the
+// arithmetic.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 
 namespace cimnav::circuit {
+
+namespace detail {
+
+/// Nearest code to a fractional code index, rounding halves up (the same
+/// code as std::lround): clamps to [0, levels - 1], with NaN to code 0,
+/// since codes index tables and the likelihood array's code-cube bitmap.
+/// Branch-free and exact: the clamped index c is below 2^24, so truncation
+/// gives floor(c), and c - floor(c) is the exact fraction.
+inline std::uint32_t clamp_code(double idx, std::uint32_t levels) {
+  // std::max(0.0, NaN) is 0.0.
+  const double c =
+      std::min(std::max(0.0, idx), static_cast<double>(levels - 1));
+  const auto t = static_cast<std::uint32_t>(c);
+  return t + static_cast<std::uint32_t>(c - static_cast<double>(t) >= 0.5);
+}
+
+}  // namespace detail
 
 /// Uniform digital-to-analog converter over [v_min, v_max].
 class Dac {
@@ -22,7 +45,10 @@ class Dac {
 
   /// Nearest-code quantization of an analog target [V] (clamps to range;
   /// NaN maps to code 0).
-  std::uint32_t encode(double v) const;
+  std::uint32_t encode(double v) const {
+    const double t = (v - v_min_) / (v_max_ - v_min_);
+    return detail::clamp_code(t * static_cast<double>(levels_ - 1), levels_);
+  }
 
   /// Output voltage for a code.
   double decode(std::uint32_t code) const;
@@ -39,23 +65,6 @@ class Dac {
   double v_min_, v_max_;
 };
 
-/// Uniform analog-to-digital converter over [x_min, x_max].
-class LinearAdc {
- public:
-  LinearAdc(int bits, double x_min, double x_max);
-
-  int bits() const { return bits_; }
-  std::uint32_t levels() const { return levels_; }
-  std::uint32_t encode(double x) const;
-  double decode(std::uint32_t code) const;
-  double quantize(double x) const { return decode(encode(x)); }
-
- private:
-  int bits_;
-  std::uint32_t levels_;
-  double x_min_, x_max_;
-};
-
 /// Logarithmic ADC for currents spanning [i_min, i_max] (both > 0).
 /// Codes are uniform in log(i); decode returns the *logarithm* of the
 /// current (natural log), which is exactly the quantity the particle filter
@@ -68,10 +77,18 @@ class LogAdc {
   std::uint32_t levels() const { return levels_; }
 
   /// Code for a current; currents at or below i_min clamp to code 0.
-  std::uint32_t encode(double i_a) const;
+  std::uint32_t encode(double i_a) const {
+    if (i_a <= 0.0) return 0;
+    const double t = (std::log(i_a) - log_min_) / (log_max_ - log_min_);
+    return detail::clamp_code(t * static_cast<double>(levels_ - 1), levels_);
+  }
 
   /// Natural log of the reconstructed current for a code.
-  double decode_log(std::uint32_t code) const;
+  double decode_log(std::uint32_t code) const {
+    const std::uint32_t c = std::min(code, levels_ - 1);
+    return log_min_ + (log_max_ - log_min_) * static_cast<double>(c) /
+                          static_cast<double>(levels_ - 1);
+  }
 
   /// Reconstructed current [A].
   double decode_current(std::uint32_t code) const;

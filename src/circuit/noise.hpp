@@ -7,6 +7,10 @@
 // evaluation window.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+
+#include "core/error.hpp"
 #include "core/rng.hpp"
 
 namespace cimnav::circuit {
@@ -24,6 +28,15 @@ struct NoiseParams {
 };
 
 /// Applies one noisy read of a DC current [A]; never returns negative.
-double noisy_current(double i_a, const NoiseParams& p, core::Rng& rng);
+/// Inline: it runs once per likelihood read.
+inline double noisy_current(double i_a, const NoiseParams& p,
+                            core::Rng& rng) {
+  CIMNAV_REQUIRE(i_a >= 0.0, "current must be non-negative");
+  if (!p.enabled) return i_a;
+  const double variance =
+      p.shot_coeff_a * i_a + p.thermal_floor_a * p.thermal_floor_a;
+  const double noisy = i_a + rng.normal(0.0, std::sqrt(variance));
+  return std::max(noisy, 0.0);
+}
 
 }  // namespace cimnav::circuit

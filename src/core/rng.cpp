@@ -61,11 +61,7 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   return lo + static_cast<std::int64_t>(v % span);
 }
 
-double Rng::normal() {
-  if (has_spare_normal_) {
-    has_spare_normal_ = false;
-    return spare_normal_;
-  }
+double Rng::normal_pair() {
   // Box-Muller on (0,1] to avoid log(0).
   double u1 = 1.0 - uniform();
   double u2 = uniform();
@@ -76,9 +72,8 @@ double Rng::normal() {
   return r * std::cos(theta);
 }
 
-double Rng::normal(double mean, double sigma) {
-  CIMNAV_REQUIRE(sigma >= 0.0, "normal sigma must be non-negative");
-  return mean + sigma * normal();
+void Rng::normal_sigma_error() {
+  CIMNAV_REQUIRE(false, "normal sigma must be non-negative");
 }
 
 double Rng::normal_fast_slow(std::uint64_t bits) {

@@ -37,9 +37,10 @@ const ZigguratTables& ziggurat();
 
 /// xoshiro256++ engine with SplitMix64 seeding.
 ///
-/// The raw draw, uniform() and the ziggurat fast path are defined inline:
-/// they sit on the per-ADC-cycle noise path of the CIM macro where call
-/// overhead is comparable to the work itself.
+/// The raw draw, uniform(), the ziggurat fast path and the Box-Muller spare
+/// draw are defined inline: they sit on the per-ADC-cycle noise path of the
+/// CIM macro and the per-read noise path of the likelihood array, where
+/// call overhead is comparable to the work itself.
 class Rng {
  public:
   using result_type = std::uint64_t;
@@ -76,10 +77,21 @@ class Rng {
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
   /// Standard normal via Box-Muller (cached spare kept for the next call).
-  double normal();
+  /// The spare draw is inline; the pair draw is out of line.
+  double normal() {
+    if (has_spare_normal_) {
+      has_spare_normal_ = false;
+      return spare_normal_;
+    }
+    return normal_pair();
+  }
 
-  /// Normal with given mean and standard deviation (sigma >= 0).
-  double normal(double mean, double sigma);
+  /// Normal with given mean and standard deviation (sigma >= 0,
+  /// validated out of line).
+  double normal(double mean, double sigma) {
+    if (!(sigma >= 0.0)) normal_sigma_error();
+    return mean + sigma * normal();
+  }
 
   /// Standard normal via a 128-layer ziggurat (Marsaglia-Tsang layout with
   /// Doornik's wedge test). Exact — same distribution as normal() — but
@@ -134,11 +146,15 @@ class Rng {
     return (v << k) | (v >> (64 - k));
   }
 
+  /// Box-Muller pair: returns one normal and keeps the other as the spare.
+  double normal_pair();
+
   /// Ziggurat tail / wedge handling for the ~2% of draws the inline fast
   /// path rejects; `bits` is the raw draw that failed.
   double normal_fast_slow(std::uint64_t bits);
 
   [[noreturn]] static void bernoulli_range_error();
+  [[noreturn]] static void normal_sigma_error();
 
   std::uint64_t s_[4];
   double spare_normal_ = 0.0;

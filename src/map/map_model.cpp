@@ -15,12 +15,6 @@ WorldToVoltage::WorldToVoltage(const core::Vec3& world_min,
   }
 }
 
-core::Vec3 WorldToVoltage::point_to_voltage(const core::Vec3& p) const {
-  core::Vec3 v;
-  for (int d = 0; d < 3; ++d) v[d] = v_lo_ + (p[d] - world_min_[d]) * scale_[d];
-  return v;
-}
-
 core::Vec3 WorldToVoltage::sigma_to_voltage(const core::Vec3& s) const {
   core::Vec3 v;
   for (int d = 0; d < 3; ++d) v[d] = s[d] * scale_[d];

@@ -24,7 +24,13 @@ class WorldToVoltage {
   WorldToVoltage(const core::Vec3& world_min, const core::Vec3& world_max,
                  double v_lo, double v_hi);
 
-  core::Vec3 point_to_voltage(const core::Vec3& world_point) const;
+  /// Inline: the likelihood update maps every read's point.
+  core::Vec3 point_to_voltage(const core::Vec3& world_point) const {
+    core::Vec3 v;
+    for (int d = 0; d < 3; ++d)
+      v[d] = v_lo_ + (world_point[d] - world_min_[d]) * scale_[d];
+    return v;
+  }
   core::Vec3 sigma_to_voltage(const core::Vec3& world_sigma) const;
   core::Vec3 voltage_to_point(const core::Vec3& v) const;
 

@@ -424,16 +424,6 @@ TEST(Dac, ClampsOutOfRange) {
   EXPECT_EQ(dac.encode(2.0), dac.levels() - 1);
 }
 
-TEST(LinearAdc, MonotoneEncoding) {
-  const LinearAdc adc(5, 0.0, 100.0);
-  std::uint32_t prev = 0;
-  for (double x = 0.0; x <= 100.0; x += 0.5) {
-    const std::uint32_t c = adc.encode(x);
-    ASSERT_GE(c, prev);
-    prev = c;
-  }
-}
-
 TEST(LogAdc, CodesUniformInLogDomain) {
   const LogAdc adc(6, 1e-9, 1e-3);
   // Equal current *ratios* map to equal code differences.
@@ -460,8 +450,70 @@ TEST(Converters, NanMapsToCodeZero) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   EXPECT_EQ(Dac(4, 0.1, 0.9).encode(nan), 0u);
   EXPECT_EQ(Dac(8, 0.1, 0.9).encode(nan), 0u);
-  EXPECT_EQ(LinearAdc(5, 0.0, 100.0).encode(nan), 0u);
   EXPECT_EQ(LogAdc(4, 1e-9, 1e-3).encode(nan), 0u);
+}
+
+// Reference code rounding: clamp to [0, levels - 1] with NaN to code 0,
+// else std::lround (halves away from zero).
+std::uint32_t lround_code(double idx, std::uint32_t levels) {
+  if (std::isnan(idx) || idx <= 0.0) return 0;
+  if (idx >= static_cast<double>(levels - 1)) return levels - 1;
+  return static_cast<std::uint32_t>(std::lround(idx));
+}
+
+// Fractional code indices around every rounding boundary of a converter
+// with `levels` codes: each k and k +- 0.5 with their nextafter
+// neighbours, the extremes, and a uniform sweep over [-2, levels + 1].
+std::vector<double> rounding_probes(std::uint32_t levels) {
+  const double top = static_cast<double>(levels - 1);
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> idx{0.0,  -0.0,      -0.25,     -1.0,
+                          -1e9, -inf,      inf,       1e300,
+                          top,  top - 1.5, top - 0.5, top + 0.5,
+                          top + 1.0, 2.0 * top + 7.0,
+                          std::numeric_limits<double>::quiet_NaN()};
+  for (std::uint32_t k = 0; k < levels; ++k)
+    for (double centre : {static_cast<double>(k) - 0.5,
+                          static_cast<double>(k),
+                          static_cast<double>(k) + 0.5}) {
+      idx.push_back(centre);
+      idx.push_back(std::nextafter(centre, -inf));
+      idx.push_back(std::nextafter(centre, inf));
+    }
+  core::Rng rng(89);
+  for (int i = 0; i < 20000; ++i) idx.push_back(rng.uniform(-2.0, top + 2.0));
+  return idx;
+}
+
+TEST(Converters, RoundingMatchesLroundReference) {
+  for (int bits : {1, 4, 6, 8}) {
+    const double v_min = 0.05, v_max = 0.95;
+    const Dac dac(bits, v_min, v_max);
+    const LogAdc adc(bits, 1e-9, 1e-3);
+    const std::uint32_t levels = dac.levels();
+    const double top = static_cast<double>(levels - 1);
+    for (const double idx : rounding_probes(levels)) {
+      EXPECT_EQ(detail::clamp_code(idx, levels), lround_code(idx, levels))
+          << "bits=" << bits << " idx=" << idx;
+      // An input near the index, through each encoder's own arithmetic;
+      // the reference repeats that arithmetic up to the rounding.
+      const double v = v_min + idx / top * (v_max - v_min);
+      EXPECT_EQ(dac.encode(v),
+                lround_code((v - v_min) / (v_max - v_min) * top, levels))
+          << "bits=" << bits << " v=" << v;
+      const double span = adc.log_i_max() - adc.log_i_min();
+      const double i_a = std::exp(adc.log_i_min() + idx / top * span);
+      const std::uint32_t want =
+          i_a <= 0.0
+              ? 0u
+              : lround_code((std::log(i_a) - adc.log_i_min()) / span * top,
+                            levels);
+      EXPECT_EQ(adc.encode(i_a), want) << "bits=" << bits << " i=" << i_a;
+    }
+    for (const double i_a :
+         {0.0, -0.0, -1e-6, -std::numeric_limits<double>::infinity()})
+      EXPECT_EQ(adc.encode(i_a), 0u) << "bits=" << bits << " i=" << i_a;
+  }
 }
 
 class ConverterBitsTest : public ::testing::TestWithParam<int> {};
@@ -855,6 +907,36 @@ TEST_F(LikelihoodArrayTest, BatchedReadMatchesSerialReferenceBitForBit) {
     }
   }
   ASSERT_GT(off_hits, 0) << "no non-conducting branch was read";
+}
+
+TEST_F(LikelihoodArrayTest, EveryBatchLengthMatchesOneKeyCalls) {
+  // A batch runs in interleaved groups of 8, then one group each of 4, 2
+  // and 1 for its tail: every length from 1 to 19 covers each mix of
+  // groups at least once, and every key must keep its one-key bits.
+  for (int dac_bits : {1, 6, 8}) {
+    LikelihoodArrayConfig cfg;
+    cfg.dac_bits = dac_bits;
+    cfg.total_columns = 60;
+    core::Rng rng(97);
+    const CimLikelihoodArray arr(cfg, three_components(), rng);
+    core::Rng krng(101);
+    for (std::size_t n = 1; n <= 19; ++n) {
+      std::vector<std::uint32_t> keys(n);
+      for (auto& key : keys)
+        key = static_cast<std::uint32_t>(
+            krng.uniform_int(0, arr.key_count() - 1));
+      keys.front() = 0;
+      if (n > 1) keys.back() = arr.key_count() - 1;
+      std::vector<double> batch(n);
+      arr.ideal_currents_by_key(keys, batch);
+      for (std::size_t i = 0; i < n; ++i) {
+        double one = 0.0;
+        arr.ideal_currents_by_key({&keys[i], 1}, {&one, 1});
+        EXPECT_EQ(batch[i], one)
+            << "dac_bits=" << dac_bits << " n=" << n << " i=" << i;
+      }
+    }
+  }
 }
 
 TEST_F(LikelihoodArrayTest, BatchedLogReadsMatchPointReadsAndRngStream) {

@@ -442,12 +442,12 @@ TEST_F(ScenarioTest, CimCacheRefillsEvictedKeysWithTheSameBits) {
   const vision::DepthScan& scan = sc.scans()[1];
   core::ThreadPool pool(2);
   Rng rng(53);
-  // Ten poses around the true pose, and 600 anywhere in the interior
+  // Ten poses around the true pose, and 1000 anywhere in the interior
   // with any heading.
   const Cloud tight = gaussian_cloud(sc.trajectory().poses[2], 0.05, 10, rng);
   const Vec3 lo = sc.scene().interior_min(), hi = sc.scene().interior_max();
   Cloud wide;
-  for (std::size_t i = 0; i < 600; ++i)
+  for (std::size_t i = 0; i < 1000; ++i)
     wide.push({rng.uniform(lo.x, hi.x), rng.uniform(lo.y, hi.y),
                rng.uniform(lo.z, hi.z)},
               rng.uniform(-3.14, 3.14));

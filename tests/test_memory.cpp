@@ -549,13 +549,13 @@ TEST(ZeroAllocation, SharedCimUpdatesNeverTouchTheHeap) {
     pf.update_decimated(scan, *model, 0.5, rng, &pool);
     pf.init_gaussian(start, {0.3, 0.3, 0.15}, 0.3, rng);
 
-    // Three 200-pose clouds scattered over the interior: together their
+    // Five 200-pose clouds scattered over the interior: together their
     // reads hold more distinct keys than the ideal-current cache, so the
     // counted updates below also fill it and evict from it.
     const core::Vec3 lo = sc.scene().interior_min();
     const core::Vec3 hi = sc.scene().interior_max();
     constexpr std::size_t kScattered = 200;
-    std::array<std::array<std::vector<double>, 4>, 3> scattered;
+    std::array<std::array<std::vector<double>, 4>, 5> scattered;
     for (auto& cloud : scattered) {
       for (auto& column : cloud) column.resize(kScattered);
       for (std::size_t i = 0; i < kScattered; ++i) {
@@ -598,10 +598,10 @@ TEST(ZeroAllocation, SharedCimUpdatesNeverTouchTheHeap) {
     EXPECT_EQ(g_heap_allocs.load(), 0u)
         << "threads=" << threads << ": a warm shared CIM update touched "
         << "the heap";
-    // 4 full updates of 200 poses, 2 decimated ones of 100 and 3
+    // 4 full updates of 200 poses, 2 decimated ones of 100 and 5
     // scattered clouds of 200, 80 reads per pose.
     EXPECT_EQ(model->evaluation_count() - reads,
-              (4 * 200 + 2 * 100 + 3 * 200) * 80u);
+              (4 * 200 + 2 * 100 + 5 * 200) * 80u);
     EXPECT_GT(first_distinct, warm_distinct)
         << "the steady state must outgrow the warm-up's distinct set";
     EXPECT_GT(scattered_computed, cim->array().cache_capacity())

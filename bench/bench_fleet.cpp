@@ -207,7 +207,6 @@ int main() {
           ? static_cast<double>(st.serial_layer_dispatches) /
                 static_cast<double>(st.pooled_layer_dispatches)
           : 0.0;
-  const double frames = static_cast<double>(st.frames_dispatched);
   const double overhead_ratio = serial_s > 0.0 ? fleet_s / serial_s : 0.0;
 
   std::printf("8 sessions, window %d, single-threaded:\n", kWindow);
@@ -219,10 +218,8 @@ int main() {
               static_cast<unsigned long long>(st.serial_layer_dispatches));
   std::printf("  dispatch ratio               : %.2fx (gate >= 4x)\n",
               dispatch_ratio);
-  std::printf("  fleet / serial wall time     : %.3f (medians of 3 rounds)\n",
+  std::printf("  fleet / serial wall time     : %.3f (medians of 3 rounds)\n\n",
               overhead_ratio);
-  std::printf("  scheduling time per frame    : %.1f us\n\n",
-              frames > 0.0 ? (fleet_s - serial_s) / frames * 1e6 : 0.0);
 
   suite.add_summary("fleet_bit_identity", identical ? 1.0 : 0.0);
   suite.add_summary("fleet_dispatch_ratio_8s", dispatch_ratio);

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_json.hpp"
@@ -893,6 +894,34 @@ int main() {
         "\nmc_predict_cim speedup vs single-threaded seed path: "
         "%.2fx (1 thread), %.2fx (8 threads)\n\n",
         speedup1, speedup8);
+  }
+
+  {  // VO training: one epoch of minibatch Adam per op on the VO
+     // regressor's shape (VoPipeline's defaults: 4000 samples, batch 32,
+     // hidden-site dropout 0.2), the set-up stage every flight pays.
+    core::Rng rng(19);
+    nn::MlpConfig cfg;
+    cfg.layer_sizes = {144, 128, 64, 4};
+    cfg.dropout_p = 0.2;
+    cfg.dropout_on_input = false;
+    nn::Mlp net(cfg, rng);
+    constexpr int kSamples = 4000;
+    std::vector<nn::Vector> inputs, targets;
+    for (int i = 0; i < kSamples; ++i) {
+      nn::Vector x(144), y(4);
+      for (double& v : x) v = rng.uniform();
+      for (double& v : y) v = rng.uniform(-0.1, 0.1);
+      inputs.push_back(std::move(x));
+      targets.push_back(std::move(y));
+    }
+    const nn::TrainOptions opt;
+    double sink = 0.0;
+    const bench::Result r = suite.run(
+        "mlp_train_epoch/144-128-64-4,n=4000,batch=32", 1, kSamples,
+        "samples", [&] { sink += net.train_epoch(inputs, targets, opt, rng); });
+    std::printf("%-44s %12.1f ns/sample\n", "  (per sample)",
+                r.ns_per_op / kSamples);
+    if (sink == 42.0) std::printf("%f", sink);
   }
 
   {  // Conformance harness: per-family case timing + the quick-tier

@@ -72,7 +72,11 @@ class Mlp {
       const std::function<bool()>& drop_draw) const;
 
   /// One epoch of minibatch Adam on MSE loss; returns mean training loss.
-  /// Dropout is active during training (same sites as inference).
+  /// Dropout is active during training (same sites as inference). Each
+  /// minibatch runs as batched products with the bits of a per-sample
+  /// loop (rounding contract: docs/architecture.md, "Set-up"). Throws
+  /// std::invalid_argument, naming the sample, when an input or target
+  /// has the wrong width; nothing is drawn or updated before that check.
   double train_epoch(const std::vector<Vector>& inputs,
                      const std::vector<Vector>& targets,
                      const TrainOptions& opt, core::Rng& rng);

@@ -1,9 +1,12 @@
 // Minimal dense linear algebra for the neural-network stack. A Vector is a
-// plain std::vector<double>; Matrix is a row-major dense matrix with just
-// the operations training needs. No expression templates — the networks
-// here are small (tens of thousands of parameters) and clarity wins.
+// plain std::vector<double>; Matrix is a row-major dense matrix, and the
+// two product-sum kernels (tensor.cpp) run every product of training. No
+// expression templates — the networks here are small (tens of thousands
+// of parameters) and clarity wins.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/error.hpp"
@@ -40,57 +43,10 @@ class Matrix {
   std::vector<double>& data() { return data_; }
 
   /// y = A x  (rows x cols) * (cols) -> (rows). Each row is one serial
-  /// column-order sum; four rows run interleaved, which overlaps their
-  /// independent add chains without changing any row's result.
-  Vector matvec(const Vector& x) const {
-    CIMNAV_REQUIRE(x.size() == static_cast<std::size_t>(cols_),
-                   "matvec size mismatch");
-    const auto rows = static_cast<std::size_t>(rows_);
-    const auto cols = static_cast<std::size_t>(cols_);
-    Vector y(rows, 0.0);
-    const double* xv = x.data();
-    std::size_t r = 0;
-    for (; r + 4 <= rows; r += 4) {
-      const double* a0 = data_.data() + r * cols;
-      const double* a1 = a0 + cols;
-      const double* a2 = a1 + cols;
-      const double* a3 = a2 + cols;
-      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-      for (std::size_t c = 0; c < cols; ++c) {
-        s0 += a0[c] * xv[c];
-        s1 += a1[c] * xv[c];
-        s2 += a2[c] * xv[c];
-        s3 += a3[c] * xv[c];
-      }
-      y[r] = s0;
-      y[r + 1] = s1;
-      y[r + 2] = s2;
-      y[r + 3] = s3;
-    }
-    for (; r < rows; ++r) {
-      const double* a = data_.data() + r * cols;
-      double s = 0.0;
-      for (std::size_t c = 0; c < cols; ++c) s += a[c] * xv[c];
-      y[r] = s;
-    }
-    return y;
-  }
-
-  /// y = A^T x  (rows x cols)^T * (rows) -> (cols).
-  Vector matvec_transposed(const Vector& x) const {
-    CIMNAV_REQUIRE(x.size() == static_cast<std::size_t>(rows_),
-                   "matvec_transposed size mismatch");
-    Vector y(static_cast<std::size_t>(cols_), 0.0);
-    for (int r = 0; r < rows_; ++r) {
-      const double xr = x[static_cast<std::size_t>(r)];
-      const std::size_t base =
-          static_cast<std::size_t>(r) * static_cast<std::size_t>(cols_);
-      for (int c = 0; c < cols_; ++c)
-        y[static_cast<std::size_t>(c)] +=
-            data_[base + static_cast<std::size_t>(c)] * xr;
-    }
-    return y;
-  }
+  /// column-order sum from 0.0 of rounded products
+  /// (`rounded_product_sums`), so the result is the same on FMA and
+  /// non-FMA hosts.
+  Vector matvec(const Vector& x) const;
 
  private:
   int rows_ = 0;
@@ -100,5 +56,34 @@ class Matrix {
 
 /// 0/1 dropout mask over a layer's neurons.
 using Mask = std::vector<std::uint8_t>;
+
+/// Strided operands of the product sums
+///   out(i, j) = sum over k of a(k, i) * b(k, j),
+/// with a(k, i) = a[k * a_k + i * a_i], b(k, j) = b[k * b_k + j] (j runs
+/// along memory) and out(i, j) = out[i * out_i + j * out_j]. One shape
+/// covers every product of the network: the forward layer (k = input
+/// unit, i = output unit, j = sample), the weight gradient (k = sample,
+/// i = output unit, j = input unit) and the back-propagated delta
+/// (k = output unit, i = sample, j = input unit).
+struct ProductSums {
+  const double* a = nullptr;
+  std::size_t a_k = 0, a_i = 0;
+  const double* b = nullptr;
+  std::size_t b_k = 0;
+  double* out = nullptr;
+  std::size_t out_i = 0, out_j = 0;
+  int k = 0, i = 0, j = 0;  ///< extents
+};
+
+/// Every out(i, j) is one serial sum from 0.0 over ascending k, whatever
+/// the tiling: tiles of 4 i x 8 j keep their sums in registers, so the
+/// bits equal a plain per-element loop. The two functions differ only in
+/// how a step is rounded:
+/// - `product_sums` rounds a step as a plain scalar `acc += a * b`: one
+///   FMA on targets that have it, as the per-sample backward loops did;
+/// - `rounded_product_sums` rounds every product before adding it on
+///   every host, as the forward's groups of four rows always did.
+void product_sums(const ProductSums& p);
+void rounded_product_sums(const ProductSums& p);
 
 }  // namespace cimnav::nn

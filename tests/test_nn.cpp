@@ -2,10 +2,13 @@
 // CIM-executed inference and compute reuse.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -19,7 +22,7 @@ namespace {
 
 using core::Rng;
 
-TEST(Matrix, MatvecAndTranspose) {
+TEST(Matrix, Matvec) {
   Matrix m(2, 3);
   m(0, 0) = 1;
   m(0, 1) = 2;
@@ -30,17 +33,39 @@ TEST(Matrix, MatvecAndTranspose) {
   const Vector y = m.matvec({1, 1, 1});
   EXPECT_DOUBLE_EQ(y[0], 6);
   EXPECT_DOUBLE_EQ(y[1], 15);
-  const Vector yt = m.matvec_transposed({1, 1});
-  EXPECT_DOUBLE_EQ(yt[0], 5);
-  EXPECT_DOUBLE_EQ(yt[1], 7);
-  EXPECT_DOUBLE_EQ(yt[2], 9);
 }
 
 TEST(Matrix, SizeChecks) {
   Matrix m(2, 3);
   EXPECT_THROW(m.matvec({1, 1}), std::invalid_argument);
-  EXPECT_THROW(m.matvec_transposed({1, 1, 1}), std::invalid_argument);
   EXPECT_THROW(Matrix(0, 3), std::invalid_argument);
+}
+
+TEST(Matrix, MatvecRoundsEveryProduct) {
+  // (1 + 2^-30)^2 = 1 + 2^-29 + 2^-60: rounded it is 1 + 2^-29, which
+  // cancels the previous term exactly, while an FMA keeps 2^-60. Placed
+  // at every column of every row of shapes with 4-row groups, tail rows
+  // and column counts off a multiple of 4, each row must sum to 0.
+  const double a = 1.0 + std::ldexp(1.0, -30);
+  const double minus = -(1.0 + std::ldexp(1.0, -29));
+  for (const int rows : {1, 3, 4, 6, 9}) {
+    for (const int cols : {2, 3, 5, 8, 13}) {
+      for (int at = 1; at < cols; ++at) {
+        Matrix m(rows, cols);
+        Vector x(static_cast<std::size_t>(cols), 0.0);
+        x[static_cast<std::size_t>(at) - 1] = 1.0;
+        x[static_cast<std::size_t>(at)] = a;
+        for (int r = 0; r < rows; ++r) {
+          m(r, at - 1) = minus;
+          m(r, at) = a;
+        }
+        const Vector y = m.matvec(x);
+        for (int r = 0; r < rows; ++r)
+          EXPECT_EQ(y[static_cast<std::size_t>(r)], 0.0)
+              << rows << "x" << cols << " product at column " << at;
+      }
+    }
+  }
 }
 
 MlpConfig small_config(double p = 0.0, bool input_dropout = false) {
@@ -163,6 +188,298 @@ TEST(Mlp, TrainingLossDecreases) {
   double last = first;
   for (int e = 0; e < 30; ++e) last = net.train_epoch(X, Y, opt, rng);
   EXPECT_LT(last, first);
+}
+
+// ---------------------------------------------------------------------------
+// Reference trainer: the per-sample minibatch loop Mlp::train_epoch ran
+// before it became batched, kept as the bit-identity oracle. It owns its
+// Adam moments and uses only Mlp's public accessors.
+// ---------------------------------------------------------------------------
+
+struct ReferenceAdam {
+  explicit ReferenceAdam(const Mlp& net) {
+    for (int l = 0; l < net.layer_count(); ++l) {
+      const Matrix& w = net.weights(l);
+      m_w.emplace_back(w.rows(), w.cols());
+      v_w.emplace_back(w.rows(), w.cols());
+      m_b.emplace_back(net.biases(l).size(), 0.0);
+      v_b.emplace_back(net.biases(l).size(), 0.0);
+    }
+  }
+  std::vector<Matrix> m_w, v_w;
+  std::vector<Vector> m_b, v_b;
+  std::int64_t steps = 0;
+};
+
+/// y = W^T x, row by row in ascending order.
+Vector reference_matvec_transposed(const Matrix& w, const Vector& x) {
+  Vector y(static_cast<std::size_t>(w.cols()), 0.0);
+  for (int r = 0; r < w.rows(); ++r) {
+    const double xr = x[static_cast<std::size_t>(r)];
+    for (int c = 0; c < w.cols(); ++c)
+      y[static_cast<std::size_t>(c)] += w(r, c) * xr;
+  }
+  return y;
+}
+
+double reference_train_epoch(Mlp& net, ReferenceAdam& adam,
+                             const std::vector<Vector>& inputs,
+                             const std::vector<Vector>& targets,
+                             const TrainOptions& opt, Rng& rng) {
+  const std::size_t n = inputs.size();
+  std::vector<std::size_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = i;
+  if (opt.shuffle) order = rng.permutation(n);
+
+  const MlpConfig& cfg = net.config();
+  const int layers = net.layer_count();
+  const double keep_scale = 1.0 / (1.0 - cfg.dropout_p);
+  double total_loss = 0.0;
+
+  std::vector<Matrix> grad_w;
+  std::vector<Vector> grad_b;
+  for (int l = 0; l < layers; ++l) {
+    grad_w.emplace_back(net.weights(l).rows(), net.weights(l).cols());
+    grad_b.emplace_back(net.biases(l).size(), 0.0);
+  }
+
+  std::size_t processed = 0;
+  while (processed < n) {
+    const std::size_t batch = std::min<std::size_t>(
+        static_cast<std::size_t>(opt.batch_size), n - processed);
+    for (int l = 0; l < layers; ++l) {
+      for (double& g : grad_w[static_cast<std::size_t>(l)].data()) g = 0.0;
+      for (double& g : grad_b[static_cast<std::size_t>(l)]) g = 0.0;
+    }
+
+    for (std::size_t bi = 0; bi < batch; ++bi) {
+      const std::size_t idx = order[processed + bi];
+      const Vector& t = targets[idx];
+
+      std::vector<Vector> acts;
+      std::vector<Vector> preact;
+      const std::vector<Mask> live_masks =
+          net.sample_masks([&] { return rng.bernoulli(cfg.dropout_p); });
+      std::size_t site = 0;
+      Vector a = inputs[idx];
+      if (cfg.dropout_on_input) {
+        const Mask& m = live_masks[site++];
+        for (std::size_t i = 0; i < a.size(); ++i)
+          a[i] = m[i] ? a[i] * keep_scale : 0.0;
+      }
+      acts.push_back(a);
+      for (int l = 0; l < layers; ++l) {
+        Vector z = net.weights(l).matvec(a);
+        const Vector& b = net.biases(l);
+        for (std::size_t i = 0; i < z.size(); ++i) z[i] += b[i];
+        preact.push_back(z);
+        if (l + 1 < layers) {
+          for (double& v : z) v = v > 0.0 ? v : 0.0;
+          const Mask& m = live_masks[site++];
+          for (std::size_t i = 0; i < z.size(); ++i)
+            z[i] = m[i] ? z[i] * keep_scale : 0.0;
+        }
+        a = std::move(z);
+        acts.push_back(a);
+      }
+
+      // The squared errors are rounded before they are summed, as the
+      // forward's products are (volatile keeps the compiler from fusing
+      // or vectorizing the sum).
+      Vector delta(a.size());
+      double loss = 0.0;
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        const double e = a[i] - t[i];
+        const volatile double square = e * e;
+        loss += square;
+        delta[i] = 2.0 * e / static_cast<double>(a.size());
+      }
+      total_loss += loss / static_cast<double>(a.size());
+
+      site = static_cast<std::size_t>(net.dropout_site_count());
+      for (int l = layers - 1; l >= 0; --l) {
+        const Vector& input_act = acts[static_cast<std::size_t>(l)];
+        auto& gw = grad_w[static_cast<std::size_t>(l)];
+        auto& gb = grad_b[static_cast<std::size_t>(l)];
+        for (int r = 0; r < gw.rows(); ++r) {
+          const double d = delta[static_cast<std::size_t>(r)];
+          gb[static_cast<std::size_t>(r)] += d;
+          for (int c = 0; c < gw.cols(); ++c)
+            gw(r, c) += d * input_act[static_cast<std::size_t>(c)];
+        }
+        if (l == 0) break;
+        Vector prev = reference_matvec_transposed(net.weights(l), delta);
+        --site;
+        const Mask& m = live_masks[site];
+        const Vector& z_prev = preact[static_cast<std::size_t>(l) - 1];
+        for (std::size_t i = 0; i < prev.size(); ++i) {
+          const double gate = m[i] ? keep_scale : 0.0;
+          prev[i] *= gate * (z_prev[i] > 0.0 ? 1.0 : 0.0);
+        }
+        delta = std::move(prev);
+      }
+    }
+
+    ++adam.steps;
+    const double bc1 =
+        1.0 - std::pow(opt.beta1, static_cast<double>(adam.steps));
+    const double bc2 =
+        1.0 - std::pow(opt.beta2, static_cast<double>(adam.steps));
+    const double inv_batch = 1.0 / static_cast<double>(batch);
+    for (int l = 0; l < layers; ++l) {
+      const auto lu = static_cast<std::size_t>(l);
+      std::vector<double>& w = net.mutable_weights(l).data();
+      std::vector<double>& mw = adam.m_w[lu].data();
+      std::vector<double>& vw = adam.v_w[lu].data();
+      const std::vector<double>& gw = grad_w[lu].data();
+      for (std::size_t i = 0; i < w.size(); ++i) {
+        const double g = gw[i] * inv_batch;
+        mw[i] = opt.beta1 * mw[i] + (1.0 - opt.beta1) * g;
+        vw[i] = opt.beta2 * vw[i] + (1.0 - opt.beta2) * g * g;
+        w[i] -= opt.learning_rate * (mw[i] / bc1) /
+                (std::sqrt(vw[i] / bc2) + opt.epsilon);
+      }
+      Vector& b = net.mutable_biases(l);
+      Vector& mb = adam.m_b[lu];
+      Vector& vb = adam.v_b[lu];
+      const Vector& gb = grad_b[lu];
+      for (std::size_t i = 0; i < b.size(); ++i) {
+        const double g = gb[i] * inv_batch;
+        mb[i] = opt.beta1 * mb[i] + (1.0 - opt.beta1) * g;
+        vb[i] = opt.beta2 * vb[i] + (1.0 - opt.beta2) * g * g;
+        b[i] -= opt.learning_rate * (mb[i] / bc1) /
+                (std::sqrt(vb[i] / bc2) + opt.epsilon);
+      }
+    }
+    processed += batch;
+  }
+  return total_loss / static_cast<double>(n);
+}
+
+std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_same_parameters(const Mlp& got, const Mlp& want) {
+  for (int l = 0; l < want.layer_count(); ++l) {
+    const std::vector<double>& gw = got.weights(l).data();
+    const std::vector<double>& ww = want.weights(l).data();
+    ASSERT_EQ(gw.size(), ww.size());
+    for (std::size_t i = 0; i < ww.size(); ++i)
+      ASSERT_EQ(bits_of(gw[i]), bits_of(ww[i]))
+          << "layer " << l << " weight " << i << ": " << gw[i] << " vs "
+          << ww[i];
+    const Vector& gb = got.biases(l);
+    const Vector& wb = want.biases(l);
+    ASSERT_EQ(gb.size(), wb.size());
+    for (std::size_t i = 0; i < wb.size(); ++i)
+      ASSERT_EQ(bits_of(gb[i]), bits_of(wb[i]))
+          << "layer " << l << " bias " << i;
+  }
+}
+
+struct OracleCase {
+  const char* name;
+  MlpConfig config;
+  std::size_t samples;
+};
+
+std::vector<OracleCase> oracle_cases() {
+  MlpConfig vo;
+  vo.layer_sizes = {144, 128, 64, 4};
+  vo.dropout_p = 0.2;
+  vo.dropout_on_input = false;
+  MlpConfig ragged;
+  ragged.layer_sizes = {5, 13, 7, 3};
+  ragged.dropout_p = 0.35;
+  ragged.dropout_on_input = true;
+  MlpConfig ragged_hidden;
+  ragged_hidden.layer_sizes = {9, 6, 11};
+  ragged_hidden.dropout_p = 0.25;
+  ragged_hidden.dropout_on_input = false;
+  // Each count leaves a partial last batch at every batch size above 1.
+  return {{"vo_144_128_64_4", vo, 150},
+          {"small_input_dropout", small_config(0.3, true), 230},
+          {"ragged_5_13_7_3", ragged, 230},
+          {"ragged_9_6_11", ragged_hidden, 230}};
+}
+
+TEST(MlpTrainOracle, BatchedEpochMatchesPerSampleLoopBitForBit) {
+  for (const OracleCase& c : oracle_cases()) {
+    Rng data_rng(101);
+    std::vector<Vector> X, Y;
+    for (std::size_t i = 0; i < c.samples; ++i) {
+      Vector x(static_cast<std::size_t>(c.config.layer_sizes.front()));
+      for (double& v : x) v = data_rng.uniform(-1.0, 1.0);
+      Vector y(static_cast<std::size_t>(c.config.layer_sizes.back()));
+      for (double& v : y) v = data_rng.uniform(-0.5, 0.5);
+      X.push_back(std::move(x));
+      Y.push_back(std::move(y));
+    }
+    for (const int batch : {1, 7, 32}) {
+      for (const bool shuffle : {true, false}) {
+        SCOPED_TRACE(std::string(c.name) + " batch=" + std::to_string(batch) +
+                     " shuffle=" + std::to_string(shuffle));
+        ASSERT_NE(c.samples % static_cast<std::size_t>(batch) == 0,
+                  batch > 1);
+        Rng init_a(7), init_b(7);
+        Mlp net(c.config, init_a);
+        Mlp ref(c.config, init_b);
+        ReferenceAdam adam(ref);
+        TrainOptions opt;
+        opt.batch_size = batch;
+        opt.shuffle = shuffle;
+        opt.learning_rate = 3e-3;
+        Rng rng_a(11), rng_b(11);
+        for (int epoch = 0; epoch < 3; ++epoch) {
+          const double loss = net.train_epoch(X, Y, opt, rng_a);
+          const double want = reference_train_epoch(ref, adam, X, Y, opt, rng_b);
+          EXPECT_EQ(bits_of(loss), bits_of(want))
+              << "epoch " << epoch << ": " << loss << " vs " << want;
+        }
+        expect_same_parameters(net, ref);
+        EXPECT_EQ(rng_a(), rng_b());
+      }
+    }
+  }
+}
+
+TEST(MlpTrainOracle, RejectsBadWidthsBeforeAnyStep) {
+  Rng rng(29);
+  Mlp net(small_config(0.2, true), rng);
+  std::vector<Vector> X, Y;
+  for (int i = 0; i < 40; ++i) {
+    X.push_back({rng.uniform(), rng.uniform(), rng.uniform(), rng.uniform()});
+    Y.push_back({rng.uniform(), rng.uniform()});
+  }
+  const Mlp before = net;
+  TrainOptions opt;
+  opt.batch_size = 8;
+
+  // A short target, and an input one value too wide at the last index.
+  // Fresh exact-size buffers, so a read past the end leaves the heap
+  // allocation (and AddressSanitizer reports it).
+  auto short_target = Y;
+  short_target[5] = Vector{0.5};
+  auto wide_input = X;
+  wide_input.back() = Vector{0.1, 0.2, 0.3, 0.4, 0.5};
+  const struct {
+    const std::vector<Vector>& inputs;
+    const std::vector<Vector>& targets;
+    const char* index;
+  } bad[] = {{X, short_target, "target 5 "}, {wide_input, Y, "input 39 "}};
+  for (const auto& b : bad) {
+    Rng train_rng(31), untouched(31);
+    try {
+      net.train_epoch(b.inputs, b.targets, opt, train_rng);
+      ADD_FAILURE() << "no throw for " << b.index;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(b.index), std::string::npos)
+          << e.what();
+    }
+    expect_same_parameters(net, before);
+    EXPECT_EQ(train_rng(), untouched());
+  }
+  // The same data with the widths repaired still trains.
+  EXPECT_TRUE(std::isfinite(net.train_epoch(X, Y, opt, rng)));
 }
 
 class TrainedFixture : public ::testing::Test {

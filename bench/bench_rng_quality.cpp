@@ -56,7 +56,7 @@ int main() {
   std::printf("\nStatistical quality vs the LFSR baseline "
               "(100k bits each; tolerances from "
               "conformance/stat_tolerances.hpp, the same constants the "
-              "unit tests and the conformance harness enforce):\n");
+              "unit tests enforce):\n");
   core::Table quality({"source", "bias", "lag-1 autocorr",
                        "longest run", "within tol"});
   quality.set_precision(4);

@@ -31,29 +31,22 @@ import sys
 #   "stable" : a deterministic quantity; fail on drift either way
 TRACKED = {
     "BENCH_micro.json": {
-        "mc_predict_speedup_1t_vs_seed": "higher",
-        "mc_predict_speedup_8t_vs_seed": "higher",
         # Noisy 128x128 dense read, shipped column kernel (AVX2 where the
-        # CPU has it) over the scalar draw-sequential kernel: median of
-        # alternating rounds (within-run ratio).
+        # CPU has it) over its portable body, which computes the same
+        # bits: median of alternating rounds (within-run ratio).
         "column_kernel_speedup_vs_scalar": "higher",
         "mc_predict_macs_per_pred": "stable",
-        # SoA particle engine vs the seed AoS path, 100k cloud, single
-        # thread (within-run ratios -> machine-portable).
-        "particle_filter_100k_update_speedup_vs_aos": "higher",
-        "particle_filter_100k_resample_speedup_vs_aos": "higher",
-        "particle_filter_100k_cycle_speedup_vs_aos": "higher",
-        # PR acceptance flags: cycle speedup >= 1.2x, and the steady-state
-        # update+resample cycle performs zero heap allocations (measured
-        # on the filter's arena/pool counters). Exact-match gated.
-        "particle_filter_100k_speedup_criterion_met": "stable",
+        # The steady-state 100k-particle update+resample cycle performs
+        # zero heap allocations (measured on the filter's arena/pool
+        # counters). Exact-match gated.
         "particle_filter_100k_zero_alloc_cycle": "stable",
         # The pooled DeltaItem batch (compute-reuse dispatch shape) must
         # keep producing the serial item loop's bits on a 128x128 macro.
         "delta_batch_pooled_bit_identity": "stable",
         # One filter update of CIM likelihood reads (500 poses x 80 px x
-        # 500 columns, single thread): shared ideal currents per distinct
-        # DAC code triple vs the default per-pose path, median of
+        # 500 columns, single thread), each op on the next cloud of a
+        # recorded 36-frame flight whose keys overflow the ideal-current
+        # cache: the shared path vs the default per-pose path, median of
         # alternating rounds (within-run ratio).
         "likelihood_update_shared_speedup_vs_per_pose": "higher",
         # A 36-frame corridor_dropout flight of shared updates, first

@@ -12,7 +12,7 @@ JOBS="$(nproc 2>/dev/null || echo 2)"
 
 # Backend conformance sweep depth (tests/conformance/): "quick" is the CI
 # tier; nightly jobs export CIMNAV_CONFORMANCE_TIER=full for the larger
-# geometry set and more statistical reps.
+# geometry set.
 export CIMNAV_CONFORMANCE_TIER="${CIMNAV_CONFORMANCE_TIER:-quick}"
 
 cmake -B build -S . "$@"

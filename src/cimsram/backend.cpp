@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstring>
 #include <vector>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -252,137 +251,21 @@ FillCountsDeltaFn select_fill_counts_delta(int n_words, int words,
   return pick_fill_counts_delta<FillDeltaSw>(full, words, has_add, has_rem);
 }
 
-}  // namespace
-
 // ---------------------------------------------------------------------------
-// Scalar kernel: noise drawn sequentially from the caller's stream in
-// cycle order. Its ideal branch is the exact reduction both kernels share.
-// `word_list` non-null selects the differential delta read (backend.hpp).
-// ---------------------------------------------------------------------------
-
-void scalar_run_columns(const MacroView& v,
-                        const std::uint64_t* gated_planes,
-                        const std::uint64_t* gated_rem,
-                        const std::int32_t* word_list, int n_words,
-                        std::uint64_t active_rows,
-                        const std::uint8_t* out_mask, int col_begin,
-                        int col_end, bool ideal, core::Rng* rng, double* y) {
-  // The column ADC spans the full physical row count.
-  const double adc_levels = static_cast<double>((1 << v.adc_bits) - 1);
-  const double adc_step = static_cast<double>(v.n_in) / adc_levels;
-  const double inv_adc_step = 1.0 / adc_step;
-  const bool noisy =
-      !ideal && v.analog_noise && rng != nullptr && active_rows > 0;
-  const double noise_sigma =
-      noisy ? v.noise_coeff * std::sqrt(static_cast<double>(active_rows))
-            : 0.0;
-  const std::size_t words = static_cast<std::size_t>(v.words);
-  const std::size_t col_stride = 2u * static_cast<std::size_t>(v.planes) *
-                                 words;
-
-  double wtab[kMaxCycles];
-  const int cycles = fill_wtab(v, wtab);
-
-  const FillCountsFn fill = select_fill_counts(v.words);
-  const FillCountsDeltaFn dfill =
-      word_list != nullptr
-          ? select_fill_counts_delta(n_words, v.words,
-                                     gated_planes != nullptr,
-                                     gated_rem != nullptr)
-          : nullptr;
-  for (int j = col_begin; j < col_end; ++j) {
-    if (out_mask != nullptr && !out_mask[static_cast<std::size_t>(j)]) {
-      y[j] = 0.0;
-      continue;
-    }
-    const std::uint64_t* col =
-        v.weight_bits + static_cast<std::size_t>(j) * col_stride;
-
-    // Stage 1: bit-coincidence counts for every cycle of this column
-    // (per-rail counts on the differential path).
-    double counts[kMaxCycles];
-    double counts_rem[kMaxCycles];
-    if (dfill != nullptr)
-      dfill(col, gated_planes, gated_rem, word_list, n_words, 2 * v.planes,
-            v.input_bits, words, counts, counts_rem);
-    else
-      fill(col, gated_planes, 2 * v.planes, v.input_bits, words, counts);
-
-    // Stage 2: per-cycle analog disturbance (sequential draws, in cycle
-    // order, so the noise stream consumption is well defined). On the
-    // differential path the op's single disturbance lands on the sample
-    // rail; its sigma already spans every driven line (active_rows).
-    if (noisy) {
-      for (int i = 0; i < cycles; ++i)
-        counts[i] += noise_sigma * rng->normal_fast();
-    }
-
-    // Stage 3: ADC quantization + shift-add reduction (vectorizable; no
-    // branches, no draws). floor(v + 0.5) equals the seed's round() here:
-    // they differ only on negative half-integers, which the [0, levels]
-    // clamp maps to 0 either way. The differential path quantizes each
-    // rail through this same dense quantizer and emits the signed code
-    // difference (correlated double sampling), so a delta accumulation
-    // stays on the dense read's code lattice.
-    double acc = 0.0;
-    if (!ideal) {
-      if (dfill != nullptr) {
-        for (int i = 0; i < cycles; ++i) {
-          double ca = std::floor(counts[i] * inv_adc_step + 0.5);
-          ca = ca < 0.0 ? 0.0 : (ca > adc_levels ? adc_levels : ca);
-          double cr = std::floor(counts_rem[i] * inv_adc_step + 0.5);
-          cr = cr < 0.0 ? 0.0 : (cr > adc_levels ? adc_levels : cr);
-          acc += wtab[i] * (ca - cr);
-        }
-      } else {
-        for (int i = 0; i < cycles; ++i) {
-          double code = std::floor(counts[i] * inv_adc_step + 0.5);
-          code = code < 0.0 ? 0.0 : (code > adc_levels ? adc_levels : code);
-          acc += wtab[i] * code;
-        }
-      }
-      acc *= adc_step;
-    } else {
-      if (dfill != nullptr)
-        for (int i = 0; i < cycles; ++i)
-          acc += wtab[i] * (counts[i] - counts_rem[i]);
-      else
-        for (int i = 0; i < cycles; ++i) acc += wtab[i] * counts[i];
-    }
-    y[j] = acc * v.weight_scale * v.input_scale;
-  }
-}
-
-namespace {
-
-#if CIMNAV_X86
-
-// ---------------------------------------------------------------------------
-// AVX2 bit-sliced kernel. Two ideas:
-//
-//  1. Lane-parallel ziggurat. Eight xoshiro256++ generators run as the
-//     64-bit lanes of two __m256i state sets (two independent dependency
-//     chains, so the serial state update never starves the FP pipes); each
-//     step yields eight raw draws, the layer tables are fetched with
-//     vpgatherqq, and the ~1% of lanes that fail the no-reject test fall
-//     back to an exact scalar wedge/tail handler fed by an overflow stream
-//     (statistically equivalent to retrying on the lane's own stream).
-//     The tables are a 512-layer Doornik construction — more layers than
-//     the scalar Rng::normal_fast (128) purely to shrink the slow-path
-//     rate; both are exact samplers of the same N(0, 1).
-//
-//  2. Fused noise + ADC + shift-add stage: counts, Gaussian disturbance,
-//     ADC rounding/clamping and the power-of-two shift-add reduction run
-//     four cycles per instruction with FMA, instead of the scalar kernel's
-//     per-cycle loop.
+// Read noise: a lane-parallel ziggurat. Eight xoshiro256++ lanes run as two
+// chains of four (chain A is lanes 0-3, chain B lanes 4-7); each step yields
+// one raw draw per lane, and lane l of step k writes the draw dst[8k + l].
+// The ~0.5% of lanes that fail the no-reject test fall back, in lane order,
+// to an exact scalar wedge/tail handler fed by an overflow stream. The AVX2
+// body (zig_fill) runs the lanes as __m256i registers, the portable body
+// (zig_fill_portable) as plain integers; both produce the same bits.
 // ---------------------------------------------------------------------------
 
 // 512-layer ziggurat tables, plus the layer-edge densities
 // fx[i] = exp(-x_i^2 / 2) so the wedge test costs a single exp. (R, V)
 // solved with the standard closure condition (x_N = 0) by bisection; the
 // same solver reproduces Doornik's published 128/256-layer constants to
-// 13 digits. More layers than the scalar Rng::normal_fast purely to
-// shrink the vector kernel's slow-path rate (~0.5% per lane at 512).
+// 13 digits. 512 layers keep the slow-path rate at ~0.5% per lane.
 struct ZigTables {
   static constexpr int kLayers = 512;
   static constexpr double kR = 3.8520461503683916;      // rightmost edge
@@ -436,43 +319,210 @@ double zig_slow(std::uint64_t bits, core::Rng& rng) {
   }
 }
 
+// The generator of one read, seeded from its root and consumed by one fill
+// call: s[w][l] is xoshiro256++ state word w of lane l, so s[w] + 0 and
+// s[w] + 4 load as chain A's and chain B's register of word w.
 struct ZigVec {
-  __m256i a0, a1, a2, a3;   // transposed 4-lane xoshiro256++ state, chain A
-  __m256i b0, b1, b2, b3;   // chain B
-  core::Rng overflow;       // drives wedge/tail retries of rejected lanes
+  alignas(32) std::uint64_t s[4][8];
+  core::Rng overflow;  // drives wedge/tail retries of rejected lanes
 
+  // Seeds each lane exactly like core::Rng: a SplitMix64 chain per lane,
+  // lanes keyed by decorrelated roots.
   explicit ZigVec(std::uint64_t root) : overflow(root ^ 0x9E3779B97F4A7C15ull) {
-    // Seed each lane exactly like core::Rng: a SplitMix64 chain per lane,
-    // lanes keyed by decorrelated roots.
-    alignas(32) std::uint64_t lanes[8][4];
     for (int l = 0; l < 8; ++l) {
       std::uint64_t sm = root + 0xBF58476D1CE4E5B9ull *
                                     static_cast<std::uint64_t>(l + 1);
-      for (auto& s : lanes[l]) {
+      for (int w = 0; w < 4; ++w) {
         sm += 0x9E3779B97F4A7C15ull;
         std::uint64_t z = sm;
         z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
         z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-        s = z ^ (z >> 31);
+        s[w][l] = z ^ (z >> 31);
       }
-      if ((lanes[l][0] | lanes[l][1] | lanes[l][2] | lanes[l][3]) == 0)
-        lanes[l][0] = 1;
+      if ((s[0][l] | s[1][l] | s[2][l] | s[3][l]) == 0) s[0][l] = 1;
     }
-    alignas(32) std::uint64_t w[4];
-    const auto pack = [&](int word, int base, __m256i* out) {
-      for (int i = 0; i < 4; ++i) w[i] = lanes[base + i][word];
-      std::memcpy(out, w, sizeof(w));
-    };
-    pack(0, 0, &a0);
-    pack(1, 0, &a1);
-    pack(2, 0, &a2);
-    pack(3, 0, &a3);
-    pack(0, 4, &b0);
-    pack(1, 4, &b1);
-    pack(2, 4, &b2);
-    pack(3, 4, &b3);
   }
 };
+
+// Fills dst[0 .. round_up8(n)) with sigma * N(0, 1) draws; the caller's
+// buffer must have room for the rounded-up count (extra values land in
+// zero-weight pad cycles of the ADC stage). Every step is exact integer
+// work or an exact product except the two rounded multiplies of
+// (u * x) * sigma, which the AVX2 body rounds the same way.
+void zig_fill_portable(ZigVec& z, double* dst, int n, double sigma) {
+  const ZigTables& t = zig_tables();
+  std::uint64_t bits[8];
+  for (int i = 0; i < n; i += 8) {
+    unsigned rejected = 0;
+    for (int l = 0; l < 8; ++l) {
+      std::uint64_t& s0 = z.s[0][l];
+      std::uint64_t& s1 = z.s[1][l];
+      std::uint64_t& s2 = z.s[2][l];
+      std::uint64_t& s3 = z.s[3][l];
+      bits[l] = std::rotl(s0 + s3, 23) + s0;
+      const std::uint64_t t17 = s1 << 17;
+      s2 ^= s0;
+      s3 ^= s1;
+      s1 ^= s2;
+      s0 ^= s3;
+      s2 ^= t17;
+      s3 = std::rotl(s3, 45);
+      const int layer = static_cast<int>(bits[l] & (ZigTables::kLayers - 1));
+      // Signed uniform in [-1, 1) from the top 52 bits, exact in double.
+      const double u =
+          static_cast<double>(static_cast<std::int64_t>(bits[l] >> 12)) *
+              0x1.0p-51 -
+          1.0;
+      dst[i + l] = u * t.x[layer] * sigma;
+      if (!(std::abs(u) < t.ratio[layer])) rejected |= 1u << l;
+    }
+    if (rejected != 0) [[unlikely]] {
+      for (int l = 0; l < 8; ++l)
+        if ((rejected >> l) & 1u)
+          dst[i + l] = sigma * zig_slow(bits[l], z.overflow);
+    }
+  }
+}
+
+using ZigFillFn = void (*)(ZigVec&, double*, int, double);
+
+// Draws the noise of one read with `fill`: one `stride`-value slice per
+// active column of [col_begin, col_end), in column order, from the
+// generator keyed off `root`. Returns nullptr when every column is masked.
+const double* draw_read_noise(ZigFillFn fill, std::uint64_t root,
+                              double sigma, int stride,
+                              const std::uint8_t* out_mask, int col_begin,
+                              int col_end) {
+  int active_cols = col_end - col_begin;
+  if (out_mask != nullptr) {
+    active_cols = 0;
+    for (int j = col_begin; j < col_end; ++j)
+      active_cols += out_mask[static_cast<std::size_t>(j)] ? 1 : 0;
+  }
+  if (active_cols <= 0) return nullptr;
+  thread_local std::vector<double> noise_all;
+  noise_all.resize(static_cast<std::size_t>(active_cols) *
+                   static_cast<std::size_t>(stride));
+  ZigVec zig(root);
+  fill(zig, noise_all.data(), active_cols * stride, sigma);
+  return noise_all.data();
+}
+
+// One ADC conversion: floor(count / step + 1/2) with the scaling and the
+// half-code offset rounded once (the AVX2 body's fmadd), clamped to
+// [0, levels]. floor(v + 0.5) equals the seed's round() here: they
+// differ only on negative half-integers, which the clamp maps to 0.
+inline double adc_code(double count, double inv_step, double levels) {
+  const double code = std::floor(std::fma(count, inv_step, 0.5));
+  return code < 0.0 ? 0.0 : (code > levels ? levels : code);
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Portable kernel: the exact ideal reduction, and for every other read the
+// AVX2 body's computation in scalar code. A noisy read fills one 8-aligned
+// noise slice per live column with zig_fill_portable, then quantizes each
+// cycle through adc_code. Every shift-add product is +-2^k times an integer
+// code below 2^16 and every partial sum stays below 2^53, so the
+// reduction is exact in any order; the ADC rounding and the noise products
+// are the only rounded steps, and both round as the AVX2 body does. The
+// noise is written to its buffer before it is added, so no compiler can
+// fuse it into counts + noise. `word_list` non-null selects the
+// differential delta read (backend.hpp).
+// ---------------------------------------------------------------------------
+
+void scalar_run_columns(const MacroView& v,
+                        const std::uint64_t* gated_planes,
+                        const std::uint64_t* gated_rem,
+                        const std::int32_t* word_list, int n_words,
+                        std::uint64_t active_rows,
+                        const std::uint8_t* out_mask, int col_begin,
+                        int col_end, bool ideal, core::Rng* rng, double* y) {
+  // The column ADC spans the full physical row count.
+  const double adc_levels = static_cast<double>((1 << v.adc_bits) - 1);
+  const double adc_step = static_cast<double>(v.n_in) / adc_levels;
+  const double inv_adc_step = 1.0 / adc_step;
+  const bool adc = !ideal && rng != nullptr;
+  const std::uint64_t noise_root = adc ? (*rng)() : 0;
+  const bool noisy = adc && v.analog_noise && active_rows > 0;
+  const std::size_t words = static_cast<std::size_t>(v.words);
+  const std::size_t col_stride = 2u * static_cast<std::size_t>(v.planes) *
+                                 words;
+
+  double wtab[kMaxCycles];
+  const int cycles = fill_wtab(v, wtab);
+  const int noise_stride = (cycles + 7) & ~7;
+  const double* noise =
+      noisy ? draw_read_noise(
+                  &zig_fill_portable, noise_root,
+                  v.noise_coeff * std::sqrt(static_cast<double>(active_rows)),
+                  noise_stride, out_mask, col_begin, col_end)
+            : nullptr;
+
+  const FillCountsFn fill = select_fill_counts(v.words);
+  const FillCountsDeltaFn dfill =
+      word_list != nullptr
+          ? select_fill_counts_delta(n_words, v.words,
+                                     gated_planes != nullptr,
+                                     gated_rem != nullptr)
+          : nullptr;
+  for (int j = col_begin; j < col_end; ++j) {
+    if (out_mask != nullptr && !out_mask[static_cast<std::size_t>(j)]) {
+      y[j] = 0.0;
+      continue;
+    }
+    const std::uint64_t* col =
+        v.weight_bits + static_cast<std::size_t>(j) * col_stride;
+
+    // Stage 1: bit-coincidence counts for every cycle of this column
+    // (per-rail counts on the differential path).
+    double counts[kMaxCycles];
+    double counts_rem[kMaxCycles];
+    if (dfill != nullptr)
+      dfill(col, gated_planes, gated_rem, word_list, n_words, 2 * v.planes,
+            v.input_bits, words, counts, counts_rem);
+    else
+      fill(col, gated_planes, 2 * v.planes, v.input_bits, words, counts);
+
+    // Stage 2: analog disturbance, ADC and shift-add reduction. On the
+    // differential path the op's single disturbance lands on the sample
+    // rail (its sigma already spans every driven line, active_rows); each
+    // rail quantizes through the dense quantizer and the op emits the
+    // signed code difference (correlated double sampling), so a delta
+    // accumulation stays on the dense read's code lattice.
+    double acc = 0.0;
+    if (adc) {
+      for (int i = 0; i < cycles; ++i) {
+        double code = adc_code(noisy ? counts[i] + noise[i] : counts[i],
+                               inv_adc_step, adc_levels);
+        if (dfill != nullptr)
+          code -= adc_code(counts_rem[i], inv_adc_step, adc_levels);
+        acc += wtab[i] * code;
+      }
+      if (noisy) noise += noise_stride;
+      acc *= adc_step;
+    } else {
+      if (dfill != nullptr)
+        for (int i = 0; i < cycles; ++i)
+          acc += wtab[i] * (counts[i] - counts_rem[i]);
+      else
+        for (int i = 0; i < cycles; ++i) acc += wtab[i] * counts[i];
+    }
+    y[j] = acc * v.weight_scale * v.input_scale;
+  }
+}
+
+namespace {
+
+#if CIMNAV_X86
+
+// ---------------------------------------------------------------------------
+// AVX2 body: the two xoshiro256++ chains as __m256i state sets (two
+// independent dependency chains, so the serial state update never starves
+// the FP pipes), layer tables fetched with vpgatherqq, and a fused noise +
+// ADC + shift-add stage that runs four cycles per instruction with FMA.
+// ---------------------------------------------------------------------------
 
 // One xoshiro256++ step of a 4-lane state set.
 #define CIMNAV_ZIG_STEP(s0, s1, s2, s3, out)                                 \
@@ -492,12 +542,16 @@ struct ZigVec {
                          _mm256_srli_epi64(s3, 19));                         \
   }
 
-// Fills dst[0 .. round_up8(n)) with sigma * N(0, 1) draws; the caller's
-// buffer must have room for the rounded-up count (extra values land in
-// zero-weight pad cycles of the fused ADC stage).
+// zig_fill_portable's contract, with the lanes in registers.
 __attribute__((target("avx2,fma")))
 void zig_fill(ZigVec& z, double* dst, int n, double sigma) {
   const ZigTables& t = zig_tables();
+  // Register 2w + c of the state holds word w of chain c's four lanes.
+  const __m256i* const state = reinterpret_cast<const __m256i*>(&z.s[0][0]);
+  __m256i a0 = _mm256_load_si256(state + 0), b0 = _mm256_load_si256(state + 1);
+  __m256i a1 = _mm256_load_si256(state + 2), b1 = _mm256_load_si256(state + 3);
+  __m256i a2 = _mm256_load_si256(state + 4), b2 = _mm256_load_si256(state + 5);
+  __m256i a3 = _mm256_load_si256(state + 6), b3 = _mm256_load_si256(state + 7);
   const __m256i layer_mask = _mm256_set1_epi64x(ZigTables::kLayers - 1);
   const __m256i exp_bits = _mm256_set1_epi64x(0x4330000000000000ll);
   const __m256d exp_base = _mm256_set1_pd(0x1.0p52);
@@ -510,17 +564,16 @@ void zig_fill(ZigVec& z, double* dst, int n, double sigma) {
   alignas(32) std::uint64_t raw[8];
   for (int i = 0; i < n; i += 8) {
     __m256i bits_a, bits_b;
-    CIMNAV_ZIG_STEP(z.a0, z.a1, z.a2, z.a3, bits_a)
-    CIMNAV_ZIG_STEP(z.b0, z.b1, z.b2, z.b3, bits_b)
+    CIMNAV_ZIG_STEP(a0, a1, a2, a3, bits_a)
+    CIMNAV_ZIG_STEP(b0, b1, b2, b3, bits_b)
     const __m256i layer_a = _mm256_and_si256(bits_a, layer_mask);
     const __m256i layer_b = _mm256_and_si256(bits_b, layer_mask);
     const __m256d xk_a = _mm256_i64gather_pd(t.x, layer_a, 8);
     const __m256d xk_b = _mm256_i64gather_pd(t.x, layer_b, 8);
     const __m256d rk_a = _mm256_i64gather_pd(t.ratio, layer_a, 8);
     const __m256d rk_b = _mm256_i64gather_pd(t.ratio, layer_b, 8);
-    // Signed uniform in [-1, 1) from the top 52 bits (the scalar path uses
-    // 53; one bit of grid resolution is statistically irrelevant and the
-    // 52-bit value converts exactly with the exponent-bias trick).
+    // Signed uniform in [-1, 1) from the top 52 bits (zig_slow uses 53;
+    // the 52-bit value converts exactly with the exponent-bias trick).
     const __m256d vd_a = _mm256_sub_pd(
         _mm256_castsi256_pd(
             _mm256_or_si256(_mm256_srli_epi64(bits_a, 12), exp_bits)),
@@ -562,9 +615,6 @@ void run_columns_avx2(const MacroView& v, const std::uint64_t* gated_planes,
   const double adc_step = static_cast<double>(v.n_in) / adc_levels;
   const double inv_adc_step = 1.0 / adc_step;
   const bool noisy = v.analog_noise && active_rows > 0;
-  const double noise_sigma =
-      noisy ? v.noise_coeff * std::sqrt(static_cast<double>(active_rows))
-            : 0.0;
   const std::size_t words = static_cast<std::size_t>(v.words);
   const std::size_t col_stride = 2u * static_cast<std::size_t>(v.planes) *
                                  words;
@@ -583,23 +633,12 @@ void run_columns_avx2(const MacroView& v, const std::uint64_t* gated_planes,
 
   // One bulk fill for every active column of the call amortizes the
   // generator's setup and keeps its pipeline hot.
-  int active_cols = 0;
-  if (noisy) {
-    if (out_mask == nullptr) {
-      active_cols = col_end - col_begin;
-    } else {
-      for (int j = col_begin; j < col_end; ++j)
-        active_cols += out_mask[static_cast<std::size_t>(j)] ? 1 : 0;
-    }
-  }
-  thread_local std::vector<double> noise_all;
-  if (noisy && active_cols > 0) {
-    noise_all.resize(static_cast<std::size_t>(active_cols) *
-                     static_cast<std::size_t>(noise_stride));
-    ZigVec zig(noise_root);
-    zig_fill(zig, noise_all.data(), active_cols * noise_stride,
-             noise_sigma);
-  }
+  const double* noise =
+      noisy ? draw_read_noise(
+                  &zig_fill, noise_root,
+                  v.noise_coeff * std::sqrt(static_cast<double>(active_rows)),
+                  noise_stride, out_mask, col_begin, col_end)
+            : nullptr;
 
   const FillCountsFn fill = select_fill_counts(v.words);
   const FillCountsDeltaFn dfill =
@@ -610,7 +649,6 @@ void run_columns_avx2(const MacroView& v, const std::uint64_t* gated_planes,
           : nullptr;
   alignas(32) double counts[kMaxCycles];
   alignas(32) double counts_rem[kMaxCycles];
-  const double* noise = noise_all.data();
 
   for (int j = col_begin; j < col_end; ++j) {
     if (out_mask != nullptr && !out_mask[static_cast<std::size_t>(j)]) {
@@ -669,33 +707,18 @@ void run_columns(const MacroView& v, const std::uint64_t* gated_planes,
                  std::uint64_t active_rows, const std::uint8_t* out_mask,
                  int col_begin, int col_end, bool ideal, core::Rng* rng,
                  double* y) {
-  if (ideal || rng == nullptr) {
-    // The ideal reduction is exact integer arithmetic in double, so the
-    // scalar kernel is already bit-identical to any evaluation order.
-    scalar_run_columns(v, gated_planes, gated_rem, word_list, n_words,
-                       active_rows, out_mask, col_begin, col_end,
-                       /*ideal=*/true, nullptr, y);
-    return;
-  }
-  // One root draw per call keys the noise stream; the caller's stream
-  // advances identically whether the AVX2 or the scalar body runs.
-  const std::uint64_t noise_root = (*rng)();
 #if CIMNAV_X86
   static const bool kHaveAvx2 = cpu_has_avx2_fma();
-  if (kHaveAvx2) {
+  if (kHaveAvx2 && !ideal && rng != nullptr) {
+    // The same single root draw as scalar_run_columns takes.
     run_columns_avx2(v, gated_planes, gated_rem, word_list, n_words,
-                     active_rows, out_mask, col_begin, col_end, noise_root,
-                     y);
+                     active_rows, out_mask, col_begin, col_end, (*rng)(), y);
     return;
   }
 #endif
-  // Scalar fallback: the scalar kernel drawing sequentially from a stream
-  // keyed off the root (one normal_fast per cycle per live column, in
-  // column order).
-  core::Rng noise_rng = core::Rng::stream(noise_root, 0);
   scalar_run_columns(v, gated_planes, gated_rem, word_list, n_words,
-                     active_rows, out_mask, col_begin, col_end,
-                     /*ideal=*/false, &noise_rng, y);
+                     active_rows, out_mask, col_begin, col_end, ideal, rng,
+                     y);
 }
 
 }  // namespace cimnav::cimsram

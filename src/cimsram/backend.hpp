@@ -7,18 +7,19 @@
 // kernel — quantization, bit-plane encoding, row gating, delta-item
 // dispatch, stats — lives in CimMacro, which calls run_columns directly.
 //
-// Two functions share one signature:
+// Two functions share one signature and compute the same bits:
 //
 //  * run_columns         — the shipped kernel: packed-word popcounts with
 //    a vectorized noise + ADC stage (AVX2 where the CPU supports it,
-//    runtime-dispatched). Its noise comes from a lane-parallel ziggurat
-//    keyed off ONE draw of the caller's stream, so results are
-//    distribution-matched to the scalar kernel, not draw-for-draw equal.
-//  * scalar_run_columns  — the scalar kernel drawing its analog noise
-//    sequentially from the caller's stream via Rng::normal_fast, one per
-//    (sign, plane, input-bit) cycle in cycle order. It is run_columns'
-//    exact ideal path and its non-AVX2 fallback, and the oracle the
-//    conformance harness (tests/conformance/) checks run_columns against.
+//    runtime-dispatched), otherwise scalar_run_columns.
+//  * scalar_run_columns  — its portable body: the same lane-parallel
+//    ziggurat noise and the same fused ADC rounding in scalar code. It is
+//    run_columns' ideal path and non-AVX2 body, and the oracle the
+//    conformance harness (tests/conformance/) checks run_columns against
+//    bit for bit.
+//
+// A noisy read's noise is keyed off ONE draw of the caller's stream, so a
+// seed gives the same results on every host.
 #pragma once
 
 #include <cstdint>
@@ -50,8 +51,8 @@ struct MacroView {
 // [col_begin, col_end) of one read; `out_mask` (nullable, n_out entries)
 // gates columns — masked columns are written as 0.0. `rng` drives the
 // analog disturbance (ignored when `ideal` or when the view disables
-// noise). The ideal path is exact integer arithmetic in double, so both
-// kernels produce the same bits on it.
+// noise). The ideal path is exact integer arithmetic in double, so any
+// evaluation order produces the same bits on it.
 //
 // Dense read (`word_list == nullptr`): `gated_planes` holds input_bits x
 // words packed words (encoding & row gate); `gated_rem` and `n_words`
@@ -78,11 +79,10 @@ struct MacroView {
 // read) — sets the noise sigma, noise_coeff * sqrt(active_rows).
 
 /// The shipped kernel. An ideal read, or a null `rng`, runs the exact
-/// scalar reduction and consumes no draw. Every other read consumes
-/// exactly one draw from `*rng` (ADC-only reads included), which keys the
-/// call's noise; the AVX2 body runs when the CPU has it, otherwise
-/// scalar_run_columns on Rng::stream(root, 0). The caller's stream thus
-/// advances identically on every host.
+/// reduction and consumes no draw. Every other read consumes exactly one
+/// draw from `*rng` (ADC-only reads included), which keys the call's
+/// noise: eight xoshiro256++ lanes feeding a 512-layer ziggurat, one
+/// 8-aligned slice of draws per live column in column order.
 void run_columns(const MacroView& view, const std::uint64_t* gated_planes,
                  const std::uint64_t* gated_rem,
                  const std::int32_t* word_list, int n_words,
@@ -90,9 +90,8 @@ void run_columns(const MacroView& view, const std::uint64_t* gated_planes,
                  int col_begin, int col_end, bool ideal, core::Rng* rng,
                  double* y);
 
-/// The scalar kernel: a noisy read draws one Rng::normal_fast per cycle
-/// per live column from `*rng`, in column then cycle order (a null `rng`
-/// reads without noise but still through the ADC).
+/// The portable body of run_columns: the same contract, rng use and bits
+/// on every host.
 void scalar_run_columns(const MacroView& view,
                         const std::uint64_t* gated_planes,
                         const std::uint64_t* gated_rem,

@@ -17,27 +17,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
 
 }  // namespace
 
-namespace detail {
-
-ZigguratTables::ZigguratTables() {
-  double f = std::exp(-0.5 * kZigR * kZigR);
-  x[0] = kZigV / f;
-  x[1] = kZigR;
-  x[kZigLayers] = 0.0;
-  for (int i = 2; i < kZigLayers; ++i) {
-    x[i] = std::sqrt(-2.0 * std::log(kZigV / x[i - 1] + f));
-    f = std::exp(-0.5 * x[i] * x[i]);
-  }
-  for (int i = 0; i < kZigLayers; ++i) ratio[i] = x[i + 1] / x[i];
-}
-
-const ZigguratTables& ziggurat() {
-  static const ZigguratTables tables;
-  return tables;
-}
-
-}  // namespace detail
-
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& s : s_) s = splitmix64(sm);
@@ -74,41 +53,6 @@ double Rng::normal_pair() {
 
 void Rng::normal_sigma_error() {
   CIMNAV_REQUIRE(false, "normal sigma must be non-negative");
-}
-
-double Rng::normal_fast_slow(std::uint64_t bits) {
-  const detail::ZigguratTables& t = detail::ziggurat();
-  using detail::kZigLayers;
-  using detail::kZigR;
-  for (;;) {
-    const int layer = static_cast<int>(bits & (kZigLayers - 1));
-    // Signed uniform in [-1, 1) from the top 53 bits.
-    const double u = static_cast<double>(bits >> 11) * 0x1.0p-52 - 1.0;
-    if (std::abs(u) < t.ratio[layer]) return u * t.x[layer];
-    if (layer == 0) {
-      // Tail beyond R: Marsaglia's exact exponential-rejection scheme.
-      double xt, yt;
-      do {
-        xt = -std::log(1.0 - uniform()) / kZigR;
-        yt = -std::log(1.0 - uniform());
-      } while (yt + yt < xt * xt);
-      return u < 0.0 ? -(kZigR + xt) : kZigR + xt;
-    }
-    // Wedge: accept x with probability proportional to the density gap
-    // between the layer's inner and outer edges.
-    const double x = u * t.x[layer];
-    const double f0 =
-        std::exp(-0.5 * (t.x[layer] * t.x[layer] - x * x));
-    const double f1 =
-        std::exp(-0.5 * (t.x[layer + 1] * t.x[layer + 1] - x * x));
-    if (f1 + uniform() * (f0 - f1) < 1.0) return x;
-    bits = (*this)();
-  }
-}
-
-double Rng::normal_fast(double mean, double sigma) {
-  CIMNAV_REQUIRE(sigma >= 0.0, "normal sigma must be non-negative");
-  return mean + sigma * normal_fast();
 }
 
 void Rng::bernoulli_range_error() {

@@ -15,32 +15,11 @@
 
 namespace cimnav::core {
 
-namespace detail {
-
-/// 128-layer ziggurat tables for the unnormalized normal density
-/// f(x) = exp(-x²/2). Constants from Doornik, "An Improved Ziggurat Method
-/// to Generate Normal Random Samples" (2005): R is the rightmost layer
-/// edge, V the common area of each layer (base strip + tail included).
-inline constexpr int kZigLayers = 128;
-inline constexpr double kZigR = 3.442619855899;
-inline constexpr double kZigV = 9.91256303526217e-3;
-
-struct ZigguratTables {
-  double x[kZigLayers + 1];  // layer edges, x[0] = V/f(R) pseudo-base
-  double ratio[kZigLayers];  // x[i+1] / x[i], the no-reject threshold
-  ZigguratTables();
-};
-
-const ZigguratTables& ziggurat();
-
-}  // namespace detail
-
 /// xoshiro256++ engine with SplitMix64 seeding.
 ///
-/// The raw draw, uniform(), the ziggurat fast path and the Box-Muller spare
-/// draw are defined inline: they sit on the per-ADC-cycle noise path of the
-/// CIM macro and the per-read noise path of the likelihood array, where
-/// call overhead is comparable to the work itself.
+/// The raw draw, uniform() and the Box-Muller spare draw are defined
+/// inline: they sit on the per-read noise path of the likelihood array,
+/// where call overhead is comparable to the work itself.
 class Rng {
  public:
   using result_type = std::uint64_t;
@@ -93,25 +72,6 @@ class Rng {
     return mean + sigma * normal();
   }
 
-  /// Standard normal via a 128-layer ziggurat (Marsaglia-Tsang layout with
-  /// Doornik's wedge test). Exact — same distribution as normal() — but
-  /// several times faster: one raw draw and two table lookups in ~98% of
-  /// calls. Consumes the raw stream differently from normal(), so mixing
-  /// the two on one Rng changes the draw sequence (never the statistics).
-  double normal_fast() {
-    const detail::ZigguratTables& t = detail::ziggurat();
-    const std::uint64_t bits = (*this)();
-    const int layer = static_cast<int>(bits & (detail::kZigLayers - 1));
-    // Signed uniform in [-1, 1) from the top 53 bits.
-    const double u = static_cast<double>(bits >> 11) * 0x1.0p-52 - 1.0;
-    if (std::abs(u) < t.ratio[layer]) [[likely]]
-      return u * t.x[layer];
-    return normal_fast_slow(bits);
-  }
-
-  /// Ziggurat normal with given mean and standard deviation (sigma >= 0).
-  double normal_fast(double mean, double sigma);
-
   /// Bernoulli draw with probability p of returning true. Requires
   /// p in [0, 1] (validated out of line).
   bool bernoulli(double p) {
@@ -148,10 +108,6 @@ class Rng {
 
   /// Box-Muller pair: returns one normal and keeps the other as the spare.
   double normal_pair();
-
-  /// Ziggurat tail / wedge handling for the ~2% of draws the inline fast
-  /// path rejects; `bits` is the raw draw that failed.
-  double normal_fast_slow(std::uint64_t bits);
 
   [[noreturn]] static void bernoulli_range_error();
   [[noreturn]] static void normal_sigma_error();

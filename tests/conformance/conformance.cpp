@@ -10,8 +10,6 @@
 
 #include "core/error.hpp"
 #include "core/rng.hpp"
-#include "conformance/stat_tolerances.hpp"
-#include "core/stats.hpp"
 #include "core/thread_pool.hpp"
 
 namespace cimnav::cimsram::conformance {
@@ -250,71 +248,6 @@ std::vector<std::vector<double>> case_batch_inputs(
   return xs;
 }
 
-// Per-column moment bounds of `got` against `want` (reps x n_out samples
-// of the same read, masked columns skipped). Returns the column with the
-// widest oracle spread (-1 when none has any) so the caller can run
-// the quantile check on it.
-int expect_moments(Checker& ck, const std::vector<std::vector<double>>& got,
-                   const std::vector<std::vector<double>>& want,
-                   const std::vector<std::uint8_t>& om, const char* label) {
-  const std::size_t reps = got.size();
-  const double ratio_tol =
-      std::max(core::tol::kStddevRatioTol,
-               core::tol::kStddevRatioSigmas /
-                   std::sqrt(2.0 * static_cast<double>(reps)));
-  int best_col = -1;
-  double best_sd = 0.0;
-  for (std::size_t j = 0; j < want.front().size(); ++j) {
-    if (!om.empty() && !om[j]) continue;
-    core::RunningStats st, sr;
-    for (std::size_t k = 0; k < reps; ++k) {
-      st.add(got[k][j]);
-      sr.add(want[k][j]);
-    }
-    ++ck.result.checks;
-    const double se = std::sqrt((st.variance() + sr.variance()) /
-                                static_cast<double>(reps));
-    const double dm = std::abs(st.mean() - sr.mean());
-    if (se < 1e-12) {
-      // Degenerate column (fully clamped / zero input): means must agree
-      // exactly up to representation noise.
-      if (dm > 1e-9 * std::max(1.0, std::abs(sr.mean()))) {
-        std::ostringstream os;
-        os << label << "/mean(degenerate): col " << j << " " << st.mean()
-           << " vs " << sr.mean();
-        ck.fail(os.str());
-        return -1;
-      }
-      continue;
-    }
-    if (dm > core::tol::kMeanStdErrFactor * se) {
-      std::ostringstream os;
-      os << label << "/mean: col " << j << " " << st.mean() << " vs "
-         << sr.mean() << " (|d|=" << dm << " > "
-         << core::tol::kMeanStdErrFactor << "*se="
-         << core::tol::kMeanStdErrFactor * se << ")";
-      ck.fail(os.str());
-      return -1;
-    }
-    ++ck.result.checks;
-    if (sr.stddev() > 0.0) {
-      const double ratio = st.stddev() / sr.stddev();
-      if (std::abs(ratio - 1.0) > ratio_tol) {
-        std::ostringstream os;
-        os << label << "/stddev: col " << j << " ratio " << ratio
-           << " outside 1 +- " << ratio_tol;
-        ck.fail(os.str());
-        return -1;
-      }
-      if (sr.stddev() > best_sd) {
-        best_sd = sr.stddev();
-        best_col = static_cast<int>(j);
-      }
-    }
-  }
-  return best_col;
-}
-
 // ---------------------------------------------------------------- ideal
 
 CaseResult check_ideal(const CaseSpec& c, ColumnKernel subject) {
@@ -408,59 +341,20 @@ CaseResult check_adc(const CaseSpec& c, ColumnKernel subject) {
 
 // --------------------------------------------------------------- analog
 
-int stat_reps(Tier tier) { return tier == Tier::kFull ? 1200 : 320; }
-
-CaseResult check_statistical(const CaseSpec& c, ColumnKernel subject) {
+CaseResult check_analog(const CaseSpec& c, ColumnKernel subject) {
+  // The noisy read is one generator on every host, so the subject must
+  // reproduce the oracle's bits from the same stream and leave the stream
+  // where the oracle leaves it.
   Checker ck{c, {}};
   const auto m = make_case_macro(c);
   std::vector<std::uint8_t> im, om;
-  std::vector<double> x;
-  make_case_input(c, 0, x, im, om);
-
-  const int reps = stat_reps(c.tier);
-  const auto xs = std::vector<std::vector<double>>(
-      static_cast<std::size_t>(reps), x);
-  Rng rt(c.seed ^ 0x61), rr(c.seed ^ 0x67);
-  const auto yt = read_batch(kernel_reader(subject, *m, im, om), xs, &rt);
-  const auto yr =
-      read_batch(kernel_reader(&scalar_run_columns, *m, im, om), xs, &rr);
-
-  const int best_col = expect_moments(ck, yt, yr, om, "analog");
-  if (!ck.result.pass || best_col < 0) return ck.result;
-
-  // KS-style quantile agreement on the most informative column. The
-  // bound is the asymptotic sample-quantile standard error for a normal
-  // with the oracle's spread: sqrt(q(1-q)) / (pdf(z_q)/sd) / sqrt(reps),
-  // combined over the two independent samples.
-  const std::size_t col = static_cast<std::size_t>(best_col);
-  std::vector<double> a(static_cast<std::size_t>(reps)),
-      b(static_cast<std::size_t>(reps));
-  core::RunningStats sr;
-  for (std::size_t k = 0; k < a.size(); ++k) {
-    a[k] = yt[k][col];
-    b[k] = yr[k][col];
-    sr.add(b[k]);
-  }
-  const double best_sd = sr.stddev();
-  constexpr double kQ[] = {0.10, 0.25, 0.50, 0.75, 0.90};
-  constexpr double kNormPdf[] = {0.17550, 0.31778, 0.39894, 0.31778,
-                                 0.17550};
-  for (int i = 0; i < 5; ++i) {
-    ++ck.result.checks;
-    const double qa = core::quantile(a, kQ[i]);
-    const double qb = core::quantile(b, kQ[i]);
-    const double se = std::sqrt(kQ[i] * (1.0 - kQ[i])) /
-                      (kNormPdf[i] / best_sd) /
-                      std::sqrt(static_cast<double>(reps)) * std::sqrt(2.0);
-    if (std::abs(qa - qb) > core::tol::kQuantileStdErrFactor * se) {
-      std::ostringstream os;
-      os << "analog/quantile: col " << best_col << " q=" << kQ[i] << " "
-         << qa << " vs " << qb << " (bound "
-         << core::tol::kQuantileStdErrFactor * se << ")";
-      ck.fail(os.str());
-      return ck.result;
-    }
-  }
+  const auto xs = case_batch_inputs(c, 0, 5, im, om);
+  Rng rt(c.seed ^ 0x61), rr(c.seed ^ 0x61);
+  ck.expect_bitwise_batch(
+      read_batch(kernel_reader(subject, *m, im, om), xs, &rt),
+      read_batch(kernel_reader(&scalar_run_columns, *m, im, om), xs, &rr),
+      "analog/batch");
+  ck.expect_same_stream(rt, rr, "analog/batch");
   return ck.result;
 }
 
@@ -519,10 +413,6 @@ CaseResult check_multijob(const CaseSpec& c) {
 }
 
 // ---------------------------------------------------------------- delta
-
-// Tie-free geometry: an odd physical row count keeps every count off an
-// ADC half-code boundary (see the header).
-bool odd_rows(const CaseGeometry& g) { return (g.n_in % 2) == 1; }
 
 // Deterministic disjoint flip lists for a delta case: ~20% of rows flip
 // on, ~20% flip off, and rows 0 / n_in-1 anchor each side so neither
@@ -585,15 +475,12 @@ CaseResult check_delta(const CaseSpec& c, ColumnKernel subject) {
                       kernel_reader(subject, *m, add_mask, no_mask)(x, &r5),
                       "delta/one-sided-vs-dense");
 
-    if (odd_rows(c.geom)) {
-      // Tie-free geometry: the deterministic delta read is bitwise
-      // against the oracle, like the dense ADC-only tier.
-      Rng r6(c.seed ^ 0x9b), r7(c.seed ^ 0x9d);
-      ck.expect_bitwise(
-          test(add, rem, &r6),
-          kernel_delta_read(&scalar_run_columns, *m, enc, add, rem, &r7),
-          "delta/vs-oracle");
-    }
+    // The deterministic delta read matches the oracle bitwise.
+    Rng r6(c.seed ^ 0x9b), r7(c.seed ^ 0x9d);
+    ck.expect_bitwise(
+        test(add, rem, &r6),
+        kernel_delta_read(&scalar_run_columns, *m, enc, add, rem, &r7),
+        "delta/vs-oracle");
     return ck.result;
   }
 
@@ -629,20 +516,14 @@ CaseResult check_delta(const CaseSpec& c, ColumnKernel subject) {
                           "delta/pooled-vs-serial");
   if (!ck.result.pass) return ck.result;
 
-  // Statistical tier: the noisy differential read must be
-  // distribution-matched against the oracle — per-column mean and spread
-  // over independent keyed repetitions of the same flip lists.
-  const int reps = stat_reps(c.tier);
-  std::vector<std::vector<double>> yt(static_cast<std::size_t>(reps)),
-      yr(static_cast<std::size_t>(reps));
-  for (int k = 0; k < reps; ++k) {
-    Rng rt = Rng::stream(c.seed ^ 0x61, static_cast<std::uint64_t>(k));
-    Rng rr = Rng::stream(c.seed ^ 0x67, static_cast<std::uint64_t>(k));
-    yt[static_cast<std::size_t>(k)] = test(add, rem, &rt);
-    yr[static_cast<std::size_t>(k)] =
-        kernel_delta_read(&scalar_run_columns, *m, enc, add, rem, &rr);
-  }
-  expect_moments(ck, yt, yr, no_mask, "delta");
+  // The noisy differential read matches the oracle bitwise from the same
+  // stream.
+  Rng rt(c.seed ^ 0x61), rr(c.seed ^ 0x61);
+  ck.expect_bitwise(
+      test(add, rem, &rt),
+      kernel_delta_read(&scalar_run_columns, *m, enc, add, rem, &rr),
+      "delta/noisy-vs-oracle");
+  ck.expect_same_stream(rt, rr, "delta/noisy-vs-oracle");
   return ck.result;
 }
 
@@ -811,8 +692,6 @@ std::vector<InputFamily> families() {
 }
 
 std::vector<CaseGeometry> geometries(Tier tier) {
-  // Odd-row shapes double as the ADC-only bitwise geometries (tie-free,
-  // see the header).
   std::vector<CaseGeometry> g = {
       {97, 24},   // odd rows, two gate words
       {149, 37},  // odd + ragged third word
@@ -853,12 +732,10 @@ std::vector<CaseSpec> cases_for(Tier tier) {
                          Dispatch::kPooled, Dispatch::kMultiJob})
         push(g, f, NoiseMode::kIdeal, d);
       // ADC-only: deterministic noisy entry points, bitwise against the
-      // oracle — only on tie-free geometries (odd rows).
-      if (odd_rows(g)) {
-        push(g, f, NoiseMode::kAdcOnly, Dispatch::kSingle);
-        push(g, f, NoiseMode::kAdcOnly, Dispatch::kBatch);
-      }
-      // Analog: statistical vs the oracle (batch), pooled-vs-serial
+      // oracle.
+      push(g, f, NoiseMode::kAdcOnly, Dispatch::kSingle);
+      push(g, f, NoiseMode::kAdcOnly, Dispatch::kBatch);
+      // Analog: bitwise vs the oracle (batch), pooled-vs-serial
       // bit-identity, and keyed multi-job reproducibility (dense only —
       // the noise model does not see the input family).
       push(g, f, NoiseMode::kAnalog, Dispatch::kBatch);
@@ -866,10 +743,9 @@ std::vector<CaseSpec> cases_for(Tier tier) {
       if (f == InputFamily::kDense)
         push(g, f, NoiseMode::kAnalog, Dispatch::kMultiJob);
       // Delta dispatch (differential compute-reuse read): deterministic
-      // identities everywhere + bitwise against the oracle on tie-free
-      // geometries; pooled bit-identity and noise statistics vs the
-      // oracle on the dense family (the noise model does not see the
-      // input family).
+      // identities and bitwise against the oracle everywhere; pooled
+      // bit-identity and the noisy read bitwise against the oracle on the
+      // dense family (the noise model does not see the input family).
       push(g, f, NoiseMode::kAdcOnly, Dispatch::kDelta);
       if (f == InputFamily::kDense)
         push(g, f, NoiseMode::kAnalog, Dispatch::kDelta);
@@ -975,7 +851,7 @@ CaseResult run_case(const CaseSpec& c, ColumnKernel subject) {
         case Dispatch::kMultiJob:
           return check_multijob(c);
         default:
-          return check_statistical(c, subject);
+          return check_analog(c, subject);
       }
   }
   throw std::invalid_argument("conformance: unknown noise mode");

@@ -2,7 +2,7 @@
 // a table-driven sweep of randomized op cases in which a *subject* column
 // kernel — cimsram::run_columns, the kernel CimMacro ships, by default —
 // is checked against the *oracle* cimsram::scalar_run_columns, the
-// draw-sequential scalar kernel. Any function with run_columns' signature
+// portable body of the same computation. Any function with run_columns' signature
 // can be the subject, so a new kernel (AVX-512 VPOPCNTDQ, CUDA, ...)
 // inherits the whole suite (test_backend_conformance.cpp next to this
 // file) by being passed to run_case. Built as the cimnav_conformance
@@ -21,8 +21,8 @@
 // Case axes (the cross product is pruned per noise mode, see the table
 // builder in conformance.cpp):
 //
-//   geometry   layer shapes from one to five gate words, including odd
-//              row counts and ragged last words;
+//   geometry   layer shapes from two to five gate words, including odd
+//              and even row counts and ragged last words;
 //   input      dense / sparse+row-masked / extreme-magnitude (clamp
 //              paths) / bit-plane edge codes with column masks;
 //   noise mode ideal / ADC-only (analog_noise off, coarse ADC) /
@@ -33,20 +33,14 @@
 //
 // Check tiers:
 //
-//   bitwise      the ideal path must be bit-identical to the oracle
-//                (exact integer reduction), and the deterministic ADC-only
-//                path too on tie-free geometries (odd physical row counts
-//                — even row counts can land counts exactly on an ADC
-//                half-code boundary, where FMA contraction differences
-//                make floor(x + 0.5) legitimately host-dependent);
-//   statistical  the analog path must be distribution-matched against
-//                the oracle: per-column Welford moment bounds plus
-//                KS-style quantile checks over keyed rng streams, with
-//                tolerances from conformance/stat_tolerances.hpp;
+//   bitwise      the ideal, ADC-only and analog paths must be
+//                bit-identical to the oracle on every geometry, and a
+//                noisy read must leave the caller's stream where the
+//                oracle leaves it: both draw one root per read and the
+//                same lane-parallel ziggurat noise from it;
 //   delta        the differential read's identities (determinism, rail
-//                antisymmetry, one-sided = dense) bitwise, bitwise against
-//                the oracle on tie-free geometries, and distribution-
-//                matched on the noisy path;
+//                antisymmetry, one-sided = dense) bitwise, and its
+//                deterministic and noisy reads bitwise against the oracle;
 //   identity     pooled and multi-job CimMacro reads and the pooled delta
 //                fan-out bit-identical to serial;
 //   macro        matvec_encoded and matvec_delta_batch bit-identical to
@@ -88,7 +82,7 @@ enum class InputFamily {
 enum class NoiseMode {
   kIdeal,    ///< null-rng ideal read (exact reduction) -> bitwise tier
   kAdcOnly,  ///< analog_noise off, coarse ADC     -> bitwise tier
-  kAnalog,   ///< noise-dominated                  -> statistical tier
+  kAnalog,   ///< noise-dominated                  -> bitwise tier
 };
 
 /// How the case dispatches work.
@@ -102,7 +96,7 @@ enum class Dispatch {
 };
 
 /// Sweep depth: kQuick is the CI tier, kFull the nightly tier (more
-/// geometries, more statistical reps). Selected via the environment
+/// geometries). Selected via the environment
 /// variable CIMNAV_CONFORMANCE_TIER=quick|full (default quick).
 enum class Tier { kQuick, kFull };
 

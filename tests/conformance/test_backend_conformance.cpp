@@ -113,8 +113,8 @@ void broken_bitwise(const MacroView& v, const std::uint64_t* planes,
 }
 
 /// Inflates the disturbance sigma by 1.8x on noisy dense reads only. The
-/// ideal, ADC-only and delta paths are untouched; the statistical tier's
-/// stddev-ratio bound must catch it.
+/// ideal, ADC-only and delta paths are untouched; the analog bitwise tier
+/// must catch it.
 void broken_noise(const MacroView& v, const std::uint64_t* planes,
                   const std::uint64_t* rem, const std::int32_t* word_list,
                   int n_words, std::uint64_t active_rows,
@@ -189,14 +189,14 @@ TEST(ConformanceCatchesBrokenBackends, DeltaAxisCatchesDeltaDefect) {
       "delta/");
 }
 
-TEST(ConformanceCatchesBrokenBackends, StatisticalTierCatchesNoiseDefect) {
+TEST(ConformanceCatchesBrokenBackends, AnalogBitwiseTierCatchesNoiseDefect) {
   expect_caught_only_by(
       &broken_noise,
       [](const conf::CaseSpec& c) {
         return c.mode == conf::NoiseMode::kAnalog &&
                c.dispatch == conf::Dispatch::kBatch;
       },
-      "analog/stddev");
+      "analog/batch");
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Unit tests for the SRAM-embedded RNG and the 8T CIM macro: gate packing,
-// the macro itself and the column kernel's rng contract. Kernel
-// equivalence (bitwise + statistical against the scalar oracle) lives in
-// the conformance harness — tests/conformance/ sweeps randomized
-// geometry/input/noise/dispatch cases, so hand-written equivalence tests
-// do not belong here.
+// the macro itself, the column kernel's rng contract and the distribution
+// of its read noise. Kernel equivalence (bitwise against the portable
+// oracle) lives in the conformance harness — tests/conformance/ sweeps
+// randomized geometry/input/noise/dispatch cases, so hand-written
+// equivalence tests do not belong here.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -473,59 +473,113 @@ TEST(PackRowMask, WrongSizeThrows) {
 // ---------------------------------------------------------------------------
 // Column kernel rng contract.
 //
-// run_columns must advance the caller's stream identically on every host
-// (AVX2 or scalar body), which is what keeps closed-loop runs
-// bit-identical across them: an ideal read, or a null rng, consumes no
+// run_columns and its portable body scalar_run_columns advance the
+// caller's stream identically: an ideal read, or a null rng, consumes no
 // draw; every other read consumes exactly one, ADC-only reads included.
 // ---------------------------------------------------------------------------
 
 TEST(ColumnKernel, RunColumnsConsumesOneDrawPerNonIdealRead) {
-  const int n_out = 9, n_in = 70;
-  const auto w = random_weights(n_out, n_in, 83);
-  const auto x = random_input(n_in, 89);
-  for (const bool analog : {true, false}) {
-    CimMacroConfig cfg;
-    cfg.analog_noise = analog;
-    const CimMacro macro(w, n_out, n_in, cfg, 1.0 / 63.0);
-    EncodedInput enc;
-    macro.encode_input(x, enc);
-    std::vector<std::uint64_t> gate;
-    pack_row_mask({}, n_in, gate);
-    std::vector<std::uint64_t> gated(enc.planes.size());
-    for (std::size_t i = 0; i < gated.size(); ++i)
-      gated[i] = enc.planes[i] & gate[i % gate.size()];
-    std::vector<double> y(static_cast<std::size_t>(n_out));
-    // Delta read: rows 0..9 flipped on, the last row flipped off.
-    std::vector<std::uint64_t> add(gated.size(), 0), rem(gated.size(), 0);
-    const std::size_t words = gate.size();
-    for (std::size_t b = 0; b < gated.size() / words; ++b) {
-      add[b * words] = enc.planes[b * words] & 0x3FFu;
-      rem[b * words + 1] =
-          enc.planes[b * words + 1] & (std::uint64_t{1} << (n_in - 1 - 64));
-    }
-    const std::int32_t word_list[] = {0, 1};
+  for (const auto kernel : {&run_columns, &scalar_run_columns}) {
+    const int n_out = 9, n_in = 70;
+    const auto w = random_weights(n_out, n_in, 83);
+    const auto x = random_input(n_in, 89);
+    for (const bool analog : {true, false}) {
+      CimMacroConfig cfg;
+      cfg.analog_noise = analog;
+      const CimMacro macro(w, n_out, n_in, cfg, 1.0 / 63.0);
+      EncodedInput enc;
+      macro.encode_input(x, enc);
+      std::vector<std::uint64_t> gate;
+      pack_row_mask({}, n_in, gate);
+      std::vector<std::uint64_t> gated(enc.planes.size());
+      for (std::size_t i = 0; i < gated.size(); ++i)
+        gated[i] = enc.planes[i] & gate[i % gate.size()];
+      std::vector<double> y(static_cast<std::size_t>(n_out));
+      // Delta read: rows 0..9 flipped on, the last row flipped off.
+      std::vector<std::uint64_t> add(gated.size(), 0), rem(gated.size(), 0);
+      const std::size_t words = gate.size();
+      for (std::size_t b = 0; b < gated.size() / words; ++b) {
+        add[b * words] = enc.planes[b * words] & 0x3FFu;
+        rem[b * words + 1] =
+            enc.planes[b * words + 1] & (std::uint64_t{1} << (n_in - 1 - 64));
+      }
+      const std::int32_t word_list[] = {0, 1};
 
-    const auto read = [&](bool delta, bool ideal, Rng* rng) {
-      if (delta)
-        run_columns(macro.view(), add.data(), rem.data(), word_list, 2, 11,
-                    nullptr, 0, n_out, ideal, rng, y.data());
-      else
-        run_columns(macro.view(), gated.data(), nullptr, nullptr, 0,
-                    static_cast<std::uint64_t>(n_in), nullptr, 0, n_out,
-                    ideal, rng, y.data());
-    };
-    for (const bool delta : {false, true}) {
-      Rng rng(97), expected(97);
-      read(delta, /*ideal=*/true, &rng);
-      read(delta, /*ideal=*/false, nullptr);
-      EXPECT_EQ(rng(), expected()) << "an ideal read consumed a draw";
-      read(delta, /*ideal=*/false, &rng);
-      expected();
-      EXPECT_EQ(rng(), expected())
-          << "analog=" << analog << " delta=" << delta
-          << ": a non-ideal read must consume exactly one draw";
+      const auto read = [&](bool delta, bool ideal, Rng* rng) {
+        if (delta)
+          kernel(macro.view(), add.data(), rem.data(), word_list, 2, 11,
+                 nullptr, 0, n_out, ideal, rng, y.data());
+        else
+          kernel(macro.view(), gated.data(), nullptr, nullptr, 0,
+                 static_cast<std::uint64_t>(n_in), nullptr, 0, n_out, ideal,
+                 rng, y.data());
+      };
+      for (const bool delta : {false, true}) {
+        Rng rng(97), expected(97);
+        read(delta, /*ideal=*/true, &rng);
+        read(delta, /*ideal=*/false, nullptr);
+        EXPECT_EQ(rng(), expected()) << "an ideal read consumed a draw";
+        read(delta, /*ideal=*/false, &rng);
+        expected();
+        EXPECT_EQ(rng(), expected())
+            << "scalar=" << (kernel == &scalar_run_columns)
+            << " analog=" << analog << " delta=" << delta
+            << ": a non-ideal read must consume exactly one draw";
+      }
     }
   }
+}
+
+// The read noise is N(0, sigma^2) per cycle. A hand-built view makes every
+// column a two-cycle read (planes = input_bits = 1, so wtab = {+1, -1})
+// whose sign planes each drive 64 of 128 rows: both counts sit at mid-scale,
+// sixteen sigma from either ADC rail, so no draw clamps. A 12-bit ADC puts
+// 128 codes in one sigma, so each column's output in count units is the
+// difference of its two cycles' draws, N(0, 2 sigma^2), up to a rounding
+// variance of step^2 / 6 (5e-6 of it). 2,000 reads of 2,000 columns give
+// 4 x 10^6 differences of 8 x 10^6 draws, from one fixed seed; each bound
+// is five standard errors of its estimate.
+TEST(ColumnKernel, ReadNoiseIsNormalWithTheConfiguredSigma) {
+  constexpr int kCols = 2000, kReads = 2000, kRows = 128;
+  constexpr double kSigma = 4.0;  // counts
+  std::vector<std::uint64_t> weights;
+  for (int j = 0; j < kCols; ++j)
+    weights.insert(weights.end(), {~0ull, 0ull, 0ull, ~0ull});
+  const std::vector<std::uint64_t> planes = {~0ull, ~0ull};
+  MacroView v;
+  v.weight_bits = weights.data();
+  v.n_in = kRows;
+  v.n_out = kCols;
+  v.words = 2;
+  v.planes = 1;
+  v.input_bits = 1;
+  v.adc_bits = 12;
+  v.noise_coeff = kSigma / std::sqrt(static_cast<double>(kRows));
+  const double adc_step = kRows / 4095.0;
+  std::vector<double> y(kCols);
+  Rng rng(2024);
+  double sum = 0.0, sum_sq = 0.0;
+  long tail = 0;
+  const double tail_edge = 2.0 * std::sqrt(2.0) * kSigma;
+  for (int r = 0; r < kReads; ++r) {
+    scalar_run_columns(v, planes.data(), nullptr, nullptr, 0, kRows, nullptr,
+                       0, kCols, /*ideal=*/false, &rng, y.data());
+    for (const double d : y) {
+      sum += d;
+      sum_sq += d * d;
+      if (std::abs(d) > tail_edge) ++tail;
+    }
+  }
+  const double n = static_cast<double>(kCols) * kReads;
+  const double mean = sum / n;
+  const double var = sum_sq / n - mean * mean;
+  const double want_var = 2.0 * kSigma * kSigma + adc_step * adc_step / 6.0;
+  EXPECT_NEAR(mean, 0.0, 5.0 * std::sqrt(want_var / n));
+  EXPECT_NEAR(var / want_var, 1.0, 5.0 * std::sqrt(2.0 / n));
+  // Two-sided 2-sigma tail of a normal: 4.550%.
+  constexpr double kTail = 0.0455003;
+  EXPECT_NEAR(static_cast<double>(tail) / n, kTail,
+              5.0 * std::sqrt(kTail * (1.0 - kTail) / n));
 }
 
 }  // namespace

@@ -80,25 +80,6 @@ TEST(RngStream, KeyedStreamsAreReproducibleAndDistinct) {
   EXPECT_NE(a, c);
 }
 
-TEST(RngFastNormal, MatchesNormalMoments) {
-  Rng rng(2024);
-  const int n = 200000;
-  double m = 0.0, m2 = 0.0;
-  int tail = 0;
-  for (int i = 0; i < n; ++i) {
-    const double v = rng.normal_fast();
-    m += v;
-    m2 += v * v;
-    if (std::abs(v) > 2.0) ++tail;
-  }
-  m /= n;
-  m2 /= n;
-  EXPECT_NEAR(m, 0.0, 0.01);
-  EXPECT_NEAR(m2 - m * m, 1.0, 0.02);
-  // Two-sided 2-sigma tail of the standard normal is ~4.55%.
-  EXPECT_NEAR(static_cast<double>(tail) / n, 0.0455, 0.004);
-}
-
 class McDeterminismTest : public ::testing::Test {
  protected:
   void SetUp() override {

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <mutex>
 #include <numeric>
 
 #include "core/error.hpp"
@@ -74,14 +75,24 @@ void trim_branch(InverterBranch& branch, double base_dn, double base_dp,
 
 // Rejects a DAC too wide for the code cube before any member sizes a
 // table from it: 2^(3 * dac_bits) keys, and 3 * 2^dac_bits * columns
-// table entries. Rejects read-noise parameters that would give a read a
-// NaN or negative sigma: that read throws only later, mid-update, inside
-// a pool worker.
+// table entries. Rejects an ADC the log-ADC cannot tabulate, naming the
+// field, before LogAdc sees the range derived from it. Rejects read-noise
+// parameters that would give a read a NaN or negative sigma: that read
+// throws only later, mid-update, inside a pool worker.
 const LikelihoodArrayConfig& checked(const LikelihoodArrayConfig& config) {
   CIMNAV_REQUIRE(config.dac_bits >= 1 &&
                      config.dac_bits <= CimLikelihoodArray::kMaxDacBits,
                  "dac_bits must lie in [1, 8]: a read's code triple keys a "
                  "2^(3 * dac_bits)-bit code-cube bitmap");
+  CIMNAV_REQUIRE(config.adc_bits >= 1 && config.adc_bits <= LogAdc::kMaxBits,
+                 "adc_bits must lie in [1, 12]: the log ADC tabulates a "
+                 "threshold and a decoded log-current per code");
+  CIMNAV_REQUIRE(std::isfinite(config.peak_current_a) &&
+                     config.peak_current_a > 0.0,
+                 "peak_current_a must be finite and positive");
+  CIMNAV_REQUIRE(config.adc_floor_fraction > 0.0 &&
+                     config.adc_floor_fraction < 1.0,
+                 "adc_floor_fraction must lie in (0, 1)");
   CIMNAV_REQUIRE(std::isfinite(config.noise.shot_coeff_a) &&
                      config.noise.shot_coeff_a >= 0.0,
                  "noise.shot_coeff_a must be finite and non-negative");
@@ -234,7 +245,7 @@ std::size_t CimLikelihoodArray::lookup_cached_currents(
                  "lookup_cached_currents: output size must match the key "
                  "count");
   std::size_t misses = 0;
-  const std::lock_guard<std::mutex> lock(cache_mutex_);
+  const std::shared_lock<std::shared_mutex> lock(cache_mutex_);
   for (std::size_t i = 0; i < keys.size(); ++i) {
     const std::uint32_t* const set_keys =
         cache_keys_.data() + cache_base(keys[i]);
@@ -256,7 +267,7 @@ void CimLikelihoodArray::cache_currents(
     std::span<const double> currents) const {
   CIMNAV_REQUIRE(currents.size() == keys.size(),
                  "cache_currents: current count must match the key count");
-  const std::lock_guard<std::mutex> lock(cache_mutex_);
+  const std::unique_lock<std::shared_mutex> lock(cache_mutex_);
   for (std::size_t i = 0; i < keys.size(); ++i) {
     const std::size_t base = cache_base(keys[i]);
     std::uint32_t* const set_keys = cache_keys_.data() + base;

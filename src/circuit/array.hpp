@@ -44,7 +44,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
+#include <shared_mutex>
 #include <span>
 #include <vector>
 
@@ -67,12 +67,13 @@ struct VoltageComponent {
 struct LikelihoodArrayConfig {
   int total_columns = 500;  ///< Hardware columns available
   int dac_bits = 4;         ///< Input DAC resolution
-  int adc_bits = 4;         ///< Log-ADC resolution
+  int adc_bits = 4;         ///< Log-ADC resolution, in [1, LogAdc::kMaxBits]
   double vdd_v = 1.0;
   /// Usable input window [v_margin, vdd - v_margin]; the extreme codes sit
   /// away from the rails where the devices shut off entirely.
   double v_margin_v = 0.05;
-  /// Target per-column peak current; columns are sized to hit this.
+  /// Target per-column peak current [A], finite and positive; columns
+  /// are sized to hit this.
   double peak_current_a = 1.0e-6;
   /// Threshold-voltage mismatch sigma per device [V].
   double mismatch_sigma_vt_v = 0.02;
@@ -82,7 +83,7 @@ struct LikelihoodArrayConfig {
   MosfetParams nmos;
   MosfetParams pmos;
   /// Log-ADC range as fractions of (total peak current). The lower bound
-  /// sets the likelihood floor; decades below peak.
+  /// sets the likelihood floor; decades below peak, in (0, 1).
   double adc_floor_fraction = 1.0e-6;
 };
 
@@ -92,7 +93,9 @@ class CimLikelihoodArray {
   /// Programs the array for the given components. Columns are allocated to
   /// components proportionally to weight (largest-remainder rounding, at
   /// least one column per component). Throws if there are more components
-  /// than columns or dac_bits lies outside [1, kMaxDacBits].
+  /// than columns, dac_bits lies outside [1, kMaxDacBits], adc_bits
+  /// outside [1, LogAdc::kMaxBits], peak_current_a is not finite and
+  /// positive, or adc_floor_fraction lies outside (0, 1).
   CimLikelihoodArray(const LikelihoodArrayConfig& config,
                      const std::vector<VoltageComponent>& components,
                      core::Rng& rng);
@@ -138,7 +141,8 @@ class CimLikelihoodArray {
   /// current is negative: each is a sum of non-negative column currents.
   static constexpr double kMissingCurrent = -1.0;
 
-  /// Looks up keys in the ideal-current cache under the array's mutex.
+  /// Looks up keys in the ideal-current cache under a shared lock on the
+  /// array's mutex, so concurrent lookups do not wait for each other.
   /// A hit's current, the bits ideal_currents_by_key computed for that
   /// key, goes to out[i]; a miss sets out[i] to kMissingCurrent. Returns
   /// the miss count. Lookups do not reorder the cache and advance no
@@ -146,7 +150,7 @@ class CimLikelihoodArray {
   std::size_t lookup_cached_currents(std::span<const std::uint32_t> keys,
                                      std::span<double> out) const;
 
-  /// Inserts (keys[i], currents[i]) in order under the array's mutex,
+  /// Inserts (keys[i], currents[i]) in order under an exclusive lock,
   /// skipping a key already cached (another thread may have inserted it
   /// since its lookup). Each insert shifts its set's ways down one slot,
   /// dropping the oldest, and puts the new entry first. The currents
@@ -217,7 +221,8 @@ class CimLikelihoodArray {
                                     cache_shift_) *
            kCacheWays;
   }
-  mutable std::mutex cache_mutex_;
+  // Shared by lookups, exclusive for inserts.
+  mutable std::shared_mutex cache_mutex_;
   mutable std::vector<std::uint32_t> cache_keys_;
   mutable std::vector<double> cache_currents_;
 };

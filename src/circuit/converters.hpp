@@ -7,14 +7,19 @@
 // companding for the log ADC (which is what makes a 4-bit conversion usable
 // on a quantity spanning decades).
 //
-// The encoders are defined inline: every likelihood read runs three DAC
+// The converters are defined inline: every likelihood read runs three DAC
 // encodes and one log-ADC conversion, where a call costs as much as the
-// arithmetic.
+// arithmetic. The log-ADC conversion runs no libm `log`: LogAdc tabulates,
+// at construction, the smallest current reaching each code and each code's
+// decoded log-current, so a read is a branch-free binary search over the
+// thresholds and one load, bit-identical to decode_log(encode(i)) because
+// encode does not decrease as the current grows.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 namespace cimnav::circuit {
 
@@ -71,12 +76,21 @@ class Dac {
 /// accumulates as log-likelihood.
 class LogAdc {
  public:
+  /// Widest accepted ADC: construction tabulates 2^bits - 1 code
+  /// thresholds, each found by ~64 encode calls, and 2^bits decoded
+  /// log-currents.
+  static constexpr int kMaxBits = 12;
+
+  /// Throws unless bits lies in [1, kMaxBits], 0 < i_min_a < i_max_a and
+  /// i_max_a is finite.
   LogAdc(int bits, double i_min_a, double i_max_a);
 
   int bits() const { return bits_; }
   std::uint32_t levels() const { return levels_; }
 
-  /// Code for a current; currents at or below i_min clamp to code 0.
+  /// Code for a current; currents at or below i_min clamp to code 0, and
+  /// so do NaN, -0 and negative currents. The reference that read_log's
+  /// tables are built from.
   std::uint32_t encode(double i_a) const {
     if (i_a <= 0.0) return 0;
     const double t = (std::log(i_a) - log_min_) / (log_max_ - log_min_);
@@ -93,8 +107,21 @@ class LogAdc {
   /// Reconstructed current [A].
   double decode_current(std::uint32_t code) const;
 
-  /// encode + decode_log in one step: the digital log-current reading.
-  double read_log(double i_a) const { return decode_log(encode(i_a)); }
+  /// decode_log(encode(i_a)), bit for bit: the digital log-current
+  /// reading. The code is the number of thresholds at or below i_a, found
+  /// by a branch-free binary search; a NaN compares false everywhere and
+  /// so reads code 0, as encode gives it.
+  double read_log(double i_a) const {
+    const double* const t = thresholds_.data();
+    std::uint32_t c = 0;
+    for (std::uint32_t step = levels_ >> 1; step != 0; step >>= 1)
+      c += (t[c + step - 1] <= i_a) ? step : 0;
+    return decoded_log_[c];
+  }
+
+  /// Smallest positive current encode maps to a code >= k, at [k - 1]
+  /// for k in [1, levels()).
+  const std::vector<double>& thresholds() const { return thresholds_; }
 
   double log_i_min() const { return log_min_; }
   double log_i_max() const { return log_max_; }
@@ -103,6 +130,8 @@ class LogAdc {
   int bits_;
   std::uint32_t levels_;
   double log_min_, log_max_;
+  std::vector<double> thresholds_;   // levels - 1 code thresholds [A]
+  std::vector<double> decoded_log_;  // decode_log(c) for every code c
 };
 
 }  // namespace cimnav::circuit

@@ -245,8 +245,8 @@ void CimHmgmLikelihood::log_likelihoods(const PoseView& poses,
     occupied[key >> 6] |= std::uint64_t{1} << (key & 63);
 
   // Phase 2: rank the bitmap, then one ideal current per distinct key in
-  // ascending key order: from the array's cache, or computed in parallel
-  // chunks.
+  // ascending key order, in parallel chunks: from the array's cache, or
+  // computed.
   s.rank.resize(words);
   std::uint32_t distinct = 0;
   for (std::size_t w = 0; w < words; ++w) {
@@ -266,35 +266,44 @@ void CimHmgmLikelihood::log_likelihoods(const PoseView& poses,
     for (std::uint64_t bits = occupied[w]; bits != 0; bits &= bits - 1)
       s.distinct[d++] = static_cast<std::uint32_t>(
           w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
-  // The cache lookup here and the insert after phase 3 each take the
-  // array's mutex; neither holds it while work runs on the (re-entrant)
-  // pool. Each chunk gathers its misses on the stack, so a miss costs no
-  // scratch beyond the distinct lists.
+  // Each work item looks its slice of the distinct keys up in the array's
+  // cache under a shared lock, then computes the misses of each of its
+  // 64-key chunks, gathered on the stack, so a miss costs no scratch
+  // beyond the distinct lists. The insert after phase 3 takes the lock
+  // exclusively; no lock is held while work runs on the (re-entrant)
+  // pool.
   std::uint32_t* const distinct_keys = s.distinct.data();
   double* const current = s.current.data();
   constexpr double kMissing = circuit::CimLikelihoodArray::kMissingCurrent;
-  if (array_->lookup_cached_currents(s.distinct, s.current) > 0)
-    fan(pool, (distinct + kKeyChunk - 1) / kKeyChunk, 1,
-        [&](std::size_t begin, std::size_t end, int) {
-          std::array<std::uint32_t, kKeyChunk> miss_keys{}, miss_at{};
-          std::array<double, kKeyChunk> miss_current{};
-          for (std::size_t c = begin; c < end; ++c) {
-            const std::size_t d_end =
-                std::min<std::size_t>((c + 1) * kKeyChunk, distinct);
-            std::size_t n = 0;
-            for (std::size_t d = c * kKeyChunk; d < d_end; ++d)
-              if (current[d] == kMissing) {
-                miss_keys[n] = distinct_keys[d];
-                miss_at[n++] = static_cast<std::uint32_t>(d);
-              }
-            array_->ideal_currents_by_key({miss_keys.data(), n},
-                                          {miss_current.data(), n});
-            for (std::size_t t = 0; t < n; ++t) {
-              current[miss_at[t]] = miss_current[t];
-              distinct_keys[miss_at[t]] |= kComputedFlag;
+  fan(pool, (distinct + kKeyChunk - 1) / kKeyChunk, 1,
+      [&](std::size_t begin, std::size_t end, int) {
+        const std::size_t slice_begin = begin * kKeyChunk;
+        const std::size_t slice_end =
+            std::min<std::size_t>(end * kKeyChunk, distinct);
+        const std::size_t slice = slice_end - slice_begin;
+        if (array_->lookup_cached_currents(
+                {distinct_keys + slice_begin, slice},
+                {current + slice_begin, slice}) == 0)
+          return;
+        std::array<std::uint32_t, kKeyChunk> miss_keys{}, miss_at{};
+        std::array<double, kKeyChunk> miss_current{};
+        for (std::size_t c = begin; c < end; ++c) {
+          const std::size_t d_end =
+              std::min<std::size_t>((c + 1) * kKeyChunk, distinct);
+          std::size_t n = 0;
+          for (std::size_t d = c * kKeyChunk; d < d_end; ++d)
+            if (current[d] == kMissing) {
+              miss_keys[n] = distinct_keys[d];
+              miss_at[n++] = static_cast<std::uint32_t>(d);
             }
+          array_->ideal_currents_by_key({miss_keys.data(), n},
+                                        {miss_current.data(), n});
+          for (std::size_t t = 0; t < n; ++t) {
+            current[miss_at[t]] = miss_current[t];
+            distinct_keys[miss_at[t]] |= kComputedFlag;
           }
-        });
+        }
+      });
 
   // Phase 3: per block, with the block's stream, noise + log-ADC per read
   // in pose then pixel order, summed in pixel order — the draws and sums

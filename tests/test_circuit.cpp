@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -514,6 +516,85 @@ TEST(Converters, RoundingMatchesLroundReference) {
          {0.0, -0.0, -1e-6, -std::numeric_limits<double>::infinity()})
       EXPECT_EQ(adc.encode(i_a), 0u) << "bits=" << bits << " i=" << i_a;
   }
+}
+
+// The threshold read against the formula it tabulates: read_log(i) must
+// carry the bits of decode_log(encode(i)) on every input, above all at
+// each code threshold and its ulp neighbours, where a threshold one ulp
+// off would show.
+TEST(Converters, ThresholdReadMatchesEncodeDecode) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const LikelihoodArrayConfig array_defaults;
+  const double array_peak_a = array_defaults.peak_current_a *
+                              static_cast<double>(array_defaults.total_columns);
+  const std::array<std::array<double, 2>, 2> ranges{{
+      {1e-9, 1e-3},
+      {array_peak_a * array_defaults.adc_floor_fraction, array_peak_a},
+  }};
+  for (int bits : {1, 3, 4, 6, 8, 10, 12}) {
+    for (const auto& range : ranges) {
+      const LogAdc adc(bits, range[0], range[1]);
+      SCOPED_TRACE(::testing::Message() << "bits=" << bits << " range=["
+                                        << range[0] << ", " << range[1]
+                                        << "]");
+      ASSERT_EQ(adc.thresholds().size(), adc.levels() - 1);
+      std::vector<double> probes{0.0,
+                                 -0.0,
+                                 -1.0,
+                                 std::numeric_limits<double>::denorm_min(),
+                                 std::numeric_limits<double>::quiet_NaN(),
+                                 inf,
+                                 -inf};
+      for (const double t : adc.thresholds()) {
+        double below = t, above = t;
+        probes.push_back(t);
+        for (int u = 0; u < 3; ++u) {
+          below = std::nextafter(below, -inf);
+          above = std::nextafter(above, inf);
+          probes.push_back(below);
+          probes.push_back(above);
+        }
+      }
+      // Log-uniform currents over the range and two decades beyond each
+      // end.
+      core::Rng rng(static_cast<std::uint64_t>(bits) * 131 + 7);
+      const double lo = std::log(range[0]) - 2.0 * std::log(10.0);
+      const double hi = std::log(range[1]) + 2.0 * std::log(10.0);
+      for (int i = 0; i < (1 << 20); ++i)
+        probes.push_back(std::exp(rng.uniform(lo, hi)));
+
+      std::size_t mismatches = 0;
+      for (const double i_a : probes) {
+        const double want = adc.decode_log(adc.encode(i_a));
+        const double got = adc.read_log(i_a);
+        if (std::bit_cast<std::uint64_t>(got) !=
+            std::bit_cast<std::uint64_t>(want)) {
+          if (mismatches++ < 5)
+            ADD_FAILURE() << "i=" << i_a << " read_log=" << got
+                          << " decode_log(encode)=" << want;
+        }
+      }
+      EXPECT_EQ(mismatches, 0u);
+      // Each threshold is the first current of its code.
+      for (std::uint32_t k = 1; k < adc.levels(); ++k) {
+        const double t = adc.thresholds()[k - 1];
+        EXPECT_GE(adc.encode(t), k);
+        EXPECT_LT(adc.encode(std::nextafter(t, -inf)), k);
+      }
+    }
+  }
+}
+
+TEST(Converters, LogAdcRejectsUntabulatedConfigs) {
+  EXPECT_NO_THROW(LogAdc(LogAdc::kMaxBits, 1e-9, 1e-3));
+  for (int bits : {0, LogAdc::kMaxBits + 1, 24})
+    EXPECT_THROW(LogAdc(bits, 1e-9, 1e-3), std::invalid_argument) << bits;
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(LogAdc(6, 1e-9, inf), std::invalid_argument);
+  EXPECT_THROW(LogAdc(6, 0.0, 1e-3), std::invalid_argument);
+  EXPECT_THROW(LogAdc(6, 1e-3, 1e-3), std::invalid_argument);
+  // The DAC keeps its own, wider bound.
+  EXPECT_NO_THROW(Dac(24, 0.0, 1.0));
 }
 
 class ConverterBitsTest : public ::testing::TestWithParam<int> {};
@@ -1061,6 +1142,59 @@ TEST_F(LikelihoodArrayTest, RejectsDacWiderThanTheCodeCube) {
   widest.dac_bits = CimLikelihoodArray::kMaxDacBits;
   widest.total_columns = 3;
   EXPECT_NO_THROW(CimLikelihoodArray(widest, three_components(), rng));
+}
+
+TEST_F(LikelihoodArrayTest, RejectsBadAdcConfig) {
+  // Each bad ADC field is named at the boundary, instead of surfacing as
+  // the log ADC's generic complaint about the range derived from it.
+  core::Rng rng(91);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    int adc_bits;
+    double peak_current_a, adc_floor_fraction;
+    const char* field;
+  };
+  const LikelihoodArrayConfig d;
+  const Case cases[] = {
+      {0, d.peak_current_a, d.adc_floor_fraction, "adc_bits"},
+      {LogAdc::kMaxBits + 1, d.peak_current_a, d.adc_floor_fraction,
+       "adc_bits"},
+      {-3, d.peak_current_a, d.adc_floor_fraction, "adc_bits"},
+      {d.adc_bits, 0.0, d.adc_floor_fraction, "peak_current_a"},
+      {d.adc_bits, -1e-6, d.adc_floor_fraction, "peak_current_a"},
+      {d.adc_bits, nan, d.adc_floor_fraction, "peak_current_a"},
+      {d.adc_bits, inf, d.adc_floor_fraction, "peak_current_a"},
+      {d.adc_bits, d.peak_current_a, 0.0, "adc_floor_fraction"},
+      {d.adc_bits, d.peak_current_a, -1e-6, "adc_floor_fraction"},
+      {d.adc_bits, d.peak_current_a, 1.0, "adc_floor_fraction"},
+      {d.adc_bits, d.peak_current_a, 2.0, "adc_floor_fraction"},
+      {d.adc_bits, d.peak_current_a, nan, "adc_floor_fraction"},
+  };
+  for (const Case& c : cases) {
+    LikelihoodArrayConfig cfg;
+    cfg.total_columns = 3;
+    cfg.adc_bits = c.adc_bits;
+    cfg.peak_current_a = c.peak_current_a;
+    cfg.adc_floor_fraction = c.adc_floor_fraction;
+    try {
+      const CimLikelihoodArray arr(cfg, three_components(), rng);
+      ADD_FAILURE() << "adc_bits=" << c.adc_bits
+                    << " peak_current_a=" << c.peak_current_a
+                    << " adc_floor_fraction=" << c.adc_floor_fraction
+                    << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+          << e.what();
+    }
+  }
+  for (int adc_bits : {1, LogAdc::kMaxBits}) {
+    LikelihoodArrayConfig cfg;
+    cfg.total_columns = 3;
+    cfg.adc_bits = adc_bits;
+    EXPECT_NO_THROW(CimLikelihoodArray(cfg, three_components(), rng))
+        << adc_bits;
+  }
 }
 
 TEST_F(LikelihoodArrayTest, RejectsBadReadNoise) {

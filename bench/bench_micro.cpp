@@ -126,14 +126,15 @@ int main() {
     if (sink == 42.0) std::printf("%f", sink);
   }
 
-  // One particle-filter update of CIM likelihood reads, shaped like the
-  // closed loop's solo corridor flight: a 500-particle cloud x one 80-pixel
-  // corridor_dropout scan on its 500-column array, single-threaded. Each
-  // op scores the next cloud of a fixed cycle: the predicted clouds of one
-  // recorded 36-frame flight, each on its frame's scan. The cycle's
-  // distinct keys overflow the array's ideal-current cache, so the shared
-  // path (CimHmgmLikelihood::log_likelihoods) computes the currents its
-  // keys miss on every op, as a flight does. The per-pose path is the
+  // Particle-filter updates of CIM likelihood reads, shaped like the
+  // closed loop's solo corridor flight: 500-particle clouds x 80-pixel
+  // corridor_dropout scans on its 500-column array, single-threaded. One
+  // op scores a whole fixed cycle, so every op and every round times the
+  // same work: the predicted clouds of one recorded 36-frame flight, each
+  // on its frame's scan. The cycle's distinct keys overflow the array's
+  // ideal-current cache, so the shared path
+  // (CimHmgmLikelihood::log_likelihoods) computes the currents its keys
+  // miss on every update, as a flight does. The per-pose path is the
   // default body through a log_likelihood-only decorator. Both give the
   // same bits, so the ratio is a within-run speedup.
   {
@@ -169,23 +170,21 @@ int main() {
       }
     }
     const auto cold = cim.array().ideal_current_count() - cold0;
-    // Reads per op, averaged over the cycle.
+    // Reads per op: the whole cycle's.
     const std::size_t particles = clouds.front().x.size();
     std::size_t pixels = 0;
     for (const Cloud& c : clouds) pixels += c.scan.pixels.size();
-    const double reads = static_cast<double>(particles * pixels) /
-                         static_cast<double>(clouds.size());
+    const auto reads = static_cast<double>(particles * pixels);
     std::vector<double> out(particles);
-    std::size_t next = 0;
     std::uint64_t root = 1;
     double sink = 0.0;
     const auto score = [&](const filter::MeasurementModel& m) {
-      const Cloud& c = clouds[next];
-      next = (next + 1) % clouds.size();
-      const filter::PoseView poses{c.x.data(), c.y.data(), c.z.data(),
-                                   c.yaw.data(), c.x.size(), 1};
-      m.log_likelihoods(poses, c.scan, ++root, nullptr, out);
-      sink += out.front();
+      for (const Cloud& c : clouds) {
+        const filter::PoseView poses{c.x.data(), c.y.data(), c.z.data(),
+                                     c.yaw.data(), c.x.size(), 1};
+        m.log_likelihoods(poses, c.scan, ++root, nullptr, out);
+        sink += out.front();
+      }
     };
     const std::string tag =
         "/p=" + std::to_string(particles) +

@@ -43,11 +43,11 @@ TRACKED = {
         # The pooled DeltaItem batch (compute-reuse dispatch shape) must
         # keep producing the serial item loop's bits on a 128x128 macro.
         "delta_batch_pooled_bit_identity": "stable",
-        # One filter update of CIM likelihood reads (500 poses x 80 px x
-        # 500 columns, single thread), each op on the next cloud of a
-        # recorded 36-frame flight whose keys overflow the ideal-current
-        # cache: the shared path vs the default per-pose path, median of
-        # alternating rounds (within-run ratio).
+        # Filter updates of CIM likelihood reads (500 poses x 80 px x 500
+        # columns, single thread), each op scoring all 36 clouds of a
+        # recorded flight whose keys overflow the ideal-current cache: the
+        # shared path vs the default per-pose path, median of alternating
+        # rounds (within-run ratio).
         "likelihood_update_shared_speedup_vs_per_pose": "higher",
         # A 36-frame corridor_dropout flight of shared updates, first
         # flight from a cold ideal-current cache: ideal currents computed
@@ -64,8 +64,9 @@ TRACKED = {
         "wordline_pulses_reuse": "lower",
         "wordline_pulses_reuse_order": "lower",
         "reuse_saving": "higher",
-        # Reuse wall clock over the dense engine at T=30 (within-run
-        # ratio). PR acceptance: <= 1.0 — reuse must not be slower.
+        # Reuse wall clock over the dense engine at T=30, median of
+        # alternating rounds (within-run ratio). PR acceptance: <= 1.0 —
+        # reuse must not be slower.
         "reuse_wallclock_ratio": "lower",
         # 8 lock-step single-frame reuse jobs sharing one pooled
         # dispatch set: deterministic batched-job count (8.0).

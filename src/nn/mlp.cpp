@@ -264,23 +264,23 @@ double Mlp::train_epoch(const std::vector<Vector>& inputs,
     }
     std::size_t site_offset = config_.dropout_on_input ? in_width : 0;
 
-    // Forward: each layer is one batched product with rounded products.
+    // Forward: each layer is one batched product.
     for (int l = 0; l < layers; ++l) {
       const auto lu = static_cast<std::size_t>(l);
       const Matrix& w = weights_[lu];
       const Vector& b = biases_[lu];
       const std::size_t rows = width(l + 1);
-      rounded_product_sums({.a = w.data().data(),
-                            .a_k = 1,
-                            .a_i = width(l),
-                            .b = act_t[lu].data(),
-                            .b_k = cap,
-                            .out = z.data(),
-                            .out_i = 1,
-                            .out_j = rows,
-                            .k = w.cols(),
-                            .i = w.rows(),
-                            .j = batch_i});
+      product_sums({.a = w.data().data(),
+                    .a_k = 1,
+                    .a_i = width(l),
+                    .b = act_t[lu].data(),
+                    .b_k = cap,
+                    .out = z.data(),
+                    .out_i = 1,
+                    .out_j = rows,
+                    .k = w.cols(),
+                    .i = w.rows(),
+                    .j = batch_i});
 
       if (l + 1 < layers) {
         Vector& a = act[lu + 1];
@@ -301,21 +301,21 @@ double Mlp::train_epoch(const std::vector<Vector>& inputs,
       }
 
       // Loss and output delta (MSE, 1/2 factor absorbed). The squared
-      // errors are rounded before they are summed, like forward products.
+      // errors are summed by the same kernel.
       for (std::size_t s = 0; s < batch; ++s) {
         const Vector& t = targets[order[processed + s]];
         double* e = delta.data() + s * rows;
         for (std::size_t k = 0; k < rows; ++k)
           e[k] = (z[s * rows + k] + b[k]) - t[k];
         double loss = 0.0;
-        rounded_product_sums({.a = e,
-                              .a_k = 1,
-                              .b = e,
-                              .b_k = 1,
-                              .out = &loss,
-                              .k = w.rows(),
-                              .i = 1,
-                              .j = 1});
+        product_sums({.a = e,
+                      .a_k = 1,
+                      .b = e,
+                      .b_k = 1,
+                      .out = &loss,
+                      .k = w.rows(),
+                      .i = 1,
+                      .j = 1});
         total_loss += loss / static_cast<double>(rows);
         for (std::size_t k = 0; k < rows; ++k)
           e[k] = 2.0 * e[k] / static_cast<double>(rows);

@@ -1,6 +1,6 @@
 // Minimal dense linear algebra for the neural-network stack. A Vector is a
-// plain std::vector<double>; Matrix is a row-major dense matrix, and the
-// two product-sum kernels (tensor.cpp) run every product of training. No
+// plain std::vector<double>; Matrix is a row-major dense matrix, and one
+// product-sum kernel (tensor.cpp) runs every product of training. No
 // expression templates — the networks here are small (tens of thousands
 // of parameters) and clarity wins.
 #pragma once
@@ -43,9 +43,8 @@ class Matrix {
   std::vector<double>& data() { return data_; }
 
   /// y = A x  (rows x cols) * (cols) -> (rows). Each row is one serial
-  /// column-order sum from 0.0 of rounded products
-  /// (`rounded_product_sums`), so the result is the same on FMA and
-  /// non-FMA hosts.
+  /// column-order sum from 0.0 of rounded products (`product_sums`), so
+  /// the result is the same on FMA and non-FMA hosts.
   Vector matvec(const Vector& x) const;
 
  private:
@@ -77,13 +76,9 @@ struct ProductSums {
 
 /// Every out(i, j) is one serial sum from 0.0 over ascending k, whatever
 /// the tiling: tiles of 4 i x 8 j keep their sums in registers, so the
-/// bits equal a plain per-element loop. The two functions differ only in
-/// how a step is rounded:
-/// - `product_sums` rounds a step as a plain scalar `acc += a * b`: one
-///   FMA on targets that have it, as the per-sample backward loops did;
-/// - `rounded_product_sums` rounds every product before adding it on
-///   every host, as the forward's groups of four rows always did.
+/// bits equal a plain per-element loop. Every product is rounded before
+/// it is added, on every host: nothing in the build fuses `a * b + c`
+/// (-ffp-contract=off, CMakeLists.txt).
 void product_sums(const ProductSums& p);
-void rounded_product_sums(const ProductSums& p);
 
 }  // namespace cimnav::nn

@@ -41,28 +41,74 @@ TEST(Matrix, SizeChecks) {
   EXPECT_THROW(Matrix(0, 3), std::invalid_argument);
 }
 
+// (1 + 2^-30)^2 = 1 + 2^-29 + 2^-60: rounded it is 1 + 2^-29, which
+// cancels the previous term exactly, while an FMA keeps 2^-60.
+const double kSquared = 1.0 + std::ldexp(1.0, -30);
+const double kCancels = -(1.0 + std::ldexp(1.0, -29));
+
 TEST(Matrix, MatvecRoundsEveryProduct) {
-  // (1 + 2^-30)^2 = 1 + 2^-29 + 2^-60: rounded it is 1 + 2^-29, which
-  // cancels the previous term exactly, while an FMA keeps 2^-60. Placed
-  // at every column of every row of shapes with 4-row groups, tail rows
-  // and column counts off a multiple of 4, each row must sum to 0.
-  const double a = 1.0 + std::ldexp(1.0, -30);
-  const double minus = -(1.0 + std::ldexp(1.0, -29));
+  // Placed at every column of every row of shapes with 4-row groups, tail
+  // rows and column counts off a multiple of 4, each row must sum to 0.
   for (const int rows : {1, 3, 4, 6, 9}) {
     for (const int cols : {2, 3, 5, 8, 13}) {
       for (int at = 1; at < cols; ++at) {
         Matrix m(rows, cols);
         Vector x(static_cast<std::size_t>(cols), 0.0);
         x[static_cast<std::size_t>(at) - 1] = 1.0;
-        x[static_cast<std::size_t>(at)] = a;
+        x[static_cast<std::size_t>(at)] = kSquared;
         for (int r = 0; r < rows; ++r) {
-          m(r, at - 1) = minus;
-          m(r, at) = a;
+          m(r, at - 1) = kCancels;
+          m(r, at) = kSquared;
         }
         const Vector y = m.matvec(x);
         for (int r = 0; r < rows; ++r)
           EXPECT_EQ(y[static_cast<std::size_t>(r)], 0.0)
               << rows << "x" << cols << " product at column " << at;
+      }
+    }
+  }
+}
+
+TEST(ProductSums, VectorTilesRoundEveryProduct) {
+  // The cancelling pair at every step k of every out(i, j): j spans whole
+  // 8-wide vector tiles plus a tail column, and i spans 4-row groups plus
+  // tail rows, so every sum of both tile shapes must come out 0.
+  for (const int ni : {1, 4, 5}) {
+    for (const int nj : {8, 9, 16, 17}) {
+      for (const int nk : {2, 3, 5}) {
+        for (int at = 1; at < nk; ++at) {
+          const auto i_count = static_cast<std::size_t>(ni);
+          const auto j_count = static_cast<std::size_t>(nj);
+          const auto k_count = static_cast<std::size_t>(nk);
+          const auto k = static_cast<std::size_t>(at);
+          std::vector<double> a(k_count * i_count, 0.0);
+          std::vector<double> b(k_count * j_count, 0.0);
+          for (std::size_t i = 0; i < i_count; ++i) {
+            a[(k - 1) * i_count + i] = kCancels;
+            a[k * i_count + i] = kSquared;
+          }
+          for (std::size_t j = 0; j < j_count; ++j) {
+            b[(k - 1) * j_count + j] = 1.0;
+            b[k * j_count + j] = kSquared;
+          }
+          std::vector<double> out(i_count * j_count, -1.0);
+          product_sums({.a = a.data(),
+                        .a_k = i_count,
+                        .a_i = 1,
+                        .b = b.data(),
+                        .b_k = j_count,
+                        .out = out.data(),
+                        .out_i = j_count,
+                        .out_j = 1,
+                        .k = nk,
+                        .i = ni,
+                        .j = nj});
+          for (std::size_t e = 0; e < out.size(); ++e)
+            EXPECT_EQ(out[e], 0.0)
+                << ni << "x" << nj << " k=" << nk << ", product at step "
+                << at << ", out(" << e / j_count << ", " << e % j_count
+                << ")";
+        }
       }
     }
   }
@@ -283,15 +329,11 @@ double reference_train_epoch(Mlp& net, ReferenceAdam& adam,
         acts.push_back(a);
       }
 
-      // The squared errors are rounded before they are summed, as the
-      // forward's products are (volatile keeps the compiler from fusing
-      // or vectorizing the sum).
       Vector delta(a.size());
       double loss = 0.0;
       for (std::size_t i = 0; i < a.size(); ++i) {
         const double e = a[i] - t[i];
-        const volatile double square = e * e;
-        loss += square;
+        loss += e * e;
         delta[i] = 2.0 * e / static_cast<double>(a.size());
       }
       total_loss += loss / static_cast<double>(a.size());

@@ -2,7 +2,9 @@
 // end-to-end precision/uncertainty behavior.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "bnn/mask_source.hpp"
@@ -110,6 +112,39 @@ TEST(Trajectory, DeltasReplayToPath) {
     p = p.compose(relative_delta(poses[i], poses[i + 1]));
     EXPECT_NEAR(p.position_error(poses[i + 1]), 0.0, 1e-9);
   }
+}
+
+/// 64-bit FNV-1a over the bytes of every weight, then every bias, layer
+/// by layer.
+std::uint64_t parameter_hash(const nn::Mlp& net) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](const std::vector<double>& values) {
+    for (const double v : values) {
+      const auto bits = std::bit_cast<std::uint64_t>(v);
+      for (int byte = 0; byte < 8; ++byte) {
+        h ^= (bits >> (8 * byte)) & 0xffu;
+        h *= 1099511628211ull;
+      }
+    }
+  };
+  for (int l = 0; l < net.layer_count(); ++l) {
+    mix(net.weights(l).data());
+    mix(net.biases(l));
+  }
+  return h;
+}
+
+TEST(VoTraining, TrainedWeightsArePinnedOnEveryBuild) {
+  // A short fixed training run. Nothing in the build fuses a * b + c, so
+  // native (FMA) and portable builds train the same bits; a build that
+  // contracts moves the hash.
+  VoPipelineConfig cfg;
+  cfg.train_samples = 1000;
+  cfg.train.epochs = 2;
+  cfg.test_steps = 40;
+  const VoPipeline p(cfg);
+  EXPECT_EQ(parameter_hash(p.network()), 0x171d62a9f7e6f2d9ull);
+  EXPECT_EQ(p.test_mse(), 0.032976698962392331);
 }
 
 class PipelineFixture : public ::testing::Test {

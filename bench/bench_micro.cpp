@@ -165,7 +165,7 @@ int main() {
         c.y.assign(v.y, v.y + v.count);
         c.z.assign(v.z, v.z + v.count);
         c.yaw.assign(v.yaw, v.yaw + v.count);
-        c.scan = sc.render_scan(f);
+        sc.render_scan_into(f, c.scan);
         pf.update(c.scan, cim, frng);
       }
     }
@@ -256,7 +256,7 @@ int main() {
     std::vector<vision::DepthScan> scans;
     std::size_t pixels = 0;
     for (std::size_t f = 0; f < frames; ++f) {
-      scans.push_back(sc.render_scan(f));
+      sc.render_scan_into(f, scans.emplace_back());
       pixels += scans.back().pixels.size();
     }
     filter::ParticleFilter pf(sc.config().filter);

@@ -30,6 +30,18 @@ prob::Hmgm fit_hmgm(const std::vector<core::Vec3>& cloud, int components,
   return prob::Hmgm::fit(cloud, components, rng, opt);
 }
 
+/// Rejects scan fields the renderer would otherwise take silently (a
+/// negative pixel count keeping every pixel, a NaN noise rendering
+/// without noise), before the map fits run.
+const ScenarioConfig& checked(const ScenarioConfig& cfg) {
+  CIMNAV_REQUIRE(cfg.scan_pixels >= 1, "scan_pixels must be >= 1");
+  CIMNAV_REQUIRE(std::isfinite(cfg.scan_noise_m) && cfg.scan_noise_m >= 0.0,
+                 "scan_noise_m must be finite and non-negative");
+  CIMNAV_REQUIRE(std::isfinite(cfg.camera_pitch_rad),
+                 "camera_pitch_rad must be finite");
+  return cfg;
+}
+
 /// Body-frame controls replaying poses[i] -> poses[i+1] exactly.
 void fill_controls(Trajectory& traj) {
   traj.controls.clear();
@@ -230,7 +242,7 @@ Trajectory make_trajectory(TrajectoryKind kind, const map::Scene& scene,
 }
 
 LocalizationScenario::LocalizationScenario(const ScenarioConfig& config)
-    : LocalizationScenario(config, core::Rng(config.seed + 1)) {}
+    : LocalizationScenario(checked(config), core::Rng(config.seed + 1)) {}
 
 LocalizationScenario::LocalizationScenario(const ScenarioConfig& config,
                                            core::Rng map_rng)
@@ -252,30 +264,6 @@ LocalizationScenario::LocalizationScenario(const ScenarioConfig& config,
   core::Rng rng(config.seed + 2);
   trajectory_ = make_trajectory(config_.trajectory, scene_,
                                 config.trajectory_steps, rng);
-
-  if (config_.defer_scans) return;  // scans render on demand (render_scan)
-
-  const auto intr = vision::CameraIntrinsics::kinect_like(64, 48);
-  vision::DepthRenderOptions opt;
-  opt.pixel_stride = 2;
-  opt.noise_sigma_m = config.scan_noise_m;
-  opt.mount_pitch_rad = config.camera_pitch_rad;
-  const auto raycast = [this](const core::Vec3& o, const core::Vec3& d) {
-    return scene_.raycast(o, d);
-  };
-  scans_.reserve(trajectory_.controls.size());
-  for (std::size_t i = 1; i < trajectory_.poses.size(); ++i) {
-    auto scan =
-        vision::render_depth_scan(intr, trajectory_.poses[i], raycast, opt, &rng);
-    scans_.push_back(vision::subsample_scan(
-        scan, static_cast<std::size_t>(config.scan_pixels), rng));
-  }
-}
-
-vision::DepthScan LocalizationScenario::render_scan(std::size_t step) const {
-  vision::DepthScan out;
-  render_scan_into(step, out);
-  return out;
 }
 
 void LocalizationScenario::render_scan_into(std::size_t step,
@@ -330,12 +318,11 @@ std::unique_ptr<MeasurementModel> LocalizationScenario::make_cim_backend(
 }
 
 BackendRun LocalizationScenario::run(const MeasurementModel& model,
-                                     std::uint64_t run_seed,
-                                     bool global_init) const {
+                                     std::uint64_t run_seed) const {
   core::Rng rng(run_seed);
   ParticleFilter pf(config_.filter);
   const core::Pose& start = trajectory_.poses.front();
-  if (global_init) {
+  if (config_.global_init) {
     pf.init_uniform(scene_.interior_min(), scene_.interior_max(), rng);
   } else {
     // Tracking mode: start belief displaced from the truth so the plots
@@ -350,14 +337,11 @@ BackendRun LocalizationScenario::run(const MeasurementModel& model,
   BackendRun run;
   run.backend = model.name();
   std::vector<double> tail_errors;
+  vision::DepthScan scan;
   for (std::size_t i = 0; i < trajectory_.controls.size(); ++i) {
     pf.predict(trajectory_.controls[i], rng);
-    // Eager mode keeps the zero-copy path; defer_scans renders on demand.
-    if (config_.defer_scans) {
-      pf.update(render_scan(i), model, rng, config_.pool);
-    } else {
-      pf.update(scans_[i], model, rng, config_.pool);
-    }
+    render_scan_into(i, scan);
+    pf.update(scan, model, rng, config_.pool);
     const PoseEstimate est = pf.estimate();
     const core::Pose& truth = trajectory_.poses[i + 1];
 

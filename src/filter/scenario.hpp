@@ -1,7 +1,8 @@
-// End-to-end localization scenario shared by the Fig. 2(e-h) bench and the
-// drone_localization example: procedural scene, map fitting, trajectory
-// synthesis, scan rendering, and particle-filter runs per likelihood
-// backend, reporting position/yaw error per measurement step.
+// End-to-end localization scenario shared by the Fig. 2(e-h) bench, the
+// closed loop and the drone_localization example: procedural scene, map
+// fitting, trajectory synthesis, per-step keyed depth scans (the one scan
+// path of run() and the closed loop's stage A), and particle-filter runs
+// per likelihood backend, reporting position/yaw error per step.
 #pragma once
 
 #include <functional>
@@ -53,8 +54,8 @@ struct ScenarioConfig {
   double map_cloud_noise_m = 0.01;
   int mixture_components = 80;       ///< per map model
   int trajectory_steps = 20;
-  int scan_pixels = 80;              ///< likelihood decimation per scan
-  double scan_noise_m = 0.02;
+  int scan_pixels = 80;              ///< likelihood decimation per scan (>= 1)
+  double scan_noise_m = 0.02;        ///< depth noise stddev (finite, >= 0)
   ParticleFilterConfig filter;
   double likelihood_beta = 0.5;      ///< tempering for pixel correlation
   double camera_pitch_rad = 0.35;    ///< fixed downward mount tilt (~20 deg)
@@ -65,19 +66,9 @@ struct ScenarioConfig {
   /// Worker pool for the measurement updates (nullptr = serial); results
   /// are bit-identical at any thread count.
   core::ThreadPool* pool = nullptr;
-  /// Defer depth-scan rendering: the constructor skips the eager scan
-  /// pass and scans are rendered on demand by render_scan(step) with
-  /// per-step keyed rng streams — a pure function of the step index, so
-  /// the closed loop's stage A can render a window's scans from any
-  /// worker (see vo::OdometrySession::make_input).
-  /// Deferred and eager scans draw their sensor noise differently (keyed
-  /// streams vs one shared sequential stream), so runs are reproducible
-  /// within a mode but not comparable across modes.
-  bool defer_scans = false;
-  /// Global-localization (kidnapped-drone) workload: runners that honor
-  /// this flag (LocalizationScenario::run via its own parameter,
-  /// vo::run_odometry_loop directly) initialize the cloud uniformly over
-  /// the scene interior with full heading uncertainty instead of a tight
+  /// Global-localization (kidnapped-drone) workload: LocalizationScenario::run
+  /// and vo::run_odometry_loop initialize the cloud uniformly over the
+  /// scene interior with full heading uncertainty instead of a tight
   /// Gaussian around the start pose. Pair with a larger particle_count
   /// and an ESS tempering floor — the first updates are exactly the
   /// degenerate transient tempering exists for.
@@ -110,13 +101,16 @@ struct BackendRun {
 /// Fully-constructed scenario with lazily-run backends.
 class LocalizationScenario {
  public:
+  /// Builds the scene, map fits and trajectory. Throws
+  /// std::invalid_argument for scan_pixels < 1, a non-finite or negative
+  /// scan_noise_m, or a non-finite camera_pitch_rad.
   explicit LocalizationScenario(const ScenarioConfig& config);
 
   /// Runs the filter with the given measurement model; deterministic given
   /// `run_seed`. Uses a Gaussian init around a perturbed start pose
-  /// (tracking mode) or uniform init (global mode).
-  BackendRun run(const MeasurementModel& model, std::uint64_t run_seed,
-                 bool global_init = false) const;
+  /// (tracking mode) or, when config().global_init, a uniform init. Each
+  /// step's scan is render_scan_into(step).
+  BackendRun run(const MeasurementModel& model, std::uint64_t run_seed) const;
 
   /// Backends constructed from this scenario's maps. The HMGM (and so
   /// the CIM array's programming) is fitted at construction. The digital
@@ -134,21 +128,15 @@ class LocalizationScenario {
   /// The hardware-constrained HMGM map the CIM array is programmed from.
   const prob::Hmgm& hmgm() const { return hmgm_; }
   const ScenarioConfig& config() const { return config_; }
-  /// Eagerly pre-rendered scans (empty when config().defer_scans).
-  const std::vector<vision::DepthScan>& scans() const { return scans_; }
 
   /// Renders the depth scan observed after control `step` (at pose
-  /// step+1). Pure function of the step index: sensor noise comes from a
-  /// stream keyed on (seed, step), so calls are thread-safe and
-  /// order-independent — the contract the closed loop's stage A needs
-  /// to render a window's scans in parallel. Works in either mode.
-  vision::DepthScan render_scan(std::size_t step) const;
-
-  /// Allocation-reusing variant of render_scan: renders into `out`
-  /// (pixel capacity kept across calls via a thread-local full-resolution
-  /// scratch scan). Identical draws and pixels to render_scan — the fleet
-  /// engine's stage A uses this to fill per-session scan slots without
-  /// touching the heap in steady state.
+  /// step+1) into `out`. Pure function of the step index: sensor noise
+  /// comes from a stream keyed on (seed, step), so calls are thread-safe
+  /// and order-independent — the contract the closed loop's stage A needs
+  /// to render a window's scans in parallel. `out` keeps its pixel
+  /// capacity across calls and the full-resolution render goes to a
+  /// thread-local scratch scan, so a warm slot renders without touching
+  /// the heap.
   void render_scan_into(std::size_t step, vision::DepthScan& out) const;
 
  private:
@@ -163,7 +151,6 @@ class LocalizationScenario {
   core::Rng gmm_rng_;  ///< split before the HMGM's stream
   prob::Hmgm hmgm_;
   Trajectory trajectory_;
-  std::vector<vision::DepthScan> scans_;  ///< one per trajectory step
 };
 
 /// Synthesizes a smooth loop trajectory inside the scene interior.

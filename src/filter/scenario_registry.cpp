@@ -23,10 +23,6 @@ ScenarioConfig base_config() {
   cfg.likelihood_beta = 0.25;
   cfg.filter.particle_count = 500;
   cfg.cim_columns = 500;
-  // The closed loop renders scans in stage A, fanned over the pool one
-  // window at a time (vo::OdometrySession::make_input): every named
-  // scenario defers scans.
-  cfg.defer_scans = true;
   return cfg;
 }
 

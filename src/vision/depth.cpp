@@ -6,14 +6,6 @@
 
 namespace cimnav::vision {
 
-DepthScan render_depth_scan(const CameraIntrinsics& k, const core::Pose& pose,
-                            const RaycastFn& raycast,
-                            const DepthRenderOptions& opt, core::Rng* rng) {
-  DepthScan scan;
-  render_depth_scan_into(k, pose, raycast, opt, rng, scan);
-  return scan;
-}
-
 void render_depth_scan_into(const CameraIntrinsics& k, const core::Pose& pose,
                             const RaycastFn& raycast,
                             const DepthRenderOptions& opt, core::Rng* rng,
@@ -42,23 +34,6 @@ void render_depth_scan_into(const CameraIntrinsics& k, const core::Pose& pose,
       scan.pixels.push_back(DepthPixel{u, v, depth});
     }
   }
-}
-
-std::vector<core::Vec3> scan_to_world(const DepthScan& scan,
-                                      const core::Pose& pose) {
-  std::vector<core::Vec3> world;
-  world.reserve(scan.pixels.size());
-  const core::Mat3 rot = core::Mat3::rotation_z(pose.yaw);
-  for (const auto& px : scan.pixels)
-    world.push_back(pixel_to_world(scan, rot, pose.position, px));
-  return world;
-}
-
-DepthScan subsample_scan(const DepthScan& scan, std::size_t n,
-                         core::Rng& rng) {
-  DepthScan out;
-  subsample_scan_into(scan, n, rng, out);
-  return out;
 }
 
 void subsample_scan_into(const DepthScan& scan, std::size_t n, core::Rng& rng,

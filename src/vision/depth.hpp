@@ -2,8 +2,11 @@
 //
 // Rendering is generic over a ray-cast callable so the vision module stays
 // independent of the scene representation; the filter layer wires it to
-// map::Scene::raycast. Scans are subsampled on a pixel stride (the paper
-// evaluates "hundreds of non-zero depth pixels", not the full frame).
+// map::Scene::raycast. A scan is rendered on a pixel stride and then
+// randomly decimated (the paper evaluates "hundreds of non-zero depth
+// pixels", not the full frame). Both steps write into caller-owned scans
+// that keep their capacity, and the likelihood back-projects one pixel at
+// a time through pixel_to_world.
 #pragma once
 
 #include <functional>
@@ -37,14 +40,8 @@ struct DepthRenderOptions {
 };
 
 /// Renders a depth scan from `pose` (body frame x-forward) through the
-/// given ray caster. Requires rng when noise_sigma_m > 0.
-DepthScan render_depth_scan(const CameraIntrinsics& k, const core::Pose& pose,
-                            const RaycastFn& raycast,
-                            const DepthRenderOptions& opt, core::Rng* rng);
-
-/// Allocation-reusing variant: renders into `scan` (pixel capacity kept
-/// across calls — the per-session scan slots of the fleet engine).
-/// Identical draws and pixels to render_depth_scan.
+/// given ray caster into `scan` (pixel capacity kept across calls).
+/// Requires rng when noise_sigma_m > 0.
 void render_depth_scan_into(const CameraIntrinsics& k, const core::Pose& pose,
                             const RaycastFn& raycast,
                             const DepthRenderOptions& opt, core::Rng* rng,
@@ -52,8 +49,7 @@ void render_depth_scan_into(const CameraIntrinsics& k, const core::Pose& pose,
 
 /// Back-projects one scan pixel into world coordinates for a pose whose
 /// rotation has been hoisted (`rot` = Mat3::rotation_z(pose.yaw)) — the
-/// allocation-free inner step of every likelihood evaluation. The math
-/// is exactly scan_to_world's per-pixel expression.
+/// allocation-free inner step of every likelihood evaluation.
 inline core::Vec3 pixel_to_world(const DepthScan& scan, const core::Mat3& rot,
                                  const core::Vec3& position,
                                  const DepthPixel& px) {
@@ -62,19 +58,9 @@ inline core::Vec3 pixel_to_world(const DepthScan& scan, const core::Mat3& rot,
          position;
 }
 
-/// Back-projects all scan pixels into world coordinates for a *hypothetical*
-/// pose — the projection step of the likelihood evaluation. Hot paths use
-/// pixel_to_world per pixel instead (this materializes a fresh vector).
-std::vector<core::Vec3> scan_to_world(const DepthScan& scan,
-                                      const core::Pose& pose);
-
-/// Randomly keeps at most `n` pixels of a scan (likelihood decimation).
-DepthScan subsample_scan(const DepthScan& scan, std::size_t n,
-                         core::Rng& rng);
-
-/// Allocation-reusing variant: writes the subsampled scan into `out`
-/// (capacity kept; `out` must not alias `scan`). Identical draws and
-/// pixel selection to subsample_scan.
+/// Randomly keeps at most `n` pixels of a scan (likelihood decimation),
+/// writing them into `out` (capacity kept; `out` must not alias `scan`).
+/// A scan of at most `n` pixels is copied whole and draws nothing.
 void subsample_scan_into(const DepthScan& scan, std::size_t n, core::Rng& rng,
                          DepthScan& out);
 

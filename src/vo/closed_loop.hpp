@@ -184,9 +184,8 @@ void validate(const ClosedLoopConfig& config);
 /// Flies the scenario's whole trajectory through the A -> B -> C loop
 /// and returns the per-step tracking record; `config` must pass
 /// validate(). `scenario` supplies scene, trajectory and scans
-/// (render_scan — any defer mode works);
-/// `vo`/`net` supply the frame features and the CIM-executed regressor;
-/// `model` is the measurement backend (typically
+/// (render_scan_into); `vo`/`net` supply the frame features and the
+/// CIM-executed regressor; `model` is the measurement backend (typically
 /// scenario.make_cim_backend()). When the scenario asks for global init
 /// (ScenarioConfig::global_init — the kidnapped-drone workloads), the
 /// cloud starts uniform over the scene interior instead of a tight

@@ -37,13 +37,6 @@ ObservationModel::ObservationModel(std::vector<core::Vec3> landmarks,
   CIMNAV_REQUIRE(max_range_m > 0.0, "range must be positive");
 }
 
-nn::Vector ObservationModel::observe(const core::Pose& pose,
-                                     core::Rng& rng) const {
-  nn::Vector f;
-  observe_into(pose, rng, f);
-  return f;
-}
-
 void ObservationModel::observe_into(const core::Pose& pose, core::Rng& rng,
                                     nn::Vector& f) const {
   f.clear();
@@ -68,24 +61,6 @@ void ObservationModel::observe_into(const core::Pose& pose, core::Rng& rng,
     f.push_back(squash(body.y, kSoftness));
     f.push_back(squash(body.z, kSoftness));
   }
-}
-
-nn::Vector ObservationModel::observe_clean(const core::Pose& pose) const {
-  nn::Vector f;
-  f.reserve(static_cast<std::size_t>(feature_size()));
-  for (const auto& lm : landmarks_) {
-    const core::Vec3 body = pose.inverse_transform(lm);
-    if (body.norm() > max_range_m_) {
-      f.push_back(0.5);
-      f.push_back(0.5);
-      f.push_back(0.5);
-      continue;
-    }
-    f.push_back(squash(body.x, kSoftness));
-    f.push_back(squash(body.y, kSoftness));
-    f.push_back(squash(body.z, kSoftness));
-  }
-  return f;
 }
 
 int ObservationModel::visible_count(const core::Pose& pose) const {

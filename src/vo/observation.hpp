@@ -5,7 +5,9 @@
 // A fixed set of visual landmarks is observed from each pose: each
 // landmark's body-frame position is squashed through a bounded rational
 // map into (0, 1)^3 so the feature vector is directly consumable by the
-// unsigned CIM input quantizer. Observation noise models feature jitter.
+// unsigned CIM input quantizer. Observation noise models feature jitter;
+// a model built with noise_sigma = 0 observes noise-free and draws
+// nothing from the rng.
 #pragma once
 
 #include <vector>
@@ -39,18 +41,12 @@ class ObservationModel {
   /// Feature dimension per frame (3 per landmark).
   int feature_size() const { return 3 * landmark_count(); }
 
-  /// Observes all landmarks from `pose`: body-frame coordinates squashed
-  /// into (0,1), with additive Gaussian noise before squashing.
-  nn::Vector observe(const core::Pose& pose, core::Rng& rng) const;
-
-  /// Allocation-reusing variant: writes the observation into `out`
-  /// (capacity kept across calls). Identical draws and values to
-  /// observe().
+  /// Observes all landmarks from `pose` into `out` (capacity kept across
+  /// calls): body-frame coordinates squashed into (0,1), with additive
+  /// Gaussian noise before squashing. Each in-range landmark draws three
+  /// normals, in x, y, z order, when noise_sigma > 0.
   void observe_into(const core::Pose& pose, core::Rng& rng,
                     nn::Vector& out) const;
-
-  /// Noise-free observation (tests).
-  nn::Vector observe_clean(const core::Pose& pose) const;
 
   /// Number of landmarks within range from `pose` (difficulty probe).
   int visible_count(const core::Pose& pose) const;

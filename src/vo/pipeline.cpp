@@ -17,13 +17,13 @@ namespace {
 /// centimeter-scale deltas and training collapses to the mean.
 constexpr double kDiffGain = 5.0;
 
-nn::Vector make_feature(const nn::Vector& a, const nn::Vector& b) {
-  nn::Vector f;
-  f.reserve(2 * a.size());
-  f.insert(f.end(), a.begin(), a.end());
+void make_feature_into(const nn::Vector& a, const nn::Vector& b,
+                       nn::Vector& out) {
+  out.clear();
+  out.reserve(2 * a.size());
+  out.insert(out.end(), a.begin(), a.end());
   for (std::size_t i = 0; i < a.size(); ++i)
-    f.push_back(core::clamp(0.5 + kDiffGain * (b[i] - a[i]), 0.0, 1.0));
-  return f;
+    out.push_back(core::clamp(0.5 + kDiffGain * (b[i] - a[i]), 0.0, 1.0));
 }
 
 nn::Vector delta_to_target(const core::Pose& delta) {
@@ -56,6 +56,11 @@ VoPipeline::VoPipeline(const VoPipelineConfig& config)
   net_cfg.dropout_on_input = config_.dropout_on_input;
   net_ = std::make_unique<nn::Mlp>(net_cfg, rng);
 
+  // Training and test pairs observe the later pose first: the order GCC
+  // evaluated the two observation arguments these loops once passed to
+  // one call (C++ leaves it unspecified), to which the weights are pinned.
+  nn::Vector oa, ob;
+
   // Training pairs: dense random coverage of the pose-delta envelope.
   {
     const VoTrajectoryConfig box;  // reuse the default workspace bounds
@@ -71,8 +76,9 @@ VoPipeline::VoPipeline(const VoPipelineConfig& config)
                              rng.uniform(-config_.train_delta_yaw_max,
                                          config_.train_delta_yaw_max)};
       const core::Pose next = pose.compose(delta);
-      train_inputs_.push_back(make_feature(observations_.observe(pose, rng),
-                                           observations_.observe(next, rng)));
+      observations_.observe_into(next, rng, ob);
+      observations_.observe_into(pose, rng, oa);
+      make_feature_into(oa, ob, train_inputs_.emplace_back());
       train_targets_.push_back(delta_to_target(delta));
     }
   }
@@ -87,9 +93,9 @@ VoPipeline::VoPipeline(const VoPipelineConfig& config)
     tc.freq_z = 2.3;
     test_poses_ = make_vo_trajectory(tc);
     for (std::size_t i = 0; i + 1 < test_poses_.size(); ++i) {
-      test_inputs_.push_back(
-          make_feature(observations_.observe(test_poses_[i], rng),
-                       observations_.observe(test_poses_[i + 1], rng)));
+      observations_.observe_into(test_poses_[i + 1], rng, ob);
+      observations_.observe_into(test_poses_[i], rng, oa);
+      make_feature_into(oa, ob, test_inputs_.emplace_back());
       test_targets_.push_back(
           delta_to_target(relative_delta(test_poses_[i], test_poses_[i + 1])));
     }
@@ -145,18 +151,6 @@ VoRun VoPipeline::run_float() const {
   });
 }
 
-VoRun VoPipeline::run_float_mc(int iterations,
-                               bnn::MaskSource& masks) const {
-  return evaluate(
-      "float-mc", [this, iterations, &masks](const nn::Vector& x,
-                                             double* variance) {
-        const auto pred = bnn::mc_predict_float(*net_, x, iterations,
-                                                config_.dropout_p, masks);
-        if (variance != nullptr) *variance = pred.scalar_variance();
-        return pred.mean;
-      });
-}
-
 std::unique_ptr<nn::CimMlp> VoPipeline::make_cim_network(
     const cimsram::CimMacroConfig& macro) const {
   core::Rng rng(config_.seed + 99);
@@ -208,13 +202,6 @@ VoRun VoPipeline::run_cim_mc(const cimsram::CimMacroConfig& macro,
   });
 }
 
-nn::Vector VoPipeline::frame_feature(const core::Pose& a,
-                                     const core::Pose& b,
-                                     core::Rng& rng) const {
-  return make_feature(observations_.observe(a, rng),
-                      observations_.observe(b, rng));
-}
-
 void VoPipeline::frame_feature_into(const core::Pose& a, const core::Pose& b,
                                     core::Rng& rng, nn::Vector& out) const {
   // Warm per-thread observation scratch: stage A of the fleet engine
@@ -222,11 +209,7 @@ void VoPipeline::frame_feature_into(const core::Pose& a, const core::Pose& b,
   thread_local nn::Vector oa, ob;
   observations_.observe_into(a, rng, oa);
   observations_.observe_into(b, rng, ob);
-  out.clear();
-  out.reserve(2 * oa.size());
-  out.insert(out.end(), oa.begin(), oa.end());
-  for (std::size_t i = 0; i < oa.size(); ++i)
-    out.push_back(core::clamp(0.5 + kDiffGain * (ob[i] - oa[i]), 0.0, 1.0));
+  make_feature_into(oa, ob, out);
 }
 
 }  // namespace cimnav::vo

@@ -12,6 +12,11 @@
 // Each evaluation integrates predicted deltas into a trajectory from the
 // known start pose and records per-frame delta errors and (for MC runs)
 // predictive variances, feeding the error-vs-uncertainty analysis.
+//
+// One feature layout serves training, evaluation and the closed loop's
+// stage A: the observation of frame a, then the gained, 0.5-centered
+// difference to the observation of frame b. Training and test pairs draw
+// b's observation noise before a's; frame_feature_into draws a's first.
 #pragma once
 
 #include <memory>
@@ -104,9 +109,6 @@ class VoPipeline {
   /// Full-precision deterministic reference.
   VoRun run_float() const;
 
-  /// Float-precision MC-Dropout (isolates the Bayesian effect from CIM).
-  VoRun run_float_mc(int iterations, bnn::MaskSource& masks) const;
-
   /// CIM-executed deterministic single pass.
   VoRun run_cim_deterministic(const cimsram::CimMacroConfig& macro) const;
 
@@ -133,18 +135,12 @@ class VoPipeline {
   /// The synthetic landmark field the regressor was trained against.
   const ObservationModel& observations() const { return observations_; }
 
-  /// Builds the regressor input for one frame transition a -> b:
-  /// observation of `a` concatenated with the centered difference to the
-  /// observation of `b` (the exact feature layout used in training).
-  /// `rng` drives the observation noise; key it on the frame index when
-  /// generating frames from a loop stage (stage A must be a pure function
-  /// of the frame index — see OdometrySession::make_input).
-  nn::Vector frame_feature(const core::Pose& a, const core::Pose& b,
-                           core::Rng& rng) const;
-
-  /// Allocation-reusing variant of frame_feature: writes the feature into
-  /// `out` (capacity kept across calls; observation scratch is per-thread).
-  /// Identical draws and values to frame_feature.
+  /// Builds the regressor input for one frame transition a -> b into
+  /// `out` (capacity kept across calls; observation scratch is
+  /// per-thread): observes `a`, then `b`, from `rng`, and lays them out
+  /// as in training. Key `rng` on the frame index when generating frames
+  /// from a loop stage (stage A must be a pure function of the frame
+  /// index — see OdometrySession::make_input).
   void frame_feature_into(const core::Pose& a, const core::Pose& b,
                           core::Rng& rng, nn::Vector& out) const;
 

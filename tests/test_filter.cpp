@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstdint>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -177,6 +179,15 @@ class ScenarioTest : public ::testing::Test {
     cfg.cim_columns = 120;
     return cfg;
   }
+
+  /// Every step's scan, rendered as run() and the closed loop render it.
+  static std::vector<vision::DepthScan> scans_of(
+      const LocalizationScenario& sc) {
+    std::vector<vision::DepthScan> scans(sc.trajectory().controls.size());
+    for (std::size_t i = 0; i < scans.size(); ++i)
+      sc.render_scan_into(i, scans[i]);
+    return scans;
+  }
 };
 
 TEST_F(ScenarioTest, TrajectoryStaysInsideInterior) {
@@ -217,7 +228,7 @@ TEST_F(ScenarioTest, TruePoseOutscoresPerturbedPose) {
   const auto model = sc.make_gmm_backend();
   Rng rng(29);
   const Pose truth = sc.trajectory().poses[3];
-  const auto& scan = sc.scans()[2];
+  const auto scan = scans_of(sc)[2];
   const double at_truth = model->log_likelihood(truth, scan, rng);
   int wins = 0;
   for (int k = 0; k < 10; ++k) {
@@ -254,7 +265,7 @@ TEST_F(ScenarioTest, CimLikelihoodCountsOneReadPerPixel) {
   // the chunking and in the kernel's interleaved groups.
   const LocalizationScenario sc(small_config());
   const auto cim = sc.make_cim_backend();
-  const auto& base = sc.scans()[2];
+  const auto base = scans_of(sc)[2];
   ASSERT_FALSE(base.pixels.empty());
   Rng rng(30);
   const Pose pose = sc.trajectory().poses[3];
@@ -341,6 +352,7 @@ TEST_F(ScenarioTest, CimSharedUpdateBitIdenticalToPerPosePath) {
   cfg.filter.particle_count = 300;
   cfg.filter.resample_threshold = 0.0;  // keep the log-weights observable
   const LocalizationScenario sc(cfg);
+  const auto scans = scans_of(sc);
   const vision::DepthScan empty_scan;
   core::ThreadPool p1(1), p2(2), p8(8);
   core::ThreadPool* const pools[] = {nullptr, &p1, &p2, &p8};
@@ -399,16 +411,16 @@ TEST_F(ScenarioTest, CimSharedUpdateBitIdenticalToPerPosePath) {
         weights_match(name);
       };
       for (std::size_t f = 0; f < 3; ++f) {
-        ASSERT_FALSE(sc.scans()[f].pixels.empty());
+        ASSERT_FALSE(scans[f].pixels.empty());
         shared.predict(sc.trajectory().controls[f], rng_s);
         reference.predict(sc.trajectory().controls[f], rng_r);
-        step("full", sc.scans()[f], 1.0);
-        step("decimated", sc.scans()[f], 0.25);
+        step("full", scans[f], 1.0);
+        step("decimated", scans[f], 0.25);
       }
       // KLD-style shrink: the shared scratch serves a smaller cloud.
       shared.resample_to(77, rng_s, pool);
       reference.resample_to(77, rng_r, pool);
-      step("after shrink", sc.scans()[3], 1.0);
+      step("after shrink", scans[3], 1.0);
       step("empty scan", empty_scan, 1.0);
       // A 10-frame predict/update flight: each update takes the currents
       // earlier updates cached, so the array computes fewer ideal
@@ -420,7 +432,7 @@ TEST_F(ScenarioTest, CimSharedUpdateBitIdenticalToPerPosePath) {
       const std::uint64_t flight_ideal0 = total_ideal;
       const std::size_t n_ctl = sc.trajectory().controls.size();
       for (std::size_t f = 0; f < 10; ++f) {
-        const vision::DepthScan& scan = sc.scans()[f % n_ctl];
+        const vision::DepthScan& scan = scans[f % n_ctl];
         shared.predict(sc.trajectory().controls[f % n_ctl], rng_s);
         reference.predict(sc.trajectory().controls[f % n_ctl], rng_r);
         flight_distinct += distinct_keys(cim, shared.soa(), scan, mapping);
@@ -439,7 +451,7 @@ TEST_F(ScenarioTest, CimCacheRefillsEvictedKeysWithTheSameBits) {
   const auto model = sc.make_cim_backend(8, 4);
   const auto& cim = dynamic_cast<const CimHmgmLikelihood&>(*model);
   const PerPoseForward per_pose(cim);
-  const vision::DepthScan& scan = sc.scans()[1];
+  const vision::DepthScan scan = scans_of(sc)[1];
   core::ThreadPool pool(2);
   Rng rng(53);
   // Ten poses around the true pose, and 1000 anywhere in the interior
@@ -487,7 +499,8 @@ TEST_F(ScenarioTest, CimSharedUpdatesFromTwoThreadsMatchSerialReplay) {
   const auto model = sc.make_cim_backend();
   const auto replay_model = sc.make_cim_backend();
   constexpr std::size_t kFrames = 6, kPoses = 150;
-  ASSERT_GE(sc.scans().size(), kFrames);
+  const auto scans = scans_of(sc);
+  ASSERT_GE(scans.size(), kFrames);
   Rng rng(59);
   std::array<std::vector<Cloud>, 2> clouds;
   for (auto& per_thread : clouds)
@@ -499,7 +512,7 @@ TEST_F(ScenarioTest, CimSharedUpdatesFromTwoThreadsMatchSerialReplay) {
                        core::ThreadPool* pool, Outputs& out) {
     out.assign(kFrames, std::vector<double>(kPoses));
     for (std::size_t f = 0; f < kFrames; ++f)
-      m.log_likelihoods(clouds[t][f].view(), sc.scans()[f], 100 * t + f,
+      m.log_likelihoods(clouds[t][f].view(), scans[f], 100 * t + f,
                         pool, out[f]);
   };
   core::ThreadPool pool(2);
@@ -548,9 +561,10 @@ TEST_F(ScenarioTest, LazyGmmRefitsTheSameModelOnEveryCall) {
   const auto second = sc.make_gmm_backend();
   const auto cim = sc.make_cim_backend();
   const auto after_cim = sc.make_gmm_backend();
+  const auto scans = scans_of(sc);
   Rng rng(3);
   for (std::size_t f = 0; f < 3; ++f) {
-    const auto& scan = sc.scans()[f];
+    const auto& scan = scans[f];
     for (double dx : {0.0, 0.1, -0.25}) {
       Pose pose = sc.trajectory().poses[f + 1];
       pose.position.x += dx;
@@ -591,14 +605,51 @@ TEST_F(ScenarioTest, GlobalLocalizationConverges) {
   ScenarioConfig cfg = small_config();
   cfg.filter.particle_count = 500;
   cfg.trajectory_steps = 8;
+  cfg.global_init = true;
   const LocalizationScenario sc(cfg);
   const auto gmm = sc.make_gmm_backend();
-  const auto run = sc.run(*gmm, 777, /*global_init=*/true);
+  const auto run = sc.run(*gmm, 777);
   // Final error well under the room diagonal (~3.9 m) and under the
   // average error of a random guess (~1.5 m).
   EXPECT_LT(run.final_error_m, 0.8);
   EXPECT_LT(run.steps.back().position_error_m,
             run.steps.front().position_error_m);
+}
+
+// Scans render on stage-A pool workers, so a scan field the renderer would
+// take silently must fail at construction, naming the field.
+void expect_rejected(const ScenarioConfig& cfg, const std::string& field) {
+  try {
+    const LocalizationScenario sc(cfg);
+    ADD_FAILURE() << field << " accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ScenarioConfigCheck, RejectsScanPixelsBelowOne) {
+  for (int pixels : {-1, 0}) {
+    ScenarioConfig cfg;
+    cfg.scan_pixels = pixels;
+    expect_rejected(cfg, "scan_pixels");
+  }
+}
+
+TEST(ScenarioConfigCheck, RejectsNonFiniteOrNegativeScanNoise) {
+  for (double noise : {std::nan(""), -0.01, HUGE_VAL}) {
+    ScenarioConfig cfg;
+    cfg.scan_noise_m = noise;
+    expect_rejected(cfg, "scan_noise_m");
+  }
+}
+
+TEST(ScenarioConfigCheck, RejectsNonFiniteCameraPitch) {
+  for (double pitch : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    ScenarioConfig cfg;
+    cfg.camera_pitch_rad = pitch;
+    expect_rejected(cfg, "camera_pitch_rad");
+  }
 }
 
 TEST(Kld, RequiredParticlesGrowWithBins) {
@@ -987,7 +1038,6 @@ TEST(ScenarioRegistry, ConfigsPairLayoutsAndTrajectories) {
   const auto corridor = make_scenario_config("corridor_dropout");
   EXPECT_EQ(corridor.scene.layout, map::SceneLayout::kCorridor);
   EXPECT_EQ(corridor.trajectory, TrajectoryKind::kCorridorSweep);
-  EXPECT_TRUE(corridor.defer_scans);
   const auto warehouse = make_scenario_config("warehouse_symmetry");
   EXPECT_EQ(warehouse.scene.layout, map::SceneLayout::kWarehouse);
   const auto square = make_scenario_config("loop_closure_square");

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include "core/rng.hpp"
 #include "map/map_model.hpp"
@@ -266,6 +268,22 @@ class DepthRenderTest : public ::testing::Test {
       return scene_->raycast(o, d);
     };
   }
+  /// A noise-free render into a fresh scan.
+  vision::DepthScan render(const vision::CameraIntrinsics& k, const Pose& pose,
+                           const vision::DepthRenderOptions& opt) const {
+    vision::DepthScan scan;
+    vision::render_depth_scan_into(k, pose, raycaster(), opt, nullptr, scan);
+    return scan;
+  }
+  /// Every pixel back-projected at `pose`, as the likelihood does it.
+  static std::vector<Vec3> world_points(const vision::DepthScan& scan,
+                                        const Pose& pose) {
+    const core::Mat3 rot = core::Mat3::rotation_z(pose.yaw);
+    std::vector<Vec3> world;
+    for (const auto& px : scan.pixels)
+      world.push_back(vision::pixel_to_world(scan, rot, pose.position, px));
+    return world;
+  }
   std::unique_ptr<map::Scene> scene_;
 };
 
@@ -273,8 +291,7 @@ TEST_F(DepthRenderTest, CenterPixelSeesWallDistance) {
   const auto k = vision::CameraIntrinsics::kinect_like(64, 48);
   vision::DepthRenderOptions opt;
   opt.pixel_stride = 1;
-  const auto scan = vision::render_depth_scan(k, Pose{{0, 0, 0}, 0.0},
-                                              raycaster(), opt, nullptr);
+  const auto scan = render(k, Pose{{0, 0, 0}, 0.0}, opt);
   ASSERT_FALSE(scan.pixels.empty());
   for (const auto& px : scan.pixels) {
     if (px.u == 32 && px.v == 24) {
@@ -291,10 +308,9 @@ TEST_F(DepthRenderTest, ScanToWorldLandsOnWall) {
   vision::DepthRenderOptions opt;
   opt.pixel_stride = 4;
   const Pose pose{{0, 0, 0}, 0.0};
-  const auto scan =
-      vision::render_depth_scan(k, pose, raycaster(), opt, nullptr);
-  const auto world = vision::scan_to_world(scan, pose);
-  for (const auto& p : world) EXPECT_NEAR(p.x, 3.0, 0.02);
+  const auto scan = render(k, pose, opt);
+  ASSERT_FALSE(scan.pixels.empty());
+  for (const auto& p : world_points(scan, pose)) EXPECT_NEAR(p.x, 3.0, 0.02);
 }
 
 TEST_F(DepthRenderTest, ScanToWorldConsistentUnderYawAndPitch) {
@@ -305,11 +321,10 @@ TEST_F(DepthRenderTest, ScanToWorldConsistentUnderYawAndPitch) {
   opt.pixel_stride = 4;
   opt.mount_pitch_rad = 0.3;
   const Pose pose{{-1.0, 0.5, 1.0}, 0.2};
-  const auto scan =
-      vision::render_depth_scan(k, pose, raycaster(), opt, nullptr);
+  const auto scan = render(k, pose, opt);
   ASSERT_FALSE(scan.pixels.empty());
   EXPECT_DOUBLE_EQ(scan.mount_pitch_rad, 0.3);
-  for (const auto& p : vision::scan_to_world(scan, pose))
+  for (const auto& p : world_points(scan, pose))
     EXPECT_NEAR(p.x, 3.0, 0.02);
 }
 
@@ -317,8 +332,7 @@ TEST_F(DepthRenderTest, MaxRangeDropsFarPixels) {
   const auto k = vision::CameraIntrinsics::kinect_like(64, 48);
   vision::DepthRenderOptions opt;
   opt.max_range_m = 2.0;  // wall at 3 m: everything out of range
-  const auto scan = vision::render_depth_scan(k, Pose{{0, 0, 0}, 0.0},
-                                              raycaster(), opt, nullptr);
+  const auto scan = render(k, Pose{{0, 0, 0}, 0.0}, opt);
   EXPECT_TRUE(scan.pixels.empty());
 }
 
@@ -326,8 +340,7 @@ TEST_F(DepthRenderTest, NoiseRequiresRng) {
   const auto k = vision::CameraIntrinsics::kinect_like(64, 48);
   vision::DepthRenderOptions opt;
   opt.noise_sigma_m = 0.01;
-  EXPECT_THROW(vision::render_depth_scan(k, Pose{}, raycaster(), opt, nullptr),
-               std::invalid_argument);
+  EXPECT_THROW(render(k, Pose{}, opt), std::invalid_argument);
 }
 
 TEST_F(DepthRenderTest, SubsampleKeepsFieldsAndCount) {
@@ -335,14 +348,14 @@ TEST_F(DepthRenderTest, SubsampleKeepsFieldsAndCount) {
   vision::DepthRenderOptions opt;
   opt.pixel_stride = 2;
   opt.mount_pitch_rad = 0.25;
-  const auto scan = vision::render_depth_scan(k, Pose{{0, 0, 0}, 0.0},
-                                              raycaster(), opt, nullptr);
+  const auto scan = render(k, Pose{{0, 0, 0}, 0.0}, opt);
   Rng rng(17);
-  const auto sub = vision::subsample_scan(scan, 40, rng);
+  vision::DepthScan sub, same;
+  vision::subsample_scan_into(scan, 40, rng, sub);
   EXPECT_EQ(sub.pixels.size(), 40u);
   EXPECT_DOUBLE_EQ(sub.mount_pitch_rad, 0.25);
   // Subsampling a smaller scan is the identity.
-  const auto same = vision::subsample_scan(sub, 100, rng);
+  vision::subsample_scan_into(sub, 100, rng, same);
   EXPECT_EQ(same.pixels.size(), sub.pixels.size());
 }
 

@@ -526,7 +526,8 @@ TEST(ZeroAllocation, SharedCimUpdatesNeverTouchTheHeap) {
   const auto* cim =
       dynamic_cast<const filter::CimHmgmLikelihood*>(model.get());
   ASSERT_NE(cim, nullptr);
-  const vision::DepthScan& scan = sc.scans()[0];
+  vision::DepthScan scan;
+  sc.render_scan_into(0, scan);
   ASSERT_EQ(scan.pixels.size(), 80u);
   const filter::Control ctl{{0.02, 0.0, 0.0}, 0.01};
 
@@ -623,7 +624,8 @@ TEST(ZeroAllocation, DigitalLikelihoodsNeverTouchTheHeap) {
   sc_cfg.trajectory_steps = 3;
   sc_cfg.scan_pixels = 80;
   const filter::LocalizationScenario sc(sc_cfg);
-  const vision::DepthScan& scan = sc.scans()[0];
+  vision::DepthScan scan;
+  sc.render_scan_into(0, scan);
   ASSERT_EQ(scan.pixels.size(), 80u);
   const core::Pose pose = sc.trajectory().poses[1];
 

@@ -39,7 +39,8 @@ TEST(Observation, FeatureSizeAndRange) {
   Rng rng(3);
   const auto obs = ObservationModel::random(10, {0, 0, 0}, {4, 3, 2}, rng);
   EXPECT_EQ(obs.feature_size(), 30);
-  const auto f = obs.observe(Pose{{2, 1.5, 1}, 0.3}, rng);
+  nn::Vector f;
+  obs.observe_into(Pose{{2, 1.5, 1}, 0.3}, rng, f);
   ASSERT_EQ(f.size(), 30u);
   for (double v : f) {
     EXPECT_GE(v, 0.0);
@@ -47,18 +48,29 @@ TEST(Observation, FeatureSizeAndRange) {
   }
 }
 
+/// Observes `pose` with a noise-free model, checking it draws nothing.
+nn::Vector observe_noise_free(const ObservationModel& obs, const Pose& pose) {
+  Rng rng(99), untouched(99);
+  nn::Vector f;
+  obs.observe_into(pose, rng, f);
+  EXPECT_EQ(rng.normal(), untouched.normal())
+      << "a noise-free observation drew from the rng";
+  return f;
+}
+
 TEST(Observation, CleanObservationIsDeterministicAndPoseSensitive) {
   Rng rng(5);
-  const auto obs = ObservationModel::random(8, {0, 0, 0}, {4, 3, 2}, rng);
+  const auto noisy = ObservationModel::random(8, {0, 0, 0}, {4, 3, 2}, rng);
+  const ObservationModel obs(noisy.landmarks(), 0.0);
   const Pose a{{1, 1, 1}, 0.0};
   const Pose b{{1.5, 1, 1}, 0.0};
-  EXPECT_EQ(obs.observe_clean(a), obs.observe_clean(a));
-  EXPECT_NE(obs.observe_clean(a), obs.observe_clean(b));
+  EXPECT_EQ(observe_noise_free(obs, a), observe_noise_free(obs, a));
+  EXPECT_NE(observe_noise_free(obs, a), observe_noise_free(obs, b));
 }
 
 TEST(Observation, OutOfRangeLandmarksReadNeutral) {
   const ObservationModel obs({{10, 0, 0}}, 0.0, 3.0);
-  const auto f = obs.observe_clean(Pose{{0, 0, 0}, 0.0});
+  const auto f = observe_noise_free(obs, Pose{{0, 0, 0}, 0.0});
   EXPECT_DOUBLE_EQ(f[0], 0.5);
   EXPECT_DOUBLE_EQ(f[1], 0.5);
   EXPECT_DOUBLE_EQ(f[2], 0.5);
@@ -162,6 +174,34 @@ class PipelineFixture : public ::testing::Test {
     return *p;
   }
 };
+
+TEST_F(PipelineFixture, FrameFeatureObservesAThenB) {
+  // The closed loop's stage A feature: a's observation, then b's, from
+  // one rng, laid out as a followed by the gained, 0.5-centered
+  // difference b - a. Pins the draw order the training loops do not use.
+  const VoPipeline& p = pipeline();
+  const auto& poses = p.test_trajectory();
+  for (std::size_t i : {0u, 10u, 57u}) {
+    const Pose& a = poses[i];
+    const Pose& b = poses[i + 1];
+    Rng rng(1000 + i);
+    Rng replay = rng;
+    nn::Vector feature;
+    p.frame_feature_into(a, b, rng, feature);
+
+    nn::Vector oa, ob;
+    p.observations().observe_into(a, replay, oa);
+    p.observations().observe_into(b, replay, ob);
+    ASSERT_EQ(feature.size(), 2 * oa.size());
+    for (std::size_t k = 0; k < oa.size(); ++k) {
+      EXPECT_EQ(feature[k], oa[k]) << "i=" << i << " k=" << k;
+      EXPECT_EQ(feature[oa.size() + k],
+                core::clamp(0.5 + 5.0 * (ob[k] - oa[k]), 0.0, 1.0))
+          << "i=" << i << " k=" << k;
+    }
+    EXPECT_EQ(rng(), replay()) << "i=" << i;
+  }
+}
 
 TEST_F(PipelineFixture, TrainingLearnsTheTask) {
   // Test MSE well below the target variance (~0.0038).

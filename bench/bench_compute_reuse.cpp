@@ -27,7 +27,6 @@ int main() {
   core::Rng rng(5);
   nn::MlpConfig net_cfg;
   net_cfg.layer_sizes = {144, 64, 32, 4};
-  net_cfg.dropout_on_input = false;
   nn::Mlp net(net_cfg, rng);
 
   std::vector<nn::Vector> calib;

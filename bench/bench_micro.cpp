@@ -498,7 +498,6 @@ int main() {
     core::Rng rng(5);
     nn::MlpConfig net_cfg;
     net_cfg.layer_sizes = {144, 64, 32, 4};
-    net_cfg.dropout_on_input = false;
     net_cfg.dropout_p = 0.5;
     nn::Mlp net(net_cfg, rng);
     std::vector<nn::Vector> calib;
@@ -561,7 +560,6 @@ int main() {
     nn::MlpConfig cfg;
     cfg.layer_sizes = {144, 128, 64, 4};
     cfg.dropout_p = 0.2;
-    cfg.dropout_on_input = false;
     nn::Mlp net(cfg, rng);
     constexpr int kSamples = 4000;
     std::vector<nn::Vector> inputs, targets;

@@ -9,11 +9,10 @@
 namespace cimnav::bnn {
 namespace {
 
-/// Mask-site widths of `net`: the input site (when input-site dropout is
-/// on), then every hidden layer. Fills `widths` reusing its capacity.
+/// Mask-site widths of `net`: one per hidden layer. Fills `widths`
+/// reusing its capacity.
 void mask_site_widths(const nn::CimMlp& net, std::vector<int>& widths) {
   widths.clear();
-  if (net.dropout_on_input()) widths.push_back(net.macro(0).n_in());
   for (int l = 0; l + 1 < net.layer_count(); ++l)
     widths.push_back(net.macro(l).n_out());
 }
@@ -78,22 +77,6 @@ double McPrediction::scalar_variance() const {
 double McPrediction::component_stddev(std::size_t i) const {
   CIMNAV_REQUIRE(i < variance.size(), "component index out of range");
   return std::sqrt(std::max(variance[i], 0.0));
-}
-
-McPrediction mc_predict_float(const nn::Mlp& net, const nn::Vector& x,
-                              int iterations, double dropout_p,
-                              MaskSource& masks) {
-  CIMNAV_REQUIRE(iterations >= 1, "need at least one iteration");
-  std::vector<nn::Vector> outs;
-  outs.reserve(static_cast<std::size_t>(iterations));
-  for (int t = 0; t < iterations; ++t) {
-    const auto mask_set =
-        net.sample_masks([&] { return masks.draw(dropout_p); });
-    outs.push_back(net.forward_masked(x, mask_set));
-  }
-  McPrediction pred;
-  reduce_outputs(outs, static_cast<std::size_t>(net.output_size()), pred);
-  return pred;
 }
 
 std::uint64_t hamming_distance(const nn::Mask& a, const nn::Mask& b) {
@@ -209,13 +192,10 @@ std::size_t mc_predict_cim_jobs(const nn::CimMlp& net, McWindowJob* jobs,
   for (std::size_t j = 0; j < n_jobs; ++j) {
     CIMNAV_REQUIRE(jobs[j].options.iterations >= 1,
                    "need at least one iteration");
-    // The reuse engine needs a locus: input-site dropout, or a hidden
-    // layer whose mask gates layer 1. Jobs without one run dense (sample
-    // ordering still applies there — it permutes the visiting order).
-    const bool can_reuse =
-        jobs[j].options.compute_reuse &&
-        (net.dropout_on_input() || net.layer_count() >= 2) &&
-        !widths.empty();
+    // The reuse engine needs a locus: a hidden layer whose mask gates
+    // layer 1. Jobs without one run dense (sample ordering still applies
+    // there — it permutes the visiting order).
+    const bool can_reuse = jobs[j].options.compute_reuse && !widths.empty();
     job_reuse.push_back(can_reuse ? 1 : 0);
     total_frames += jobs[j].n_frames;
     if (can_reuse) total_reuse += jobs[j].n_frames;

@@ -1,12 +1,12 @@
 // Monte-Carlo Dropout inference engine (paper Sec. III-C).
 //
 // Runs T masked forward passes, accumulating per-output mean (the point
-// prediction) and variance (the predictive uncertainty). Three execution
+// prediction) and variance (the predictive uncertainty). Two execution
 // paths share one interface:
 //
-//  * float     — reference MC-Dropout on the trained Mlp;
 //  * cim       — every iteration through the analog macros;
-//  * cim+reuse — first-layer compute reuse (P_i = P_{i-1} + Wx|A - Wx|D),
+//  * cim+reuse — compute reuse at the layer-1 locus over the first hidden
+//                mask (P_i = P_{i-1} + Wx|A - Wx|D, nn::CimMlp),
 //                optionally with greedy sample ordering that permutes the
 //                pre-drawn masks to minimize consecutive Hamming distance
 //                and hence the delta workload.
@@ -21,7 +21,6 @@
 #include "core/rng.hpp"
 #include "core/thread_pool.hpp"
 #include "nn/cim_mlp.hpp"
-#include "nn/mlp.hpp"
 #include "nn/tensor.hpp"
 
 namespace cimnav::bnn {
@@ -47,7 +46,7 @@ struct McPrediction {
 struct McOptions {
   int iterations = 30;        ///< MC forward passes per prediction (T)
   double dropout_p = 0.5;     ///< per-neuron drop probability
-  bool compute_reuse = false; ///< first-layer delta accumulation (Sec. III-C)
+  bool compute_reuse = false; ///< layer-1 delta accumulation (Sec. III-C)
   /// Greedy min-Hamming tour over the locus masks (greedy_order_chain):
   /// per refresh chain with compute_reuse, over the whole window on the
   /// dense path.
@@ -70,10 +69,12 @@ struct McOptions {
 /// Workload accounting for one MC-Dropout prediction on CIM.
 struct McWorkload {
   cimsram::MacroStats macro;  ///< analog activity during the run
-  /// Sum of consecutive locus-mask Hamming distances along the visiting
-  /// order — the delta workload the reuse path actually dispatches. With
-  /// compute_reuse the sum is per refresh chain (a chain start re-runs
-  /// dense, so no delta crosses it); dense paths sum the whole window.
+  /// Sum of consecutive locus-mask (first hidden mask) Hamming distances
+  /// along the visiting order — the delta workload the reuse path
+  /// actually dispatches. With compute_reuse the sum is per refresh chain
+  /// (a chain start re-runs dense, so no delta crosses it); dense paths
+  /// sum the whole window. The name predates the layer-1 locus; it stays
+  /// because perfbench reads it.
   std::uint64_t input_mask_flips = 0;
   std::uint64_t mask_bits_drawn = 0;
 
@@ -85,11 +86,6 @@ struct McWorkload {
     return *this;
   }
 };
-
-/// Reference float MC-Dropout on the trained network.
-McPrediction mc_predict_float(const nn::Mlp& net, const nn::Vector& x,
-                              int iterations, double dropout_p,
-                              MaskSource& masks);
 
 /// MC-Dropout through the CIM macros. `analog_rng` drives macro noise.
 /// Workload (if non-null) *accumulates* this call's activity delta — the

@@ -80,9 +80,9 @@ struct McEnergyReport {
   double tops_per_watt = 0.0;   ///< ops / energy / 1e12
 };
 
-/// Evaluates the model. The first layer is treated as the reuse locus
-/// when compute_reuse is set: iteration 1 runs dense, iterations 2..T run
-/// delta evaluations over the expected flip count.
+/// Evaluates the model. With compute_reuse, layer 0 runs dense once and
+/// layer 1 is the reuse locus: iteration 1 runs dense, iterations 2..T
+/// run delta evaluations over the expected flip count.
 McEnergyReport mc_dropout_energy(const McWorkloadModel& workload,
                                  const SramCim16nm& tech = {});
 

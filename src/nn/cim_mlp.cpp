@@ -28,7 +28,6 @@ CimMlp::CimMlp(const Mlp& reference,
   CIMNAV_REQUIRE(!calibration_inputs.empty(), "need calibration inputs");
   const MlpConfig& cfg = reference.config();
   keep_scale_ = 1.0 / (1.0 - cfg.dropout_p);
-  dropout_on_input_ = cfg.dropout_on_input;
 
   const int n_layers = reference.layer_count();
   // Calibrate per-layer input maxima under representative dropout masks
@@ -41,13 +40,7 @@ CimMlp::CimMlp(const Mlp& reference,
       auto masks = reference.sample_masks(
           [&] { return rng.bernoulli(cfg.dropout_p); });
       // Replicate the masked forward, recording layer-input maxima.
-      std::size_t site = 0;
       Vector a = x;
-      if (cfg.dropout_on_input) {
-        const Mask& m = masks[site++];
-        for (std::size_t i = 0; i < a.size(); ++i)
-          a[i] = m[i] ? a[i] * keep_scale_ : 0.0;
-      }
       for (int l = 0; l < n_layers; ++l) {
         for (double v : a)
           act_max[static_cast<std::size_t>(l)] =
@@ -57,7 +50,7 @@ CimMlp::CimMlp(const Mlp& reference,
         for (std::size_t i = 0; i < z.size(); ++i) z[i] += b[i];
         if (l + 1 < n_layers) {
           for (double& v : z) v = std::max(0.0, v);
-          const Mask& m = masks[site++];
+          const Mask& m = masks[static_cast<std::size_t>(l)];
           for (std::size_t i = 0; i < z.size(); ++i)
             z[i] = m[i] ? z[i] * keep_scale_ : 0.0;
         }
@@ -89,18 +82,7 @@ void CimMlp::encode_layer0(const Vector& x,
   CIMNAV_REQUIRE(x.size() ==
                      static_cast<std::size_t>(macros_.front()->n_in()),
                  "input size mismatch");
-  if (dropout_on_input_) {
-    // Masked inputs are scaled digitally before the DAC (the CL AND gates
-    // the word line; the keep scale rides on the digital input code), so
-    // the encoded values are mask-independent: dropped rows are simply
-    // gated off.
-    thread_local Vector scaled;
-    scaled.resize(x.size());
-    for (std::size_t i = 0; i < x.size(); ++i) scaled[i] = x[i] * keep_scale_;
-    macros_.front()->encode_input(scaled, enc);
-  } else {
-    macros_.front()->encode_input(x, enc);
-  }
+  macros_.front()->encode_input(x, enc);
 }
 
 void CimMlp::finish_layer(Vector& z, const Vector& bias,
@@ -121,15 +103,9 @@ void CimMlp::finish_layer(Vector& z, const Vector& bias,
 }
 
 void CimMlp::check_mask_set(const std::vector<Mask>& set) const {
-  const std::size_t base = dropout_on_input_ ? 1 : 0;
-  CIMNAV_REQUIRE(set.size() == base + macros_.size() - 1,
-                 "mask count mismatch");
-  if (dropout_on_input_)
-    CIMNAV_REQUIRE(set[0].size() ==
-                       static_cast<std::size_t>(macros_.front()->n_in()),
-                   "input mask size mismatch");
+  CIMNAV_REQUIRE(set.size() == macros_.size() - 1, "mask count mismatch");
   for (std::size_t l = 0; l + 1 < macros_.size(); ++l)
-    CIMNAV_REQUIRE(set[base + l].size() ==
+    CIMNAV_REQUIRE(set[l].size() ==
                        static_cast<std::size_t>(macros_[l]->n_out()),
                    "hidden mask size mismatch");
 }
@@ -141,7 +117,6 @@ void CimMlp::forward_window(const std::vector<FrameBatch>& frames,
     const {
   const std::size_t n_frames = frames.size();
   const int n_layers = layer_count();
-  const int mask_base = dropout_on_input_ ? 1 : 0;
 
   // Flatten the window into (frame, iteration) work items; each item owns
   // a persistent rng stream it carries across the per-layer dispatches.
@@ -185,11 +160,9 @@ void CimMlp::forward_window(const std::vector<FrameBatch>& frames,
             frame_stats != nullptr ? &scratch.item_stats[i] : nullptr);
         const std::vector<Mask>& set = (*frames[f].mask_sets)[t];
         const Mask& row_mask =
-            l == 0 ? (dropout_on_input_ ? set[0] : empty)
-                   : set[static_cast<std::size_t>(mask_base + l - 1)];
+            l == 0 ? empty : set[static_cast<std::size_t>(l - 1)];
         const Mask& col_mask =
-            has_hidden_mask ? set[static_cast<std::size_t>(mask_base + l)]
-                            : empty;
+            has_hidden_mask ? set[static_cast<std::size_t>(l)] : empty;
         const cimsram::EncodedInput* enc = &scratch.enc0[f];
         if (l > 0) {
           macro.encode_input(scratch.acts[i], enc_hidden);
@@ -229,13 +202,10 @@ void CimMlp::forward_reuse_window(const std::vector<ReuseFrame>& frames,
                                   core::ThreadPool* pool,
                                   ReuseScratch& scratch) const {
   const int n_layers = layer_count();
-  const int mask_base = dropout_on_input_ ? 1 : 0;
-  CIMNAV_REQUIRE(mask_base + n_layers - 1 >= 1,
-                 "compute reuse needs a mask site");
-  // Reuse locus: layer 0 over the input mask, or layer 1 over the first
-  // hidden mask — in both modes the locus mask is site 0 of every set.
-  const int lc = dropout_on_input_ ? 0 : 1;
-  const auto& locus = *macros_[static_cast<std::size_t>(lc)];
+  CIMNAV_REQUIRE(n_layers >= 2, "compute reuse needs a mask site");
+  // Reuse locus: layer 1, over the first hidden mask (site 0 of every
+  // set).
+  const auto& locus = *macros_[1];
   const Mask ungated;  // every row / column live (accumulators keep all)
 
   // Partition every frame's visiting positions into refresh chains.
@@ -254,9 +224,8 @@ void CimMlp::forward_reuse_window(const std::vector<ReuseFrame>& frames,
                    "reuse frame entries must be populated");
     const std::size_t t_total = fr.mask_sets->size();
     for (const auto& set : *fr.mask_sets) check_mask_set(set);
-    // The frozen layer-0 encoding: the keep-scaled input with input-site
-    // dropout (shared by all of the frame's chains), the raw input
-    // otherwise (each chain's start replays it in its dense layer-0 read).
+    // The frame's layer-0 encoding, which each chain's start replays in
+    // its dense layer-0 read.
     encode_layer0(*fr.x, scratch.enc0[f]);
     fr.outs->resize(t_total);
     const std::size_t chain_len = fr.chain_len > 0 ? fr.chain_len : t_total;
@@ -283,7 +252,7 @@ void CimMlp::forward_reuse_window(const std::vector<ReuseFrame>& frames,
   scratch.deltas.resize(n_chains);
   scratch.added.resize(n_chains);
   scratch.removed.resize(n_chains);
-  if (!dropout_on_input_) scratch.frozen_enc.resize(n_chains);
+  scratch.frozen_enc.resize(n_chains);
   if (tracking) scratch.chain_stats.assign(n_chains, {});
   // Flip lists are bounded by the locus row count; reserving the bound
   // keeps the digital-diff loop off the heap even when a fresh mask draw
@@ -302,10 +271,6 @@ void CimMlp::forward_reuse_window(const std::vector<ReuseFrame>& frames,
                ? &scratch.chain_stats[ch]
                : nullptr;
   };
-  const auto frozen_of = [&](std::size_t ch) -> const cimsram::EncodedInput& {
-    return dropout_on_input_ ? scratch.enc0[scratch.chain_frame[ch]]
-                             : scratch.frozen_enc[ch];
-  };
   // The mask set chain `ch` visits at position `k`.
   const auto set_at = [&](std::size_t ch, std::size_t k)
       -> const std::vector<Mask>& {
@@ -319,26 +284,24 @@ void CimMlp::forward_reuse_window(const std::vector<ReuseFrame>& frames,
   // The chain-step kernel: three phases, each consuming only its own
   // chain's rng, in the order layer 0 -> locus -> tail.
   //
-  // start — dense (re)initialization at the chain's first position. In
-  // hidden-site mode the chain first reads layer 0 densely on its own
-  // noise stream and encodes the frozen hidden values.
+  // start — dense (re)initialization at the chain's first position: the
+  // chain reads layer 0 densely on its own noise stream, encodes the
+  // frozen hidden values, then fills the locus accumulator.
   const auto start = [&](std::size_t ch) {
     thread_local std::vector<std::uint64_t> gate;
     thread_local Vector pre, fv;
-    if (!dropout_on_input_) {
-      const auto& m0 = *macros_[0];
-      cimsram::pack_row_mask(ungated, m0.n_in(), gate);
-      m0.matvec_encoded(scratch.enc0[scratch.chain_frame[ch]], gate, ungated,
-                        &scratch.rngs[ch], pre);
-      fv.resize(pre.size());
-      for (std::size_t j = 0; j < pre.size(); ++j)
-        fv[j] = std::max(0.0, pre[j] + biases_[0][j]) * keep_scale_;
-      locus.encode_input(fv, scratch.frozen_enc[ch]);
-    }
+    const auto& m0 = *macros_[0];
+    cimsram::pack_row_mask(ungated, m0.n_in(), gate);
+    m0.matvec_encoded(scratch.enc0[scratch.chain_frame[ch]], gate, ungated,
+                      &scratch.rngs[ch], pre);
+    fv.resize(pre.size());
+    for (std::size_t j = 0; j < pre.size(); ++j)
+      fv[j] = std::max(0.0, pre[j] + biases_[0][j]) * keep_scale_;
+    locus.encode_input(fv, scratch.frozen_enc[ch]);
     const Mask& m = set_at(ch, scratch.chain_begin[ch])[0];
     cimsram::pack_row_mask(m, locus.n_in(), gate);
-    locus.matvec_encoded(frozen_of(ch), gate, ungated, &scratch.rngs[ch],
-                         scratch.accs[ch]);
+    locus.matvec_encoded(scratch.frozen_enc[ch], gate, ungated,
+                         &scratch.rngs[ch], scratch.accs[ch]);
     scratch.prev[ch] = &m;
   };
   // diff — the locus rows that flipped on / off since the chain's previous
@@ -363,7 +326,7 @@ void CimMlp::forward_reuse_window(const std::vector<ReuseFrame>& frames,
   // null item sink would suspend the chain's capture scope).
   const auto delta = [&](std::size_t ch) {
     cimsram::DeltaItem it;
-    it.enc = &frozen_of(ch);
+    it.enc = &scratch.frozen_enc[ch];
     it.add_rows = scratch.added[ch].data();
     it.n_add = scratch.added[ch].size();
     it.rem_rows = scratch.removed[ch].data();
@@ -385,25 +348,21 @@ void CimMlp::forward_reuse_window(const std::vector<ReuseFrame>& frames,
     }
     const std::vector<Mask>& set = set_at(ch, k);
     Vector& out = (*frames[scratch.chain_frame[ch]].outs)[k];
-    const bool locus_hidden = lc + 1 < n_layers;
+    const bool locus_hidden = n_layers > 2;
     Vector& a = locus_hidden ? scratch.acts[ch] : out;
     a = acc;
-    finish_layer(a, biases_[static_cast<std::size_t>(lc)],
-                 locus_hidden ? set[static_cast<std::size_t>(mask_base + lc)]
-                              : ungated,
+    finish_layer(a, biases_[1], locus_hidden ? set[1] : ungated,
                  locus_hidden);
-    for (int l = lc + 1; l < n_layers; ++l) {
+    for (int l = 2; l < n_layers; ++l) {
+      const auto lu = static_cast<std::size_t>(l);
       const bool is_last = l + 1 == n_layers;
-      const auto& macro = *macros_[static_cast<std::size_t>(l)];
-      const Mask& col_mask =
-          is_last ? ungated : set[static_cast<std::size_t>(mask_base + l)];
+      const auto& macro = *macros_[lu];
+      const Mask& col_mask = is_last ? ungated : set[lu];
       Vector& z = is_last ? out : a;
       macro.encode_input(a, enc_hidden);
-      cimsram::pack_row_mask(set[static_cast<std::size_t>(mask_base + l - 1)],
-                             macro.n_in(), gate);
+      cimsram::pack_row_mask(set[lu - 1], macro.n_in(), gate);
       macro.matvec_encoded(enc_hidden, gate, col_mask, &scratch.rngs[ch], z);
-      finish_layer(z, biases_[static_cast<std::size_t>(l)], col_mask,
-                   !is_last);
+      finish_layer(z, biases_[lu], col_mask, !is_last);
     }
   };
 

@@ -3,23 +3,21 @@
 // Each weight layer is programmed into one cimsram::CimMacro. Biases,
 // ReLU and the inverted-dropout scaling stay digital (as in the paper's
 // architecture, where only the matrix products live in the array).
-// Dropout masks map onto the macro's physical ports: the input-site mask
-// gates word lines (CL AND), hidden-site masks gate both the producing
-// layer's columns (RL AND) and the consuming layer's word lines.
+// Dropout masks sit on hidden units only and map onto the macro's
+// physical ports: hidden layer s's mask gates both the producing layer's
+// columns (RL AND) and the consuming layer's word lines (CL AND).
 //
 // Compute reuse (paper Sec. III-C): consecutive MC-Dropout iterations
 // share the same input vector at the reuse locus, so
 // P_i = P_{i-1} + W x|_A - W x|_D, where A/D are the newly
-// activated/deactivated neurons. With input-site dropout the locus is
-// layer 0 over the input mask. With hidden-site dropout only (the VO
-// configuration) layer 0 is mask-independent and read densely once per
-// refresh chain, and the locus moves to layer 1 over the first hidden
-// mask: the surviving hidden neurons carry fixed values, so consecutive
-// iterations again differ only by mask flips. forward_reuse_window keeps
-// a full-column accumulator at the locus and issues one differential
-// delta read per iteration instead of one dense product; the accumulator
-// keeps all columns live so it stays valid when the *output* mask changes
-// between iterations.
+// activated/deactivated neurons. Layer 0 is mask-independent and read
+// densely once per refresh chain; the locus is layer 1 over the first
+// hidden mask: the surviving hidden neurons carry fixed values, so
+// consecutive iterations differ only by mask flips. forward_reuse_window
+// keeps a full-column accumulator at the locus and issues one
+// differential delta read per iteration instead of one dense product; the
+// accumulator keeps all columns live so it stays valid when the *output*
+// mask changes between iterations.
 #pragma once
 
 #include <cstdint>
@@ -131,15 +129,15 @@ class CimMlp {
   /// buffers from, so the steady-state reuse path never touches the heap.
   /// One instance must not be shared by concurrent callers.
   struct ReuseScratch {
-    std::vector<cimsram::EncodedInput> enc0;  ///< per-frame frozen encoding
+    std::vector<cimsram::EncodedInput> enc0;  ///< per-frame layer-0 input
     std::vector<std::uint32_t> chain_frame;   ///< chain -> frame index
     std::vector<std::size_t> chain_begin;     ///< chain -> first position
     std::vector<std::size_t> chain_end;       ///< chain -> past-the-end
     std::vector<core::Rng> rngs;              ///< per-chain noise stream
     std::vector<Vector> accs;                 ///< per-chain accumulator
     std::vector<const Mask*> prev;            ///< per-chain previous locus mask
-    /// Per-chain frozen-value encodings (hidden-site mode only; the
-    /// frozen hidden vector depends on the chain's own layer-0 draws).
+    /// Per-chain encodings of the frozen hidden vector at the locus (it
+    /// depends on the chain's own layer-0 draws).
     std::vector<cimsram::EncodedInput> frozen_enc;
     std::vector<Vector> acts;                 ///< per-chain tail activation
     std::vector<Vector> deltas;               ///< per-chain delta product
@@ -151,8 +149,8 @@ class CimMlp {
 
   /// Chain-parallel compute reuse across a window of frames (and, via
   /// bnn::mc_predict_cim_jobs, across sessions). Each refresh chain runs
-  /// one chain-step kernel: a dense start (the hidden-site layer-0 read,
-  /// then the locus accumulator), then per position a digital flip diff,
+  /// one chain-step kernel: a dense start (the layer-0 read, then the
+  /// locus accumulator), then per position a digital flip diff,
   /// one differential delta read (a CimMacro::matvec_delta_batch item)
   /// netting the added rows against the removed rows, and the locus
   /// epilogue plus the dense tail layers. Below 16 chains each chain runs
@@ -168,7 +166,8 @@ class CimMlp {
   /// any pool size, window size and frame mix.
   ///
   /// Throws std::invalid_argument on malformed mask sets, like
-  /// forward_window.
+  /// forward_window, and on a net with no hidden layer (no mask site, so
+  /// no locus).
   void forward_reuse_window(const std::vector<ReuseFrame>& frames,
                             core::ThreadPool* pool,
                             ReuseScratch& scratch) const;
@@ -183,15 +182,14 @@ class CimMlp {
 
   /// Inverted-dropout scale 1/(1-p) applied to surviving neurons.
   double dropout_keep_scale() const { return keep_scale_; }
-  /// Whether mask site 0 gates the input rows (else hidden sites only).
-  bool dropout_on_input() const { return dropout_on_input_; }
 
  private:
-  /// Encodes the (dropout-scaled) layer-0 input for `x` into `enc`.
+  /// Encodes the layer-0 input `x` (unmasked, so shared by every
+  /// iteration of its frame) into `enc`.
   void encode_layer0(const Vector& x, cimsram::EncodedInput& enc) const;
 
   /// Throws unless `set` holds one mask per dropout site, each as wide
-  /// as its site (the input rows, then each hidden layer's outputs).
+  /// as its site (hidden layer s's outputs).
   void check_mask_set(const std::vector<Mask>& set) const;
 
   /// Digital epilogue of one layer, shared by forward_window and
@@ -203,7 +201,6 @@ class CimMlp {
   std::vector<std::unique_ptr<cimsram::CimMacro>> macros_;
   std::vector<Vector> biases_;
   double keep_scale_ = 2.0;
-  bool dropout_on_input_ = true;
 };
 
 }  // namespace cimnav::nn

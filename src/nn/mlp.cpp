@@ -110,18 +110,11 @@ Vector& Mlp::mutable_biases(int layer) {
   return biases_[static_cast<std::size_t>(layer)];
 }
 
-int Mlp::dropout_site_count() const {
-  // Input (optional) + every hidden layer.
-  return (config_.dropout_on_input ? 1 : 0) + layer_count() - 1;
-}
+int Mlp::dropout_site_count() const { return layer_count() - 1; }
 
 int Mlp::dropout_site_width(int site) const {
   CIMNAV_REQUIRE(site >= 0 && site < dropout_site_count(),
                  "dropout site out of range");
-  if (config_.dropout_on_input) {
-    if (site == 0) return config_.layer_sizes.front();
-    return config_.layer_sizes[static_cast<std::size_t>(site)];
-  }
   return config_.layer_sizes[static_cast<std::size_t>(site) + 1];
 }
 
@@ -159,21 +152,14 @@ Vector Mlp::forward_masked(const Vector& x,
                      static_cast<std::size_t>(dropout_site_count()),
                  "mask count mismatch");
   const double keep_scale = 1.0 / (1.0 - config_.dropout_p);
-  std::size_t site = 0;
   Vector a = x;
-  if (config_.dropout_on_input) {
-    const Mask& m = masks[site++];
-    CIMNAV_REQUIRE(m.size() == a.size(), "input mask size mismatch");
-    for (std::size_t i = 0; i < a.size(); ++i)
-      a[i] = m[i] ? a[i] * keep_scale : 0.0;
-  }
   for (int l = 0; l < layer_count(); ++l) {
     Vector z = weights_[static_cast<std::size_t>(l)].matvec(a);
     const Vector& b = biases_[static_cast<std::size_t>(l)];
     for (std::size_t i = 0; i < z.size(); ++i) z[i] += b[i];
     if (l + 1 < layer_count()) {
       for (double& v : z) v = relu(v);
-      const Mask& m = masks[site++];
+      const Mask& m = masks[static_cast<std::size_t>(l)];
       CIMNAV_REQUIRE(m.size() == z.size(), "hidden mask size mismatch");
       for (std::size_t i = 0; i < z.size(); ++i)
         z[i] = m[i] ? z[i] * keep_scale : 0.0;
@@ -254,15 +240,12 @@ double Mlp::train_epoch(const std::vector<Vector>& inputs,
 
     for (std::size_t s = 0; s < batch; ++s) {
       const Vector& x = inputs[order[processed + s]];
-      const std::uint8_t* m = keep.data() + s * mask_width;
       for (std::size_t c = 0; c < in_width; ++c) {
-        double v = x[c];
-        if (config_.dropout_on_input) v = m[c] ? v * keep_scale : 0.0;
-        act[0][s * in_width + c] = v;
-        act_t[0][c * cap + s] = v;
+        act[0][s * in_width + c] = x[c];
+        act_t[0][c * cap + s] = x[c];
       }
     }
-    std::size_t site_offset = config_.dropout_on_input ? in_width : 0;
+    std::size_t site_offset = 0;
 
     // Forward: each layer is one batched product.
     for (int l = 0; l < layers; ++l) {

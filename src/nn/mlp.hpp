@@ -1,8 +1,8 @@
 // Multilayer perceptron with dropout, trained by backprop + Adam.
 //
 // This is the regression model of the Bayesian VO pipeline (paper
-// Sec. III): dropout applied at the input and after every hidden layer,
-// with the usual "inverted" scaling so that the expected forward pass is
+// Sec. III): dropout applied after every hidden layer, with the usual
+// "inverted" scaling so that the expected forward pass is
 // mask-independent. At inference the same masked forward is reused for
 // MC-Dropout sampling (Gal & Ghahramani: dropout at test time realizes
 // approximate variational inference).
@@ -19,8 +19,7 @@ namespace cimnav::nn {
 /// Architecture/regularization configuration.
 struct MlpConfig {
   std::vector<int> layer_sizes;  ///< e.g. {96, 64, 32, 4}
-  double dropout_p = 0.5;        ///< drop probability, input + hidden
-  bool dropout_on_input = true;  ///< enables the compute-reuse locus
+  double dropout_p = 0.5;        ///< drop probability of hidden units
 };
 
 /// Adam optimizer hyperparameters.
@@ -54,16 +53,16 @@ class Mlp {
   Vector forward(const Vector& x) const;
 
   /// Masked forward pass for MC-Dropout. `masks` holds one mask per
-  /// dropout site: masks[0] over the input (if enabled), then one per
-  /// hidden layer, each applied to the post-activation vector with
-  /// inverted-dropout scaling 1/(1-p).
+  /// dropout site: masks[s] over hidden layer s's post-activation
+  /// vector, with inverted-dropout scaling 1/(1-p).
   Vector forward_masked(const Vector& x,
                         const std::vector<Mask>& masks) const;
 
-  /// Number of dropout sites (size expected of `masks`).
+  /// Number of dropout sites (size expected of `masks`): one per hidden
+  /// layer.
   int dropout_site_count() const;
 
-  /// Width of dropout site `s` (input size or hidden layer size).
+  /// Width of dropout site `s` (hidden layer s's size).
   int dropout_site_width(int site) const;
 
   /// Draws a full set of Bernoulli(1-p) keep-masks using `gen`, a callable

@@ -53,7 +53,6 @@ VoPipeline::VoPipeline(const VoPipelineConfig& config)
   for (int h : config_.hidden_sizes) net_cfg.layer_sizes.push_back(h);
   net_cfg.layer_sizes.push_back(4);
   net_cfg.dropout_p = config_.dropout_p;
-  net_cfg.dropout_on_input = config_.dropout_on_input;
   net_ = std::make_unique<nn::Mlp>(net_cfg, rng);
 
   // Training and test pairs observe the later pose first: the order GCC

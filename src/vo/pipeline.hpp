@@ -38,12 +38,12 @@ namespace cimnav::vo {
 struct VoPipelineConfig {
   int landmark_count = 24;
   std::vector<int> hidden_sizes{128, 64};
-  double dropout_p = 0.2;  ///< hidden-site MC-Dropout probability
-  /// Dropout sites: hidden layers only. Raw features are 0.5-centered, so
-  /// zeroing them injects large off-manifold noise; hidden ReLU
-  /// activations are the natural dropout locus (and the exact
-  /// compute-reuse locus — see CimMlp::forward_reuse_window).
-  bool dropout_on_input = false;
+  /// Hidden-site MC-Dropout probability. Dropout never touches the raw
+  /// features: they are 0.5-centered, so zeroing them would inject large
+  /// off-manifold noise. Hidden ReLU activations are the dropout sites
+  /// (and the first one is the compute-reuse locus — see
+  /// CimMlp::forward_reuse_window).
+  double dropout_p = 0.2;
   /// Training pairs are sampled densely over the pose-delta envelope
   /// (uniform pose, random small delta) so the regressor generalizes to
   /// any smooth trajectory through the workspace.
@@ -57,7 +57,6 @@ struct VoPipelineConfig {
   /// flight is out of the training distribution.
   double train_yaw_range = 1.0;
   int test_steps = 120;
-  double observation_noise = 0.005;
   nn::TrainOptions train;
   std::uint64_t seed = 7;
   /// Worker pool for the CIM MC-Dropout evaluations (nullptr = serial),

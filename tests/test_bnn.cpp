@@ -121,6 +121,31 @@ TEST(McPrediction, ScalarVarianceIsMeanOfVariances) {
   EXPECT_DOUBLE_EQ(McPrediction{}.scalar_variance(), 0.0);
 }
 
+/// Float reference MC-Dropout on the trained network: T masked forwards
+/// of `net` itself, reduced by the same Welford recurrence as the CIM
+/// paths.
+McPrediction mc_predict_float(const nn::Mlp& net, const Vector& x,
+                              int iterations, double dropout_p,
+                              MaskSource& masks) {
+  const auto n_out = static_cast<std::size_t>(net.output_size());
+  McPrediction pred;
+  pred.mean.assign(n_out, 0.0);
+  pred.variance.assign(n_out, 0.0);
+  for (int t = 1; t <= iterations; ++t) {
+    const Vector y = net.forward_masked(
+        x, net.sample_masks([&] { return masks.draw(dropout_p); }));
+    for (std::size_t i = 0; i < n_out; ++i) {
+      const double delta = y[i] - pred.mean[i];
+      pred.mean[i] += delta / static_cast<double>(t);
+      pred.variance[i] += delta * (y[i] - pred.mean[i]);
+    }
+  }
+  for (double& v : pred.variance)
+    v = iterations > 1 ? v / static_cast<double>(iterations - 1) : 0.0;
+  pred.samples = iterations;
+  return pred;
+}
+
 class McFixture : public ::testing::Test {
  protected:
   McFixture() : rng_(7), net_(make_config(), rng_) {
@@ -138,7 +163,6 @@ class McFixture : public ::testing::Test {
     nn::MlpConfig cfg;
     cfg.layer_sizes = {3, 12, 6, 1};
     cfg.dropout_p = 0.3;
-    cfg.dropout_on_input = false;
     return cfg;
   }
   Rng rng_;
@@ -372,11 +396,10 @@ TEST_F(McFixture, PeriodicRefreshBoundsReuseDrift) {
 
 constexpr int kWindowIn = 24;
 
-std::unique_ptr<nn::Mlp> make_window_net(bool dropout_on_input) {
+std::unique_ptr<nn::Mlp> make_window_net() {
   Rng rng(5);
   nn::MlpConfig cfg;
   cfg.layer_sizes = {kWindowIn, 16, 8, 3};
-  cfg.dropout_on_input = dropout_on_input;
   return std::make_unique<nn::Mlp>(cfg, rng);
 }
 
@@ -420,17 +443,14 @@ Vector serial_item_forward(const nn::Mlp& net, const nn::CimMlp& cim,
                            Rng& rng) {
   const double keep = cim.dropout_keep_scale();
   const Mask none;
-  std::size_t site = 0;
-  const Mask* rows = cim.dropout_on_input() ? &set[site++] : &none;
+  const Mask* rows = &none;
   Vector a = x;
-  if (cim.dropout_on_input())
-    for (double& v : a) v *= keep;
   std::vector<std::uint64_t> gate;
   cimsram::EncodedInput enc;
   Vector z;
   for (int l = 0; l < cim.layer_count(); ++l) {
     const bool hidden = l + 1 < cim.layer_count();
-    const Mask& cols = hidden ? set[site] : none;
+    const Mask& cols = hidden ? set[static_cast<std::size_t>(l)] : none;
     const cimsram::CimMacro& macro = cim.macro(l);
     macro.encode_input(a, enc);
     cimsram::pack_row_mask(*rows, macro.n_in(), gate);
@@ -442,7 +462,6 @@ Vector serial_item_forward(const nn::Mlp& net, const nn::CimMlp& cim,
       for (std::size_t i = 0; i < z.size(); ++i)
         z[i] = cols[i] ? std::max(0.0, z[i]) * keep : 0.0;
       rows = &cols;
-      ++site;
     }
     a = z;
   }
@@ -450,117 +469,110 @@ Vector serial_item_forward(const nn::Mlp& net, const nn::CimMlp& cim,
 }
 
 TEST(ForwardWindow, BitIdenticalToSerialPerItemForward) {
-  for (bool on_input : {false, true}) {
-    const auto net = make_window_net(on_input);
-    const auto cim = make_window_cim(*net);
-    constexpr int kFrames = 5, kIters = 7;
+  const auto net = make_window_net();
+  const auto cim = make_window_cim(*net);
+  constexpr int kFrames = 5, kIters = 7;
 
-    // Draw per-frame mask sets once; both paths replay the same sets.
-    Rng mask_rng(21);
-    const int sites = (on_input ? 1 : 0) + cim->layer_count() - 1;
-    std::vector<std::vector<std::vector<Mask>>> sets(kFrames);
-    for (auto& frame_sets : sets) {
-      frame_sets.resize(kIters);
-      for (auto& set : frame_sets) {
-        set.resize(static_cast<std::size_t>(sites));
-        for (int s = 0; s < sites; ++s) {
-          const int width = s == 0 && on_input
-                                ? cim->macro(0).n_in()
-                                : cim->macro(s - (on_input ? 1 : 0)).n_out();
-          set[static_cast<std::size_t>(s)].resize(
-              static_cast<std::size_t>(width));
-          for (auto& bit : set[static_cast<std::size_t>(s)])
-            bit = mask_rng.bernoulli(0.5) ? 0 : 1;
-        }
+  // Draw per-frame mask sets once; both paths replay the same sets.
+  Rng mask_rng(21);
+  const int sites = cim->layer_count() - 1;
+  std::vector<std::vector<std::vector<Mask>>> sets(kFrames);
+  for (auto& frame_sets : sets) {
+    frame_sets.resize(kIters);
+    for (auto& set : frame_sets) {
+      set.resize(static_cast<std::size_t>(sites));
+      for (int s = 0; s < sites; ++s) {
+        set[static_cast<std::size_t>(s)].resize(
+            static_cast<std::size_t>(cim->macro(s).n_out()));
+        for (auto& bit : set[static_cast<std::size_t>(s)])
+          bit = mask_rng.bernoulli(0.5) ? 0 : 1;
       }
     }
-    std::vector<Vector> inputs;
-    for (int f = 0; f < kFrames; ++f) inputs.push_back(window_input(f));
+  }
+  std::vector<Vector> inputs;
+  for (int f = 0; f < kFrames; ++f) inputs.push_back(window_input(f));
 
-    std::vector<nn::CimMlp::FrameBatch> frames(kFrames);
-    for (int f = 0; f < kFrames; ++f) {
-      const auto fi = static_cast<std::size_t>(f);
-      frames[fi].x = &inputs[fi];
-      frames[fi].mask_sets = &sets[fi];
-      frames[fi].noise_root = 1000u + static_cast<std::uint64_t>(f);
-    }
+  std::vector<nn::CimMlp::FrameBatch> frames(kFrames);
+  for (int f = 0; f < kFrames; ++f) {
+    const auto fi = static_cast<std::size_t>(f);
+    frames[fi].x = &inputs[fi];
+    frames[fi].mask_sets = &sets[fi];
+    frames[fi].noise_root = 1000u + static_cast<std::uint64_t>(f);
+  }
 
-    core::ThreadPool p8(8);
-    nn::CimMlp::WindowScratch scratch;
-    std::vector<std::vector<Vector>> window_outs;
-    cim->forward_window(frames, &p8, scratch, window_outs);
-    // A second run through the same scratch must reuse buffers cleanly.
-    cim->forward_window(frames, &p8, scratch, window_outs);
+  core::ThreadPool p8(8);
+  nn::CimMlp::WindowScratch scratch;
+  std::vector<std::vector<Vector>> window_outs;
+  cim->forward_window(frames, &p8, scratch, window_outs);
+  // A second run through the same scratch must reuse buffers cleanly.
+  cim->forward_window(frames, &p8, scratch, window_outs);
 
-    ASSERT_EQ(window_outs.size(), static_cast<std::size_t>(kFrames));
-    for (int f = 0; f < kFrames; ++f) {
-      const auto fi = static_cast<std::size_t>(f);
-      ASSERT_EQ(window_outs[fi].size(), sets[fi].size());
-      for (std::size_t t = 0; t < sets[fi].size(); ++t) {
-        Rng item_rng =
-            Rng::stream(1000u + static_cast<std::uint64_t>(f), t);
-        const Vector ref =
-            serial_item_forward(*net, *cim, inputs[fi], sets[fi][t],
-                                item_rng);
-        ASSERT_EQ(window_outs[fi][t].size(), ref.size());
-        for (std::size_t j = 0; j < ref.size(); ++j)
-          EXPECT_EQ(window_outs[fi][t][j], ref[j])
-              << "on_input=" << on_input << " f=" << f << " t=" << t;
-      }
+  ASSERT_EQ(window_outs.size(), static_cast<std::size_t>(kFrames));
+  for (int f = 0; f < kFrames; ++f) {
+    const auto fi = static_cast<std::size_t>(f);
+    ASSERT_EQ(window_outs[fi].size(), sets[fi].size());
+    for (std::size_t t = 0; t < sets[fi].size(); ++t) {
+      Rng item_rng =
+          Rng::stream(1000u + static_cast<std::uint64_t>(f), t);
+      const Vector ref =
+          serial_item_forward(*net, *cim, inputs[fi], sets[fi][t],
+                              item_rng);
+      ASSERT_EQ(window_outs[fi][t].size(), ref.size());
+      for (std::size_t j = 0; j < ref.size(); ++j)
+        EXPECT_EQ(window_outs[fi][t][j], ref[j])
+            << "f=" << f << " t=" << t;
     }
   }
 }
 
 TEST(McPredictCimWindow, BitIdenticalToSerialPerFrameCalls) {
-  for (bool on_input : {false, true}) {
-    const auto net = make_window_net(on_input);
-    const auto cim = make_window_cim(*net);
-    constexpr int kFrames = 6;
-    std::vector<Vector> inputs;
-    std::vector<const Vector*> xs;
-    for (int f = 0; f < kFrames; ++f) inputs.push_back(window_input(f));
-    for (const auto& x : inputs) xs.push_back(&x);
+  const auto net = make_window_net();
+  const auto cim = make_window_cim(*net);
+  constexpr int kFrames = 6;
+  std::vector<Vector> inputs;
+  std::vector<const Vector*> xs;
+  for (int f = 0; f < kFrames; ++f) inputs.push_back(window_input(f));
+  for (const auto& x : inputs) xs.push_back(&x);
 
-    McOptions opt;
-    opt.iterations = 9;
-    opt.dropout_p = 0.5;
+  McOptions opt;
+  opt.iterations = 9;
+  opt.dropout_p = 0.5;
 
-    // Serial reference: frame-at-a-time draws from the same sources.
-    std::vector<McPrediction> ref;
-    McWorkload ref_wl;
-    {
-      SoftwareMaskSource masks(Rng{11});
-      Rng arng(13);
-      for (const auto& x : inputs) {
-        McWorkload wl;
-        ref.push_back(mc_predict_cim(*cim, x, opt, masks, arng, &wl));
-        ref_wl += wl;
-      }
-    }
-
-    core::ThreadPool p1(1), p2(2), p8(8);
-    for (core::ThreadPool* pool :
-         {static_cast<core::ThreadPool*>(nullptr), &p1, &p2, &p8}) {
-      SoftwareMaskSource masks(Rng{11});
-      Rng arng(13);
-      McOptions wopt = opt;
-      wopt.pool = pool;
+  // Serial reference: frame-at-a-time draws from the same sources.
+  std::vector<McPrediction> ref;
+  McWorkload ref_wl;
+  {
+    SoftwareMaskSource masks(Rng{11});
+    Rng arng(13);
+    for (const auto& x : inputs) {
       McWorkload wl;
-      const auto preds = mc_predict_cim_window(*cim, xs, wopt, masks, arng,
-                                               &wl);
-      ASSERT_EQ(preds.size(), ref.size());
-      for (std::size_t f = 0; f < ref.size(); ++f)
-        expect_same_prediction(preds[f], ref[f]);
-      EXPECT_EQ(wl.macro.wordline_pulses, ref_wl.macro.wordline_pulses);
-      EXPECT_EQ(wl.macro.adc_conversions, ref_wl.macro.adc_conversions);
-      EXPECT_EQ(wl.mask_bits_drawn, ref_wl.mask_bits_drawn);
-      EXPECT_EQ(wl.input_mask_flips, ref_wl.input_mask_flips);
+      ref.push_back(mc_predict_cim(*cim, x, opt, masks, arng, &wl));
+      ref_wl += wl;
     }
+  }
+
+  core::ThreadPool p1(1), p2(2), p8(8);
+  for (core::ThreadPool* pool :
+       {static_cast<core::ThreadPool*>(nullptr), &p1, &p2, &p8}) {
+    SoftwareMaskSource masks(Rng{11});
+    Rng arng(13);
+    McOptions wopt = opt;
+    wopt.pool = pool;
+    McWorkload wl;
+    const auto preds = mc_predict_cim_window(*cim, xs, wopt, masks, arng,
+                                             &wl);
+    ASSERT_EQ(preds.size(), ref.size());
+    for (std::size_t f = 0; f < ref.size(); ++f)
+      expect_same_prediction(preds[f], ref[f]);
+    EXPECT_EQ(wl.macro.wordline_pulses, ref_wl.macro.wordline_pulses);
+    EXPECT_EQ(wl.macro.adc_conversions, ref_wl.macro.adc_conversions);
+    EXPECT_EQ(wl.mask_bits_drawn, ref_wl.mask_bits_drawn);
+    EXPECT_EQ(wl.input_mask_flips, ref_wl.input_mask_flips);
   }
 }
 
 TEST(McPredictCimWindow, RejectsSideItems) {
-  const auto net = make_window_net(false);
+  const auto net = make_window_net();
   const auto cim = make_window_cim(*net);
   const Vector x0 = window_input(0);
   const std::vector<const Vector*> xs{&x0};
@@ -570,6 +582,44 @@ TEST(McPredictCimWindow, RejectsSideItems) {
   opt.iterations = 3;
   EXPECT_THROW(mc_predict_cim_window(*cim, xs, opt, masks, arng, nullptr, 1,
                                      [](std::size_t) {}),
+               std::invalid_argument);
+}
+
+TEST(McPredictCim, NetWithoutHiddenLayerHasNoReuseLocus) {
+  // With no hidden layer there is no mask site, hence no reuse locus:
+  // compute reuse runs the dense path and draws no mask bit, and the
+  // reuse engine itself rejects the net.
+  Rng rng(3);
+  nn::MlpConfig cfg;
+  cfg.layer_sizes = {4, 2};
+  const nn::Mlp net(cfg, rng);
+  const std::vector<Vector> calib{{0.1, 0.2, 0.3, 0.4}, {0.4, 0.3, 0.2, 0.1}};
+  const nn::CimMlp cim(net, cimsram::CimMacroConfig{}, calib, rng);
+  const Vector x{0.3, 0.7, 0.5, 0.2};
+
+  const auto run = [&](bool reuse, McWorkload& wl) {
+    SoftwareMaskSource masks(Rng{11});
+    Rng arng(13);
+    McOptions opt;
+    opt.iterations = 6;
+    opt.compute_reuse = reuse;
+    return mc_predict_cim(cim, x, opt, masks, arng, &wl);
+  };
+  McWorkload dense_wl, reuse_wl;
+  const McPrediction dense = run(false, dense_wl);
+  const McPrediction reused = run(true, reuse_wl);
+  expect_same_prediction(reused, dense);
+  EXPECT_EQ(reuse_wl.mask_bits_drawn, 0u);
+  EXPECT_EQ(reuse_wl.macro.wordline_pulses, dense_wl.macro.wordline_pulses);
+
+  const std::vector<std::vector<Mask>> sets(3);  // three empty mask sets
+  std::vector<Vector> outs;
+  nn::CimMlp::ReuseFrame frame;
+  frame.x = &x;
+  frame.mask_sets = &sets;
+  frame.outs = &outs;
+  nn::CimMlp::ReuseScratch scratch;
+  EXPECT_THROW(cim.forward_reuse_window({frame}, nullptr, scratch),
                std::invalid_argument);
 }
 

@@ -114,11 +114,10 @@ TEST(ProductSums, VectorTilesRoundEveryProduct) {
   }
 }
 
-MlpConfig small_config(double p = 0.0, bool input_dropout = false) {
+MlpConfig small_config(double p = 0.0) {
   MlpConfig cfg;
   cfg.layer_sizes = {4, 16, 8, 2};
   cfg.dropout_p = p;
-  cfg.dropout_on_input = input_dropout;
   return cfg;
 }
 
@@ -134,20 +133,18 @@ TEST(Mlp, ForwardShapeAndDeterminism) {
 
 TEST(Mlp, DropoutSiteAccounting) {
   Rng rng(5);
-  const Mlp hidden_only(small_config(0.5, false), rng);
-  EXPECT_EQ(hidden_only.dropout_site_count(), 2);
-  EXPECT_EQ(hidden_only.dropout_site_width(0), 16);
-  EXPECT_EQ(hidden_only.dropout_site_width(1), 8);
-  const Mlp with_input(small_config(0.5, true), rng);
-  EXPECT_EQ(with_input.dropout_site_count(), 3);
-  EXPECT_EQ(with_input.dropout_site_width(0), 4);
+  const Mlp net(small_config(0.5), rng);
+  EXPECT_EQ(net.dropout_site_count(), 2);
+  EXPECT_EQ(net.dropout_site_width(0), 16);
+  EXPECT_EQ(net.dropout_site_width(1), 8);
+  EXPECT_THROW(net.dropout_site_width(2), std::invalid_argument);
 }
 
 TEST(Mlp, AllOnesMaskEqualsScaledForward) {
   // With every neuron kept, the masked forward is the deterministic
   // forward scaled by keep_scale at each site (inverted dropout).
   Rng rng(7);
-  MlpConfig cfg = small_config(0.5, false);
+  MlpConfig cfg = small_config(0.5);
   const Mlp net(cfg, rng);
   const Vector x{0.3, 0.1, 0.9, 0.5};
   std::vector<Mask> ones;
@@ -160,14 +157,14 @@ TEST(Mlp, AllOnesMaskEqualsScaledForward) {
 }
 
 TEST(Mlp, MaskedForwardExpectationExactForLinearNet) {
-  // For a single weight layer (no ReLU between dropout and output),
-  // inverted dropout makes E[masked forward] equal the deterministic
-  // forward exactly; only Monte-Carlo error remains.
+  // With one hidden layer the mask sits after the only ReLU, and the
+  // output layer is linear: inverted dropout makes E[masked forward]
+  // equal the deterministic forward exactly; only Monte-Carlo error
+  // remains.
   Rng rng(11);
   MlpConfig cfg;
-  cfg.layer_sizes = {4, 2};
+  cfg.layer_sizes = {4, 8, 2};
   cfg.dropout_p = 0.3;
-  cfg.dropout_on_input = true;
   const Mlp net(cfg, rng);
   const Vector x{0.5, 0.2, 0.8, 0.1};
   const Vector ref = net.forward(x);
@@ -188,7 +185,7 @@ TEST(Mlp, MaskedForwardExpectationApproximatesForwardThroughRelu) {
   // Through ReLU the equality is only approximate (Jensen gap), but the
   // MC mean must stay within a moderate band of the deterministic pass.
   Rng rng(11);
-  const Mlp net(small_config(0.3, false), rng);
+  const Mlp net(small_config(0.3), rng);
   const Vector x{0.5, 0.2, 0.8, 0.1};
   const Vector ref = net.forward(x);
   Vector mean(2, 0.0);
@@ -222,7 +219,7 @@ TEST(Mlp, TrainsLinearTask) {
 
 TEST(Mlp, TrainingLossDecreases) {
   Rng rng(19);
-  Mlp net(small_config(0.1, false), rng);
+  Mlp net(small_config(0.1), rng);
   std::vector<Vector> X, Y;
   for (int i = 0; i < 600; ++i) {
     Vector x{rng.uniform(), rng.uniform(), rng.uniform(), rng.uniform()};
@@ -306,13 +303,7 @@ double reference_train_epoch(Mlp& net, ReferenceAdam& adam,
       std::vector<Vector> preact;
       const std::vector<Mask> live_masks =
           net.sample_masks([&] { return rng.bernoulli(cfg.dropout_p); });
-      std::size_t site = 0;
       Vector a = inputs[idx];
-      if (cfg.dropout_on_input) {
-        const Mask& m = live_masks[site++];
-        for (std::size_t i = 0; i < a.size(); ++i)
-          a[i] = m[i] ? a[i] * keep_scale : 0.0;
-      }
       acts.push_back(a);
       for (int l = 0; l < layers; ++l) {
         Vector z = net.weights(l).matvec(a);
@@ -321,7 +312,7 @@ double reference_train_epoch(Mlp& net, ReferenceAdam& adam,
         preact.push_back(z);
         if (l + 1 < layers) {
           for (double& v : z) v = v > 0.0 ? v : 0.0;
-          const Mask& m = live_masks[site++];
+          const Mask& m = live_masks[static_cast<std::size_t>(l)];
           for (std::size_t i = 0; i < z.size(); ++i)
             z[i] = m[i] ? z[i] * keep_scale : 0.0;
         }
@@ -338,7 +329,6 @@ double reference_train_epoch(Mlp& net, ReferenceAdam& adam,
       }
       total_loss += loss / static_cast<double>(a.size());
 
-      site = static_cast<std::size_t>(net.dropout_site_count());
       for (int l = layers - 1; l >= 0; --l) {
         const Vector& input_act = acts[static_cast<std::size_t>(l)];
         auto& gw = grad_w[static_cast<std::size_t>(l)];
@@ -351,8 +341,7 @@ double reference_train_epoch(Mlp& net, ReferenceAdam& adam,
         }
         if (l == 0) break;
         Vector prev = reference_matvec_transposed(net.weights(l), delta);
-        --site;
-        const Mask& m = live_masks[site];
+        const Mask& m = live_masks[static_cast<std::size_t>(l) - 1];
         const Vector& z_prev = preact[static_cast<std::size_t>(l) - 1];
         for (std::size_t i = 0; i < prev.size(); ++i) {
           const double gate = m[i] ? keep_scale : 0.0;
@@ -428,20 +417,17 @@ std::vector<OracleCase> oracle_cases() {
   MlpConfig vo;
   vo.layer_sizes = {144, 128, 64, 4};
   vo.dropout_p = 0.2;
-  vo.dropout_on_input = false;
   MlpConfig ragged;
   ragged.layer_sizes = {5, 13, 7, 3};
   ragged.dropout_p = 0.35;
-  ragged.dropout_on_input = true;
-  MlpConfig ragged_hidden;
-  ragged_hidden.layer_sizes = {9, 6, 11};
-  ragged_hidden.dropout_p = 0.25;
-  ragged_hidden.dropout_on_input = false;
+  MlpConfig ragged_one_hidden;
+  ragged_one_hidden.layer_sizes = {9, 6, 11};
+  ragged_one_hidden.dropout_p = 0.25;
   // Each count leaves a partial last batch at every batch size above 1.
   return {{"vo_144_128_64_4", vo, 150},
-          {"small_input_dropout", small_config(0.3, true), 230},
+          {"small_4_16_8_2", small_config(0.3), 230},
           {"ragged_5_13_7_3", ragged, 230},
-          {"ragged_9_6_11", ragged_hidden, 230}};
+          {"ragged_9_6_11", ragged_one_hidden, 230}};
 }
 
 TEST(MlpTrainOracle, BatchedEpochMatchesPerSampleLoopBitForBit) {
@@ -486,7 +472,7 @@ TEST(MlpTrainOracle, BatchedEpochMatchesPerSampleLoopBitForBit) {
 
 TEST(MlpTrainOracle, RejectsBadWidthsBeforeAnyStep) {
   Rng rng(29);
-  Mlp net(small_config(0.2, true), rng);
+  Mlp net(small_config(0.2), rng);
   std::vector<Vector> X, Y;
   for (int i = 0; i < 40; ++i) {
     X.push_back({rng.uniform(), rng.uniform(), rng.uniform(), rng.uniform()});
@@ -526,7 +512,7 @@ TEST(MlpTrainOracle, RejectsBadWidthsBeforeAnyStep) {
 
 class TrainedFixture : public ::testing::Test {
  protected:
-  TrainedFixture() : rng_(23), net_(small_config(0.2, false), rng_) {
+  TrainedFixture() : rng_(23), net_(small_config(0.2), rng_) {
     for (int i = 0; i < 800; ++i) {
       Vector x{rng_.uniform(), rng_.uniform(), rng_.uniform(), rng_.uniform()};
       targets_.push_back({x[0] + 0.5 * x[1], x[2] - x[3]});
@@ -655,34 +641,6 @@ TEST_F(TrainedFixture, ReuseSavesWordlinePulses) {
   EXPECT_LT(reuse_pulses, dense_pulses);
 }
 
-TEST(CimMlpInputDropout, ReuseEquivalenceWithInputSite) {
-  // Same property for the input-site dropout configuration.
-  Rng rng(73);
-  MlpConfig cfg;
-  cfg.layer_sizes = {6, 12, 3};
-  cfg.dropout_p = 0.4;
-  cfg.dropout_on_input = true;
-  Mlp net(cfg, rng);
-  std::vector<Vector> calib;
-  for (int i = 0; i < 20; ++i)
-    calib.push_back({rng.uniform(), rng.uniform(), rng.uniform(),
-                     rng.uniform(), rng.uniform(), rng.uniform()});
-  cimsram::CimMacroConfig mc;
-  mc.input_bits = 8;
-  mc.weight_bits = 8;
-  mc.adc_bits = 14;
-  mc.analog_noise = false;
-  Rng crng(79);
-  const CimMlp cim(net, mc, calib, crng);
-  Rng mrng(83);
-  const auto sets = draw_sets(net, 10, 0.4, mrng);
-  const auto dense = window_frame(cim, calib[0], sets, 89);
-  const auto reused = reuse_frame(cim, calib[0], sets, 89);
-  for (std::size_t t = 0; t < dense.size(); ++t)
-    for (std::size_t k = 0; k < dense[t].size(); ++k)
-      EXPECT_NEAR(reused[t][k], dense[t][k], 1e-6);
-}
-
 TEST(CimMlpNoise, AnalogNoiseAccumulatesAcrossReuse) {
   // With analog noise on, repeated delta updates drift relative to a
   // fresh dense evaluation — the trade-off the reuse ablation quantifies.
@@ -690,7 +648,6 @@ TEST(CimMlpNoise, AnalogNoiseAccumulatesAcrossReuse) {
   MlpConfig cfg;
   cfg.layer_sizes = {8, 16, 2};
   cfg.dropout_p = 0.5;
-  cfg.dropout_on_input = false;
   Mlp net(cfg, rng);
   std::vector<Vector> calib;
   for (int i = 0; i < 10; ++i) {
@@ -718,26 +675,23 @@ TEST(CimMlpMasks, RejectsMaskNarrowerThanItsSite) {
   // one neuron short, or empty, must throw before any layer reads past
   // its end.
   Rng rng(139);
-  for (const bool on_input : {false, true}) {
-    const Mlp net(small_config(0.5, on_input), rng);
-    std::vector<Vector> calib{{0.1, 0.2, 0.3, 0.4}, {0.4, 0.3, 0.2, 0.1}};
-    const CimMlp cim(net, cimsram::CimMacroConfig{}, calib, rng);
-    const auto sets = draw_sets(net, 3, 0.5, rng);
-    // Site 1 is the column mask the reuse locus epilogue reads in both
-    // dropout modes (layer 0's outputs with input-site dropout, layer 1's
-    // with hidden-site dropout).
-    const Mask& site = sets[1][1];
-    for (const std::size_t width : {site.size() - 1, std::size_t{0}}) {
-      auto bad = sets;
-      // A fresh exact-size buffer, so a read past its end leaves the heap
-      // allocation (and AddressSanitizer reports it).
-      bad[1][1] = Mask(site.begin(),
-                       site.begin() + static_cast<std::ptrdiff_t>(width));
-      EXPECT_THROW(window_frame(cim, calib[0], bad, 1), std::invalid_argument)
-          << "on_input=" << on_input << " width=" << width;
-      EXPECT_THROW(reuse_frame(cim, calib[0], bad, 1), std::invalid_argument)
-          << "on_input=" << on_input << " width=" << width;
-    }
+  const Mlp net(small_config(0.5), rng);
+  std::vector<Vector> calib{{0.1, 0.2, 0.3, 0.4}, {0.4, 0.3, 0.2, 0.1}};
+  const CimMlp cim(net, cimsram::CimMacroConfig{}, calib, rng);
+  const auto sets = draw_sets(net, 3, 0.5, rng);
+  // Site 1 (layer 1's outputs) is the column mask the reuse locus
+  // epilogue reads.
+  const Mask& site = sets[1][1];
+  for (const std::size_t width : {site.size() - 1, std::size_t{0}}) {
+    auto bad = sets;
+    // A fresh exact-size buffer, so a read past its end leaves the heap
+    // allocation (and AddressSanitizer reports it).
+    bad[1][1] = Mask(site.begin(),
+                     site.begin() + static_cast<std::ptrdiff_t>(width));
+    EXPECT_THROW(window_frame(cim, calib[0], bad, 1), std::invalid_argument)
+        << "width=" << width;
+    EXPECT_THROW(reuse_frame(cim, calib[0], bad, 1), std::invalid_argument)
+        << "width=" << width;
   }
 }
 

@@ -5,11 +5,10 @@
 // {1, 4, 8} — spanning both dispatch modes of the chain engine
 // (per-chain work items below the step-sync threshold, step-synchronous
 // pooled phases above it) — over net shapes that reach every branch of
-// the chain-step kernel: hidden-site {4,16,8,2} (locus layer 1, one tail
-// layer), input-site {4,16,8,2} (locus layer 0, two tail layers),
-// hidden-site {4,16,2} (the locus is the output layer) and hidden-site
-// {80,72,3} (a two-word layer 0 and a locus whose delta reads span two
-// packed gate words, with analog noise on). The warmed pooled reuse path
+// the chain-step kernel: {4,16,8,2} (locus layer 1, one tail layer),
+// {4,16,2} (the locus is the output layer) and {80,72,3} (a two-word
+// layer 0 and a locus whose delta reads span two packed gate words, with
+// analog noise on). The warmed pooled reuse path
 // must run without touching the heap (operator-new spy in this TU).
 #include <gtest/gtest.h>
 
@@ -60,17 +59,14 @@ using core::Rng;
 using core::ThreadPool;
 using nn::Vector;
 
-/// A network shape under test: layer widths (>= 4 inputs, >= 2 outputs)
-/// and the dropout site.
-struct NetShape {
-  std::vector<int> layer_sizes;
-  bool dropout_on_input = false;
-};
+/// A network shape under test: layer widths (>= 4 inputs, >= 2 outputs,
+/// at least one hidden layer to carry the reuse locus).
+using NetShape = std::vector<int>;
 
 class ReuseParallelFixture : public ::testing::TestWithParam<NetShape> {
  protected:
   ReuseParallelFixture() : rng_(7), net_(make_config(GetParam()), rng_) {
-    const int n_out = GetParam().layer_sizes.back();
+    const int n_out = GetParam().back();
     std::vector<Vector> X, Y;
     for (int i = 0; i < 300; ++i) {
       Vector x = random_input(rng_);
@@ -95,9 +91,8 @@ class ReuseParallelFixture : public ::testing::TestWithParam<NetShape> {
 
   static nn::MlpConfig make_config(const NetShape& shape) {
     nn::MlpConfig cfg;
-    cfg.layer_sizes = shape.layer_sizes;
+    cfg.layer_sizes = shape;
     cfg.dropout_p = 0.4;
-    cfg.dropout_on_input = shape.dropout_on_input;
     return cfg;
   }
 
@@ -113,7 +108,7 @@ class ReuseParallelFixture : public ::testing::TestWithParam<NetShape> {
 
   /// One uniform input vector of the network's input width.
   static Vector random_input(Rng& rng) {
-    Vector x(static_cast<std::size_t>(GetParam().layer_sizes.front()));
+    Vector x(static_cast<std::size_t>(GetParam().front()));
     for (double& v : x) v = rng.uniform();
     return x;
   }
@@ -323,13 +318,11 @@ TEST_P(ReuseParallelFixture, PooledReusePathIsAllocationFreeOnceWarm) {
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, ReuseParallelFixture,
-    ::testing::Values(NetShape{{4, 16, 8, 2}, false},
-                      NetShape{{4, 16, 8, 2}, true},
-                      NetShape{{4, 16, 2}, false},
-                      NetShape{{80, 72, 3}, false}),
+    ::testing::Values(NetShape{4, 16, 8, 2}, NetShape{4, 16, 2},
+                      NetShape{80, 72, 3}),
     [](const ::testing::TestParamInfo<NetShape>& info) {
-      std::string name = info.param.dropout_on_input ? "input" : "hidden";
-      for (const int width : info.param.layer_sizes) {
+      std::string name = "hidden";
+      for (const int width : info.param) {
         name += '_';
         name += std::to_string(width);
       }

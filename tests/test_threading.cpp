@@ -86,7 +86,6 @@ class McDeterminismTest : public ::testing::Test {
     Rng rng(5);
     nn::MlpConfig cfg;
     cfg.layer_sizes = {24, 16, 8, 3};
-    cfg.dropout_on_input = false;
     net_ = std::make_unique<nn::Mlp>(cfg, rng);
     std::vector<nn::Vector> calib;
     for (int i = 0; i < 4; ++i) {
